@@ -23,12 +23,23 @@ A :class:`TruncationBox` clips every direction to a finite window so that
 elements stay finite objects.  Any operation that pushes a genuinely nonzero
 term through a series-side wall records the loss by clearing the element's
 ``exact`` flag.  Contraction kills on the inverse side keep ``exact`` set.
+
+:func:`ring_act` and :func:`duality.matlis_pair` share one product kernel: a
+product both contracted and outside the box is a kill, never a loss.  It sums
+plain ints (numerators over a common denominator, residues mod p) and raises
+each sum to a ``Fraction`` or ``Fp`` once, so stored types are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import inf, lcm
+from operator import add, le
 from typing import Iterable, Mapping
+
+from .fields import Fp
 
 SERIES = "series"
 INVERSE = "inverse"
@@ -114,17 +125,9 @@ class TruncationBox:
             raise ValueError("cannot add boxes over different variable counts")
         return TruncationBox(tuple(a + b for a, b in zip(self.bounds, other.bounds)))
 
-    @staticmethod
-    def coordinate_ok(role: str, bound: int, e: int) -> bool:
-        if role == SERIES:
-            return 0 <= e <= bound
-        return -bound <= e <= 0
-
     def admits(self, shape: ModuleShape, exponents: Exponents) -> bool:
-        return all(
-            self.coordinate_ok(r, b, e)
-            for r, b, e in zip(shape.roles, self.bounds, exponents)
-        )
+        lo, hi, _ = _window(shape.roles, self.bounds)
+        return all(map(le, lo, exponents)) and all(map(le, exponents, hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,24 +170,22 @@ class Element:
         if shape.nvars != box.nvars:
             raise ValueError("shape and box disagree on the variable count")
         items = terms.items() if isinstance(terms, Mapping) else terms
+        lo, hi, _ = _window(shape.roles, box.bounds)
         acc: dict[Exponents, object] = {}
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != shape.nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length")
-            if not box.admits(shape, exps):
+            if not (all(map(le, lo, exps)) and all(map(le, exps, hi))):
                 raise ValueError(f"exponent vector {exps} violates the shape or box")
-            if exps in acc:
-                acc[exps] = acc[exps] + coeff
-            else:
-                acc[exps] = coeff
+            acc[exps] = acc[exps] + coeff if exps in acc else coeff
         return cls._collect(shape, box, acc, exact)
 
     @classmethod
     def _collect(cls, shape, box, mapping, exact) -> "Element":
-        # internal fast path: inputs already validated
-        items = tuple(sorted(((e, c) for e, c in mapping.items() if c),
-                             key=lambda item: item[0]))
+        # internal fast path: inputs already validated; keys are unique, so
+        # sorting the (exponents, coefficient) pairs never compares coefficients
+        items = tuple(sorted([item for item in mapping.items() if item[1]]))
         return cls(shape, box, items, exact)
 
     @classmethod
@@ -251,13 +252,80 @@ def linear_combine(pairs: Iterable[tuple[object, Element]]) -> Element:
         exact = exact and elem.exact
         if not scalar:
             continue
+        unit = type(scalar) is int and scalar == 1  # then 1 * c is c, same type
         for e, c in elem.terms:
-            v = scalar * c
-            if e in acc:
-                acc[e] = acc[e] + v
-            else:
-                acc[e] = v
+            v = c if unit else scalar * c
+            acc[e] = acc[e] + v if e in acc else v
     return Element._collect(shape, box, acc, exact)
+
+
+def _lowered(a_terms, b_terms):
+    """Int stand-ins ``(a_terms, b_terms, p, den)``, or None to multiply as is.
+
+    Residues mod p (den None), or numerators over one denominator per operand
+    (p None, den their product).  None when both operands hold a bare ``int``
+    (an int times an int stays an int) or the fields mix."""
+    if not (a_terms and b_terms) or type(a_terms[0][1]) is type(b_terms[0][1]) is int:
+        return None  # nothing to multiply, or an int in both operands
+    types_a = {type(c) for _, c in a_terms}
+    types_b = {type(c) for _, c in b_terms}
+    types = types_a | types_b
+    primes = {c.p for _, c in a_terms + b_terms if type(c) is Fp}
+    if int in types_a & types_b or not (
+            types <= {int, Fraction} or (types <= {int, Fp} and len(primes) == 1)):
+        return None
+    if primes:
+        p = primes.pop()
+        a, b = ([(e, c.value if type(c) is Fp else c % p) for e, c in terms]
+                for terms in (a_terms, b_terms))
+        return a, b, p, None
+    den_a, den_b = (lcm(*(c.denominator for _, c in terms)) for terms in (a_terms, b_terms))
+    return ([(e, c.numerator * (den_a // c.denominator)) for e, c in a_terms],
+            [(e, c.numerator * (den_b // c.denominator)) for e, c in b_terms],
+            None, den_a * den_b)
+
+
+@lru_cache(maxsize=256)
+def _window(roles: tuple[str, ...], bounds: tuple[int, ...]):
+    """(lo, hi, kill) of a shape in a box; kill is 0 on inverse coordinates."""
+    lo = tuple(0 if r == SERIES else -b for r, b in zip(roles, bounds))
+    hi = tuple(b if r == SERIES else 0 for r, b in zip(roles, bounds))
+    return lo, hi, tuple(inf if r == SERIES else 0 for r in roles)
+
+
+def _product(a_terms, b_terms, lo: Exponents | None, hi: Exponents, kill):
+    """Sum of the pairwise products of two term lists inside lo..hi.
+
+    Above hi is a contraction kill (exact) if it exceeds ``kill`` somewhere,
+    else a loss: kills take precedence.  Below lo (None: cannot happen) is a
+    loss; a vanishing product is neither.  Returns the nonzero terms in
+    canonical order and whether anything was lost."""
+    lowered = _lowered(a_terms, b_terms)
+    if lowered is not None:
+        a_terms, b_terms, p, den = lowered
+    acc: dict[Exponents, object] = {}
+    dropped = False
+    for ea, ca in a_terms:
+        for eb, cb in b_terms:
+            c = ca * cb
+            if not c:
+                continue
+            out = tuple(map(add, ea, eb))
+            if not all(map(le, out, hi)):
+                if all(map(le, out, kill)):
+                    dropped = True
+            elif lo is None or all(map(le, lo, out)):
+                acc[out] = acc[out] + c if out in acc else c
+            else:
+                dropped = True
+    if lowered is None:
+        items = [item for item in acc.items() if item[1]]
+    elif p is None:
+        items = [(e, Fraction(v, den)) for e, v in acc.items() if v]
+    else:
+        items = [(e, Fp(v, p)) for e, v in acc.items() if v % p]
+    items.sort()
+    return tuple(items), dropped
 
 
 def ring_act(r: Element, m: Element) -> Element:
@@ -273,37 +341,13 @@ def ring_act(r: Element, m: Element) -> Element:
     """
     if r.shape.nvars != m.shape.nvars:
         raise ValueError("operands disagree on the variable count")
-    for e, _ in r.terms:
-        if any(x < 0 for x in e):
-            raise ValueError(f"ring element has a negative exponent: {e}")
-    roles = m.shape.roles
-    bounds = m.box.bounds
-    acc: dict[Exponents, object] = {}
-    dropped = False
-    for re_, rc in r.terms:
-        for me, mc in m.terms:
-            coeff = rc * mc
-            if not coeff:
-                continue
-            out = tuple(a + b for a, b in zip(re_, me))
-            killed = False
-            for j, ej in enumerate(out):
-                if roles[j] == INVERSE:
-                    if ej > 0:
-                        killed = True
-                        break
-                elif ej > bounds[j]:
-                    killed = True
-                    dropped = True
-                    break
-            if killed:
-                continue
-            if out in acc:
-                acc[out] = acc[out] + coeff
-            else:
-                acc[out] = coeff
-    exact = r.exact and m.exact and not dropped
-    return Element._collect(m.shape, m.box, acc, exact)
+    if any(x < 0 for e, _ in r.terms for x in e):
+        e = next(e for e, _ in r.terms if min(e) < 0)
+        raise ValueError(f"ring element has a negative exponent: {e}")
+    _, hi, kill = _window(m.shape.roles, m.box.bounds)
+    # r's exponents are nonnegative and m lies in the box: nothing falls below it
+    terms, dropped = _product(r.terms, m.terms, None, hi, kill)
+    return Element(m.shape, m.box, terms, r.exact and m.exact and not dropped)
 
 
 def derivation_act(j: int, m: Element) -> Element:

@@ -26,6 +26,8 @@ from .algebra import (
     Element,
     ModuleShape,
     TruncationBox,
+    _product,
+    _window,
     monomial,
     ring_act,
 )
@@ -56,26 +58,10 @@ def matlis_pair(d: Element, m: Element,
     box = out_box if out_box is not None else d.box + m.box
     if box.nvars != n:
         raise ValueError("output box has the wrong variable count")
-    bounds = box.bounds
-    acc: dict[tuple[int, ...], object] = {}
-    dropped = False
-    for de, dc in d.terms:
-        for me, mc in m.terms:
-            coeff = dc * mc
-            if not coeff:
-                continue
-            out = tuple(a + b for a, b in zip(de, me))
-            if any(e > 0 for e in out):
-                continue
-            if any(e < -b for e, b in zip(out, bounds)):
-                dropped = True
-                continue
-            if out in acc:
-                acc[out] = acc[out] + coeff
-            else:
-                acc[out] = coeff
-    exact = d.exact and m.exact and not dropped
-    return Element._collect(ModuleShape.inverse_shape(n), box, acc, exact)
+    shape = ModuleShape.inverse_shape(n)
+    lo, hi, kill = _window(shape.roles, box.bounds)
+    terms, dropped = _product(d.terms, m.terms, lo, hi, kill)
+    return Element(shape, box, terms, d.exact and m.exact and not dropped)
 
 
 def socle_functional(d: Element, m: Element):
@@ -126,13 +112,12 @@ def pairing_perfection_check(n: int, i: int, bound: int) -> PairingReport:
             paired = matlis_pair(d, m)
             if paired.is_zero:
                 records.append((de, me, None))
-                product_exp = None
             else:
                 (product_exp, coeff), = paired.terms
                 records.append((de, me, product_exp))
                 if coeff != 1:
                     passed = False
-            value = socle_functional(d, m)
+            value = paired.coefficient(zero)
             matched = tuple(a + b for a, b in zip(de, me)) == zero
             if matched:
                 permutation.append((de, me))

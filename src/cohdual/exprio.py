@@ -30,7 +30,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
-from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox
+from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _window
 from .fields import Fp, RATIONAL, Field, field_from_descriptor
 from .independence import DeltaSequence, IndependenceCertificate, RDecomposition
 
@@ -83,6 +83,7 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
     index = {name: j for j, name in enumerate(names)}
     by_length = sorted(names, key=len, reverse=True)
     n = shape.nvars
+    lo, hi, _ = _window(shape.roles, box.bounds)
     size = len(text)
 
     def skip(p: int) -> int:
@@ -171,7 +172,7 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
         if coeff is None:
             coeff = field.one
         for j in range(n):
-            if not TruncationBox.coordinate_ok(shape.role(j), box.bound(j), exps[j]):
+            if not lo[j] <= exps[j] <= hi[j]:
                 raise ParseError(
                     f"exponent {exps[j]} of {names[j]} falls outside the truncation box",
                     term_pos)
@@ -261,13 +262,20 @@ def element_to_document(element: Element, field: Field = RATIONAL,
     })
 
 
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple, refusing anything but JSON integers."""
+    if any(type(v) is not int for v in values):
+        raise SchemaError(f"{what}s must be JSON integers, got {values!r}")
+    return tuple(values)
+
+
 def element_from_document(doc) -> Element:
     """Rebuild an element from its JSON form, revalidating everything."""
     _expect(doc, "element")
     field = _field_of(doc)
     try:
         roles = tuple(doc["shape"])
-        bounds = tuple(int(b) for b in doc["box"])
+        bounds = _json_ints(doc["box"], "box bound")
         raw_terms = doc["terms"]
         exact = bool(doc["exact"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -279,7 +287,7 @@ def element_from_document(doc) -> Element:
     terms: dict[tuple[int, ...], object] = {}
     try:
         for entry in raw_terms:
-            e = tuple(int(x) for x in entry["exponents"])
+            e = _json_ints(entry["exponents"], "exponent")
             c = field.parse_scalar(str(entry["coefficient"]))
             terms[e] = terms[e] + c if e in terms else c
     except (KeyError, TypeError) as exc:
@@ -450,7 +458,7 @@ def certificate_from_document(doc) -> IndependenceCertificate:
             delta=delta_from_document(doc["delta"]),
             decomposition=decomposition,
             nonzero=bool(doc["nonzero"]),
-            box=TruncationBox(tuple(int(b) for b in doc["box"])),
+            box=TruncationBox(_json_ints(doc["box"], "box bound")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed certificate document: {exc}") from None

@@ -143,7 +143,10 @@ class RationalField:
     def parse_scalar(text: str) -> Fraction:
         if not _SCALAR_RE.match(text):
             raise ValueError(f"not an integer or integer fraction: {text!r}")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -9,38 +9,68 @@ code.
 from fractions import Fraction
 
 from cohdual.algebra import Element, ModuleShape, SERIES, TruncationBox
+from cohdual.fields import Fp
 
 
 def oracle_product(poly_terms, elem_terms, roles, bounds):
     """Multiply a polynomial into a shaped element term by term.
 
     Returns (terms, exact).  Inverse coordinates that climb past zero are
-    annihilated without loss; exponents escaping the box on the far side
-    are dropped and recorded as a loss of exactness.
+    annihilated without loss, and that kill wins over any box wall another
+    coordinate crosses; otherwise exponents escaping the box on the far side
+    are dropped and recorded as a loss of exactness.  A product whose
+    coefficient vanishes (as over a prime field) loses nothing.
     """
     out = {}
     exact = True
     for pe, pc in poly_terms.items():
         for me, mc in elem_terms.items():
+            coeff = pc * mc
+            if not coeff:
+                continue
             exps = tuple(a + b for a, b in zip(pe, me))
-            keep = True
-            for role, bound, e in zip(roles, bounds, exps):
-                if role == SERIES:
-                    if e > bound:
-                        keep = False
-                        exact = False
-                        break
-                else:
-                    if e > 0:
-                        keep = False
-                        break
-                    if e < -bound:
-                        keep = False
-                        exact = False
-                        break
-            if keep:
-                out[exps] = out.get(exps, 0) + pc * mc
+            if any(role != SERIES and e > 0 for role, e in zip(roles, exps)):
+                continue
+            inside = all(0 <= e <= bound if role == SERIES else -bound <= e
+                         for role, bound, e in zip(roles, bounds, exps))
+            if not inside:
+                exact = False
+                continue
+            out[exps] = out.get(exps, 0) + coeff
     return {e: c for e, c in out.items() if c}, exact
+
+
+def int_coefficient(rng):
+    return rng.choice((1, -1, 2, -2))
+
+
+def _fraction_coefficient(rng):
+    return Fraction(rng.choice((1, -1, 2, -3, 5)), rng.randint(1, 4))
+
+
+def _mixed_coefficient(rng):
+    return rng.choice((int_coefficient, _fraction_coefficient))(rng)
+
+
+def _gf7_coefficient(rng):
+    return Fp(rng.randint(1, 6), 7)
+
+
+def _gf7_or_int_coefficient(rng):
+    """Mostly residues mod 7, sometimes a bare int, which may vanish mod 7."""
+    return _gf7_coefficient(rng) if rng.random() < 0.7 else rng.choice((7, 14, 3, -1))
+
+
+# coefficient draws per field; a product's two operands take one each
+COEFFICIENT_KINDS = {
+    "rational": (int_coefficient, _fraction_coefficient, _mixed_coefficient),
+    "prime:7": (_gf7_coefficient, _gf7_or_int_coefficient),
+}
+
+
+def coefficient_strings(terms):
+    """Exponents to the printed coefficient, so a test sees types as well as values."""
+    return {e: str(c) for e, c in terms.items()}
 
 
 def oracle_min_profile(terms, lo, hi):
@@ -79,8 +109,12 @@ def oracle_rank(rows):
 
 
 def random_sample(rng, shape: ModuleShape, box: TruncationBox,
-                  margin: int = 0, max_terms: int = 4) -> Element:
-    """A small random element staying margin steps inside the box."""
+                  margin: int = 0, max_terms: int = 4,
+                  coefficient=int_coefficient) -> Element:
+    """A small random element staying margin steps inside the box.
+
+    ``coefficient(rng)`` draws each coefficient; by default a small int.
+    """
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = []
@@ -88,5 +122,5 @@ def random_sample(rng, shape: ModuleShape, box: TruncationBox,
             reach = max(box.bound(j) - margin, 0)
             e = rng.randint(0, reach)
             exps.append(e if shape.role(j) == SERIES else -e)
-        terms[tuple(exps)] = terms.get(tuple(exps), 0) + rng.choice((1, -1, 2, -2))
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coefficient(rng)
     return Element.from_terms(shape, box, terms)

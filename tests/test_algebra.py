@@ -18,7 +18,13 @@ from cohdual.algebra import (
     quotient_by_series_var,
     ring_act,
 )
-from conftest import oracle_product, random_sample
+from cohdual.fields import Fp
+from conftest import (
+    COEFFICIENT_KINDS,
+    coefficient_strings,
+    oracle_product,
+    random_sample,
+)
 
 S2 = ModuleShape.series_shape(2)
 D2 = ModuleShape((SERIES, INVERSE))
@@ -154,21 +160,51 @@ def test_ring_act_series_overflow_is_lossy():
     assert not out.exact
 
 
+def test_ring_act_kill_beats_box_wall():
+    """X*Y on the series variable: Y kills the product, whichever slot it takes.
+
+    The series coordinate also passes its wall, but a contraction kill loses
+    nothing, so the result is an exact zero in both variable orders.
+    """
+    xy = monomial(S2, TruncationBox((1, 1)), (1, 1))
+    box = TruncationBox((1, 1))
+    for roles, x in (((SERIES, INVERSE), (1, 0)), ((INVERSE, SERIES), (0, 1))):
+        out = ring_act(xy, monomial(ModuleShape(roles), box, x))
+        assert out.is_zero
+        assert out.exact
+
+
+def test_ring_act_vanishing_product_loses_nothing():
+    """Over GF(7) an int 7 times a residue is 0, so its overflow is no loss."""
+    box = TruncationBox((2,))
+    m = monomial(ModuleShape((SERIES,)), box, (2,), Fp(3, 7))
+    out = ring_act(monomial(ModuleShape((SERIES,)), box, (1,), 7), m)
+    assert out.is_zero
+    assert out.exact
+    lossy = ring_act(monomial(ModuleShape((SERIES,)), box, (1,), 8), m)
+    assert lossy.is_zero
+    assert not lossy.exact
+
+
 def test_ring_act_matches_oracle():
+    """Random products over every coefficient kind, including lossy ones."""
     rng = random.Random(11)
-    for _ in range(150):
-        n = rng.randint(1, 3)
-        roles = tuple(rng.choice((SERIES, INVERSE)) for _ in range(n))
-        shape = ModuleShape(roles)
-        box = TruncationBox(tuple(rng.randint(1, 4) for _ in range(n)))
-        m = random_sample(rng, shape, box)
-        r = random_sample(rng, ModuleShape.series_shape(n),
-                          TruncationBox.uniform(n, 3))
-        out = ring_act(r, m)
-        want_terms, want_exact = oracle_product(
-            r.term_map(), m.term_map(), roles, box.bounds)
-        assert out.term_map() == want_terms
-        assert out.exact == want_exact
+    for field, kinds in COEFFICIENT_KINDS.items():
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            roles = tuple(rng.choice((SERIES, INVERSE)) for _ in range(n))
+            shape = ModuleShape(roles)
+            box = TruncationBox(tuple(rng.randint(1, 4) for _ in range(n)))
+            m = random_sample(rng, shape, box, coefficient=rng.choice(kinds))
+            r = random_sample(rng, ModuleShape.series_shape(n),
+                              TruncationBox.uniform(n, 3),
+                              coefficient=rng.choice(kinds))
+            out = ring_act(r, m)
+            want_terms, want_exact = oracle_product(
+                r.term_map(), m.term_map(), roles, box.bounds)
+            assert out.term_map() == want_terms, field
+            assert coefficient_strings(out.term_map()) == coefficient_strings(want_terms)
+            assert out.exact == want_exact
 
 
 def test_derivation_on_series_is_the_polynomial_rule():

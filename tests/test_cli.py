@@ -179,6 +179,33 @@ def test_usage_errors_exit_64(capsys):
     assert run_cli(capsys)[0] == 64
 
 
+def test_zero_denominator_is_a_usage_error(capsys):
+    for argv in (("act", "Y", "1/0*X"), ("delta", "3/0")):
+        code, out, err = run_cli(capsys, *argv, "--field", "rational")
+        assert code == 64
+        assert out == ""
+        assert "zero denominator" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("box, exponents", [
+    ([True, 4], [1, -2]),
+    ([2, 4], [2.5, -2]),
+    ([2, 4], ["2", -2]),
+    ([2, 4.0], [1, -2]),
+])
+def test_non_integer_json_is_a_usage_error(capsys, tmp_path, box, exponents):
+    doc = element_to_document(make_d(1, 2))
+    doc["box"] = box
+    doc["terms"] = [{"exponents": exponents, "coefficient": "1"}]
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "act", "1", "@" + str(path))
+    assert code == 64
+    assert out == ""
+    assert "JSON integers" in err
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 

@@ -23,7 +23,14 @@ from cohdual.duality import (
     socle_functional,
     tensor_surjectivity_witness,
 )
-from conftest import random_sample
+from cohdual.algebra import INVERSE, SERIES
+from cohdual.fields import Fp
+from conftest import (
+    COEFFICIENT_KINDS,
+    coefficient_strings,
+    oracle_product,
+    random_sample,
+)
 
 H21 = ModuleShape.cohomology_shape(2, 1)
 BOX3 = TruncationBox.uniform(2, 3)
@@ -71,6 +78,46 @@ def test_pair_narrow_out_box_is_lossy():
     out = matlis_pair(d, m, TruncationBox((1, 3)))
     assert out.is_zero
     assert not out.exact
+
+
+def test_pair_vanishing_product_loses_nothing():
+    """Over GF(7) an int 14 times a residue is 0, so its wall crossing is no loss."""
+    d = monomial(H21.dual(), BOX3, (0, -3), 14)
+    m = monomial(H21, BOX3, (-2, 0), Fp(5, 7))
+    narrow = TruncationBox((1, 3))
+    out = matlis_pair(d, m, narrow)
+    assert out.is_zero
+    assert out.exact
+    lossy = matlis_pair(monomial(H21.dual(), BOX3, (0, -3), 15), m, narrow)
+    assert lossy.is_zero
+    assert not lossy.exact
+
+
+def test_pair_matches_oracle():
+    """Random pairings over every coefficient kind, some into narrow boxes.
+
+    The pairing is the product into the all-inverse shape, so the ring
+    action oracle with every role inverse and the output box computes it.
+    """
+    rng = random.Random(13)
+    for field, kinds in COEFFICIENT_KINDS.items():
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            shape = ModuleShape(tuple(rng.choice((SERIES, INVERSE))
+                                      for _ in range(n)))
+            box = TruncationBox(tuple(rng.randint(1, 4) for _ in range(n)))
+            d = random_sample(rng, shape.dual(), box, coefficient=rng.choice(kinds))
+            m = random_sample(rng, shape, box, coefficient=rng.choice(kinds))
+            out_box = None
+            if rng.random() < 0.5:
+                out_box = TruncationBox(tuple(rng.randint(0, 2 * b)
+                                              for b in box.bounds))
+            out = matlis_pair(d, m, out_box)
+            want_terms, want_exact = oracle_product(
+                d.term_map(), m.term_map(), (INVERSE,) * n, out.box.bounds)
+            assert out.term_map() == want_terms, field
+            assert coefficient_strings(out.term_map()) == coefficient_strings(want_terms)
+            assert out.exact == want_exact
 
 
 def test_socle_functional_values():

@@ -190,6 +190,27 @@ def test_document_schema_validation():
         element_from_document(wrong)
 
 
+def test_documents_reject_non_integer_json():
+    doc = element_to_document(monomial(D2, BOX, (1, -1)))
+    for bad in (True, 2.5, "2", None):
+        with pytest.raises(SchemaError):
+            element_from_document(dict(doc, box=[bad, 5]))
+        term = {"exponents": [1, bad], "coefficient": "1"}
+        with pytest.raises(SchemaError):
+            element_from_document(dict(doc, terms=[term]))
+    cert = certificate_to_document(
+        independence_certificate((monomial(S2, TruncationBox((1, 1)), (0, 0)),), 8))
+    with pytest.raises(SchemaError):
+        certificate_from_document(dict(cert, box=[8, True]))
+
+
+def test_rational_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        RATIONAL.parse_scalar("1/0")
+    with pytest.raises(ValueError):
+        parse_element("3/0*X", S2, BOX)
+
+
 def test_write_and_read_document(tmp_path):
     e = monomial(D2, BOX, (1, -1), 2)
     doc = element_to_document(e)
