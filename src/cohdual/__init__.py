@@ -35,7 +35,6 @@ from .duality import (
     GAMMA_ZERO,
     PairingReport,
     RegularityReport,
-    dual_shape,
     gamma_of_shape,
     is_torsion,
     matlis_pair,
@@ -49,9 +48,11 @@ from .exprio import (
     SchemaError,
     element_from_document,
     element_to_document,
+    from_document,
     parse_element,
     read_document,
     serialize_element,
+    to_document,
     write_document,
 )
 from .fields import Fp, PrimeField, RATIONAL, RationalField, field_from_descriptor

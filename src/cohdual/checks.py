@@ -10,6 +10,7 @@ finite windows can reach.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -33,11 +34,12 @@ from .duality import (
     tensor_surjectivity_witness,
 )
 from .exprio import (
-    check_report_to_document,
     element_from_document,
     element_to_document,
+    from_document,
     parse_element,
     serialize_element,
+    to_document,
     write_document,
 )
 from .fields import RATIONAL, PrimeField
@@ -305,15 +307,16 @@ def roundtrip_trials(seed: int = DEFAULT_SEED, trials: int = 1000) -> CheckLine:
         if not good:
             return CheckLine("expression-document-roundtrip", trial + 1, False,
                              f"trial {trial}: {text!r}")
-    # reports from the same seed must come out byte-identical
+    # reports from the same seed must come out byte-identical, and reload
     probes = []
     for _ in range(2):
         line = independence_trials(seed=5, trials=10, lmax=12)
         report = CheckReport("probe", 5, (line,), line.passed)
-        probes.append(write_document(check_report_to_document(report)))
-    if probes[0] != probes[1]:
+        probes.append(write_document(to_document(report)))
+    reloaded = write_document(to_document(from_document(json.loads(probes[0]))))
+    if not probes[0] == probes[1] == reloaded:
         return CheckLine("expression-document-roundtrip", trials + 2, False,
-                         "fixed-seed report bytes differ between runs")
+                         "fixed-seed report bytes differ between runs or on reload")
     return CheckLine("expression-document-roundtrip", trials + 2, True)
 
 
@@ -323,7 +326,7 @@ def perfection_and_surjectivity(max_n: int = 3, bound: int = 3) -> CheckLine:
     for n in range(1, max_n + 1):
         for i in range(1, n + 1):
             report = pairing_perfection_check(n, i, bound)
-            instances += len(report.records)
+            instances += report.pair_count
             expected_matches = (bound + 1) ** n
             if not report.passed or len(report.permutation) != expected_matches:
                 return CheckLine(

@@ -14,7 +14,8 @@ may preset the common options (field, trunc, mode, seed); explicit flags
 win over the file.
 
 Exit codes: 0 success (or certificate issued), 1 a verification failed,
-2 the window was too short to conclude, 64 usage or malformed input.
+2 the window was too short to conclude, 64 usage or malformed input,
+70 an internal error (any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -39,18 +40,13 @@ from .duality import gamma_of_shape, matlis_pair, regular_on_dual_check
 from .exprio import (
     ParseError,
     SchemaError,
-    certificate_to_document,
-    check_report_to_document,
     default_variable_names,
-    delta_to_document,
     element_from_document,
-    element_to_document,
     new_document,
     parse_element,
     read_document,
-    realization_to_document,
-    regularity_to_document,
     serialize_element,
+    to_document,
     write_document,
 )
 from .fields import RATIONAL, field_from_descriptor
@@ -65,6 +61,7 @@ from .independence import (
 )
 
 USAGE_EXIT = 64
+SOFTWARE_EXIT = 70
 
 
 class _UsageError(Exception):
@@ -179,7 +176,7 @@ class _Session:
 
     def emit_element(self, element) -> None:
         names = default_variable_names(element.shape.nvars)
-        doc = element_to_document(element, self.field, names)
+        doc = to_document(element, self.field, names)
         self.emit(doc, [serialize_element(element, names)])
 
 
@@ -193,7 +190,7 @@ def _cmd_cohomology(session: _Session) -> int:
     ]
     lines.append(f"nonzero slices: {report.nonzero_count}")
     lines.append("verified: " + ("yes" if report.passed else "no"))
-    session.emit(realization_to_document(report), lines)
+    session.emit(to_document(report), lines)
     return 0 if report.passed else 1
 
 
@@ -213,7 +210,7 @@ def _cmd_delta(session: _Session) -> int:
         lo, _, hi = args.window.partition(":")
         window = (int(lo), int(hi))
     profile = delta_profile(element, window)
-    doc = delta_to_document(profile)
+    doc = to_document(profile)
     lines = [f"window [{profile.start}, {profile.end}]"]
     lines += [
         f"degree {profile.start + k}: "
@@ -294,7 +291,7 @@ def _cmd_regular(session: _Session) -> int:
     lines.append(f"final quotient: roles {report.final_roles}, "
                  f"dimension {report.final_dim}")
     lines.append("verified: " + ("yes" if report.passed else "no"))
-    session.emit(regularity_to_document(report), lines)
+    session.emit(to_document(report), lines)
     return 0 if report.passed else 1
 
 
@@ -310,7 +307,7 @@ def _cmd_check(session: _Session) -> int:
         lines.append(text)
     lines.append(f"suite {report.suite} with seed {report.seed}: "
                  + ("all passed" if report.passed else "FAILED"))
-    session.emit(check_report_to_document(report), lines)
+    session.emit(to_document(report), lines)
     return 0 if report.passed else 1
 
 
@@ -329,7 +326,7 @@ def _cmd_indep(session: _Session) -> int:
         session.emit(doc, [f"inconclusive: {exc}"])
         return 2
     names = default_variable_names(2)
-    doc = certificate_to_document(cert, session.field, names)
+    doc = to_document(cert, session.field, names)
     lines = [
         f"top index: {cert.m0}",
         f"shifts: a={cert.a}, b={cert.b}",
@@ -464,6 +461,9 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return SOFTWARE_EXIT
 
 
 def entrypoint() -> None:

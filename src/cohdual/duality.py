@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .algebra import (
     INVERSE,
@@ -31,15 +31,10 @@ from .algebra import (
     monomial,
     ring_act,
 )
-from .linalg import sparse_kernel_dimension
+from .linalg import sparse_column_rank, sparse_kernel_dimension
 
 GAMMA_FULL = "full"
 GAMMA_ZERO = "zero"
-
-
-def dual_shape(shape: ModuleShape) -> ModuleShape:
-    """Flip every role; an involution."""
-    return shape.dual()
 
 
 def matlis_pair(d: Element, m: Element,
@@ -87,7 +82,7 @@ class PairingReport:
     n: int
     i: int
     bound: int
-    records: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...] | None], ...]
+    pair_count: int
     permutation: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     passed: bool
 
@@ -102,7 +97,7 @@ def pairing_perfection_check(n: int, i: int, bound: int) -> PairingReport:
     dual = shape.dual()
     box = TruncationBox.uniform(n, bound)
     zero = (0,) * n
-    records = []
+    pair_count = 0
     permutation = []
     passed = True
     for de in _box_monomial_exponents(dual, box):
@@ -110,11 +105,9 @@ def pairing_perfection_check(n: int, i: int, bound: int) -> PairingReport:
         for me in _box_monomial_exponents(shape, box):
             m = monomial(shape, box, me)
             paired = matlis_pair(d, m)
-            if paired.is_zero:
-                records.append((de, me, None))
-            else:
-                (product_exp, coeff), = paired.terms
-                records.append((de, me, product_exp))
+            pair_count += 1
+            if not paired.is_zero:
+                (_, coeff), = paired.terms
                 if coeff != 1:
                     passed = False
             value = paired.coefficient(zero)
@@ -123,7 +116,7 @@ def pairing_perfection_check(n: int, i: int, bound: int) -> PairingReport:
                 permutation.append((de, me))
             if bool(value) != matched or (matched and value != 1):
                 passed = False
-    return PairingReport(n, i, bound, tuple(records), tuple(permutation), passed)
+    return PairingReport(n, i, bound, pair_count, tuple(permutation), passed)
 
 
 def tensor_surjectivity_witness(target: tuple[int, ...], n: int, i: int
@@ -149,40 +142,17 @@ def tensor_surjectivity_witness(target: tuple[int, ...], n: int, i: int
     return m, d
 
 
-def is_torsion(e: Element, gens: tuple[int, ...], vmax: int | None = None) -> bool:
+def is_torsion(e: Element, gens: tuple[int, ...]) -> bool:
     """Is some power of the ideal generated by the listed variables zero on e?
 
-    Searches v = 1..vmax and asks whether every degree-v monomial in the
-    generators annihilates e.  Annihilation must be certified: the acted
-    element has to be empty *and* exact, since an empty-but-inexact result
-    only means the information left the box.  With vmax at least the largest
-    box bound plus one the search is conclusive for shaped modules.
+    A nonzero monomial dies under a high enough power of an inverse-role
+    variable and under no power of a series-role one (it only leaves the
+    box, which certifies nothing), so a nonzero e is torsion exactly when
+    the whole shape is: when every generator has inverse role.
     """
-    gens = tuple(sorted(set(gens)))
     if not gens:
         raise ValueError("need at least one generator index")
-    n = e.shape.nvars
-    if any(not 0 <= g < n for g in gens):
-        raise ValueError(f"generator index out of range: {gens}")
-    if e.is_zero:
-        return True
-    if vmax is None:
-        vmax = max(e.box.bounds, default=0) + 1
-    rshape = ModuleShape.series_shape(n)
-    for v in range(1, vmax + 1):
-        rbox = TruncationBox.uniform(n, v)
-        all_kill = True
-        for combo in combinations_with_replacement(gens, v):
-            exps = [0] * n
-            for g in combo:
-                exps[g] += 1
-            acted = ring_act(monomial(rshape, rbox, tuple(exps)), e)
-            if not (acted.is_zero and acted.exact):
-                all_kill = False
-                break
-        if all_kill:
-            return True
-    return False
+    return gamma_of_shape(e.shape, gens) == GAMMA_FULL or e.is_zero
 
 
 def gamma_of_shape(shape: ModuleShape, gens: tuple[int, ...]) -> str:
@@ -226,7 +196,10 @@ def regular_on_dual_check(n: int, i: int, bound: int) -> RegularityReport:
     Step j acts by the j-th variable on the truncated quotient of the dual
     shape by the previous variables and certifies injectivity as a vanishing
     kernel, computed by exact sparse elimination on the sub-box where the
-    shift loses no information (series exponent at most bound - 1).  After i
+    shift loses no information (series exponent at most bound - 1).  The
+    image together with the monomials of exponent 0 in that variable must
+    span the whole box, so the quotient is exactly the shape with the
+    variable dropped; its dimension is measured, not assumed.  After i
     steps the quotient must be the all-inverse shape on the remaining
     variables, nonzero because it contains the socle monomial.
     """
@@ -244,26 +217,30 @@ def regular_on_dual_check(n: int, i: int, bound: int) -> RegularityReport:
                       TruncationBox.uniform(nvars, 1),
                       (1,) + (0,) * (nvars - 1))
         columns = []
-        domain = 0
-        for exps in targets:
+        units = []
+        for k, exps in enumerate(targets):
+            if exps[0] == 0:
+                units.append({k: Fraction(1)})
             if exps[0] > bound - 1:
                 continue
-            domain += 1
             acted = ring_act(xj, monomial(shape, box, exps))
             column = {target_index[e]: Fraction(c) if isinstance(c, int) else c
                       for e, c in acted.terms}
             columns.append(column)
-        kernel = sparse_kernel_dimension(columns)
-        steps.append(RegularityStep(step, domain, kernel))
-        if kernel != 0:
+        domain = len(columns)
+        # image and units are len(targets) columns together, so full rank
+        # also makes the image columns independent: the kernel is zero
+        if sparse_column_rank(units + columns) == len(targets):
+            kernel = 0
+        else:
+            kernel = sparse_kernel_dimension(columns)
             ok = False
+        final_dim = len(targets) - (domain - kernel)  # of this step's quotient
+        steps.append(RegularityStep(step, domain, kernel))
         # pass to the quotient by the variable just tested
         shape = shape.drop(0)
         box = box.drop(0)
     final_roles = shape.roles
-    final_dim = 1
-    for b in box.bounds:
-        final_dim *= b + 1
     final_nonzero = final_dim > 0
     if any(r != INVERSE for r in final_roles) or not final_nonzero:
         ok = False

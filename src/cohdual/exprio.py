@@ -21,18 +21,39 @@ parsing a serialization returns the original element.
 Documents are plain JSON objects tagged with a schema string and a kind.
 :func:`write_document` produces sorted, indented, ASCII bytes, so equal
 documents give byte-identical files.
+
+One table, built by :func:`_kinds`, describes every document kind once,
+field by field, and the same description drives both :func:`to_document`
+(dispatching on the object's type) and :func:`from_document` (dispatching
+on the kind tag).  Its entries are composed from a few codecs: a JSON
+leaf of one exact type, a list, an optional value (null for None), an
+object keyed by attribute names (reports write ``n`` and ``i`` as
+``nvars`` and ``index``), a pair written as two named keys, a box as its
+list of bounds, and a whole document nested as a value.  Elements keep
+their hand-written codec, :func:`element_to_document` and
+:func:`element_from_document`, registered in the same table.  A reader
+accepts only the JSON type its writer emits, so ``true``, ``"3"`` and
+``2.5`` in an integer slot raise :class:`SchemaError`, as does a missing
+key; keys it does not know are ignored.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _window
 from .fields import Fp, RATIONAL, Field, field_from_descriptor
-from .independence import DeltaSequence, IndependenceCertificate, RDecomposition
+from .independence import (
+    DeltaSequence,
+    IndependenceCertificate,
+    RDecomposition,
+    ShiftSearch,
+    ShiftWitness,
+)
 
 SCHEMA = "cohdual/1"
 
@@ -233,11 +254,117 @@ def _expect(doc, kind: str) -> None:
         raise SchemaError(f"expected a {kind!r} document, got {doc.get('kind')!r}")
 
 
-def _field_of(doc) -> Field:
+def write_document(doc: dict, path=None) -> bytes:
+    """Deterministic bytes for a document, optionally written to a file."""
+    data = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
+    payload = (data + "\n").encode("ascii")
+    if path is not None:
+        Path(path).write_bytes(payload)
+    return payload
+
+
+def read_document(path) -> dict:
+    """Load a document file and check the schema tag (but not the kind)."""
     try:
-        return field_from_descriptor(doc["field"])
-    except KeyError:
-        raise SchemaError("document is missing its field descriptor") from None
+        doc = json.loads(Path(path).read_bytes())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        raise SchemaError(f"file does not carry the {SCHEMA!r} schema tag")
+    return doc
+
+
+class _Codec(NamedTuple):
+    """encode(value, (field, names)) -> JSON, and decode(JSON) -> value."""
+
+    encode: Callable
+    decode: Callable
+
+
+def _same(value, ctx):
+    return value
+
+
+def _leaf(kind: type, what: str) -> _Codec:
+    """A JSON scalar of exactly this Python type; True is not an int here."""
+    def decode(value):
+        if type(value) is not kind:
+            raise SchemaError(f"only JSON {what} are allowed here, got {value!r}")
+        return value
+    return _Codec(_same, decode)
+
+
+_INT, _BOOL, _STR = _leaf(int, "integers"), _leaf(bool, "booleans"), _leaf(str, "strings")
+
+
+def _list(item: _Codec) -> _Codec:
+    """A JSON list of the item, read back as a tuple; lists of leaves are
+    copied without a call per entry, which keeps large tables cheap."""
+    encode_item, decode_item = item
+
+    def decode(value):
+        if type(value) is not list:
+            raise SchemaError(f"expected a JSON list, got {type(value).__name__}")
+        return tuple(map(decode_item, value))
+    if encode_item is _same:
+        return _Codec(lambda v, ctx: list(v), decode)
+    return _Codec(lambda v, ctx: [encode_item(x, ctx) for x in v], decode)
+
+
+def _optional(item: _Codec) -> _Codec:
+    """The item, or JSON null for None."""
+    encode_item, decode_item = item
+    return _Codec(lambda v, ctx: None if v is None else encode_item(v, ctx),
+                  lambda v: None if v is None else decode_item(v))
+
+
+def _at(doc, key: str, decode):
+    """Decode doc[key], naming the key in any schema error."""
+    if type(doc) is not dict:
+        raise SchemaError(f"expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise SchemaError(f"missing key {key!r}")
+    try:
+        return decode(doc[key])
+    except SchemaError as exc:
+        raise SchemaError(f"{key}: {exc}") from None
+
+
+# reports hold the variable count and position as n and i
+_KEYS = {"n": "nvars", "i": "index"}
+
+
+def _object(cls, **codecs: _Codec) -> _Codec:
+    """An object whose keys are the named attributes of cls."""
+    fields = [(attr, _KEYS.get(attr, attr), *codec) for attr, codec in codecs.items()]
+
+    def encode(obj, ctx):
+        return {key: enc(getattr(obj, attr), ctx) for attr, key, enc, _ in fields}
+
+    def decode(doc):
+        return cls(**{attr: _at(doc, key, dec) for attr, key, _, dec in fields})
+    return _Codec(encode, decode)
+
+
+def _pair(first: str, first_codec: _Codec, second: str, second_codec: _Codec) -> _Codec:
+    """A 2-tuple written as an object with two named keys."""
+    enc1, dec1 = first_codec
+    enc2, dec2 = second_codec
+    return _Codec(
+        lambda v, ctx: {first: enc1(v[0], ctx), second: enc2(v[1], ctx)},
+        lambda doc: (_at(doc, first, dec1), _at(doc, second, dec2)))
+
+
+_INTS, _STRS = _list(_INT), _list(_STR)
+_BOX = _Codec(lambda box, ctx: list(box.bounds),
+              lambda v: TruncationBox(_INTS.decode(v)))
+_TERMS = _list(_pair("exponents", _INTS, "coefficient", _STR))
+
+
+def _embedded(kind: str) -> _Codec:
+    """A whole document of the given kind nested as a value."""
+    return _Codec(lambda v, ctx: _kinds()[kind].write(v, ctx),
+                  lambda doc: _kinds()[kind].read(doc))
 
 
 def element_to_document(element: Element, field: Field = RATIONAL,
@@ -262,221 +389,105 @@ def element_to_document(element: Element, field: Field = RATIONAL,
     })
 
 
-def _json_ints(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple, refusing anything but JSON integers."""
-    if any(type(v) is not int for v in values):
-        raise SchemaError(f"{what}s must be JSON integers, got {values!r}")
-    return tuple(values)
-
-
 def element_from_document(doc) -> Element:
     """Rebuild an element from its JSON form, revalidating everything."""
     _expect(doc, "element")
-    field = _field_of(doc)
-    try:
-        roles = tuple(doc["shape"])
-        bounds = _json_ints(doc["box"], "box bound")
-        raw_terms = doc["terms"]
-        exact = bool(doc["exact"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed element document: {exc}") from None
+    field = field_from_descriptor(_at(doc, "field", _STR.decode))
+    roles = _at(doc, "shape", _STRS.decode)
     if any(role not in (SERIES, INVERSE) for role in roles):
-        raise SchemaError(f"unknown roles in {roles!r}")
-    shape = ModuleShape(roles)
-    box = TruncationBox(bounds)
-    terms: dict[tuple[int, ...], object] = {}
-    try:
-        for entry in raw_terms:
-            e = _json_ints(entry["exponents"], "exponent")
-            c = field.parse_scalar(str(entry["coefficient"]))
-            terms[e] = terms[e] + c if e in terms else c
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed term entry: {exc}") from None
-    element = Element.from_terms(shape, box, terms)
-    if not exact:
-        element = replace(element, exact=False)
-    return element
+        raise SchemaError(f"shape: unknown roles in {roles!r}")
+    box = _at(doc, "box", _BOX.decode)
+    exact = _at(doc, "exact", _BOOL.decode)
+    terms = [(e, field.parse_scalar(c)) for e, c in _at(doc, "terms", _TERMS.decode)]
+    return Element.from_terms(ModuleShape(roles), box, terms, exact)
 
 
-def write_document(doc: dict, path=None) -> bytes:
-    """Deterministic bytes for a document, optionally written to a file."""
-    data = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
-    payload = (data + "\n").encode("ascii")
-    if path is not None:
-        Path(path).write_bytes(payload)
-    return payload
+class _Kind(NamedTuple):
+    cls: type
+    write: Callable  # (obj, (field, names)) -> document
+    read: Callable   # document -> obj
 
 
-def read_document(path) -> dict:
-    """Load a document file and check the schema tag (but not the kind)."""
-    try:
-        doc = json.loads(Path(path).read_bytes())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise SchemaError(f"file does not carry the {SCHEMA!r} schema tag")
-    return doc
+def _report(kind: str, cls, **codecs: _Codec) -> tuple[str, _Kind]:
+    """A report kind: the attributes' keys sit next to the schema and kind."""
+    encode, decode = _object(cls, **codecs)
+
+    def read(doc):
+        _expect(doc, kind)
+        try:
+            return decode(doc)
+        except SchemaError:
+            raise
+        except ValueError as exc:
+            raise SchemaError(f"malformed {kind} document: {exc}") from None
+    return kind, _Kind(cls, lambda obj, ctx: new_document(kind, encode(obj, ctx)), read)
 
 
-def table_to_document(table) -> dict:
-    """Document for a per-degree dimension table."""
-    return new_document("cohomology_table", {
-        "nvars": table.n,
-        "index": table.i,
-        "window": table.window,
-        "entries": [
-            {"degree": list(degree), "dims": list(dims)}
-            for degree, dims in table.entries
-        ],
-    })
+@lru_cache(maxsize=None)
+def _kinds() -> dict[str, _Kind]:
+    """Every document kind, described once for both writing and reading.
 
-
-def realization_to_document(report) -> dict:
-    """Document for a window sweep compared against the predicted support."""
-    return new_document("realization_check", {
-        "table": table_to_document(report.table),
-        "passed": report.passed,
-        "nonzero_count": report.nonzero_count,
-        "mismatches": [
-            {"degree": list(degree), "dims": list(dims)}
-            for degree, dims in report.mismatches
-        ],
-    })
-
-
-def pairing_to_document(report) -> dict:
-    """Document for a pairing-perfection check.
-
-    The full record list is quadratic in the box size, so only the matched
-    permutation and the verdict are serialized.
+    Built on first use because the report classes live in modules (checks
+    among them) that import this one.
     """
-    return new_document("pairing_check", {
-        "nvars": report.n,
-        "index": report.i,
-        "bound": report.bound,
-        "pair_count": len(report.records),
-        "permutation": [
-            {"dual": list(de), "module": list(me)}
-            for de, me in report.permutation
-        ],
-        "passed": report.passed,
-    })
+    from .cech import CohomologyTable, RealizationReport
+    from .checks import CheckLine, CheckReport
+    from .duality import PairingReport, RegularityReport, RegularityStep
+
+    slices = _list(_pair("degree", _INTS, "dims", _INTS))
+    element = _embedded("element")
+    return dict([
+        _report("cohomology_table", CohomologyTable,
+                n=_INT, i=_INT, window=_INT, entries=slices),
+        _report("realization_check", RealizationReport,
+                table=_embedded("cohomology_table"), passed=_BOOL,
+                nonzero_count=_INT, mismatches=slices),
+        _report("pairing_check", PairingReport,
+                n=_INT, i=_INT, bound=_INT, pair_count=_INT,
+                permutation=_list(_pair("dual", _INTS, "module", _INTS)),
+                passed=_BOOL),
+        _report("regularity_check", RegularityReport,
+                n=_INT, i=_INT, bound=_INT,
+                steps=_list(_object(RegularityStep, variable=_INT,
+                                    domain_dim=_INT, kernel_dim=_INT)),
+                final_roles=_STRS, final_dim=_INT, final_nonzero=_BOOL,
+                passed=_BOOL),
+        _report("delta_profile", DeltaSequence,
+                start=_INT, entries=_list(_optional(_INT))),
+        _report("shift_search", ShiftSearch,
+                status=_STR, witness=_optional(_object(
+                    ShiftWitness, shift_left=_INT, shift_right=_INT, offset=_INT))),
+        _report("independence_certificate", IndependenceCertificate,
+                m0=_INT, a=_INT, b=_INT, lmax=_INT, tail_start=_INT,
+                delta=_embedded("delta_profile"),
+                decomposition=_object(RDecomposition, a=_INT, h=element,
+                                      g=element, b=_INT),
+                nonzero=_BOOL, box=_BOX),
+        _report("check_report", CheckReport,
+                suite=_STR, seed=_INT, passed=_BOOL,
+                lines=_list(_object(CheckLine, name=_STR, instances=_INT,
+                                    passed=_BOOL, detail=_STR))),
+        # looked up at call time, so a wrapper set on the module attribute is used
+        ("element", _Kind(Element, lambda e, ctx: element_to_document(e, *ctx),
+                          lambda doc: element_from_document(doc))),
+    ])
 
 
-def regularity_to_document(report) -> dict:
-    """Document for a variable-by-variable injectivity check on the dual."""
-    return new_document("regularity_check", {
-        "nvars": report.n,
-        "index": report.i,
-        "bound": report.bound,
-        "steps": [
-            {
-                "variable": step.variable,
-                "domain_dim": step.domain_dim,
-                "kernel_dim": step.kernel_dim,
-            }
-            for step in report.steps
-        ],
-        "final_roles": list(report.final_roles),
-        "final_dim": report.final_dim,
-        "final_nonzero": report.final_nonzero,
-        "passed": report.passed,
-    })
+def to_document(obj, field: Field = RATIONAL, names=None) -> dict:
+    """The document for an element or report; field and names reach the
+    element documents, nested ones included."""
+    for kind in _kinds().values():
+        if type(obj) is kind.cls:
+            return kind.write(obj, (field, names))
+    raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
-def delta_to_document(seq: DeltaSequence) -> dict:
-    """Document for a minimal-exponent profile; vanishing entries are null."""
-    return new_document("delta_profile", {
-        "start": seq.start,
-        "entries": list(seq.entries),
-    })
-
-
-def delta_from_document(doc) -> DeltaSequence:
-    _expect(doc, "delta_profile")
-    try:
-        start = int(doc["start"])
-        entries = tuple(None if v is None else int(v) for v in doc["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed profile document: {exc}") from None
-    return DeltaSequence(start, entries)
-
-
-def shift_search_to_document(result) -> dict:
-    """Document for the outcome of a bounded shift-witness search."""
-    witness = None
-    if result.witness is not None:
-        witness = {
-            "shift_left": result.witness.shift_left,
-            "shift_right": result.witness.shift_right,
-            "offset": result.witness.offset,
-        }
-    return new_document("shift_search", {
-        "status": result.status,
-        "witness": witness,
-    })
-
-
-def certificate_to_document(cert: IndependenceCertificate,
-                            field: Field = RATIONAL, names=None) -> dict:
-    """Document for an independence certificate, embedding its profile and
-    the decomposition polynomials as nested element documents."""
-    return new_document("independence_certificate", {
-        "m0": cert.m0,
-        "a": cert.a,
-        "b": cert.b,
-        "lmax": cert.lmax,
-        "tail_start": cert.tail_start,
-        "nonzero": cert.nonzero,
-        "box": list(cert.box.bounds),
-        "delta": delta_to_document(cert.delta),
-        "decomposition": {
-            "a": cert.decomposition.a,
-            "b": cert.decomposition.b,
-            "h": element_to_document(cert.decomposition.h, field, names),
-            "g": element_to_document(cert.decomposition.g, field, names),
-        },
-    })
-
-
-def certificate_from_document(doc) -> IndependenceCertificate:
-    _expect(doc, "independence_certificate")
-    try:
-        dec_doc = doc["decomposition"]
-        decomposition = RDecomposition(
-            a=int(dec_doc["a"]),
-            h=element_from_document(dec_doc["h"]),
-            g=element_from_document(dec_doc["g"]),
-            b=int(dec_doc["b"]),
-        )
-        return IndependenceCertificate(
-            m0=int(doc["m0"]),
-            a=int(doc["a"]),
-            b=int(doc["b"]),
-            lmax=int(doc["lmax"]),
-            tail_start=int(doc["tail_start"]),
-            delta=delta_from_document(doc["delta"]),
-            decomposition=decomposition,
-            nonzero=bool(doc["nonzero"]),
-            box=TruncationBox(_json_ints(doc["box"], "box bound")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed certificate document: {exc}") from None
-
-
-def check_report_to_document(report) -> dict:
-    """Document for a named-check suite run."""
-    return new_document("check_report", {
-        "suite": report.suite,
-        "seed": report.seed,
-        "passed": report.passed,
-        "lines": [
-            {
-                "name": line.name,
-                "instances": line.instances,
-                "passed": line.passed,
-                "detail": line.detail,
-            }
-            for line in report.lines
-        ],
-    })
+def from_document(doc):
+    """Rebuild the object a document describes, chosen by its kind tag."""
+    if type(doc) is not dict:
+        raise SchemaError("document must be a JSON object")
+    name = doc.get("kind")
+    kind = _kinds().get(name) if type(name) is str else None
+    if kind is None:
+        raise SchemaError(f"unknown document kind {name!r}")
+    return kind.read(doc)

@@ -7,8 +7,16 @@ code.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from cohdual.algebra import Element, ModuleShape, SERIES, TruncationBox
+from cohdual.algebra import (
+    Element,
+    ModuleShape,
+    SERIES,
+    TruncationBox,
+    monomial,
+    ring_act,
+)
 from cohdual.fields import Fp
 
 
@@ -124,3 +132,30 @@ def random_sample(rng, shape: ModuleShape, box: TruncationBox,
             exps.append(e if shape.role(j) == SERIES else -e)
         terms[tuple(exps)] = terms.get(tuple(exps), 0) + coefficient(rng)
     return Element.from_terms(shape, box, terms)
+
+
+def oracle_is_torsion(e: Element, gens) -> bool:
+    """Search for a power of the generators' ideal that kills e.
+
+    Tries v = 1 .. sum of the box bounds + 1 and asks whether every
+    degree-v monomial in the generators annihilates e exactly; an empty but
+    inexact result only means the terms left the box.  Past that degree
+    every such monomial overflows some inverse coordinate, so the search is
+    conclusive.
+    """
+    if e.is_zero:
+        return True
+    n = e.shape.nvars
+    rshape = ModuleShape.series_shape(n)
+    for v in range(1, sum(e.box.bounds) + 2):
+        rbox = TruncationBox.uniform(n, v)
+        for combo in combinations_with_replacement(sorted(set(gens)), v):
+            exps = [0] * n
+            for g in combo:
+                exps[g] += 1
+            acted = ring_act(monomial(rshape, rbox, tuple(exps)), e)
+            if not (acted.is_zero and acted.exact):
+                break
+        else:
+            return True
+    return False

@@ -8,8 +8,8 @@ import pytest
 
 from cohdual.cli import main, parse_shape_spec
 from cohdual.duality import GAMMA_FULL
-from cohdual.exprio import write_document, element_to_document
-from cohdual.independence import make_d
+from cohdual.exprio import element_to_document, from_document, write_document
+from cohdual.independence import DeltaSequence, make_d
 
 
 @pytest.fixture(autouse=True)
@@ -79,6 +79,7 @@ def test_delta_fit_failure_exits_one(capsys):
     assert code == 1
     assert doc["fit"] is None
     assert doc["fit_power"] == 2
+    assert from_document(doc) == DeltaSequence(0, (0, -1) + (None,) * 7)
 
 
 def test_delta_fit_needs_tail_start(capsys):
@@ -253,3 +254,16 @@ def test_module_entrypoint_runs():
     doc = json.loads(result.stdout)
     assert doc["kind"] == "element"
     assert doc["text"] == "1 + Y^-1*X + Y^-2*X^2 + Y^-3*X^3"
+
+
+def test_unexpected_exception_exits_70(capsys, monkeypatch):
+    import cohdual.cli as cli
+
+    def broken(shape, gens):
+        raise KeyError("inverse")
+
+    monkeypatch.setattr(cli, "gamma_of_shape", broken)
+    code, out, err = run_cli(capsys, "gamma", "--shape", "E", "-n", "2", "--gens", "0")
+    assert code == 70
+    assert out == ""
+    assert err == "internal error: KeyError: 'inverse'\n"

@@ -14,7 +14,6 @@ from cohdual.algebra import (
 from cohdual.duality import (
     GAMMA_FULL,
     GAMMA_ZERO,
-    dual_shape,
     gamma_of_shape,
     is_torsion,
     matlis_pair,
@@ -28,6 +27,7 @@ from cohdual.fields import Fp
 from conftest import (
     COEFFICIENT_KINDS,
     coefficient_strings,
+    oracle_is_torsion,
     oracle_product,
     random_sample,
 )
@@ -37,8 +37,8 @@ BOX3 = TruncationBox.uniform(2, 3)
 
 
 def test_dual_shape_flips_roles():
-    assert dual_shape(H21).roles == ("series", "inverse")
-    assert dual_shape(dual_shape(H21)) == H21
+    assert H21.dual().roles == ("series", "inverse")
+    assert H21.dual().dual() == H21
 
 
 def test_pair_frozen_monomials():
@@ -131,7 +131,7 @@ def test_pairing_is_a_permutation_small():
     report = pairing_perfection_check(2, 1, 2)
     assert report.passed
     assert len(report.permutation) == 9
-    assert len(report.records) == 81
+    assert report.pair_count == 81
 
 
 def test_pairing_balance_sampled():
@@ -179,6 +179,28 @@ def test_is_torsion_series_direction_is_not():
     assert is_torsion(e, (1,))
 
 
+def test_is_torsion_needs_the_sum_of_the_bounds():
+    """X^3*Y^3 takes X^-3*Y^-3 to the socle, so only the 7th power of (X, Y)
+    kills it; a search stopping at the largest bound + 1 = 4 missed that."""
+    e = monomial(ModuleShape.inverse_shape(2), BOX3, (-3, -3))
+    assert is_torsion(e, (0, 1))
+    assert oracle_is_torsion(e, (0, 1))
+
+
+def test_is_torsion_matches_search():
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        shape = ModuleShape(tuple(rng.choice((SERIES, INVERSE)) for _ in range(n)))
+        box = TruncationBox(tuple(rng.randint(0, 3) for _ in range(n)))
+        if rng.random() < 0.1:
+            e = Element.zero(shape, box)
+        else:
+            e = random_sample(rng, shape, box)
+        gens = tuple(rng.sample(range(n), rng.randint(1, n)))
+        assert is_torsion(e, gens) == oracle_is_torsion(e, gens), (shape, box, e, gens)
+
+
 def test_is_torsion_validation():
     e = monomial(H21, BOX3, (0, 0))
     with pytest.raises(ValueError):
@@ -216,3 +238,16 @@ def test_regular_sequence_all_positions():
 def test_regular_sequence_validation():
     with pytest.raises(ValueError):
         regular_on_dual_check(2, 0, 3)
+
+
+def test_regular_sequence_fails_without_the_action(monkeypatch):
+    """With multiplication replaced by the identity the map stays injective,
+    but its image no longer complements the dropped shape."""
+    import cohdual.duality as duality
+    from cohdual.checks import regularity_sweep
+
+    monkeypatch.setattr(duality, "ring_act", lambda r, m: m)
+    report = regular_on_dual_check(3, 2, 3)
+    assert [s.kernel_dim for s in report.steps] == [0, 0]
+    assert not report.passed
+    assert not regularity_sweep().passed

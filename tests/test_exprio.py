@@ -1,5 +1,6 @@
 """Expression grammar, canonical serialization, and JSON documents."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -9,25 +10,19 @@ import pytest
 
 from cohdual.algebra import Element, ModuleShape, TruncationBox, monomial
 from cohdual.cech import verify_realization
+from cohdual.checks import CheckReport, independence_trials
 from cohdual.duality import pairing_perfection_check, regular_on_dual_check
 from cohdual.exprio import (
     ParseError,
     SchemaError,
-    certificate_from_document,
-    certificate_to_document,
     default_variable_names,
-    delta_from_document,
-    delta_to_document,
     element_from_document,
     element_to_document,
-    pairing_to_document,
+    from_document,
     parse_element,
     read_document,
-    realization_to_document,
-    regularity_to_document,
     serialize_element,
-    shift_search_to_document,
-    table_to_document,
+    to_document,
     write_document,
 )
 from cohdual.fields import Fp, PrimeField, RATIONAL
@@ -198,10 +193,10 @@ def test_documents_reject_non_integer_json():
         term = {"exponents": [1, bad], "coefficient": "1"}
         with pytest.raises(SchemaError):
             element_from_document(dict(doc, terms=[term]))
-    cert = certificate_to_document(
+    cert = to_document(
         independence_certificate((monomial(S2, TruncationBox((1, 1)), (0, 0)),), 8))
     with pytest.raises(SchemaError):
-        certificate_from_document(dict(cert, box=[8, True]))
+        from_document(dict(cert, box=[8, True]))
 
 
 def test_rational_zero_denominator_is_a_value_error():
@@ -230,20 +225,20 @@ def test_write_and_read_document(tmp_path):
 
 
 def test_report_documents_carry_their_fields():
-    table_doc = table_to_document(verify_realization(1, 1, 2).table)
+    table_doc = to_document(verify_realization(1, 1, 2).table)
     assert table_doc["kind"] == "cohomology_table"
     assert len(table_doc["entries"]) == 5
 
-    real_doc = realization_to_document(verify_realization(1, 1, 2))
+    real_doc = to_document(verify_realization(1, 1, 2))
     assert real_doc["passed"] is True
     assert real_doc["nonzero_count"] == 2
 
-    pair_doc = pairing_to_document(pairing_perfection_check(1, 1, 2))
+    pair_doc = to_document(pairing_perfection_check(1, 1, 2))
     assert pair_doc["passed"] is True
     assert pair_doc["pair_count"] == 9
     assert len(pair_doc["permutation"]) == 3
 
-    reg_doc = regularity_to_document(regular_on_dual_check(2, 1, 2))
+    reg_doc = to_document(regular_on_dual_check(2, 1, 2))
     assert reg_doc["passed"] is True
     assert reg_doc["steps"][0]["kernel_dim"] == 0
     assert reg_doc["final_roles"] == ["inverse"]
@@ -251,14 +246,14 @@ def test_report_documents_carry_their_fields():
 
 def test_delta_and_shift_documents():
     seq = DeltaSequence(1, (0, None, -4))
-    doc = delta_to_document(seq)
+    doc = to_document(seq)
     assert doc["entries"] == [0, None, -4]
-    assert delta_from_document(doc) == seq
+    assert from_document(doc) == seq
     assert json.loads(write_document(doc))["entries"] == [0, None, -4]
 
     profile = delta(make_d(2, 10))
     found = shift_equiv_window(profile, profile, 2)
-    doc = shift_search_to_document(found)
+    doc = to_document(found)
     assert doc["status"] == "witness"
     assert doc["witness"] == {"shift_left": 0, "shift_right": 0, "offset": 0}
 
@@ -267,10 +262,134 @@ def test_certificate_document_roundtrip():
     one = monomial(S2, TruncationBox.uniform(2, 3), (0, 0))
     y = monomial(S2, TruncationBox.uniform(2, 3), (0, 1))
     cert = independence_certificate((one, y), 12)
-    doc = certificate_to_document(cert)
-    restored = certificate_from_document(doc)
+    doc = to_document(cert)
+    restored = from_document(doc)
     assert restored == cert
     assert restored.delta.entries == cert.delta.entries
     assert restored.decomposition.g == cert.decomposition.g
     with pytest.raises(SchemaError):
-        certificate_from_document(dict(doc, kind="element"))
+        from_document(dict(doc, kind="element"))
+
+
+def _unit(exps, coeff=1):
+    return monomial(S2, TruncationBox.uniform(2, 3), exps, coeff)
+
+
+# (kind, object builder, field, sha256 of write_document(to_document(...)));
+# the digests were taken from the per-kind writers this codec replaced
+PINNED = [
+    ("cohomology_table", lambda: verify_realization(2, 1, 2).table, RATIONAL,
+     "a734f11acc75c07f446bfc8acddbd9e5e23f783bb2be0b485268dba0818f0361"),
+    ("realization_check", lambda: verify_realization(2, 2, 2), RATIONAL,
+     "9f809e322825c6c9b9338ad2e8625001441944befd87aadaa357b9bfd818af37"),
+    ("pairing_check", lambda: pairing_perfection_check(1, 1, 2), RATIONAL,
+     "f69d9fd538eb93865875e7458ec3bb8fc788e7c3513ffef1099bff737e8ccaea"),
+    ("regularity_check", lambda: regular_on_dual_check(3, 3, 2), RATIONAL,
+     "326f125d1f2868e74bb1d3755111118d7d80088a560166d0c39be48b7c5dc9bc"),
+    ("delta_profile", lambda: DeltaSequence(1, (0, None, -4)), RATIONAL,
+     "ba845a99c252d50a98653b3a5ea89cbe321384fb76cd270f20d41d115334a1d3"),
+    ("shift_search", lambda: shift_equiv_window(
+        delta(make_d(2, 10)), delta(make_d(2, 10)), 2), RATIONAL,
+     "30b0c4c6b98fc9f56cf89f16731a5add2048c3d7af06ecb37270ffa4b7cede8b"),
+    ("shift_search", lambda: shift_equiv_window(
+        delta(make_d(2, 10)), delta(make_d(3, 10)), 2), RATIONAL,
+     "078f5dcf3de501ed417c797073ad2f39c18dbbac65a393737b0b47d13cfb8bb8"),
+    ("independence_certificate", lambda: independence_certificate(
+        (_unit((1, 0)), _unit((0, 0), 3)), 14), PrimeField(32003),
+     "2f784b9982f71fb1152eb3c04ae31c300fad5afc3a4e978d29a9bcc4b6f8d88b"),
+    ("check_report", lambda: CheckReport(
+        "probe", 5, (independence_trials(seed=5, trials=10, lmax=12),), True),
+     RATIONAL, "e72d7ef1360df74efbbda7d2f6cd6d9bcbb2688c07b44970e14d74053cedf851"),
+    ("element", lambda: make_d(2, 4).scale(PrimeField(7).from_int(3)), PrimeField(7),
+     "895adc731b99c12ae00809bed6fc0de370aa3ab8d35a349bab2e037443da9baa"),
+]
+PINNED_IDS = [f"{case[0]}-{k}" for k, case in enumerate(PINNED)]
+
+
+@pytest.mark.parametrize("kind, build, field, digest", PINNED, ids=PINNED_IDS)
+def test_documents_are_pinned_and_reload(kind, build, field, digest):
+    obj = build()
+    payload = write_document(to_document(obj, field))
+    assert json.loads(payload)["kind"] == kind
+    assert hashlib.sha256(payload).hexdigest() == digest
+    restored = from_document(json.loads(payload))
+    assert type(restored) is type(obj)
+    assert write_document(to_document(restored, field)) == payload
+
+
+# integer slots per kind, nested ones included
+INT_SLOTS = {
+    "cohomology_table": [("nvars",), ("entries", 0, "degree", 1)],
+    "realization_check": [("nonzero_count",), ("table", "window")],
+    "pairing_check": [("pair_count",), ("permutation", 0, "dual", 0)],
+    "regularity_check": [("bound",), ("steps", 0, "kernel_dim")],
+    "delta_profile": [("start",), ("entries", 0)],
+    "shift_search": [("witness", "offset")],
+    "independence_certificate": [("m0",), ("box", 0), ("delta", "start"),
+                                 ("decomposition", "a"),
+                                 ("decomposition", "h", "box", 0)],
+    "check_report": [("seed",), ("lines", 0, "instances")],
+    "element": [("box", 0), ("terms", 0, "exponents", 1)],
+}
+
+
+def _edited(doc, path, value=None):
+    """A deep copy of doc with the slot at path set to value, or removed."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+# the first case of each kind (the second shift search has no witness)
+FIRST_OF_KIND = list({case[0]: case for case in reversed(PINNED)}.values())[::-1]
+
+
+@pytest.mark.parametrize("kind, build, field, digest", FIRST_OF_KIND,
+                         ids=[case[0] for case in FIRST_OF_KIND])
+def test_readers_refuse_malformed_documents(kind, build, field, digest):
+    doc = to_document(build(), field)
+    readers = [from_document] + ([element_from_document] if kind == "element" else [])
+    other = "delta_profile" if kind == "element" else "element"
+    for read in readers:
+        for path in INT_SLOTS[kind]:
+            for bad in (True, "3", 2.5):
+                with pytest.raises(SchemaError):
+                    read(_edited(doc, path, bad))
+            with pytest.raises(SchemaError, match="missing key"):
+                read(_edited(doc, path[:1]))
+        for wrong in (dict(doc, kind=other), dict(doc, kind="table"),
+                      dict(doc, schema="cohdual/0")):
+            with pytest.raises(SchemaError):
+                read(wrong)
+
+
+def test_delta_profile_reader_does_not_coerce():
+    doc = {"schema": "cohdual/1", "kind": "delta_profile",
+           "start": True, "entries": ["3", 2.7]}
+    with pytest.raises(SchemaError, match="start"):
+        from_document(doc)
+    with pytest.raises(SchemaError, match="entries"):
+        from_document(dict(doc, start=1))
+
+
+def test_flags_are_booleans():
+    report = {"schema": "cohdual/1", "kind": "check_report", "suite": "io",
+              "seed": 1, "passed": 1, "lines": []}
+    with pytest.raises(SchemaError, match="passed"):
+        from_document(report)
+    assert from_document(dict(report, passed=True)).passed is True
+
+
+def test_from_document_needs_a_known_kind():
+    with pytest.raises(SchemaError):
+        from_document([])
+    with pytest.raises(SchemaError):
+        from_document({"schema": "cohdual/1", "kind": ["element"]})
+    with pytest.raises(TypeError):
+        to_document(object())
