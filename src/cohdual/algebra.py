@@ -25,9 +25,11 @@ term through a series-side wall records the loss by clearing the element's
 ``exact`` flag.  Contraction kills on the inverse side keep ``exact`` set.
 
 :func:`ring_act` and :func:`duality.matlis_pair` share one product kernel: a
-product both contracted and outside the box is a kill, never a loss.  It sums
-plain ints (numerators over a common denominator, residues mod p) and raises
+product both contracted and outside the box is a kill, never a loss.
+:func:`_accumulate` sums plain ints (numerators over one common denominator,
+residues mod p) for one or more operand pairs, and :func:`_canonical` raises
 each sum to a ``Fraction`` or ``Fp`` once, so stored types are unchanged.
+The independence certificate reads the support straight from the int sums.
 """
 
 from __future__ import annotations
@@ -198,11 +200,7 @@ class Element:
 
     def coefficient(self, exponents: Exponents):
         """Coefficient at an exponent vector, 0 when the monomial is absent."""
-        target = tuple(exponents)
-        for e, c in self.terms:
-            if e == target:
-                return c
-        return 0
+        return dict(self.terms).get(tuple(exponents), 0)
 
     def term_map(self) -> dict[Exponents, object]:
         return dict(self.terms)
@@ -259,30 +257,36 @@ def linear_combine(pairs: Iterable[tuple[object, Element]]) -> Element:
     return Element._collect(shape, box, acc, exact)
 
 
-def _lowered(a_terms, b_terms):
-    """Int stand-ins ``(a_terms, b_terms, p, den)``, or None to multiply as is.
+def _lowered(pairs):
+    """Int stand-ins ``(pairs, p, den)`` for every operand, or None to multiply as is.
 
-    Residues mod p (den None), or numerators over one denominator per operand
-    (p None, den their product).  None when both operands hold a bare ``int``
-    (an int times an int stays an int) or the fields mix."""
-    if not (a_terms and b_terms) or type(a_terms[0][1]) is type(b_terms[0][1]) is int:
-        return None  # nothing to multiply, or an int in both operands
-    types_a = {type(c) for _, c in a_terms}
-    types_b = {type(c) for _, c in b_terms}
-    types = types_a | types_b
-    primes = {c.p for _, c in a_terms + b_terms if type(c) is Fp}
-    if int in types_a & types_b or not (
-            types <= {int, Fraction} or (types <= {int, Fp} and len(primes) == 1)):
+    Residues mod p (den None), or numerators over one common denominator
+    for all pairs (p None).  None when an operand is empty, when some pair
+    holds a bare ``int`` in both operands (an int times an int stays an int)
+    or when the fields mix."""
+    types = set()
+    for a_terms, b_terms in pairs:
+        if not (a_terms and b_terms) or type(a_terms[0][1]) is type(b_terms[0][1]) is int:
+            return None  # nothing to multiply, or an int in both operands
+        types_a = {type(c) for _, c in a_terms}
+        types_b = {type(c) for _, c in b_terms}
+        if int in types_a & types_b:
+            return None
+        types |= types_a | types_b
+    if types <= {int, Fraction}:
+        dens = [(lcm(*(c.denominator for _, c in a_terms)),
+                 lcm(*(c.denominator for _, c in b_terms))) for a_terms, b_terms in pairs]
+        den = lcm(*(da * db for da, db in dens))
+        # a's numerators carry den // (da * db), so every product is over den
+        return [([(e, c.numerator * (den // (db * c.denominator))) for e, c in a_terms],
+                 [(e, c.numerator * (db // c.denominator)) for e, c in b_terms])
+                for (a_terms, b_terms), (_, db) in zip(pairs, dens)], None, den
+    primes = {c.p for pair in pairs for terms in pair for _, c in terms if type(c) is Fp}
+    if not types <= {int, Fp} or len(primes) != 1:
         return None
-    if primes:
-        p = primes.pop()
-        a, b = ([(e, c.value if type(c) is Fp else c % p) for e, c in terms]
-                for terms in (a_terms, b_terms))
-        return a, b, p, None
-    den_a, den_b = (lcm(*(c.denominator for _, c in terms)) for terms in (a_terms, b_terms))
-    return ([(e, c.numerator * (den_a // c.denominator)) for e, c in a_terms],
-            [(e, c.numerator * (den_b // c.denominator)) for e, c in b_terms],
-            None, den_a * den_b)
+    (p,) = primes
+    return [tuple([(e, c.value if type(c) is Fp else c % p) for e, c in terms]
+                  for terms in pair) for pair in pairs], p, None
 
 
 @lru_cache(maxsize=256)
@@ -293,39 +297,48 @@ def _window(roles: tuple[str, ...], bounds: tuple[int, ...]):
     return lo, hi, tuple(inf if r == SERIES else 0 for r in roles)
 
 
-def _product(a_terms, b_terms, lo: Exponents | None, hi: Exponents, kill):
-    """Sum of the pairwise products of two term lists inside lo..hi.
+def _accumulate(pairs, lo: Exponents | None, hi: Exponents, kill):
+    """Sum the pairwise products of each ``(a_terms, b_terms)`` pair inside lo..hi.
 
     Above hi is a contraction kill (exact) if it exceeds ``kill`` somewhere,
     else a loss: kills take precedence.  Below lo (None: cannot happen) is a
-    loss; a vanishing product is neither.  Returns the nonzero terms in
-    canonical order and whether anything was lost."""
-    lowered = _lowered(a_terms, b_terms)
+    loss; a vanishing product is neither.  Returns ``(acc, p, den, dropped)``:
+    acc maps exponents to int sums (residues mod p, or numerators over den)
+    or, when :func:`_lowered` refuses, to the sums of the coefficients as
+    they are (p and den None); zero sums stay in acc."""
+    lowered = _lowered(pairs)
+    p = den = None
     if lowered is not None:
-        a_terms, b_terms, p, den = lowered
+        pairs, p, den = lowered
     acc: dict[Exponents, object] = {}
     dropped = False
-    for ea, ca in a_terms:
-        for eb, cb in b_terms:
-            c = ca * cb
-            if not c:
-                continue
-            out = tuple(map(add, ea, eb))
-            if not all(map(le, out, hi)):
-                if all(map(le, out, kill)):
+    for a_terms, b_terms in pairs:
+        for ea, ca in a_terms:
+            for eb, cb in b_terms:
+                c = ca * cb
+                if not c:
+                    continue
+                out = tuple(map(add, ea, eb))
+                if not all(map(le, out, hi)):
+                    if all(map(le, out, kill)):
+                        dropped = True
+                elif lo is None or all(map(le, lo, out)):
+                    acc[out] = acc[out] + c if out in acc else c
+                else:
                     dropped = True
-            elif lo is None or all(map(le, lo, out)):
-                acc[out] = acc[out] + c if out in acc else c
-            else:
-                dropped = True
-    if lowered is None:
-        items = [item for item in acc.items() if item[1]]
-    elif p is None:
+    return acc, p, den, dropped
+
+
+def _canonical(acc, p, den):
+    """The nonzero sums of :func:`_accumulate` as sorted ``Fraction``/``Fp`` terms."""
+    if den is not None:
         items = [(e, Fraction(v, den)) for e, v in acc.items() if v]
-    else:
+    elif p is not None:
         items = [(e, Fp(v, p)) for e, v in acc.items() if v % p]
+    else:
+        items = [item for item in acc.items() if item[1]]
     items.sort()
-    return tuple(items), dropped
+    return tuple(items)
 
 
 def ring_act(r: Element, m: Element) -> Element:
@@ -346,8 +359,9 @@ def ring_act(r: Element, m: Element) -> Element:
         raise ValueError(f"ring element has a negative exponent: {e}")
     _, hi, kill = _window(m.shape.roles, m.box.bounds)
     # r's exponents are nonnegative and m lies in the box: nothing falls below it
-    terms, dropped = _product(r.terms, m.terms, None, hi, kill)
-    return Element(m.shape, m.box, terms, r.exact and m.exact and not dropped)
+    acc, p, den, dropped = _accumulate([(r.terms, m.terms)], None, hi, kill)
+    return Element(m.shape, m.box, _canonical(acc, p, den),
+                   r.exact and m.exact and not dropped)
 
 
 def derivation_act(j: int, m: Element) -> Element:
@@ -373,18 +387,14 @@ def derivation_act(j: int, m: Element) -> Element:
     acc: dict[Exponents, object] = {}
     dropped = False
     for e, c in m.terms:
-        factor = e[j] if role == SERIES else e[j] - 1
-        coeff = factor * c
+        coeff = (e[j] if role == SERIES else e[j] - 1) * c
         if not coeff:
             continue
         out = e[:j] + (e[j] - 1,) + e[j + 1:]
         if role == INVERSE and out[j] < -bound:
             dropped = True
             continue
-        if out in acc:
-            acc[out] = acc[out] + coeff
-        else:
-            acc[out] = coeff
+        acc[out] = acc[out] + coeff if out in acc else coeff
     return Element._collect(m.shape, m.box, acc, m.exact and not dropped)
 
 

@@ -47,12 +47,8 @@ class CechDegreePiece:
 
     def cohomology(self) -> tuple[int, ...]:
         ranks = [integer_rank([list(row) for row in mat]) for mat in self.boundaries]
-        out = []
-        for l in range(self.i + 1):
-            below = ranks[l - 1] if l > 0 else 0
-            above = ranks[l] if l < self.i else 0
-            out.append(self.dims[l] - below - above)
-        return tuple(out)
+        ranks = [0] + ranks + [0]  # ranks[l] enters position l, ranks[l + 1] leaves it
+        return tuple(self.dims[l] - ranks[l] - ranks[l + 1] for l in range(self.i + 1))
 
 
 def build_degree_piece(n: int, i: int, a: tuple[int, ...]) -> CechDegreePiece:
@@ -62,15 +58,9 @@ def build_degree_piece(n: int, i: int, a: tuple[int, ...]) -> CechDegreePiece:
     if len(a) != n:
         raise ValueError(f"degree {a} has wrong length for n={n}")
     tail_ok = all(a[j] >= 0 for j in range(i, n))
-    alive: list[list[tuple[int, ...]]] = []
-    for l in range(i + 1):
-        level = []
-        if tail_ok:
-            for subset in combinations(range(i), l):
-                inside = set(subset)
-                if all(a[j] >= 0 for j in range(i) if j not in inside):
-                    level.append(subset)
-        alive.append(level)
+    alive = [[subset for subset in combinations(range(i), l)
+              if tail_ok and all(a[j] >= 0 for j in range(i) if j not in subset)]
+             for l in range(i + 1)]
     boundaries = []
     for l in range(i):
         sources = alive[l]
@@ -78,15 +68,10 @@ def build_degree_piece(n: int, i: int, a: tuple[int, ...]) -> CechDegreePiece:
         index = {s: k for k, s in enumerate(targets)}
         matrix = [[0] * len(sources) for _ in targets]
         for c, subset in enumerate(sources):
-            for t in range(i):
-                if t in subset:
-                    continue
+            for t in set(range(i)).difference(subset):
                 bigger = tuple(sorted(subset + (t,)))
-                row = index.get(bigger)
-                if row is None:
-                    continue
-                sign = (-1) ** bigger.index(t)
-                matrix[row][c] = sign
+                if bigger in index:
+                    matrix[index[bigger]][c] = (-1) ** bigger.index(t)
         boundaries.append(tuple(tuple(row) for row in matrix))
     dims = tuple(len(level) for level in alive)
     return CechDegreePiece(n, i, a, dims, tuple(boundaries))

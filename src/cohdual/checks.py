@@ -44,6 +44,7 @@ from .exprio import (
 )
 from .fields import RATIONAL, PrimeField
 from .independence import (
+    CertificateError,
     InconclusiveWindowError,
     delta,
     fit_shift_form,
@@ -157,7 +158,8 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
     the top coefficient, and refitting the verified tail must recover them
     (for a top index of 1 only their sum is identifiable).  The expected
     certification rate is well above 95 percent; windows too short to
-    conclude are counted but are not failures.
+    conclude are counted but are not failures; a tail that contradicts the
+    analysis (:class:`CertificateError`) fails its trial.
     """
     rng = random.Random(seed)
     certified = 0
@@ -167,6 +169,9 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
         try:
             cert = independence_certificate(r_list, lmax)
         except InconclusiveWindowError:
+            continue
+        except CertificateError:
+            bad.append(trial)
             continue
         certified += 1
         top = r_list[cert.m0 - 1]

@@ -125,6 +125,11 @@ def _config_defaults() -> dict:
     unknown = set(config) - set(_CONFIG_KEYS)
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        wanted = str if key in ("field", "mode") else int
+        if type(value) is not wanted:  # exact type: a JSON true is not the int 1
+            raise _UsageError(f"config key {key!r} needs a JSON "
+                              f"{'string' if wanted is str else 'integer'}, got {value!r}")
     return config
 
 
@@ -135,17 +140,14 @@ class _Session:
         self.args = args
         self.field_text = args.field or config.get("field", "rational")
         self.field = field_from_descriptor(self.field_text)
-        trunc = args.trunc if args.trunc is not None else config.get("trunc", 8)
-        self.trunc = int(trunc)
+        self.trunc = args.trunc if args.trunc is not None else config.get("trunc", 8)
         if self.trunc < 0:
             raise ValueError("truncation bound must be nonnegative")
         self.mode = args.mode or config.get("mode", "document")
         if self.mode not in ("document", "human"):
             raise _UsageError(f"unknown mode {self.mode!r}")
-        seed = args.seed if getattr(args, "seed", None) is not None else None
-        if seed is None:
-            seed = config.get("seed", DEFAULT_SEED)
-        self.seed = int(seed)
+        seed = getattr(args, "seed", None)
+        self.seed = seed if seed is not None else config.get("seed", DEFAULT_SEED)
 
     def shape_and_box(self, nvars_default=2):
         args = self.args

@@ -22,11 +22,11 @@ from itertools import product
 
 from .algebra import (
     INVERSE,
-    SERIES,
     Element,
     ModuleShape,
     TruncationBox,
-    _product,
+    _accumulate,
+    _canonical,
     _window,
     monomial,
     ring_act,
@@ -55,8 +55,9 @@ def matlis_pair(d: Element, m: Element,
         raise ValueError("output box has the wrong variable count")
     shape = ModuleShape.inverse_shape(n)
     lo, hi, kill = _window(shape.roles, box.bounds)
-    terms, dropped = _product(d.terms, m.terms, lo, hi, kill)
-    return Element(shape, box, terms, d.exact and m.exact and not dropped)
+    acc, p, den, dropped = _accumulate([(d.terms, m.terms)], lo, hi, kill)
+    return Element(shape, box, _canonical(acc, p, den),
+                   d.exact and m.exact and not dropped)
 
 
 def socle_functional(d: Element, m: Element):
@@ -66,13 +67,8 @@ def socle_functional(d: Element, m: Element):
 
 
 def _box_monomial_exponents(shape: ModuleShape, box: TruncationBox):
-    ranges = []
-    for role, bound in zip(shape.roles, box.bounds):
-        if role == SERIES:
-            ranges.append(range(0, bound + 1))
-        else:
-            ranges.append(range(-bound, 1))
-    return product(*ranges)
+    lo, hi, _ = _window(shape.roles, box.bounds)
+    return product(*(range(low, high + 1) for low, high in zip(lo, hi)))
 
 
 @dataclass
@@ -166,9 +162,7 @@ def gamma_of_shape(shape: ModuleShape, gens: tuple[int, ...]) -> str:
     gens = tuple(sorted(set(gens)))
     if any(not 0 <= g < shape.nvars for g in gens):
         raise ValueError(f"generator index out of range: {gens}")
-    if all(shape.role(g) == INVERSE for g in gens):
-        return GAMMA_FULL
-    return GAMMA_ZERO
+    return GAMMA_FULL if all(shape.role(g) == INVERSE for g in gens) else GAMMA_ZERO
 
 
 @dataclass

@@ -19,7 +19,9 @@ makes this quantitative for a finite truncation window:
   the X^l coefficient sits strictly above b - (l-a)^m0, so the profile of s
   on the tail is forced to be exactly that polynomial in l.  The threshold
   accounts for the h-part of the top coefficient, for every lower-index
-  d_j, and for the contraction kill on positive Y-exponents.
+  d_j, and for the contraction kill on positive Y-exponents.  Dominance is
+  settled before any product; s itself is never built as an element, its
+  support is read off the integer sums of the product kernel.
 
 A verified tail plus the pigeonhole on distinct growth rates is what the
 equivalence search over shifted windows (:func:`shift_equiv_window`)
@@ -36,9 +38,8 @@ from .algebra import (
     Element,
     ModuleShape,
     TruncationBox,
-    linear_combine,
-    monomial,
-    ring_act,
+    _accumulate,
+    _window,
 )
 
 D_SHAPE = ModuleShape((SERIES, INVERSE))
@@ -161,11 +162,12 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None) -> Element:
         raise ValueError(f"lmax must be nonnegative, got {lmax}")
     if box is None:
         box = TruncationBox((lmax, lmax ** power))
+    if box.nvars != 2:
+        raise ValueError("shape and box disagree on the variable count")
     if box.bounds[0] < lmax or box.bounds[1] < lmax ** power:
-        raise ValueError(
-            f"box {box.bounds} too small for power={power}, lmax={lmax}")
-    terms = {(l, -(l ** power)): 1 for l in range(lmax + 1)}
-    return Element.from_terms(D_SHAPE, box, terms)
+        raise ValueError(f"box {box.bounds} too small for power={power}, lmax={lmax}")
+    # ascending X-degree is the canonical order, and the check above admits every term
+    return Element(D_SHAPE, box, tuple(((l, -(l ** power)), 1) for l in range(lmax + 1)))
 
 
 def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
@@ -183,12 +185,14 @@ def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
     lo, hi = window if window is not None else (0, d.box.bounds[0])
     if not 0 <= lo <= hi <= d.box.bounds[0]:
         raise ValueError(f"window [{lo}, {hi}] outside the element's X-range")
+    return _profile((e for e, _ in d.terms), lo, hi)
+
+
+def _profile(exponents, lo: int, hi: int) -> DeltaSequence:
+    """Least Y-exponent per X-degree in lo..hi among (x, y) exponent pairs."""
     mins: dict[int, int] = {}
-    for (x, y), _ in d.terms:
-        if x in mins:
-            if y < mins[x]:
-                mins[x] = y
-        else:
+    for x, y in exponents:
+        if x not in mins or y < mins[x]:
             mins[x] = y
     return DeltaSequence(lo, tuple(mins.get(l) for l in range(lo, hi + 1)))
 
@@ -324,13 +328,14 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
                              ) -> IndependenceCertificate:
     """Certify that sum r_j . d_j is nonzero with the forced tail profile.
 
-    Builds the combination inside an automatically sized box (so it is
-    exact), reads (a, b) off the top nonzero coefficient, computes the
-    first degree from which every competing contribution is strictly
-    dominated, and then verifies the profile equals b - (l-a)^m0 on the
-    whole tail.  At least 3 tail points are demanded; fewer raises
-    :class:`InconclusiveWindowError` with a window estimate.  All-zero
-    input raises :class:`DegenerateInputError`.
+    Reads (a, b) off the top nonzero coefficient and computes the first
+    degree from which every competing contribution is strictly dominated.
+    At least 3 tail points are demanded; fewer raises
+    :class:`InconclusiveWindowError` with a window estimate before any
+    product is formed.  Otherwise the combination is summed inside an
+    automatically sized box (so nothing is lost) as plain ints, its profile
+    is read off the nonzero sums, and it must equal b - (l-a)^m0 on the
+    whole tail.  All-zero input raises :class:`DegenerateInputError`.
     """
     r_list = tuple(r_list)
     if not r_list:
@@ -343,16 +348,9 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     if all(r.is_zero for r in r_list):
         raise DegenerateInputError("every coefficient polynomial is zero")
     m0 = max(j for j, r in enumerate(r_list, start=1) if not r.is_zero)
-
     box = auto_truncation(r_list, lmax)
-    parts = [
-        (1, ring_act(r, make_d(j, lmax, box)))
-        for j, r in enumerate(r_list, start=1)
-        if not r.is_zero
-    ]
-    s = linear_combine(parts)
-    if not s.exact:
-        raise CertificateError("the automatically sized box lost terms")
+    if lmax < 0:  # make_d's own check, made before the dominance analysis
+        raise ValueError(f"lmax must be nonnegative, got {lmax}")
 
     dec = decompose_r(r_list[m0 - 1])
     a, b = dec.a, dec.b
@@ -393,14 +391,20 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
         raise InconclusiveWindowError(required)
     tail_start = lmax - suffix + 1
 
-    profile = delta(s, (0, lmax))
+    _, hi, kill = _window(D_SHAPE.roles, box.bounds)
+    acc, p, _, dropped = _accumulate(
+        [(r.terms, make_d(j, lmax, box).terms)
+         for j, r in enumerate(r_list, start=1) if not r.is_zero],
+        None, hi, kill)
+    if dropped:
+        raise CertificateError("the automatically sized box lost terms")
+    # residues mod p, numerators over a common denominator, or unlowered sums
+    profile = _profile((e for e, v in acc.items() if (v % p if p else v)), 0, lmax)
     for l in range(tail_start, lmax + 1):
         expected = b - (l - a) ** m0
         if profile.value(l) != expected:
             raise CertificateError(
                 f"profile at degree {l} is {profile.value(l)}, expected {expected}")
-    if s.is_zero:
-        raise CertificateError("combination vanished despite a verified tail")
 
     return IndependenceCertificate(
         m0=m0, a=a, b=b, lmax=lmax, tail_start=tail_start,

@@ -3,7 +3,9 @@
 The oracle functions here are deliberately independent reimplementations,
 written the slow and obvious way on plain dicts and Fractions, so the
 package's sparse paths can be checked against something with no shared
-code.
+code.  The exception is :func:`oracle_certificate`, which keeps the
+certificate's older element path (itself checked against
+:func:`oracle_product`) as the reference for its integer fast path.
 """
 
 from fractions import Fraction
@@ -14,10 +16,12 @@ from cohdual.algebra import (
     ModuleShape,
     SERIES,
     TruncationBox,
+    linear_combine,
     monomial,
     ring_act,
 )
 from cohdual.fields import Fp
+from cohdual.independence import auto_truncation, delta, make_d
 
 
 def oracle_product(poly_terms, elem_terms, roles, bounds):
@@ -88,6 +92,30 @@ def oracle_min_profile(terms, lo, hi):
         ys = [e[1] for e in terms if e[0] == l]
         entries.append(min(ys) if ys else None)
     return tuple(entries)
+
+
+def oracle_certificate(r_list, lmax):
+    """(m0, a, b, profile, tail) of sum r_j . d_j by the element path.
+
+    Each r_j . d_j is an element formed by ``ring_act`` inside the
+    certificate's box and the parts are added with ``linear_combine``, so
+    every sum is a coefficient object; both kernels are checked against
+    :func:`oracle_product` elsewhere.  m0, a and b are read off the top
+    coefficient, and tail is the least degree from which the profile
+    follows b - (l - a)^m0 up to lmax.
+    """
+    box = auto_truncation(r_list, lmax)
+    s = linear_combine([(1, ring_act(r, make_d(j, lmax, box)))
+                        for j, r in enumerate(r_list, start=1) if not r.is_zero])
+    assert s.exact
+    profile = delta(s, (0, lmax))
+    m0 = max(j for j, r in enumerate(r_list, start=1) if not r.is_zero)
+    a = min(x for (x, _), _ in r_list[m0 - 1].terms)
+    b = min(y for (x, y), _ in r_list[m0 - 1].terms if x == a)
+    tail = lmax + 1
+    while tail > 0 and profile.value(tail - 1) == b - (tail - 1 - a) ** m0:
+        tail -= 1
+    return m0, a, b, profile, tail
 
 
 def oracle_rank(rows):

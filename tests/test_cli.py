@@ -50,6 +50,13 @@ def test_dfam_document(capsys):
     assert doc["box"] == [3, 9]
 
 
+def test_dfam_box_of_the_wrong_arity_is_a_usage_error(capsys):
+    for box in ("5", "5,5,5"):
+        code, out, err = run_cli(capsys, "dfam", "--power", "1", "--lmax", "2", "--box", box)
+        assert (code, out) == (64, "")
+        assert err == "error: shape and box disagree on the variable count\n"
+
+
 def test_dfam_output_is_reproducible(capsys):
     code1, out1, _ = run_cli(capsys, "dfam", "--power", "3", "--lmax", "5")
     code2, out2, _ = run_cli(capsys, "dfam", "--power", "3", "--lmax", "5")
@@ -244,6 +251,32 @@ def test_config_file_errors_exit_64(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setenv("COHDUAL_CONFIG", str(tmp_path / "absent.json"))
     assert run_cli(capsys, "dfam", "--power", "1", "--lmax", "2")[0] == 64
+
+
+@pytest.mark.parametrize("config", [
+    {"trunc": True}, {"trunc": "5"}, {"trunc": 2.0}, {"seed": "5"},
+    {"seed": False}, {"seed": None}, {"field": 7}, {"mode": ["human"]},
+    {"trunc": True, "seed": "5"},
+])
+def test_config_values_are_not_coerced(capsys, tmp_path, monkeypatch, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setenv("COHDUAL_CONFIG", str(path))
+    code, out, err = run_cli(capsys, "act", "Y", "Y^-1")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error: config key ") and err.count("\n") == 1
+
+
+def test_config_integers_are_read(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trunc": 1, "seed": 5, "mode": "human"}))
+    monkeypatch.setenv("COHDUAL_CONFIG", str(path))
+    code, out, _ = run_cli(capsys, "act", "Y", "Y^-1")
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run_cli(capsys, "check", "--suite", "io")
+    assert code == 0
+    assert "with seed 5" in out
 
 
 def test_module_entrypoint_runs():

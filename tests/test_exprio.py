@@ -10,7 +10,7 @@ import pytest
 
 from cohdual.algebra import Element, ModuleShape, TruncationBox, monomial
 from cohdual.cech import verify_realization
-from cohdual.checks import CheckReport, independence_trials
+from cohdual.checks import DEFAULT_SEED, CheckReport, independence_trials, run_suite
 from cohdual.duality import pairing_perfection_check, regular_on_dual_check
 from cohdual.exprio import (
     ParseError,
@@ -315,6 +315,13 @@ def test_documents_are_pinned_and_reload(kind, build, field, digest):
     restored = from_document(json.loads(payload))
     assert type(restored) is type(obj)
     assert write_document(to_document(restored, field)) == payload
+
+
+def test_suite_report_bytes_are_pinned():
+    """``check --suite all`` at the default seed writes exactly these bytes."""
+    payload = write_document(to_document(run_suite("all", DEFAULT_SEED)))
+    assert hashlib.sha256(payload).hexdigest() == (
+        "7fb266bebba84da9e51c0df182ba6575547b8b031d34d2525a23b612ef071849")
 
 
 # integer slots per kind, nested ones included

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -28,7 +29,14 @@ from cohdual.independence import (
     make_d,
     shift_equiv_window,
 )
-from conftest import oracle_min_profile, oracle_product
+from cohdual.fields import Fp
+from conftest import (
+    COEFFICIENT_KINDS,
+    int_coefficient,
+    oracle_certificate,
+    oracle_min_profile,
+    oracle_product,
+)
 
 S2 = ModuleShape.series_shape(2)
 RBOX = TruncationBox.uniform(2, 3)
@@ -55,6 +63,16 @@ def test_make_d_box_validation():
         make_d(2, 3, TruncationBox((3, 8)))
     with pytest.raises(ValueError):
         make_d(0, 3)
+    for bounds in ((4,), (4, 9, 1)):
+        with pytest.raises(ValueError, match="variable count"):
+            make_d(2, 3, TruncationBox(bounds))
+
+
+def test_make_d_is_canonical():
+    for power, lmax in ((1, 0), (2, 7), (3, 5)):
+        d = make_d(power, lmax, TruncationBox((lmax + 2, lmax ** power + 3)))
+        assert d == Element.from_terms(d.shape, d.box, d.term_map())
+        assert d.terms == tuple(sorted(d.terms))
 
 
 def test_delta_frozen_profile():
@@ -259,6 +277,65 @@ def test_certificate_combination_matches_oracle():
             assert profile[l] == cert.b - (l - cert.a) ** cert.m0
 
 
+def _random_r_list(rng, coefficient):
+    r_list = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        if rng.random() > 0.15:
+            for _ in range(rng.randint(1, 4)):
+                e = (rng.randint(0, 3), rng.randint(0, 3))
+                terms[e] = terms.get(e, 0) + coefficient(rng)
+        r_list.append(poly(terms))
+    return tuple(r_list)
+
+
+def _assert_certificate_matches_oracle(r_list, lmax):
+    cert = independence_certificate(r_list, lmax)
+    m0, a, b, profile, tail = oracle_certificate(r_list, lmax)
+    assert (cert.m0, cert.a, cert.b) == (m0, a, b)
+    assert cert.delta == profile
+    assert tail <= cert.tail_start <= lmax - 2
+
+
+# a nonzero sum with a cancellation between two d_j, in every coefficient path
+CANCELLING = {
+    # 3 + 4 at X^2 Y^-2 vanishes only mod 7
+    "prime:7": ({(0, 0): Fp(3, 7)}, {(0, 2): Fp(4, 7)}),
+    # Fractions whose pairs have different denominators (2 and 6)
+    "fraction": ({(0, 0): Fraction(1, 2)},
+                 {(0, 2): Fraction(-1, 2), (3, 3): Fraction(1, 3)}),
+    "int": ({(0, 0): 1}, {(0, 2): -1}),
+    "mixed": ({(0, 0): 2}, {(0, 2): Fraction(-2), (3, 0): Fraction(1, 3)}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CANCELLING))
+def test_certificate_cancellation_matches_oracle(kind):
+    r_list = tuple(poly(terms) for terms in CANCELLING[kind])
+    _assert_certificate_matches_oracle(r_list, 60)
+    assert independence_certificate(r_list, 60).delta.value(2) is None
+
+
+@pytest.mark.parametrize("draw", [
+    int_coefficient, *COEFFICIENT_KINDS["rational"][1:], COEFFICIENT_KINDS["prime:7"][0]],
+    ids=["int", "fraction", "mixed", "gf7"])
+def test_certificate_matches_element_path(draw):
+    """Profile, shifts and tail read off the integer sums agree with the
+    combination formed as elements, over every coefficient path."""
+    rng = random.Random(61)
+    certified = 0
+    for _ in range(30):
+        r_list = _random_r_list(rng, draw)
+        if all(r.is_zero for r in r_list):
+            continue
+        try:
+            _assert_certificate_matches_oracle(r_list, 60)
+        except InconclusiveWindowError:
+            continue
+        certified += 1
+    assert certified >= 20
+
+
 def test_certificate_degenerate_inputs():
     zero = Element.zero(S2, RBOX)
     with pytest.raises(DegenerateInputError):
@@ -294,3 +371,22 @@ def test_certificate_torsion_combination_never_concludes():
     killed = ring_act(r, d1)
     assert killed.is_zero
     assert not killed.exact
+
+
+def test_independence_check_fails_on_a_broken_family(monkeypatch):
+    """A d-family with the wrong power from j = 2 on makes certificates
+    contradict their own analysis; the check line reports that as FAIL
+    instead of letting the error escape."""
+    import cohdual.independence as independence
+    from cohdual.checks import DEFAULT_SEED, run_suite
+
+    real_make_d = independence.make_d
+
+    def wrong_power(power, lmax, box=None):
+        return real_make_d(power - 1 if power >= 2 else power, lmax, box)
+
+    monkeypatch.setattr(independence, "make_d", wrong_power)
+    line = next(line for line in run_suite("independence", DEFAULT_SEED).lines
+                if line.name == "independence-random-combinations")
+    assert not line.passed
+    assert "failed on trials [" in line.detail
