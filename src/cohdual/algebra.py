@@ -24,12 +24,16 @@ elements stay finite objects.  Any operation that pushes a genuinely nonzero
 term through a series-side wall records the loss by clearing the element's
 ``exact`` flag.  Contraction kills on the inverse side keep ``exact`` set.
 
-:func:`ring_act` and :func:`duality.matlis_pair` share one product kernel: a
-product both contracted and outside the box is a kill, never a loss.
-:func:`_accumulate` sums plain ints (numerators over one common denominator,
-residues mod p) for one or more operand pairs, and :func:`_canonical` raises
-each sum to a ``Fraction`` or ``Fp`` once, so stored types are unchanged.
-The independence certificate reads the support straight from the int sums.
+Terms are made in two places.  Products go through one kernel shared by
+:func:`ring_act` and :func:`duality.matlis_pair` (a product both contracted
+and outside the box is a kill, never a loss): :func:`_accumulate` sums plain
+ints (numerators over one common denominator, residues mod p) for one or more
+operand pairs, and :func:`_canonical` raises each sum to a ``Fraction`` or
+``Fp`` once, so stored types are unchanged; the independence certificate
+reads its support straight from the int sums.  Sums of terms
+(:meth:`Element.from_terms`, :func:`linear_combine`) go through
+:func:`_summed`.  A map that keeps terms distinct and in lexicographic order
+(a derivation, a quotient, a layer split) builds its term tuple directly.
 """
 
 from __future__ import annotations
@@ -171,28 +175,19 @@ class Element:
         """Validating constructor: checks arity, roles and box membership."""
         if shape.nvars != box.nvars:
             raise ValueError("shape and box disagree on the variable count")
-        items = terms.items() if isinstance(terms, Mapping) else terms
         lo, hi, _ = _window(shape.roles, box.bounds)
-        acc: dict[Exponents, object] = {}
-        for exps, coeff in items:
-            exps = tuple(exps)
+        items = [(tuple(e), c) for e, c in (
+            terms.items() if isinstance(terms, Mapping) else terms)]
+        for exps, _ in items:
             if len(exps) != shape.nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length")
             if not (all(map(le, lo, exps)) and all(map(le, exps, hi))):
                 raise ValueError(f"exponent vector {exps} violates the shape or box")
-            acc[exps] = acc[exps] + coeff if exps in acc else coeff
-        return cls._collect(shape, box, acc, exact)
-
-    @classmethod
-    def _collect(cls, shape, box, mapping, exact) -> "Element":
-        # internal fast path: inputs already validated; keys are unique, so
-        # sorting the (exponents, coefficient) pairs never compares coefficients
-        items = tuple(sorted([item for item in mapping.items() if item[1]]))
-        return cls(shape, box, items, exact)
+        return cls(shape, box, _summed(items), exact)
 
     @classmethod
     def zero(cls, shape: ModuleShape, box: TruncationBox) -> "Element":
-        return cls._collect(shape, box, {}, True)
+        return cls(shape, box, ())
 
     @property
     def is_zero(self) -> bool:
@@ -206,11 +201,7 @@ class Element:
         return dict(self.terms)
 
     def scale(self, scalar) -> "Element":
-        if not scalar:
-            return Element._collect(self.shape, self.box, {}, self.exact)
-        return Element._collect(
-            self.shape, self.box, {e: scalar * c for e, c in self.terms}, self.exact
-        )
+        return linear_combine([(scalar, self)])
 
     def __add__(self, other: "Element") -> "Element":
         return linear_combine([(1, self), (1, other)])
@@ -240,30 +231,36 @@ def linear_combine(pairs: Iterable[tuple[object, Element]]) -> Element:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty linear combination (shape unknown)")
-    shape = pairs[0][1].shape
-    box = pairs[0][1].box
-    acc: dict[Exponents, object] = {}
-    exact = True
+    shape, box = pairs[0][1].shape, pairs[0][1].box
+    items = []
     for scalar, elem in pairs:
         if elem.shape != shape or elem.box != box:
             raise ValueError("linear_combine requires a common shape and box")
-        exact = exact and elem.exact
-        if not scalar:
-            continue
-        unit = type(scalar) is int and scalar == 1  # then 1 * c is c, same type
-        for e, c in elem.terms:
-            v = c if unit else scalar * c
-            acc[e] = acc[e] + v if e in acc else v
-    return Element._collect(shape, box, acc, exact)
+        if type(scalar) is int and scalar == 1:  # then 1 * c is c, same type
+            items += elem.terms
+        elif scalar:
+            items += [(e, scalar * c) for e, c in elem.terms]
+    return Element(shape, box, _summed(items), all(elem.exact for _, elem in pairs))
+
+
+def _summed(items) -> tuple:
+    """Canonical terms of ``(exponents, coefficient)`` items: equal exponents
+    added, zero sums dropped, sorted (keys are unique by then, so the sort
+    never compares coefficients)."""
+    acc: dict[Exponents, object] = {}
+    for e, c in items:
+        acc[e] = acc[e] + c if e in acc else c
+    return tuple(sorted([item for item in acc.items() if item[1]]))
 
 
 def _lowered(pairs):
     """Int stand-ins ``(pairs, p, den)`` for every operand, or None to multiply as is.
 
     Residues mod p (den None), or numerators over one common denominator
-    for all pairs (p None).  None when an operand is empty, when some pair
-    holds a bare ``int`` in both operands (an int times an int stays an int)
-    or when the fields mix."""
+    for all pairs (p None).  None when an operand is empty or when some pair
+    holds a bare ``int`` in both operands (an int times an int stays an int).
+    Operands over two fields (``Fraction`` and ``Fp``, or two primes) raise
+    ``ValueError``."""
     types = set()
     for a_terms, b_terms in pairs:
         if not (a_terms and b_terms) or type(a_terms[0][1]) is type(b_terms[0][1]) is int:
@@ -283,7 +280,9 @@ def _lowered(pairs):
                 for (a_terms, b_terms), (_, db) in zip(pairs, dens)], None, den
     primes = {c.p for pair in pairs for terms in pair for _, c in terms if type(c) is Fp}
     if not types <= {int, Fp} or len(primes) != 1:
-        return None
+        names = {"rational" if t is Fraction else t.__name__ for t in types - {int, Fp}}
+        names = sorted(names | {f"prime:{q}" for q in primes})
+        raise ValueError(f"mixed coefficient fields: {' and '.join(names)}")
     (p,) = primes
     return [tuple([(e, c.value if type(c) is Fp else c % p) for e, c in terms]
                   for terms in pair) for pair in pairs], p, None
@@ -384,18 +383,18 @@ def derivation_act(j: int, m: Element) -> Element:
         raise ValueError(f"variable index out of range: {j}")
     role = m.shape.role(j)
     bound = m.box.bound(j)
-    acc: dict[Exponents, object] = {}
+    terms = []
     dropped = False
     for e, c in m.terms:
         coeff = (e[j] if role == SERIES else e[j] - 1) * c
         if not coeff:
             continue
-        out = e[:j] + (e[j] - 1,) + e[j + 1:]
-        if role == INVERSE and out[j] < -bound:
+        if role == INVERSE and e[j] - 1 < -bound:
             dropped = True
             continue
-        acc[out] = acc[out] + coeff if out in acc else coeff
-    return Element._collect(m.shape, m.box, acc, m.exact and not dropped)
+        terms.append((e[:j] + (e[j] - 1,) + e[j + 1:], coeff))
+    # lowering one coordinate is injective and keeps the lexicographic order
+    return Element(m.shape, m.box, tuple(terms), m.exact and not dropped)
 
 
 def quotient_by_series_var(j: int, m: Element) -> Element:
@@ -411,9 +410,6 @@ def quotient_by_series_var(j: int, m: Element) -> Element:
         raise ValueError(f"variable {j} has inverse role; cannot form this quotient")
     shape = m.shape.drop(j)
     box = m.box.drop(j)
-    acc = {
-        e[:j] + e[j + 1:]: c
-        for e, c in m.terms
-        if e[j] == 0
-    }
-    return Element._collect(shape, box, acc, m.exact)
+    # the kept terms agree at j, so deleting it keeps them distinct and in order
+    terms = tuple((e[:j] + e[j + 1:], c) for e, c in m.terms if e[j] == 0)
+    return Element(shape, box, terms, m.exact)

@@ -76,7 +76,7 @@ class CheckReport:
 
 def _random_element(rng, shape, box, margin=0, max_terms=4, coeffs=None):
     """Random element whose exponents stay margin steps inside the box."""
-    terms = {}
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         exps = []
         for j in range(shape.nvars):
@@ -84,7 +84,7 @@ def _random_element(rng, shape, box, margin=0, max_terms=4, coeffs=None):
             e = rng.randint(0, reach)
             exps.append(e if shape.role(j) == SERIES else -e)
         coeff = rng.choice(coeffs) if coeffs else rng.choice((1, -1, 2, -2, 3))
-        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+        terms.append((exps, coeff))
     return Element.from_terms(shape, box, terms)
 
 
@@ -141,10 +141,8 @@ def _random_combination(rng) -> tuple[Element, ...]:
             if rng.random() < 0.15:
                 slots.append(Element.zero(shape, box))
                 continue
-            terms = {}
-            for _ in range(rng.randint(1, 3)):
-                exps = (rng.randint(0, 3), rng.randint(0, 3))
-                terms[exps] = terms.get(exps, 0) + rng.choice((1, -1, 2, -2))
+            terms = [((rng.randint(0, 3), rng.randint(0, 3)), rng.choice((1, -1, 2, -2)))
+                     for _ in range(rng.randint(1, 3))]
             slots.append(Element.from_terms(shape, box, terms))
         if not all(r.is_zero for r in slots):
             return tuple(slots)

@@ -112,7 +112,7 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
             p += 1
         return p
 
-    terms: dict[tuple[int, ...], object] = {}
+    terms: list[tuple[tuple[int, ...], object]] = []
     pos = skip(0)
     if pos == size:
         raise ParseError("empty expression", pos)
@@ -197,9 +197,7 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
                 raise ParseError(
                     f"exponent {exps[j]} of {names[j]} falls outside the truncation box",
                     term_pos)
-        key = tuple(exps)
-        value = -coeff if sign < 0 else coeff
-        terms[key] = terms[key] + value if key in terms else value
+        terms.append((tuple(exps), -coeff if sign < 0 else coeff))
         pos = skip(pos)
     return Element.from_terms(shape, box, terms)
 

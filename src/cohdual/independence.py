@@ -210,17 +210,12 @@ def decompose_r(r: Element) -> RDecomposition:
         raise ValueError("cannot decompose the zero polynomial")
     if not r.exact:
         raise InexactElementError("refusing to decompose a lossy polynomial")
-    a = min(e[0] for e, _ in r.terms)
-    g_terms = {}
-    h_terms = {}
-    for (x, y), c in r.terms:
-        if x == a:
-            g_terms[(0, y)] = c
-        else:
-            h_terms[(x - a - 1, y)] = c
-    g = Element.from_terms(r.shape, r.box, g_terms)
-    h = Element.from_terms(r.shape, r.box, h_terms)
-    b = min(e[1] for e, _ in g.terms)
+    a = r.terms[0][0][0]
+    # each part shifts X by a constant: its terms stay in the box, distinct and in order
+    g = Element(r.shape, r.box, tuple(((0, y), c) for (x, y), c in r.terms if x == a))
+    h = Element(r.shape, r.box,
+                tuple(((x - a - 1, y), c) for (x, y), c in r.terms if x != a))
+    b = g.terms[0][0][1]
     return RDecomposition(a, h, g, b)
 
 

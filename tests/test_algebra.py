@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,10 +19,14 @@ from cohdual.algebra import (
     quotient_by_series_var,
     ring_act,
 )
+from cohdual.checks import DEFAULT_SEED, leibniz_weyl_trials
+from cohdual.duality import matlis_pair
 from cohdual.fields import Fp
+from cohdual.independence import decompose_r, make_d
 from conftest import (
     COEFFICIENT_KINDS,
     coefficient_strings,
+    int_coefficient,
     oracle_product,
     random_sample,
 )
@@ -278,3 +283,128 @@ def test_quotient_keeps_only_the_zero_layer():
     e = Element.from_terms(D2, box, {(0, -1): 2, (1, -1): 5, (0, -3): 1})
     out = quotient_by_series_var(0, e)
     assert out.term_map() == {(-1,): 2, (-3,): 1}
+
+
+def test_mixed_fields_are_refused():
+    """Operands over two fields are a usage error, not a TypeError mid-product."""
+    box = TruncationBox((2, 2))
+    for a, b in ((Fraction(1, 2), Fp(3, 7)), (Fp(3, 7), Fraction(1, 2)),
+                 (Fp(2, 5), Fp(3, 7))):
+        m = monomial(D2, box, (0, -1), b)
+        with pytest.raises(ValueError, match="mixed coefficient fields"):
+            ring_act(monomial(S2, box, (1, 0), a), m)
+        with pytest.raises(ValueError, match="mixed coefficient fields"):
+            matlis_pair(monomial(D2.dual(), box, (-1, 0), a), m)
+
+
+def test_leibniz_check_fails_on_a_wrong_inverse_rule(monkeypatch):
+    """The series rule's factor e[j] on an inverse direction breaks the Weyl
+    relation at the socle, and the acceptance check must notice."""
+    import cohdual.checks as checks
+
+    def series_factor_everywhere(j, m):
+        lowered = [(e[:j] + (e[j] - 1,) + e[j + 1:], e[j] * c) for e, c in m.terms]
+        return Element.from_terms(
+            m.shape, m.box, [t for t in lowered if m.box.admits(m.shape, t[0])], m.exact)
+
+    monkeypatch.setattr(checks, "derivation_act", series_factor_everywhere)
+    line = leibniz_weyl_trials(DEFAULT_SEED, per_config=50)
+    assert not line.passed
+    assert "inverse" in line.detail
+
+
+def _frame(rng):
+    n = rng.randint(1, 3)
+    return (ModuleShape(tuple(rng.choice((SERIES, INVERSE)) for _ in range(n))),
+            TruncationBox(tuple(rng.randint(0, 4) for _ in range(n))))
+
+
+def _sample(rng, draw):
+    return random_sample(rng, *_frame(rng), coefficient=draw)
+
+
+def _built_from_terms(rng, draw):
+    shape, box = _frame(rng)
+    # a few monomials drawn repeatedly, so equal exponents are summed and may cancel
+    pool = [tuple(rng.randint(0, b) if role == SERIES else -rng.randint(0, b)
+                  for role, b in zip(shape.roles, box.bounds)) for _ in range(3)]
+    return Element.from_terms(
+        shape, box, [(rng.choice(pool), draw(rng)) for _ in range(rng.randint(0, 8))])
+
+
+def _built_linear_combine(rng, draw):
+    a = _sample(rng, draw)
+    b, c = (random_sample(rng, a.shape, a.box, coefficient=draw) for _ in range(2))
+    return linear_combine([(1, a), (draw(rng), b), (-1, a), (rng.choice((0, 1)), c)])
+
+
+def _built_ring_act(rng, draw):
+    m = _sample(rng, draw)
+    n = m.shape.nvars
+    r = random_sample(rng, ModuleShape.series_shape(n), TruncationBox.uniform(n, 3),
+                      coefficient=draw)
+    return ring_act(r, m)
+
+
+def _built_matlis_pair(rng, draw):
+    m = _sample(rng, draw)
+    d = random_sample(rng, m.shape.dual(), m.box, coefficient=draw)
+    narrow = TruncationBox(tuple(rng.randint(0, 2 * b) for b in m.box.bounds))
+    return matlis_pair(d, m, rng.choice((None, narrow)))
+
+
+def _nonzero_polynomial(rng, draw):
+    while True:
+        r = random_sample(rng, S2, TruncationBox.uniform(2, 3), coefficient=draw)
+        if not r.is_zero:
+            return r
+
+
+def _built_derivation_act(rng, draw):
+    m = _sample(rng, draw)
+    return derivation_act(rng.randrange(m.shape.nvars), m)
+
+
+def _built_quotient(rng, draw):
+    shape, box = _frame(rng)
+    j = rng.randrange(shape.nvars)
+    shape = ModuleShape(shape.roles[:j] + (SERIES,) + shape.roles[j + 1:])
+    return quotient_by_series_var(j, random_sample(rng, shape, box, coefficient=draw))
+
+
+def _built_make_d(rng, draw):
+    power, lmax = rng.randint(1, 3), rng.randint(0, 6)
+    box = TruncationBox((lmax + rng.randint(0, 2), lmax ** power + rng.randint(0, 3)))
+    return make_d(power, lmax, box)
+
+
+CONSTRUCTORS = {
+    "from_terms": _built_from_terms,
+    "linear_combine": _built_linear_combine,
+    "scale": lambda rng, draw: _sample(rng, draw).scale(rng.choice((0, -1, draw(rng)))),
+    "ring_act": _built_ring_act,
+    "matlis_pair": _built_matlis_pair,
+    "derivation_act": _built_derivation_act,
+    "quotient_by_series_var": _built_quotient,
+    "decompose_r.g": lambda rng, draw: decompose_r(_nonzero_polynomial(rng, draw)).g,
+    "decompose_r.h": lambda rng, draw: decompose_r(_nonzero_polynomial(rng, draw)).h,
+    "make_d": _built_make_d,
+}
+
+DRAWS = {
+    "int": int_coefficient,
+    "fraction": COEFFICIENT_KINDS["rational"][1],
+    "gf7": COEFFICIENT_KINDS["prime:7"][0],
+}
+
+
+@pytest.mark.parametrize("name, kind", list(product(CONSTRUCTORS, DRAWS)))
+def test_constructor_output_is_canonical(name, kind):
+    """Strictly ascending exponents, no zero coefficient, every term in the box."""
+    rng = random.Random(f"{name}/{kind}")
+    for _ in range(80):
+        e = CONSTRUCTORS[name](rng, DRAWS[kind])
+        exponents = [x for x, _ in e.terms]
+        assert all(x < y for x, y in zip(exponents, exponents[1:]))
+        assert all(c for _, c in e.terms)
+        assert all(len(x) == e.box.nvars and e.box.admits(e.shape, x) for x in exponents)

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from cohdual.algebra import Element, ModuleShape, TruncationBox
 from cohdual.cli import main, parse_shape_spec
 from cohdual.duality import GAMMA_FULL
 from cohdual.exprio import element_to_document, from_document, write_document
+from cohdual.fields import PrimeField
 from cohdual.independence import DeltaSequence, make_d
 
 
@@ -212,6 +214,25 @@ def test_non_integer_json_is_a_usage_error(capsys, tmp_path, box, exponents):
     assert code == 64
     assert out == ""
     assert "JSON integers" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("act", "-n", "2", "--shape", "D:1", "1/2*X", "@{d7}"),
+    ("pair", "-n", "2", "--shape", "D:1", "1/2*X^-1", "@{d7}"),
+    ("indep", "@{p7}", "1/2*X"),
+])
+def test_mixed_fields_are_a_usage_error(capsys, tmp_path, argv):
+    """Rational expressions against GF(7) documents are refused in one line."""
+    paths = {}
+    for name, element in (("d7", make_d(1, 2)),
+                          ("p7", Element.from_terms(ModuleShape.series_shape(2),
+                                                    TruncationBox.uniform(2, 8),
+                                                    {(1, 0): 3}))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(write_document(element_to_document(element, PrimeField(7))))
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (64, "")
+    assert err == "error: mixed coefficient fields: prime:7 and rational\n"
 
 
 def test_help_exits_zero(capsys):

@@ -324,6 +324,19 @@ def test_suite_report_bytes_are_pinned():
         "7fb266bebba84da9e51c0df182ba6575547b8b031d34d2525a23b612ef071849")
 
 
+def test_roundtrip_check_fails_when_signs_are_dropped(monkeypatch):
+    """A writer that loses a negative term's sign must make the check FAIL."""
+    import cohdual.checks as checks
+
+    def unsigned(element, names=None):
+        return serialize_element(element, names).replace(" - ", " + ").removeprefix("-")
+
+    monkeypatch.setattr(checks, "serialize_element", unsigned)
+    line = checks.roundtrip_trials(DEFAULT_SEED, trials=200)
+    assert not line.passed
+    assert line.detail.startswith("trial ")
+
+
 # integer slots per kind, nested ones included
 INT_SLOTS = {
     "cohomology_table": [("nvars",), ("entries", 0, "degree", 1)],

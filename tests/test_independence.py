@@ -68,13 +68,6 @@ def test_make_d_box_validation():
             make_d(2, 3, TruncationBox(bounds))
 
 
-def test_make_d_is_canonical():
-    for power, lmax in ((1, 0), (2, 7), (3, 5)):
-        d = make_d(power, lmax, TruncationBox((lmax + 2, lmax ** power + 3)))
-        assert d == Element.from_terms(d.shape, d.box, d.term_map())
-        assert d.terms == tuple(sorted(d.terms))
-
-
 def test_delta_frozen_profile():
     y = monomial(S2, TruncationBox.uniform(2, 1), (0, 1))
     profile = delta(ring_act(y, make_d(2, 5)), (0, 4))
