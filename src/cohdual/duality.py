@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import eq
 
 from .algebra import (
     INVERSE,
@@ -47,7 +48,8 @@ def matlis_pair(d: Element, m: Element,
     product, so exact inputs give an exact output; a narrower ``out_box``
     may drop terms and then clears the flag.
     """
-    if d.shape.nvars != m.shape.nvars or d.shape != m.shape.dual():
+    # roles are SERIES or INVERSE, so dual shapes are those that differ in every role
+    if d.shape.nvars != m.shape.nvars or any(map(eq, d.shape.roles, m.shape.roles)):
         raise ValueError("pairing requires mutually dual shapes")
     n = d.shape.nvars
     box = out_box if out_box is not None else d.box + m.box
@@ -55,8 +57,8 @@ def matlis_pair(d: Element, m: Element,
         raise ValueError("output box has the wrong variable count")
     shape = ModuleShape.inverse_shape(n)
     lo, hi, kill = _window(shape.roles, box.bounds)
-    acc, p, den, dropped = _accumulate([(d.terms, m.terms)], lo, hi, kill)
-    return Element(shape, box, _canonical(acc, p, den),
+    acc, p, den, dropped, layout = _accumulate([(d.terms, m.terms)], lo, hi, kill)
+    return Element(shape, box, _canonical(acc, p, den, layout),
                    d.exact and m.exact and not dropped)
 
 

@@ -31,6 +31,8 @@ consumes: profiles of distinct powers admit no shift witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import mod, rshift
 
 from .algebra import (
     INVERSE,
@@ -39,6 +41,7 @@ from .algebra import (
     ModuleShape,
     TruncationBox,
     _accumulate,
+    _unpacked,
     _window,
 )
 
@@ -185,16 +188,13 @@ def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
     lo, hi = window if window is not None else (0, d.box.bounds[0])
     if not 0 <= lo <= hi <= d.box.bounds[0]:
         raise ValueError(f"window [{lo}, {hi}] outside the element's X-range")
-    return _profile((e for e, _ in d.terms), lo, hi)
+    return _profile([e for e, _ in reversed(d.terms)], lo, hi)
 
 
 def _profile(exponents, lo: int, hi: int) -> DeltaSequence:
-    """Least Y-exponent per X-degree in lo..hi among (x, y) exponent pairs."""
-    mins: dict[int, int] = {}
-    for x, y in exponents:
-        if x not in mins or y < mins[x]:
-            mins[x] = y
-    return DeltaSequence(lo, tuple(mins.get(l) for l in range(lo, hi + 1)))
+    """Least Y-exponent per X-degree in lo..hi among (x, y) pairs given in
+    descending order (the last write per X is its least Y)."""
+    return DeltaSequence(lo, tuple(map(dict(exponents).get, range(lo, hi + 1))))
 
 
 def decompose_r(r: Element) -> RDecomposition:
@@ -387,19 +387,24 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     tail_start = lmax - suffix + 1
 
     _, hi, kill = _window(D_SHAPE.roles, box.bounds)
-    acc, p, _, dropped = _accumulate(
+    acc, p, _, dropped, layout = _accumulate(
         [(r.terms, make_d(j, lmax, box).terms)
          for j, r in enumerate(r_list, start=1) if not r.is_zero],
         None, hi, kill)
     if dropped:
         raise CertificateError("the automatically sized box lost terms")
     # residues mod p, numerators over a common denominator, or unlowered sums
-    profile = _profile((e for e, v in acc.items() if (v % p if p else v)), 0, lmax)
-    for l in range(tail_start, lmax + 1):
-        expected = b - (l - a) ** m0
-        if profile.value(l) != expected:
-            raise CertificateError(
-                f"profile at degree {l} is {profile.value(l)}, expected {expected}")
+    keys = sorted(compress(acc, map(mod, acc.values(), repeat(p)) if p else acc.values()),
+                  reverse=True)
+    if layout is not None:  # X is the top field, so the last key per X has its least Y
+        keys = _unpacked(dict(zip(map(rshift, keys, repeat(layout.shifts[0])), keys)).values(),
+                         layout)
+    profile = _profile(keys, 0, lmax)
+    expected = tuple(b - (l - a) ** m0 for l in range(tail_start, lmax + 1))
+    if profile.entries[tail_start:] != expected:
+        l, want = next((l, want) for l, want in enumerate(expected, start=tail_start)
+                       if profile.entries[l] != want)
+        raise CertificateError(f"profile at degree {l} is {profile.entries[l]}, expected {want}")
 
     return IndependenceCertificate(
         m0=m0, a=a, b=b, lmax=lmax, tail_start=tail_start,

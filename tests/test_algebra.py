@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import cohdual.algebra as algebra
 from cohdual.algebra import (
     INVERSE,
     SERIES,
@@ -295,6 +296,115 @@ def test_mixed_fields_are_refused():
             ring_act(monomial(S2, box, (1, 0), a), m)
         with pytest.raises(ValueError, match="mixed coefficient fields"):
             matlis_pair(monomial(D2.dual(), box, (-1, 0), a), m)
+
+
+def test_bare_int_first_terms_do_not_hide_a_field_mix():
+    """A bare int leading both operands used to skip the type scan, so a
+    Fraction meeting an Fp later ended in a TypeError mid-product."""
+    r = Element.from_terms(S2, TruncationBox((2, 2)), {(0, 0): 1, (1, 0): Fraction(1, 2)})
+    shape = ModuleShape((INVERSE, SERIES))
+    m = Element.from_terms(shape, TruncationBox((2, 2)), {(0, 0): 1, (-1, 0): Fp(3, 7)})
+    with pytest.raises(ValueError, match="mixed coefficient fields: prime:7 and rational"):
+        ring_act(r, m)
+    d = Element.from_terms(shape.dual(), TruncationBox((2, 2)),
+                           {(0, 0): 1, (1, -1): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="mixed coefficient fields: prime:7 and rational"):
+        matlis_pair(d, m)
+
+
+def _walled_sample(rng, shape, box, count, draw):
+    """``count`` random terms whose exponents favour 0, 1 and the box walls."""
+    items = []
+    for _ in range(count):
+        exps = tuple((1 if role == SERIES else -1)
+                     * rng.choice((0, min(1, b), max(b - 1, 0), b, rng.randint(0, b)))
+                     for role, b in zip(shape.roles, box.bounds))
+        items.append((exps, draw(rng)))
+    return Element.from_terms(shape, box, items)
+
+
+def _assert_kernel_matches_oracle(out, a, b, roles, bounds, size=None):
+    if size is not None:  # size x size products: packed from 8 x 8 on
+        assert len(a.terms) == len(b.terms) == size
+    want_terms, want_exact = oracle_product(a.term_map(), b.term_map(), roles, bounds)
+    assert out.term_map() == want_terms
+    assert coefficient_strings(out.term_map()) == coefficient_strings(want_terms)
+    assert [e for e, _ in out.terms] == sorted(want_terms)
+    assert out.exact == want_exact
+
+
+@pytest.mark.parametrize("base", [0, 2 ** 64], ids=["small-box", "box-past-2^64"])
+def test_kernel_matches_oracle_on_both_sides_of_the_threshold(base):
+    """ring_act and matlis_pair (into the default and into narrow boxes)
+    agree with the oracle over Q and GF(7), bare ints that vanish mod 7
+    included, whether a call is small enough for the tuple loop or packs
+    its exponents; box bounds past 2**64 need fields wider than 64 bits."""
+    rng = random.Random(f"kernel/{base}")
+    packed = {"ring": set(), "pair": set()}
+    for field, kinds in COEFFICIENT_KINDS.items():
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            shape = ModuleShape(tuple(rng.choice((SERIES, INVERSE)) for _ in range(n)))
+            box = TruncationBox(tuple(base + rng.randint(1, 4) for _ in range(n)))
+            big = rng.random() < 0.5
+            count = (lambda: rng.randint(8, 16)) if big else (lambda: rng.randint(1, 4))
+            m = _walled_sample(rng, shape, box, count(), rng.choice(kinds))
+            r = _walled_sample(rng, ModuleShape.series_shape(n),
+                               TruncationBox(tuple(base + rng.randint(0, 3) for _ in range(n))),
+                               count(), rng.choice(kinds))
+            _assert_kernel_matches_oracle(ring_act(r, m), r, m, shape.roles, box.bounds)
+            packed["ring"].add(len(r.terms) * len(m.terms) >= algebra.PACKED_MIN_PRODUCTS)
+
+            d = _walled_sample(rng, shape.dual(), box, count(), rng.choice(kinds))
+            out_box = rng.choice((None, TruncationBox(
+                tuple(rng.choice((0, b // 2, b, 2 * b)) for b in box.bounds))))
+            out = matlis_pair(d, m, out_box)
+            _assert_kernel_matches_oracle(out, d, m, (INVERSE,) * n, out.box.bounds)
+            packed["pair"].add(len(d.terms) * len(m.terms) >= algebra.PACKED_MIN_PRODUCTS)
+    assert packed == {"ring": {False, True}, "pair": {False, True}}
+
+
+@pytest.mark.parametrize("base", [0, 2 ** 64], ids=["small-box", "box-past-2^64"])
+@pytest.mark.parametrize("size", [2, 8], ids=["tuple-loop", "packed"])
+def test_kernel_walls_kills_and_vanishing_products(base, size):
+    """The rules on each path, one case each, with size x size products.
+
+    Y kills every product of r on m, and X also passes its wall on most of
+    them: an exact zero.  Pairing into a box that holds only the upper half
+    of m's X-exponents drops nonzero products below the wall, but a
+    product with a positive coordinate is a kill even when the other one
+    is below.  Over GF(7) a
+    bare 7 vanishes, so its products past the wall lose nothing."""
+    assert (size * size >= algebra.PACKED_MIN_PRODUCTS) == (size == 8)
+    box = TruncationBox((base + size, base + 1))
+    m = Element.from_terms(D2, box, {(base + size - x, 0): Fraction(1, x + 1)
+                                     for x in range(size)})
+    r = Element.from_terms(S2, box, {(x, 1): Fraction(x + 1, 3) for x in range(size)})
+    killed = ring_act(r, m)
+    assert killed.is_zero and killed.exact
+    _assert_kernel_matches_oracle(killed, r, m, D2.roles, box.bounds, size)
+
+    shape = ModuleShape((INVERSE, INVERSE))
+    box = TruncationBox((base + size, base + size))
+    m = Element.from_terms(shape, box, {(-x, -1): Fp(x % 6 + 1, 7) for x in range(size)})
+    d = Element.from_terms(shape.dual(), box, {(0, y): Fp(y % 6 + 1, 7) for y in range(size)})
+    narrow = TruncationBox((size // 2 - 1, base + size))
+    out = matlis_pair(d, m, narrow)
+    assert not out.exact
+    _assert_kernel_matches_oracle(out, d, m, shape.roles, narrow.bounds, size)
+    d_killing = Element.from_terms(shape.dual(), box, {(y, 2): Fp(1, 7) for y in range(size)})
+    killed = matlis_pair(d_killing, m, narrow)
+    assert killed.is_zero and killed.exact
+    _assert_kernel_matches_oracle(killed, d_killing, m, shape.roles, narrow.bounds, size)
+
+    box = TruncationBox((base + size, base + 1))
+    walled = Element.from_terms(D2, box, {(base + size - x, -1): Fp(x % 6 + 1, 7)
+                                          for x in range(size)})
+    sevens = Element.from_terms(S2, box, {(0, 0): 1, **{(x + 1, 0): 7 * (x + 1)
+                                                       for x in range(size - 1)}})
+    out = ring_act(sevens, walled)
+    assert out == walled and out.exact
+    _assert_kernel_matches_oracle(out, sevens, walled, D2.roles, box.bounds, size)
 
 
 def test_leibniz_check_fails_on_a_wrong_inverse_rule(monkeypatch):

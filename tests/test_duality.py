@@ -1,6 +1,7 @@
 """Socle pairing, torsion functor, and the regular-sequence check."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -149,6 +150,37 @@ def test_pairing_balance_sampled():
         left = matlis_pair(ring_act(r, d), m)
         assert left == matlis_pair(d, ring_act(r, m))
         assert left == ring_act(r, matlis_pair(d, m))
+
+
+def _patch_pairing(monkeypatch, fault):
+    """Route every matlis_pair the checks reach through ``fault``."""
+    import cohdual.checks as checks
+    import cohdual.duality as duality
+
+    real = duality.matlis_pair
+    for module in (checks, duality):
+        monkeypatch.setattr(module, "matlis_pair",
+                            lambda d, m, out_box=None: fault(real(d, m, out_box)))
+
+
+@pytest.mark.parametrize("factor", [-1, 2], ids=["negated", "doubled"])
+def test_perfection_check_fails_on_a_scaled_pairing(monkeypatch, factor):
+    from cohdual.checks import perfection_and_surjectivity
+
+    assert perfection_and_surjectivity().passed
+    _patch_pairing(monkeypatch, lambda e: e.scale(factor))
+    assert not pairing_perfection_check(2, 1, 2).passed
+    assert not perfection_and_surjectivity().passed
+
+
+def test_balance_check_fails_when_the_pairing_drops_its_last_term(monkeypatch):
+    """Both slot-side products lose their last term alike, the value-side
+    one loses a different term, so the three sides disagree."""
+    from cohdual.checks import balance_trials
+
+    assert balance_trials().passed
+    _patch_pairing(monkeypatch, lambda e: replace(e, terms=e.terms[:-1]))
+    assert not balance_trials().passed
 
 
 def test_surjectivity_witness_frozen():

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from cohdual.algebra import (
+    PACKED_MIN_PRODUCTS,
     Element,
     ModuleShape,
     TruncationBox,
@@ -232,6 +233,21 @@ def test_certificate_frozen_examples():
     assert (cert.m0, cert.a, cert.b) == (1, 1, 0)
 
 
+def _oracle_sum(r_list, degrees, box):
+    """Terms of sum r_j . d_j on plain dicts, from the d_j terms of the given
+    X-degrees, checked lossless."""
+    total = {}
+    for j, r in enumerate(r_list, start=1):
+        if r.is_zero:
+            continue
+        d_terms = {(l, -(l ** j)): 1 for l in degrees}
+        part, exact = oracle_product(r.term_map(), d_terms, ("series", "inverse"), box.bounds)
+        assert exact
+        for e, c in part.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
 def test_certificate_combination_matches_oracle():
     """The certified tail really is the profile of an independently
     computed combination, not just of the library's own product."""
@@ -252,18 +268,7 @@ def test_certificate_combination_matches_oracle():
         except InconclusiveWindowError:
             continue
         trials += 1
-        box = cert.box
-        roles = ("series", "inverse")
-        total = {}
-        for j, r in enumerate(r_list, start=1):
-            if r.is_zero:
-                continue
-            d_terms = {(l, -(l ** j)): 1 for l in range(21)}
-            part, exact = oracle_product(r.term_map(), d_terms, roles, box.bounds)
-            assert exact
-            for e, c in part.items():
-                total[e] = total.get(e, 0) + c
-        total = {e: c for e, c in total.items() if c}
+        total = _oracle_sum(r_list, range(21), cert.box)
         assert total, "oracle combination vanished"
         profile = oracle_min_profile(total, 0, cert.lmax)
         for l in range(cert.tail_start, cert.lmax + 1):
@@ -327,6 +332,47 @@ def test_certificate_matches_element_path(draw):
             continue
         certified += 1
     assert certified >= 20
+
+
+@pytest.mark.parametrize("lmax", range(5))
+def test_certificate_short_windows_match_oracle(lmax):
+    """Windows of 0-4 degrees, all below the packing threshold: conclusive
+    certificates carry the oracle's whole profile, the rest are inconclusive."""
+    rng = random.Random(f"short/{lmax}")
+    outcomes = set()
+    for _ in range(40):
+        draw = rng.choice(COEFFICIENT_KINDS[rng.choice(sorted(COEFFICIENT_KINDS))])
+        r_list = _random_r_list(rng, draw)
+        if all(r.is_zero for r in r_list):
+            continue
+        assert sum(len(r.terms) for r in r_list) * (lmax + 1) < PACKED_MIN_PRODUCTS
+        try:
+            cert = independence_certificate(r_list, lmax)
+        except InconclusiveWindowError:
+            outcomes.add("inconclusive")
+            continue
+        outcomes.add("certified")
+        profile = oracle_min_profile(_oracle_sum(r_list, range(lmax + 1), cert.box), 0, lmax)
+        assert cert.delta == DeltaSequence(0, profile)
+    assert "inconclusive" in outcomes
+    assert outcomes == ({"inconclusive", "certified"} if lmax >= 3 else {"inconclusive"})
+
+
+def test_certificate_past_2_to_the_64():
+    """A constant r_4 next to a multiple of Y as r_1, at lmax 65,600: the
+    Y-bound lmax^4 + 2 passes 2**64, so the kernel packs exponents into
+    fields wider than 64 bits."""
+    lmax = 65_600
+    r_list = (poly({(0, 1): Fraction(1, 3)}), Element.zero(S2, RBOX),
+              Element.zero(S2, RBOX), poly({(0, 0): Fraction(-2, 5)}))
+    cert = independence_certificate(r_list, lmax)
+    assert cert.box.bounds[1] > 2 ** 64
+    assert (cert.m0, cert.a, cert.b, cert.tail_start) == (4, 0, 0, 1)
+    for lo, hi in ((0, 12), (lmax - 12, lmax)):
+        # r_1 and r_4 have X-degree 0, so only d_j's own window reaches X^lo..X^hi
+        window = _oracle_sum(r_list, range(lo, hi + 1), cert.box)
+        assert cert.delta.entries[lo:hi + 1] == oracle_min_profile(window, lo, hi)
+    assert cert.delta.entries[2:] == tuple(-(l ** 4) for l in range(2, lmax + 1))
 
 
 def test_certificate_degenerate_inputs():
