@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from operator import eq
+from operator import add, eq
 
 from .algebra import (
     INVERSE,
@@ -32,10 +33,21 @@ from .algebra import (
     monomial,
     ring_act,
 )
-from .linalg import sparse_column_rank, sparse_kernel_dimension
 
 GAMMA_FULL = "full"
 GAMMA_ZERO = "zero"
+
+
+@lru_cache(maxsize=256)
+def _pairing_frame(d_bounds, m_bounds, box):
+    """Shape, box and window of a pairing's output; pairings of the same
+    boxes share them.  The box defaults to the sum of the input boxes."""
+    if box is None:
+        box = TruncationBox(tuple(map(add, d_bounds, m_bounds)))
+    elif box.nvars != len(d_bounds):
+        raise ValueError("output box has the wrong variable count")
+    shape = ModuleShape.inverse_shape(len(d_bounds))
+    return shape, box, _window(shape.roles, box.bounds)
 
 
 def matlis_pair(d: Element, m: Element,
@@ -51,12 +63,7 @@ def matlis_pair(d: Element, m: Element,
     # roles are SERIES or INVERSE, so dual shapes are those that differ in every role
     if d.shape.nvars != m.shape.nvars or any(map(eq, d.shape.roles, m.shape.roles)):
         raise ValueError("pairing requires mutually dual shapes")
-    n = d.shape.nvars
-    box = out_box if out_box is not None else d.box + m.box
-    if box.nvars != n:
-        raise ValueError("output box has the wrong variable count")
-    shape = ModuleShape.inverse_shape(n)
-    lo, hi, kill = _window(shape.roles, box.bounds)
+    shape, box, (lo, hi, kill) = _pairing_frame(d.box.bounds, m.box.bounds, out_box)
     acc, p, den, dropped, layout = _accumulate([(d.terms, m.terms)], lo, hi, kill)
     return Element(shape, box, _canonical(acc, p, den, layout),
                    d.exact and m.exact and not dropped)
@@ -199,6 +206,9 @@ def regular_on_dual_check(n: int, i: int, bound: int) -> RegularityReport:
     steps the quotient must be the all-inverse shape on the remaining
     variables, nonzero because it contains the socle monomial.
     """
+    # imported here, so that pairings and torsion supports never load linalg
+    from .linalg import sparse_column_rank, sparse_kernel_dimension
+
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     shape = ModuleShape.cohomology_shape(n, i).dual()

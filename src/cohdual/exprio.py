@@ -22,16 +22,18 @@ Documents are plain JSON objects tagged with a schema string and a kind.
 :func:`write_document` produces sorted, indented, ASCII bytes, so equal
 documents give byte-identical files.
 
-One table, built by :func:`_kinds`, describes every document kind once,
-field by field, and the same description drives both :func:`to_document`
-(dispatching on the object's type) and :func:`from_document` (dispatching
-on the kind tag).  Its entries are composed from a few codecs: a JSON
-leaf of one exact type, a list, an optional value (null for None), an
-object keyed by attribute names (reports write ``n`` and ``i`` as
-``nvars`` and ``index``), a pair written as two named keys, a box as its
-list of bounds, and a whole document nested as a value.  Elements keep
-their hand-written codec, :func:`element_to_document` and
-:func:`element_from_document`, registered in the same table.  A reader
+Each document kind is described once, field by field, and the same
+description drives both :func:`to_document` (dispatching on the object's
+type) and :func:`from_document` (dispatching on the kind tag).  The
+descriptions are grouped by the module that defines the kind's class and
+built the first time one of that module's kinds is used, so writing or
+reading an element imports no report module.  They are composed from a
+few codecs: a JSON leaf of one exact type, a list, an optional value
+(null for None), an object keyed by attribute names (reports write ``n``
+and ``i`` as ``nvars`` and ``index``), a pair written as two named keys,
+a box as its list of bounds, and a whole document nested as a value.
+Elements keep their hand-written codec, :func:`element_to_document` and
+:func:`element_from_document`, registered like the other kinds.  A reader
 accepts only the JSON type its writer emits, so ``true``, ``"3"`` and
 ``2.5`` in an integer slot raise :class:`SchemaError`, as does a missing
 key; keys it does not know are ignored.
@@ -47,13 +49,6 @@ from typing import Callable, NamedTuple
 
 from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _window
 from .fields import Fp, RATIONAL, Field, field_from_descriptor
-from .independence import (
-    DeltaSequence,
-    IndependenceCertificate,
-    RDecomposition,
-    ShiftSearch,
-    ShiftWitness,
-)
 
 SCHEMA = "cohdual/1"
 
@@ -361,8 +356,8 @@ _TERMS = _list(_pair("exponents", _INTS, "coefficient", _STR))
 
 def _embedded(kind: str) -> _Codec:
     """A whole document of the given kind nested as a value."""
-    return _Codec(lambda v, ctx: _kinds()[kind].write(v, ctx),
-                  lambda doc: _kinds()[kind].read(doc))
+    return _Codec(lambda v, ctx: _kind(kind).write(v, ctx),
+                  lambda doc: _kind(kind).read(doc))
 
 
 def element_to_document(element: Element, field: Field = RATIONAL,
@@ -421,25 +416,29 @@ def _report(kind: str, cls, **codecs: _Codec) -> tuple[str, _Kind]:
     return kind, _Kind(cls, lambda obj, ctx: new_document(kind, encode(obj, ctx)), read)
 
 
-@lru_cache(maxsize=None)
-def _kinds() -> dict[str, _Kind]:
-    """Every document kind, described once for both writing and reading.
+def _algebra_kinds():
+    # looked up at call time, so a wrapper set on the module attribute is used
+    return [("element", _Kind(Element, lambda e, ctx: element_to_document(e, *ctx),
+                              lambda doc: element_from_document(doc)))]
 
-    Built on first use because the report classes live in modules (checks
-    among them) that import this one.
-    """
+
+_SLICES = _list(_pair("degree", _INTS, "dims", _INTS))
+
+
+def _cech_kinds():
     from .cech import CohomologyTable, RealizationReport
-    from .checks import CheckLine, CheckReport
-    from .duality import PairingReport, RegularityReport, RegularityStep
-
-    slices = _list(_pair("degree", _INTS, "dims", _INTS))
-    element = _embedded("element")
-    return dict([
+    return [
         _report("cohomology_table", CohomologyTable,
-                n=_INT, i=_INT, window=_INT, entries=slices),
+                n=_INT, i=_INT, window=_INT, entries=_SLICES),
         _report("realization_check", RealizationReport,
                 table=_embedded("cohomology_table"), passed=_BOOL,
-                nonzero_count=_INT, mismatches=slices),
+                nonzero_count=_INT, mismatches=_SLICES),
+    ]
+
+
+def _duality_kinds():
+    from .duality import PairingReport, RegularityReport, RegularityStep
+    return [
         _report("pairing_check", PairingReport,
                 n=_INT, i=_INT, bound=_INT, pair_count=_INT,
                 permutation=_list(_pair("dual", _INTS, "module", _INTS)),
@@ -450,6 +449,14 @@ def _kinds() -> dict[str, _Kind]:
                                     domain_dim=_INT, kernel_dim=_INT)),
                 final_roles=_STRS, final_dim=_INT, final_nonzero=_BOOL,
                 passed=_BOOL),
+    ]
+
+
+def _independence_kinds():
+    from .independence import (DeltaSequence, IndependenceCertificate,
+                               RDecomposition, ShiftSearch, ShiftWitness)
+    element = _embedded("element")
+    return [
         _report("delta_profile", DeltaSequence,
                 start=_INT, entries=_list(_optional(_INT))),
         _report("shift_search", ShiftSearch,
@@ -461,22 +468,61 @@ def _kinds() -> dict[str, _Kind]:
                 decomposition=_object(RDecomposition, a=_INT, h=element,
                                       g=element, b=_INT),
                 nonzero=_BOOL, box=_BOX),
+    ]
+
+
+def _checks_kinds():
+    from .checks import CheckLine, CheckReport
+    return [
         _report("check_report", CheckReport,
                 suite=_STR, seed=_INT, passed=_BOOL,
                 lines=_list(_object(CheckLine, name=_STR, instances=_INT,
                                     passed=_BOOL, detail=_STR))),
-        # looked up at call time, so a wrapper set on the module attribute is used
-        ("element", _Kind(Element, lambda e, ctx: element_to_document(e, *ctx),
-                          lambda doc: element_from_document(doc))),
-    ])
+    ]
+
+
+# the module that defines each kind's class -> the builder of its kinds; the
+# report modules import this one, so their kinds are built on first use
+_BUILDERS = {
+    "algebra": _algebra_kinds,
+    "cech": _cech_kinds,
+    "duality": _duality_kinds,
+    "independence": _independence_kinds,
+    "checks": _checks_kinds,
+}
+
+# every kind tag -> the module whose builder describes it
+_OWNERS = {
+    "element": "algebra",
+    "cohomology_table": "cech",
+    "realization_check": "cech",
+    "pairing_check": "duality",
+    "regularity_check": "duality",
+    "delta_profile": "independence",
+    "shift_search": "independence",
+    "independence_certificate": "independence",
+    "check_report": "checks",
+}
+
+
+@lru_cache(maxsize=None)
+def _module_kinds(module: str) -> dict[str, _Kind]:
+    """The kinds whose classes live in the named cohdual module."""
+    return dict(_BUILDERS[module]())
+
+
+def _kind(name: str) -> _Kind:
+    return _module_kinds(_OWNERS[name])[name]
 
 
 def to_document(obj, field: Field = RATIONAL, names=None) -> dict:
     """The document for an element or report; field and names reach the
     element documents, nested ones included."""
-    for kind in _kinds().values():
-        if type(obj) is kind.cls:
-            return kind.write(obj, (field, names))
+    package, _, module = type(obj).__module__.rpartition(".")
+    if package == __package__ and module in _BUILDERS:
+        for kind in _module_kinds(module).values():
+            if type(obj) is kind.cls:
+                return kind.write(obj, (field, names))
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
@@ -485,7 +531,6 @@ def from_document(doc):
     if type(doc) is not dict:
         raise SchemaError("document must be a JSON object")
     name = doc.get("kind")
-    kind = _kinds().get(name) if type(name) is str else None
-    if kind is None:
+    if type(name) is not str or name not in _OWNERS:
         raise SchemaError(f"unknown document kind {name!r}")
-    return kind.read(doc)
+    return _kind(name).read(doc)

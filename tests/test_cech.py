@@ -111,3 +111,32 @@ def test_shift_action_matches_slices():
     for n in (1, 2):
         for i in range(1, n + 1):
             assert equivariance_mismatches(n, i, 2) == []
+
+
+@pytest.fixture
+def cold_dims_cache():
+    """Empty the dimension cache around a test, so that a fault patched in
+    reaches every degree and no faulty dimension outlives the test."""
+    import cohdual.cech as cech
+
+    cech._dims_by_signs.cache_clear()
+    yield
+    cech._dims_by_signs.cache_clear()
+
+
+def test_realization_check_fails_when_ranks_are_undercounted(monkeypatch, cold_dims_cache):
+    """A rank routine that undercounts every rank above 1 must make the
+    realization check FAIL."""
+    import cohdual.cech as cech
+    from cohdual.checks import realization_sweep
+
+    real_rank = cech.integer_rank
+
+    def undercounting(rows):
+        rank = real_rank(rows)
+        return rank - 1 if rank > 1 else rank
+
+    monkeypatch.setattr(cech, "integer_rank", undercounting)
+    line = realization_sweep()
+    assert not line.passed
+    assert line.detail.startswith("n=3 i=3: dims ")

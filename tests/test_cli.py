@@ -311,13 +311,51 @@ def test_module_entrypoint_runs():
 
 
 def test_unexpected_exception_exits_70(capsys, monkeypatch):
-    import cohdual.cli as cli
+    import cohdual.duality as duality
 
     def broken(shape, gens):
         raise KeyError("inverse")
 
-    monkeypatch.setattr(cli, "gamma_of_shape", broken)
+    monkeypatch.setattr(duality, "gamma_of_shape", broken)
     code, out, err = run_cli(capsys, "gamma", "--shape", "E", "-n", "2", "--gens", "0")
     assert code == 70
     assert out == ""
     assert err == "internal error: KeyError: 'inverse'\n"
+
+
+def test_all_zero_coefficients_exit_64(capsys):
+    code, out, err = run_cli(capsys, "indep", "0", "0")
+    assert (code, out) == (64, "")
+    assert err == "error: every coefficient polynomial is zero\n"
+
+
+def test_certificate_error_exits_1(capsys, monkeypatch):
+    import cohdual.independence as independence
+
+    def broken(r_list, lmax):
+        raise independence.CertificateError("profile disagrees at degree 3")
+
+    monkeypatch.setattr(independence, "independence_certificate", broken)
+    code, out, err = run_cli(capsys, "indep", "1", "Y")
+    assert (code, out) == (1, "")
+    assert err == "verification failed: profile disagrees at degree 3\n"
+
+
+def test_unknown_suite_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "check", "--suite", "nope")
+    assert (code, out) == (64, "")
+    assert err == ("usage error: argument --suite: invalid choice: 'nope' (choose from "
+                   "'algebra', 'cech', 'duality', 'independence', 'io', 'all')\n")
+
+
+def test_check_help_lists_the_suites(capsys):
+    code, out, _ = run_cli(capsys, "check", "--help")
+    assert code == 0
+    assert "--suite {algebra,cech,duality,independence,io,all}" in out
+
+
+def test_cli_suite_names_match_the_checks_module():
+    import cohdual.cli as cli
+    from cohdual.checks import suite_names
+
+    assert cli.SUITE_NAMES == suite_names()

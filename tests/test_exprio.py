@@ -28,6 +28,7 @@ from cohdual.exprio import (
 from cohdual.fields import Fp, PrimeField, RATIONAL
 from cohdual.independence import (
     DeltaSequence,
+    decompose_r,
     delta,
     independence_certificate,
     make_d,
@@ -315,6 +316,24 @@ def test_documents_are_pinned_and_reload(kind, build, field, digest):
     restored = from_document(json.loads(payload))
     assert type(restored) is type(obj)
     assert write_document(to_document(restored, field)) == payload
+
+
+def test_each_kind_is_built_by_the_module_named_for_it():
+    import cohdual.exprio as exprio
+
+    built = {}
+    for module in exprio._BUILDERS:
+        kinds = exprio._module_kinds(module)
+        built.update(dict.fromkeys(kinds, module))
+        for kind in kinds.values():
+            assert kind.cls.__module__ == f"cohdual.{module}"
+    assert built == exprio._OWNERS
+
+
+def test_objects_without_a_kind_are_refused():
+    for obj in (3, "text", decompose_r(parse_element("Y", S2, BOX))):
+        with pytest.raises(TypeError, match="no document kind"):
+            to_document(obj)
 
 
 def test_suite_report_bytes_are_pinned():

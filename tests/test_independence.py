@@ -429,3 +429,35 @@ def test_independence_check_fails_on_a_broken_family(monkeypatch):
                 if line.name == "independence-random-combinations")
     assert not line.passed
     assert "failed on trials [" in line.detail
+
+
+def _family_with_power(monkeypatch, asked, built):
+    """Make the checks' d-family build power ``built`` where ``asked`` is asked for."""
+    import cohdual.checks as checks
+
+    def wrong_power(power, lmax, box=None):
+        return make_d(built if power == asked else power, lmax, box)
+
+    monkeypatch.setattr(checks, "make_d", wrong_power)
+
+
+def test_profile_check_fails_on_a_wrong_power(monkeypatch):
+    """A d-family built with power 5 where 4 was asked for must make the
+    profile check FAIL."""
+    from cohdual.checks import delta_formula
+
+    _family_with_power(monkeypatch, asked=4, built=5)
+    line = delta_formula()
+    assert not line.passed
+    assert line.detail == "power 4, degree 2: got -32"
+
+
+def test_separation_check_fails_when_two_powers_coincide(monkeypatch):
+    """Power 4's family built as power 3 is shift-equivalent to power 3, so
+    the separation check must FAIL with a witness."""
+    from cohdual.checks import separation_pairs
+
+    _family_with_power(monkeypatch, asked=4, built=3)
+    line = separation_pairs()
+    assert not line.passed
+    assert line.detail == "powers 3 and 4: witness"
