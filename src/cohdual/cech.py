@@ -9,10 +9,10 @@ beyond position i are never inverted, so their coordinates must always be
 nonnegative).  The alternating-sign face maps become explicit 0/±1 integer
 matrices and cohomology is exact linear algebra.
 
-Ranks are taken by fraction-free integer elimination; for these inclusion
-complexes the outcome does not depend on the coefficient field, so the
-dimensions reported here are valid over the rationals and over every prime
-field alike.
+Ranks are taken over Q by the one exact routine of :mod:`cohdual.linalg`;
+for these inclusion complexes they do not depend on the coefficient field
+(the tests pin mod 2 and mod 3), so the dimensions reported here are valid
+over the rationals and over every prime field alike.
 
 The expected answer, verified by :func:`verify_realization` over a finite
 window of multidegrees, is concentrated in position i, with a dimension-one
@@ -46,7 +46,7 @@ class CechDegreePiece:
     boundaries: tuple[tuple[tuple[int, ...], ...], ...]
 
     def cohomology(self) -> tuple[int, ...]:
-        ranks = [integer_rank([list(row) for row in mat]) for mat in self.boundaries]
+        ranks = [integer_rank(mat) for mat in self.boundaries]
         ranks = [0] + ranks + [0]  # ranks[l] enters position l, ranks[l + 1] leaves it
         return tuple(self.dims[l] - ranks[l] - ranks[l + 1] for l in range(self.i + 1))
 

@@ -205,8 +205,11 @@ def _cmd_delta(session: _Session) -> int:
     element = session.load_element(args.element, shape, box)
     window = None
     if args.window:
-        lo, _, hi = args.window.partition(":")
-        window = (int(lo), int(hi))
+        try:
+            lo, hi = map(int, args.window.split(":"))
+        except ValueError:
+            raise ValueError(f"cannot read the window LO:HI from {args.window!r}") from None
+        window = (lo, hi)
     profile = delta(element, window)
     doc = to_document(profile)
     lines = [f"window [{profile.start}, {profile.end}]"]

@@ -17,7 +17,6 @@ with the final quotient landing back in an all-inverse module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import add, eq
@@ -198,8 +197,9 @@ def regular_on_dual_check(n: int, i: int, bound: int) -> RegularityReport:
 
     Step j acts by the j-th variable on the truncated quotient of the dual
     shape by the previous variables and certifies injectivity as a vanishing
-    kernel, computed by exact sparse elimination on the sub-box where the
-    shift loses no information (series exponent at most bound - 1).  The
+    kernel, computed by :func:`cohdual.linalg.sparse_column_rank` on the
+    sub-box where the shift loses no information (series exponent at most
+    bound - 1; ``ValueError`` unless bound >= 1, as that sub-box is empty).  The
     image together with the monomials of exponent 0 in that variable must
     span the whole box, so the quotient is exactly the shape with the
     variable dropped; its dimension is measured, not assumed.  After i
@@ -207,10 +207,12 @@ def regular_on_dual_check(n: int, i: int, bound: int) -> RegularityReport:
     variables, nonzero because it contains the socle monomial.
     """
     # imported here, so that pairings and torsion supports never load linalg
-    from .linalg import sparse_column_rank, sparse_kernel_dimension
+    from .linalg import sparse_column_rank
 
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    if bound < 1:
+        raise ValueError("the box must leave room for the action; need bound >= 1")
     shape = ModuleShape.cohomology_shape(n, i).dual()
     box = TruncationBox.uniform(n, bound)
     steps = []
@@ -222,24 +224,18 @@ def regular_on_dual_check(n: int, i: int, bound: int) -> RegularityReport:
         xj = monomial(ModuleShape.series_shape(nvars),
                       TruncationBox.uniform(nvars, 1),
                       (1,) + (0,) * (nvars - 1))
-        columns = []
-        units = []
-        for k, exps in enumerate(targets):
-            if exps[0] == 0:
-                units.append({k: Fraction(1)})
-            if exps[0] > bound - 1:
-                continue
-            acted = ring_act(xj, monomial(shape, box, exps))
-            column = {target_index[e]: Fraction(c) if isinstance(c, int) else c
-                      for e, c in acted.terms}
-            columns.append(column)
+        units = [{k: 1} for k, exps in enumerate(targets) if exps[0] == 0]
+        # box monomials by construction, so Element skips the validation
+        images = (ring_act(xj, Element(shape, box, ((exps, 1),)))
+                  for exps in targets if exps[0] < bound)
+        columns = [{target_index[e]: c for e, c in im.terms} for im in images]
         domain = len(columns)
         # image and units are len(targets) columns together, so full rank
         # also makes the image columns independent: the kernel is zero
         if sparse_column_rank(units + columns) == len(targets):
             kernel = 0
         else:
-            kernel = sparse_kernel_dimension(columns)
+            kernel = len(columns) - sparse_column_rank(columns)
             ok = False
         final_dim = len(targets) - (domain - kernel)  # of this step's quotient
         steps.append(RegularityStep(step, domain, kernel))

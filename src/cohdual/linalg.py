@@ -1,67 +1,43 @@
-"""Exact rank computation for the small matrices this package produces.
+"""Exact rank by one routine: sparse, fraction-free integer column reduction.
 
-Two routines, both exact: fraction-free integer elimination for dense
-integer matrices (entries stay integers throughout), and a sparse column
-reduction over any exact scalar type supporting field arithmetic.
+Columns are cleared against the pivot columns by integer cross-multiplication,
+never by division, and each new pivot column is divided by its content (gcd),
+so entries stay small.  The rank is the rank over Q, which the 0/±1 matrices
+built in this package keep over every prime field (see :mod:`cohdual.cech`).
 """
 
 from __future__ import annotations
 
-
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    pivot_row = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(pivot_row, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        for r in range(pivot_row + 1, nrows):
-            for c in range(col + 1, ncols):
-                # exact division: Bareiss determinant identity
-                m[r][c] = (m[r][c] * m[pivot_row][col] - m[r][col] * m[pivot_row][c]) // prev
-            m[r][col] = 0
-        prev = m[pivot_row][col]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == nrows:
-            break
-    return rank
+from collections.abc import Sequence
+from math import gcd
 
 
-def sparse_column_rank(columns: list[dict[int, object]]) -> int:
-    """Rank of a matrix given as sparse columns {row index: scalar}.
-
-    Scalars must support +, -, *, / and truthiness; exact types only
-    (Fraction or prime-field residues).  Columns that are all zero are fine.
-    """
-    pivots: dict[int, dict[int, object]] = {}
-    rank = 0
+def sparse_column_rank(columns: Sequence[dict[int, int]]) -> int:
+    """Rank over Q of a matrix given as sparse integer columns {row index: int}."""
+    pivots: dict[int, dict[int, int]] = {}
     for column in columns:
         col = {r: v for r, v in column.items() if v}
         while col:
             r = min(col)
-            if r not in pivots:
-                inv = col[r]
-                normalised = {rr: vv / inv for rr, vv in col.items()}
-                pivots[r] = normalised
-                rank += 1
+            pivot = pivots.get(r)
+            if pivot is None:
+                content = gcd(*col.values()) if col[r] > 0 else -gcd(*col.values())
+                pivots[r] = {rr: v // content for rr, v in col.items()}
                 break
-            factor = col[r]
-            for rr, vv in pivots[r].items():
-                upd = col.get(rr, 0) - factor * vv
+            # col := a * col - b * pivot clears row r; a > 0 as pivot[r] > 0
+            g = gcd(pivot[r], col[r])
+            a, b = pivot[r] // g, col[r] // g
+            if a != 1:
+                col = {rr: a * v for rr, v in col.items()}
+            for rr, v in pivot.items():
+                upd = col.get(rr, 0) - b * v
                 if upd:
                     col[rr] = upd
-                elif rr in col:
-                    del col[rr]
-    return rank
+                else:
+                    col.pop(rr, None)
+    return len(pivots)
 
 
-def sparse_kernel_dimension(columns: list[dict[int, object]]) -> int:
-    return len(columns) - sparse_column_rank(columns)
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix given as rows: row rank equals column rank."""
+    return sparse_column_rank([dict(enumerate(row)) for row in rows])

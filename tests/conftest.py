@@ -144,6 +144,25 @@ def oracle_rank(rows):
     return rank
 
 
+def oracle_rank_mod(rows, p):
+    """Row-reduce over the prime field GF(p) and count the pivots."""
+    matrix = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inverse = pow(matrix[rank][col], -1, p)
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                factor = matrix[r][col] * inverse
+                matrix[r] = [(a - factor * b) % p
+                             for a, b in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
 def random_sample(rng, shape: ModuleShape, box: TruncationBox,
                   margin: int = 0, max_terms: int = 4,
                   coefficient=int_coefficient) -> Element:

@@ -13,7 +13,8 @@ from cohdual.cech import (
     realization_support,
     verify_realization,
 )
-from conftest import oracle_rank
+from cohdual.linalg import integer_rank
+from conftest import oracle_rank, oracle_rank_mod
 
 
 def test_dims_frozen_values():
@@ -140,3 +141,20 @@ def test_realization_check_fails_when_ranks_are_undercounted(monkeypatch, cold_d
     line = realization_sweep()
     assert not line.passed
     assert line.detail.startswith("n=3 i=3: dims ")
+
+
+def test_boundary_ranks_do_not_depend_on_the_field():
+    """The module docstring's claim: every face map has the same rank mod 2
+    and mod 3 as over Q, for n <= 4, every i and degrees in [-2, 2]^n."""
+    checked = 0
+    for n in range(1, 5):
+        for i in range(1, n + 1):
+            for a in product(range(-2, 3), repeat=n):
+                for matrix in build_degree_piece(n, i, a).boundaries:
+                    if not matrix:
+                        continue
+                    rank = integer_rank(matrix)
+                    assert oracle_rank_mod(matrix, 2) == rank, (n, i, a)
+                    assert oracle_rank_mod(matrix, 3) == rank, (n, i, a)
+                    checked += 1
+    assert checked == 4134

@@ -152,6 +152,19 @@ def test_regular_verifies(capsys):
     assert "verified: yes" in out
 
 
+def test_regular_refuses_bound_zero(capsys):
+    code, out, err = run_cli(capsys, "regular", "-n", "3", "-i", "2", "--bound", "0")
+    assert (code, out) == (64, "")
+    assert err == "error: the box must leave room for the action; need bound >= 1\n"
+
+
+@pytest.mark.parametrize("window", ["3", "a:b", "1:2:3"])
+def test_delta_malformed_window_names_the_form(capsys, window):
+    code, out, err = run_cli(capsys, "delta", "X*Y^-1", "--window", window)
+    assert (code, out) == (64, "")
+    assert err == f"error: cannot read the window LO:HI from {window!r}\n"
+
+
 def test_indep_certificate(capsys):
     code, doc = run_doc(capsys, "indep", "1", "Y", "--lmax", "12")
     assert code == 0

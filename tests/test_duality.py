@@ -272,6 +272,13 @@ def test_regular_sequence_validation():
         regular_on_dual_check(2, 0, 3)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_regular_sequence_refuses_an_empty_domain(bound):
+    """Below bound 1 the action has no domain, so the check could not fail."""
+    with pytest.raises(ValueError, match="bound >= 1"):
+        regular_on_dual_check(3, 2, bound)
+
+
 def test_regular_sequence_fails_without_the_action(monkeypatch):
     """With multiplication replaced by the identity the map stays injective,
     but its image no longer complements the dropped shape."""
@@ -282,4 +289,23 @@ def test_regular_sequence_fails_without_the_action(monkeypatch):
     report = regular_on_dual_check(3, 2, 3)
     assert [s.kernel_dim for s in report.steps] == [0, 0]
     assert not report.passed
+    assert not regularity_sweep().passed
+
+
+def test_regular_sequence_fails_when_ranks_are_undercounted(monkeypatch):
+    """A rank routine that undercounts every rank above 1 must make the
+    regularity check FAIL."""
+    import cohdual.linalg as linalg
+    from cohdual.checks import regularity_sweep
+
+    real_rank = linalg.sparse_column_rank
+
+    def undercounting(columns):
+        rank = real_rank(columns)
+        return rank - 1 if rank > 1 else rank
+
+    monkeypatch.setattr(linalg, "sparse_column_rank", undercounting)
+    report = regular_on_dual_check(3, 2, 3)
+    assert not report.passed
+    assert report.steps[0].kernel_dim == 1
     assert not regularity_sweep().passed
