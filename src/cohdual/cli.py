@@ -4,10 +4,12 @@ Every subcommand prints a JSON document on stdout by default (mode
 "document"), or a short plain-text rendering with ``--mode human``.
 Element arguments are either expression text (parsed against the chosen
 shape, box, and field) or ``@path`` pointing at an element document.
+Every element document written, nested ones included, records that field.
 
 Shapes are spelled ``R`` (all series), ``E`` (all inverse), ``H:i``
 (inverse on the first i variables), ``D:i`` (its dual), or an explicit
-comma list of roles; the single-letter forms need ``-n``.
+comma list of roles, which carries its own variable count (``-n`` must
+match it); the letter forms take ``-n``, 2 by default.  ``-n`` is at least 1.
 
 A JSON config file named by the ``COHDUAL_CONFIG`` environment variable
 may preset the common options (field, trunc, mode, seed); explicit flags
@@ -35,7 +37,6 @@ from .algebra import (
     ring_act,
 )
 from .exprio import (
-    default_variable_names,
     element_from_document,
     new_document,
     parse_element,
@@ -65,10 +66,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _is_role_list(spec: str) -> bool:
+    return "," in spec or spec.strip() in (SERIES, INVERSE)
+
+
 def parse_shape_spec(spec: str, n: int | None = None) -> ModuleShape:
     """Read a shape from its command-line spelling."""
     spec = spec.strip()
-    if "," in spec or spec in (SERIES, INVERSE):
+    if _is_role_list(spec):
         shape = ModuleShape(tuple(part.strip() for part in spec.split(",")))
         if n is not None and shape.nvars != n:
             raise ValueError(f"shape {spec!r} has {shape.nvars} variables, not {n}")
@@ -139,22 +144,23 @@ class _Session:
         seed = getattr(args, "seed", None)
         self.seed = seed if seed is not None else config.get("seed")
 
-    def shape_and_box(self, nvars_default=2):
-        args = self.args
-        n = getattr(args, "nvars", None) or nvars_default
-        shape = parse_shape_spec(getattr(args, "shape", None) or "D:1", n)
-        box_spec = getattr(args, "box", None)
+    def shape_and_box(self):
+        """--shape (default D:1) with -n (2 for a letter form); --box, else uniform."""
+        spec, n = self.args.shape or "D:1", self.args.nvars
+        if n is not None and n < 1:
+            raise _UsageError(f"-n must be at least 1, got {n}")
+        if n is None and not _is_role_list(spec):
+            n = 2
+        shape = parse_shape_spec(spec, n)
+        box_spec = getattr(self.args, "box", None)
         if box_spec is not None:
-            box = _parse_box_spec(box_spec)
-        else:
-            box = TruncationBox.uniform(shape.nvars, self.trunc)
-        return shape, box
+            return shape, _parse_box_spec(box_spec)
+        return shape, TruncationBox.uniform(shape.nvars, self.trunc)
 
     def load_element(self, token, shape, box):
         if token.startswith("@"):
             return element_from_document(read_document(token[1:]))
-        names = default_variable_names(shape.nvars)
-        return parse_element(token, shape, box, self.field, names)
+        return parse_element(token, shape, box, self.field)
 
     def emit(self, doc, human_lines) -> None:
         if self.mode == "document":
@@ -167,9 +173,7 @@ class _Session:
             sys.stdout.write(text)
 
     def emit_element(self, element) -> None:
-        names = default_variable_names(element.shape.nvars)
-        doc = to_document(element, self.field, names)
-        self.emit(doc, [serialize_element(element, names)])
+        self.emit(to_document(element, self.field), [serialize_element(element)])
 
 
 def _cmd_cohomology(session: _Session) -> int:
@@ -268,13 +272,8 @@ def _cmd_pair(session: _Session) -> int:
 def _cmd_gamma(session: _Session) -> int:
     from .duality import gamma_of_shape
 
-    args = session.args
-    n = args.nvars
-    if n is None and ("," in args.shape or args.shape in (SERIES, INVERSE)):
-        shape = parse_shape_spec(args.shape)
-    else:
-        shape = parse_shape_spec(args.shape, n or 2)
-    gens = tuple(int(part) for part in args.gens.split(","))
+    shape, _ = session.shape_and_box()
+    gens = tuple(int(part) for part in session.args.gens.split(","))
     result = gamma_of_shape(shape, gens)
     doc = new_document("torsion_support", {
         "roles": list(shape.roles),
@@ -340,8 +339,7 @@ def _cmd_indep(session: _Session) -> int:
     except CertificateError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    names = default_variable_names(2)
-    doc = to_document(cert, session.field, names)
+    doc = to_document(cert, session.field)
     lines = [
         f"top index: {cert.m0}",
         f"shifts: a={cert.a}, b={cert.b}",

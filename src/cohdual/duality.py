@@ -104,10 +104,10 @@ def pairing_perfection_check(n: int, i: int, bound: int) -> PairingReport:
     pair_count = 0
     permutation = []
     passed = True
+    modules = [(me, monomial(shape, box, me)) for me in _box_monomial_exponents(shape, box)]
     for de in _box_monomial_exponents(dual, box):
         d = monomial(dual, box, de)
-        for me in _box_monomial_exponents(shape, box):
-            m = monomial(shape, box, me)
+        for me, m in modules:
             paired = matlis_pair(d, m)
             pair_count += 1
             if not paired.is_zero:

@@ -31,7 +31,8 @@ reading an element imports no report module.  They are composed from a
 few codecs: a JSON leaf of one exact type, a list, an optional value
 (null for None), an object keyed by attribute names (reports write ``n``
 and ``i`` as ``nvars`` and ``index``), a pair written as two named keys,
-a box as its list of bounds, and a whole document nested as a value.
+a box as its list of bounds, and a whole document nested as a value;
+each encoder takes the value and the field, the one codec context.
 Elements keep their hand-written codec, :func:`element_to_document` and
 :func:`element_from_document`, registered like the other kinds.  A reader
 accepts only the JSON type its writer emits, so ``true``, ``"3"`` and
@@ -52,7 +53,6 @@ from .fields import Fp, RATIONAL, Field, field_from_descriptor
 
 SCHEMA = "cohdual/1"
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"\d+")
 _SIGNED_INT_RE = re.compile(r"[+-]?\d+")
 
@@ -78,24 +78,10 @@ def default_variable_names(n: int) -> tuple[str, ...]:
     return tuple(f"X{j}" for j in range(1, n + 1))
 
 
-def _checked_names(n: int, names) -> tuple[str, ...]:
-    if names is None:
-        return default_variable_names(n)
-    names = tuple(names)
-    if len(names) != n:
-        raise ValueError(f"expected {n} variable names, got {len(names)}")
-    for name in names:
-        if not _NAME_RE.fullmatch(name):
-            raise ValueError(f"invalid variable name {name!r}")
-    if len(set(names)) != n:
-        raise ValueError("variable names must be distinct")
-    return names
-
-
 def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
-                  field: Field = RATIONAL, names=None) -> Element:
+                  field: Field = RATIONAL) -> Element:
     """Parse an expression into an exact element of the given shape and box."""
-    names = _checked_names(shape.nvars, names)
+    names = default_variable_names(shape.nvars)
     index = {name: j for j, name in enumerate(names)}
     by_length = sorted(names, key=len, reverse=True)
     n = shape.nvars
@@ -197,12 +183,12 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
     return Element.from_terms(shape, box, terms)
 
 
-def serialize_element(element: Element, names=None) -> str:
+def serialize_element(element: Element) -> str:
     """Canonical expression text for an element; the zero element is "0"."""
-    names = _checked_names(element.shape.nvars, names)
     if element.is_zero:
         return "0"
     shape = element.shape
+    names = default_variable_names(shape.nvars)
     factor_order = sorted(
         range(shape.nvars),
         key=lambda j: (0 if shape.role(j) == INVERSE else 1, j))
@@ -268,13 +254,13 @@ def read_document(path) -> dict:
 
 
 class _Codec(NamedTuple):
-    """encode(value, (field, names)) -> JSON, and decode(JSON) -> value."""
+    """encode(value, field) -> JSON, and decode(JSON) -> value."""
 
     encode: Callable
     decode: Callable
 
 
-def _same(value, ctx):
+def _same(value, field):
     return value
 
 
@@ -300,14 +286,14 @@ def _list(item: _Codec) -> _Codec:
             raise SchemaError(f"expected a JSON list, got {type(value).__name__}")
         return tuple(map(decode_item, value))
     if encode_item is _same:
-        return _Codec(lambda v, ctx: list(v), decode)
-    return _Codec(lambda v, ctx: [encode_item(x, ctx) for x in v], decode)
+        return _Codec(lambda v, field: list(v), decode)
+    return _Codec(lambda v, field: [encode_item(x, field) for x in v], decode)
 
 
 def _optional(item: _Codec) -> _Codec:
     """The item, or JSON null for None."""
     encode_item, decode_item = item
-    return _Codec(lambda v, ctx: None if v is None else encode_item(v, ctx),
+    return _Codec(lambda v, field: None if v is None else encode_item(v, field),
                   lambda v: None if v is None else decode_item(v))
 
 
@@ -331,8 +317,8 @@ def _object(cls, **codecs: _Codec) -> _Codec:
     """An object whose keys are the named attributes of cls."""
     fields = [(attr, _KEYS.get(attr, attr), *codec) for attr, codec in codecs.items()]
 
-    def encode(obj, ctx):
-        return {key: enc(getattr(obj, attr), ctx) for attr, key, enc, _ in fields}
+    def encode(obj, field):
+        return {key: enc(getattr(obj, attr), field) for attr, key, enc, _ in fields}
 
     def decode(doc):
         return cls(**{attr: _at(doc, key, dec) for attr, key, _, dec in fields})
@@ -344,26 +330,24 @@ def _pair(first: str, first_codec: _Codec, second: str, second_codec: _Codec) ->
     enc1, dec1 = first_codec
     enc2, dec2 = second_codec
     return _Codec(
-        lambda v, ctx: {first: enc1(v[0], ctx), second: enc2(v[1], ctx)},
+        lambda v, field: {first: enc1(v[0], field), second: enc2(v[1], field)},
         lambda doc: (_at(doc, first, dec1), _at(doc, second, dec2)))
 
 
 _INTS, _STRS = _list(_INT), _list(_STR)
-_BOX = _Codec(lambda box, ctx: list(box.bounds),
+_BOX = _Codec(lambda box, field: list(box.bounds),
               lambda v: TruncationBox(_INTS.decode(v)))
 _TERMS = _list(_pair("exponents", _INTS, "coefficient", _STR))
 
 
 def _embedded(kind: str) -> _Codec:
     """A whole document of the given kind nested as a value."""
-    return _Codec(lambda v, ctx: _kind(kind).write(v, ctx),
+    return _Codec(lambda v, field: _kind(kind).write(v, field),
                   lambda doc: _kind(kind).read(doc))
 
 
-def element_to_document(element: Element, field: Field = RATIONAL,
-                        names=None) -> dict:
+def element_to_document(element: Element, field: Field = RATIONAL) -> dict:
     """JSON form of an element; coefficients become field-parseable strings."""
-    names = _checked_names(element.shape.nvars, names)
     for _, coeff in element.terms:
         if field.parse_scalar(str(coeff)) != coeff:
             raise ValueError(
@@ -372,13 +356,13 @@ def element_to_document(element: Element, field: Field = RATIONAL,
         "field": field.descriptor,
         "shape": list(element.shape.roles),
         "box": list(element.box.bounds),
-        "names": list(names),
+        "names": list(default_variable_names(element.shape.nvars)),
         "exact": element.exact,
         "terms": [
             {"exponents": list(e), "coefficient": str(c)}
             for e, c in element.terms
         ],
-        "text": serialize_element(element, names),
+        "text": serialize_element(element),
     })
 
 
@@ -396,8 +380,10 @@ def element_from_document(doc) -> Element:
 
 
 class _Kind(NamedTuple):
+    """A kind's class, its writer (the field is the codec context), its reader."""
+
     cls: type
-    write: Callable  # (obj, (field, names)) -> document
+    write: Callable  # (obj, field) -> document
     read: Callable   # document -> obj
 
 
@@ -413,12 +399,12 @@ def _report(kind: str, cls, **codecs: _Codec) -> tuple[str, _Kind]:
             raise
         except ValueError as exc:
             raise SchemaError(f"malformed {kind} document: {exc}") from None
-    return kind, _Kind(cls, lambda obj, ctx: new_document(kind, encode(obj, ctx)), read)
+    return kind, _Kind(cls, lambda obj, field: new_document(kind, encode(obj, field)), read)
 
 
 def _algebra_kinds():
     # looked up at call time, so a wrapper set on the module attribute is used
-    return [("element", _Kind(Element, lambda e, ctx: element_to_document(e, *ctx),
+    return [("element", _Kind(Element, lambda e, field: element_to_document(e, field),
                               lambda doc: element_from_document(doc)))]
 
 
@@ -515,14 +501,14 @@ def _kind(name: str) -> _Kind:
     return _module_kinds(_OWNERS[name])[name]
 
 
-def to_document(obj, field: Field = RATIONAL, names=None) -> dict:
-    """The document for an element or report; field and names reach the
-    element documents, nested ones included."""
+def to_document(obj, field: Field = RATIONAL) -> dict:
+    """The document for an element or report; the field reaches the element
+    documents, nested ones included."""
     package, _, module = type(obj).__module__.rpartition(".")
     if package == __package__ and module in _BUILDERS:
         for kind in _module_kinds(module).values():
             if type(obj) is kind.cls:
-                return kind.write(obj, (field, names))
+                return kind.write(obj, field)
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 

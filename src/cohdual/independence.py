@@ -187,7 +187,8 @@ def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
         raise InexactElementError("cannot read a minimal-exponent profile off a lossy element")
     lo, hi = window if window is not None else (0, d.box.bounds[0])
     if not 0 <= lo <= hi <= d.box.bounds[0]:
-        raise ValueError(f"window [{lo}, {hi}] outside the element's X-range")
+        reason = "is reversed: LO > HI" if lo > hi else "outside the element's X-range"
+        raise ValueError(f"window [{lo}, {hi}] {reason}")
     return _profile([e for e, _ in reversed(d.terms)], lo, hi)
 
 
@@ -239,14 +240,11 @@ def fit_shift_form(seq: DeltaSequence, power: int, tail_start: int
     if any(v is None for _, v in points):
         return None
     l0, v0 = points[0]
-    fits = []
-    for a in range(0, tail_start + 1):
+    for a in range(0, tail_start + 1):  # b is fixed by a, so the first fit is the least
         b = v0 + (l0 - a) ** power
-        if b < 0:
-            continue
-        if all(v == b - (l - a) ** power for l, v in points):
-            fits.append((a, b))
-    return min(fits) if fits else None
+        if b >= 0 and all(v == b - (l - a) ** power for l, v in points):
+            return a, b
+    return None
 
 
 def shift_equiv_window(s1: DeltaSequence, s2: DeltaSequence, search_bound: int
@@ -370,20 +368,16 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
                 return False
         return True
 
-    flags = [dominated(l) for l in range(a + 1, lmax + 1)]
-    suffix = 0
-    while suffix < len(flags) and flags[-1 - suffix]:
+    suffix = 0  # dominated(l) is False for l <= a, so the scan stops there at the latest
+    while dominated(lmax - suffix):
         suffix += 1
     if suffix < 3:
-        required = None
-        cap = max(4 * lmax, 1000) + a
         run = 0
-        for l in range(a + 1, cap + 1):
+        for l in range(a + 1, max(4 * lmax, 1000) + a + 1):
             run = run + 1 if dominated(l) else 0
             if run == 3:
-                required = l
-                break
-        raise InconclusiveWindowError(required)
+                raise InconclusiveWindowError(l)
+        raise InconclusiveWindowError(None)
     tail_start = lmax - suffix + 1
 
     _, hi, kill = _window(D_SHAPE.roles, box.bounds)

@@ -97,6 +97,12 @@ def test_delta_fit_needs_tail_start(capsys):
     assert "tail-start" in err
 
 
+def test_delta_reversed_window_is_named(capsys):
+    code, out, err = run_cli(capsys, "delta", "X*Y^-1", "--window", "3:1")
+    assert (code, out) == (64, "")
+    assert err == "error: window [3, 1] is reversed: LO > HI\n"
+
+
 def test_delta_reads_element_documents(capsys, tmp_path):
     path = tmp_path / "element.json"
     write_document(element_to_document(make_d(2, 6)), path)
@@ -134,6 +140,27 @@ def test_gamma_document(capsys):
     assert code == 0
     assert doc["kind"] == "torsion_support"
     assert doc["result"] == GAMMA_FULL
+
+
+@pytest.mark.parametrize("argv, n", [
+    (("act", "X", "Z^-1", "--shape", "series,series,inverse"), 3),
+    (("derive", "-j", "2", "Y^-1*Z^-2", "--shape", "series,inverse,inverse"), 3),
+    (("pair", "X^-1", "X*Z^-1", "--shape", "series,inverse,inverse"), 3),
+    (("delta", "1 + Y^-1*X", "--shape", "series,inverse"), 2),
+])
+def test_a_role_list_carries_its_own_variable_count(capsys, argv, n):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, "-n", str(n)) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [("act", "X", "Y^-2"),
+                                  ("gamma", "--shape", "E", "--gens", "0")])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_a_variable_count_below_one_is_a_usage_error(capsys, argv, n):
+    code, out, err = run_cli(capsys, *argv, "-n", n)
+    assert (code, out) == (64, "")
+    assert err == f"usage error: -n must be at least 1, got {n}\n"
 
 
 def test_cohomology_verifies(capsys):

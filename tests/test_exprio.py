@@ -160,6 +160,22 @@ def test_element_document_roundtrip():
     assert not restored.exact
 
 
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_element_documents_name_the_variables_by_count(n, field):
+    shape = ModuleShape.cohomology_shape(n, (n + 1) // 2)
+    box = TruncationBox.uniform(n, 2)
+    exps = tuple(-1 if role == "inverse" else 1 for role in shape.roles)
+    e = Element.from_terms(shape, box, {exps: field.from_int(3), (0,) * n: field.from_int(-1)})
+    doc = element_to_document(e, field)
+    assert doc["names"] == list(default_variable_names(n))
+    assert all(name in doc["text"] for name in doc["names"])
+    assert parse_element(doc["text"], shape, box, field) == e
+    payload = write_document(doc)
+    restored = element_from_document(json.loads(payload))
+    assert write_document(element_to_document(restored, field)) == payload
+
+
 def test_element_document_field_mismatch():
     f7 = PrimeField(7)
     e = Element.from_terms(S2, BOX, {(1, 0): Fp(3, 7)})
@@ -276,6 +292,25 @@ def _unit(exps, coeff=1):
     return monomial(S2, TruncationBox.uniform(2, 3), exps, coeff)
 
 
+def test_nested_element_documents_use_the_module_attribute(monkeypatch):
+    """A wrapper set on exprio.element_to_document after the kind tables are
+    built still writes the certificate's nested h and g documents."""
+    import cohdual.exprio as exprio
+
+    cert = independence_certificate((_unit((1, 0)), _unit((0, 0), 3)), 14)
+    payload = write_document(to_document(cert))
+    seen = []
+    original = exprio.element_to_document
+
+    def counting(element, field):
+        seen.append(element)
+        return original(element, field)
+
+    monkeypatch.setattr(exprio, "element_to_document", counting)
+    assert write_document(to_document(cert)) == payload
+    assert seen == [cert.decomposition.h, cert.decomposition.g]
+
+
 # (kind, object builder, field, sha256 of write_document(to_document(...)));
 # the digests were taken from the per-kind writers this codec replaced
 PINNED = [
@@ -347,8 +382,8 @@ def test_roundtrip_check_fails_when_signs_are_dropped(monkeypatch):
     """A writer that loses a negative term's sign must make the check FAIL."""
     import cohdual.checks as checks
 
-    def unsigned(element, names=None):
-        return serialize_element(element, names).replace(" - ", " + ").removeprefix("-")
+    def unsigned(element):
+        return serialize_element(element).replace(" - ", " + ").removeprefix("-")
 
     monkeypatch.setattr(checks, "serialize_element", unsigned)
     line = checks.roundtrip_trials(DEFAULT_SEED, trials=200)

@@ -101,6 +101,8 @@ def test_delta_requires_exact_dual_shape():
         delta(monomial(S2, RBOX, (1, 1)))
     with pytest.raises(ValueError):
         delta(d, (0, 5))
+    with pytest.raises(ValueError, match=r"window \[3, 1\] is reversed: LO > HI"):
+        delta(d, (3, 1))
 
 
 def test_delta_sequence_window_guard():
