@@ -273,7 +273,12 @@ def _cmd_gamma(session: _Session) -> int:
     from .duality import gamma_of_shape
 
     shape, _ = session.shape_and_box()
-    gens = tuple(int(part) for part in session.args.gens.split(","))
+    spec = session.args.gens
+    try:
+        gens = tuple(int(part) for part in spec.split(","))
+    except ValueError:
+        raise ValueError(f"cannot read the variable indices I,J,... from --gens {spec!r}"
+                         ) from None
     result = gamma_of_shape(shape, gens)
     doc = new_document("torsion_support", {
         "roles": list(shape.roles),

@@ -81,6 +81,8 @@ def default_variable_names(n: int) -> tuple[str, ...]:
 def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
                   field: Field = RATIONAL) -> Element:
     """Parse an expression into an exact element of the given shape and box."""
+    if shape.nvars != box.nvars:
+        raise ValueError("shape and box disagree on the variable count")
     names = default_variable_names(shape.nvars)
     index = {name: j for j, name in enumerate(names)}
     by_length = sorted(names, key=len, reverse=True)

@@ -21,7 +21,10 @@ makes this quantitative for a finite truncation window:
   accounts for the h-part of the top coefficient, for every lower-index
   d_j, and for the contraction kill on positive Y-exponents.  Dominance is
   settled before any product; s itself is never built as an element, its
-  support is read off the integer sums of the product kernel.
+  support is read off the integer sums of the product kernel, which takes
+  each d_j prebuilt, made once per (power, lmax) and cached.  A window too
+  short to conclude names the least one that would do, or None where no
+  window ever can.
 
 A verified tail plus the pigeonhole on distinct growth rates is what the
 equivalence search over shifted windows (:func:`shift_equiv_window`)
@@ -31,6 +34,7 @@ consumes: profiles of distinct powers admit no shift witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import mod, rshift
 
@@ -40,6 +44,7 @@ from .algebra import (
     Element,
     ModuleShape,
     TruncationBox,
+    _Units,
     _accumulate,
     _unpacked,
     _window,
@@ -59,9 +64,10 @@ class DegenerateInputError(ValueError):
 class InconclusiveWindowError(Exception):
     """The truncation window ends before the dominance tail can be verified.
 
-    ``required_lmax`` estimates the window that would suffice, or is None
-    when no finite window can help (the dominance inequality fails for
-    every l, as happens for a top index of 1 with a large Y-order).
+    ``required_lmax`` is the least window whose last three degrees are
+    dominated, or None when no finite window can help: for a top index of
+    1 whose h-part sits at Y-order b - 1 or lower, the h-condition fails
+    for every l.
     """
 
     def __init__(self, required_lmax: int | None):
@@ -171,6 +177,13 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None) -> Element:
         raise ValueError(f"box {box.bounds} too small for power={power}, lmax={lmax}")
     # ascending X-degree is the canonical order, and the check above admits every term
     return Element(D_SHAPE, box, tuple(((l, -(l ** power)), 1) for l in range(lmax + 1)))
+
+
+@lru_cache(maxsize=8)
+def _family(build, power: int, lmax: int) -> _Units:
+    """d_power truncated at lmax, as built by ``build``, in the product
+    kernel's prebuilt form: exponent columns with unit coefficients."""
+    return _Units(build(power, lmax).terms)
 
 
 def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
@@ -354,15 +367,19 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
         if not r.is_zero
     ]
 
+    def leading(t: int) -> bool:
+        """The top coefficient's own conditions at t = l - a >= 1, which
+        hold from some least t on (for m0 = 1 the h-part is constant)."""
+        lead = t ** m0
+        if lead < b:
+            return False  # the witness term itself would be killed
+        return h_margin is None or lead - (t - 1) ** m0 > b - h_margin
+
     def dominated(l: int) -> bool:
         t = l - a
-        if t < 1:
+        if t < 1 or not leading(t):
             return False
         lead = t ** m0
-        if b - lead > 0:
-            return False  # the witness term itself would be killed
-        if h_margin is not None and not lead - (t - 1) ** m0 > b - h_margin:
-            return False
         for j, margin in lower:
             if not lead - l ** j > b - margin:
                 return False
@@ -372,17 +389,35 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     while dominated(lmax - suffix):
         suffix += 1
     if suffix < 3:
+        if m0 == 1 and h_margin is not None and b - h_margin >= 1:
+            raise InconclusiveWindowError(None)  # t - (t - 1) = 1 for every l
+        # Every condition holds from t = last on (b and the margins are >= 0):
+        # t >= b + 1 settles the witness and, for m0 >= 2, the h-part, as
+        # t^m0 - (t-1)^m0 >= t; t > a gives l < 2t, so for j < m0
+        # t^m0 - l^j > t^(m0-1) * (t - 2^(m0-1)) >= b + 1.  A run of three
+        # thus ends by l = a + last + 2.  leading(t) is monotone in t, and so
+        # is dominated(a + t) when no margin exceeds b: t^m0 / l^j grows with
+        # t, so once t^m0 - l^j > b - margin >= 0 it stays so.  The scan
+        # starts at the least t of the monotone one, found by bisection.
+        last = max(a + 1, 2 ** (m0 - 1) + b + 1)
+        monotone = all(margin <= b for _, margin in lower)
+        first, top = 1, last
+        while first < top:
+            mid = (first + top) // 2
+            held = dominated(a + mid) if monotone else leading(mid)
+            first, top = (first, mid) if held else (mid + 1, top)
         run = 0
-        for l in range(a + 1, max(4 * lmax, 1000) + a + 1):
+        for l in range(a + first, a + last + 3):
             run = run + 1 if dominated(l) else 0
             if run == 3:
-                raise InconclusiveWindowError(l)
-        raise InconclusiveWindowError(None)
+                break
+        raise InconclusiveWindowError(l)
     tail_start = lmax - suffix + 1
 
     _, hi, kill = _window(D_SHAPE.roles, box.bounds)
+    # make_d is looked up here, so a replaced builder is a cache key of its own
     acc, p, _, dropped, layout = _accumulate(
-        [(r.terms, make_d(j, lmax, box).terms)
+        [(r.terms, _family(make_d, j, lmax))
          for j, r in enumerate(r_list, start=1) if not r.is_zero],
         None, hi, kill)
     if dropped:

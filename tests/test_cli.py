@@ -399,3 +399,25 @@ def test_cli_suite_names_match_the_checks_module():
     from cohdual.checks import suite_names
 
     assert cli.SUITE_NAMES == suite_names()
+
+
+@pytest.mark.parametrize("argv", [("act", "X", "Y^-2", "--box", "1"),
+                                  ("delta", "X*Y^-1", "--box", "4")])
+def test_a_box_with_too_few_bounds_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err == "error: shape and box disagree on the variable count\n"
+
+
+@pytest.mark.parametrize("gens", ["a", "0,,1", "1.5"])
+def test_gamma_malformed_gens_names_the_form(capsys, gens):
+    code, out, err = run_cli(capsys, "gamma", "--shape", "E", "--gens", gens)
+    assert (code, out) == (64, "")
+    assert err == f"error: cannot read the variable indices I,J,... from --gens {gens!r}\n"
+
+
+def test_indep_names_a_window_past_the_old_scan_limit(capsys):
+    code, doc = run_doc(capsys, "indep", "1", "Y^10000000", "--lmax", "10",
+                        "--trunc", "10000000")
+    assert code == 2
+    assert doc["required_lmax"] == 3165

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import cohdual.independence as independence
 from cohdual.algebra import (
     PACKED_MIN_PRODUCTS,
     Element,
@@ -360,6 +361,110 @@ def test_certificate_short_windows_match_oracle(lmax):
     assert outcomes == ({"inconclusive", "certified"} if lmax >= 3 else {"inconclusive"})
 
 
+FAMILY_DRAWS = {
+    "fraction": COEFFICIENT_KINDS["rational"][1],
+    "gf32003": lambda rng: Fp(rng.randint(1, 32002), 32003),
+    "int": int_coefficient,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_DRAWS))
+@pytest.mark.parametrize("lmax", [8, 100], ids=["tuple-loop", "packed"])
+def test_cached_family_certificates_match_oracle(kind, lmax):
+    """Certificates built on the cached d-family equal the element-path
+    oracle over Q, GF(32003) and the ints, first with the cache emptied
+    (each (power, lmax) built on its first use) and then with every
+    family member cached."""
+    rng = random.Random(f"family/{kind}/{lmax}")
+    combinations = []
+    while len(combinations) < 12:
+        r_list = tuple(poly({(rng.randint(0, 3), rng.randint(0, 3)): FAMILY_DRAWS[kind](rng)
+                             for _ in range(rng.randint(1, 2))})
+                       for _ in range(rng.randint(1, 3)))
+        # 1-3 coefficients of 1-2 terms: at most 6 * 9 products below the threshold
+        assert (sum(map(len, (r.terms for r in r_list))) * (lmax + 1)
+                >= PACKED_MIN_PRODUCTS) == (lmax == 100)
+        combinations.append(r_list)
+    powers = {j for r_list in combinations for j in range(1, len(r_list) + 1)}
+    independence._family.cache_clear()
+    for warmth in ("cold", "warm"):
+        certified = 0
+        for r_list in combinations:
+            try:
+                _assert_certificate_matches_oracle(r_list, lmax)
+            except InconclusiveWindowError:
+                continue
+            certified += 1
+        assert certified >= 6, warmth
+        # each d_j is built once, on its first use
+        assert independence._family.cache_info().misses == len(powers), warmth
+
+
+@pytest.mark.parametrize("terms, required", [
+    (({(0, 0): 1}, {(0, 10 ** 7): 1}), 3165),
+    (({(0, 5000): 1},), 5002),
+    (({}, {(0, 10_600): 1}, {(100, 0): 1}), 103),
+], ids=["past-the-old-scan", "top-index-1", "non-monotone"])
+def test_required_lmax_is_the_least_window(terms, required):
+    """The estimate used to stop at max(4 * lmax, 1000) + a and report that
+    no window helps (the first two cases).  In the third, t^3 - (t + 100)^2
+    > -10,600 holds at t = 1, 2, 3, fails from 4 to 12 and holds again from
+    13 on, so a bisection over it would name 115.  The named window
+    certifies, and every shorter one is inconclusive."""
+    box = TruncationBox((100, 10 ** 7))
+    r_list = tuple(Element.from_terms(S2, box, t) for t in terms)
+    with pytest.raises(InconclusiveWindowError) as info:
+        independence_certificate(r_list, 2)
+    assert info.value.required_lmax == required
+    assert independence_certificate(r_list, required).tail_start == required - 2
+    for lmax in range(3, required):
+        with pytest.raises(InconclusiveWindowError) as info:
+            independence_certificate(r_list, lmax)
+        assert info.value.required_lmax == required
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_DRAWS))
+def test_required_lmax_on_random_combinations(kind):
+    """Over random combinations inconclusive at lmax 2 (every one is: three
+    tail points need l >= 3): the named window certifies and every shorter
+    one is inconclusive, or, only for a top index of 1, no window is named."""
+    rng = random.Random(f"required/{kind}")
+    named = 0
+    for _ in range(40):
+        r_list = _random_r_list(rng, FAMILY_DRAWS[kind])
+        if all(r.is_zero for r in r_list):
+            continue
+        with pytest.raises(InconclusiveWindowError) as info:
+            independence_certificate(r_list, 2)
+        required = info.value.required_lmax
+        if required is None:
+            assert max(j for j, r in enumerate(r_list, start=1) if not r.is_zero) == 1
+            continue
+        named += 1
+        assert independence_certificate(r_list, required).tail_start == required - 2
+        for lmax in range(3, required):
+            with pytest.raises(InconclusiveWindowError):
+                independence_certificate(r_list, lmax)
+    assert named >= 25
+
+
+def test_required_lmax_for_a_huge_x_order():
+    """With r_2 = 1 and r_3 = X^(10^12) every dominance condition is
+    monotone in l, so the window is found by bisection, not by scanning
+    the 10^8 degrees before it: the least t = l - a with t^3 > l^2."""
+    a = 10 ** 12
+    box = TruncationBox((a, 0))
+    r_list = (Element.zero(S2, box), Element.from_terms(S2, box, {(0, 0): 1}),
+              Element.from_terms(S2, box, {(a, 0): 1}))
+    with pytest.raises(InconclusiveWindowError) as info:
+        independence_certificate(r_list, 10)
+    lo, hi = 1, a
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** 3 > (a + mid) ** 2 else (mid + 1, hi)
+    assert info.value.required_lmax == a + lo + 2
+
+
 def test_certificate_past_2_to_the_64():
     """A constant r_4 next to a multiple of Y as r_1, at lmax 65,600: the
     Y-bound lmax^4 + 2 passes 2**64, so the kernel packs exponents into
@@ -414,21 +519,57 @@ def test_certificate_torsion_combination_never_concludes():
     assert not killed.exact
 
 
-def test_independence_check_fails_on_a_broken_family(monkeypatch):
-    """A d-family with the wrong power from j = 2 on makes certificates
-    contradict their own analysis; the check line reports that as FAIL
-    instead of letting the error escape."""
-    import cohdual.independence as independence
+def _independence_line():
     from cohdual.checks import DEFAULT_SEED, run_suite
 
+    return next(line for line in run_suite("independence", DEFAULT_SEED).lines
+                if line.name == "independence-random-combinations")
+
+
+def _break_the_family(monkeypatch):
+    """Build the wrong power from j = 2 on, as the certificate finds make_d."""
     real_make_d = independence.make_d
 
     def wrong_power(power, lmax, box=None):
         return real_make_d(power - 1 if power >= 2 else power, lmax, box)
 
     monkeypatch.setattr(independence, "make_d", wrong_power)
-    line = next(line for line in run_suite("independence", DEFAULT_SEED).lines
-                if line.name == "independence-random-combinations")
+
+
+def test_independence_check_fails_on_a_broken_family(monkeypatch):
+    """A d-family with the wrong power from j = 2 on makes certificates
+    contradict their own analysis; the check line reports that as FAIL
+    instead of letting the error escape."""
+    _break_the_family(monkeypatch)
+    line = _independence_line()
+    assert not line.passed
+    assert "failed on trials [" in line.detail
+
+
+def test_a_broken_family_fails_the_check_with_a_warm_cache(monkeypatch):
+    """The family cache is keyed by the builder it was filled from, so a
+    cache filled by a passing run does not hide a broken make_d."""
+    assert _independence_line().passed
+    assert independence._family.cache_info().currsize > 0
+    _break_the_family(monkeypatch)
+    line = _independence_line()
+    assert not line.passed
+    assert "failed on trials [" in line.detail
+
+
+def test_a_family_cache_keyed_without_the_power_fails_the_check(monkeypatch):
+    """A cache that hands every j the first d_j built at that lmax must make
+    the independence check FAIL."""
+    real_family = independence._family
+    by_lmax = {}
+
+    def keyed_without_power(build, power, lmax):
+        if lmax not in by_lmax:
+            by_lmax[lmax] = real_family(build, power, lmax)
+        return by_lmax[lmax]
+
+    monkeypatch.setattr(independence, "_family", keyed_without_power)
+    line = _independence_line()
     assert not line.passed
     assert "failed on trials [" in line.detail
 
