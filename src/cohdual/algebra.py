@@ -29,13 +29,8 @@ Terms are made in two places.  Products go through one kernel shared by
 and outside the box is a kill, never a loss): :func:`_accumulate` sums plain
 ints (numerators over one common denominator, residues mod p) for one or more
 operand pairs, and :func:`_canonical` raises each sum to a ``Fraction`` or
-``Fp`` once, so stored types are unchanged; the independence certificate
-reads its support straight from the int sums.  The certificate's d-family
-comes prebuilt as :class:`_Units`, exponent columns with unit
-coefficients: 1 in every field, so lowering passes it through uncopied
-(int coefficients of r count as numerators over 1) and packing keys it
-once per field width.  A call with at least ``PACKED_MIN_PRODUCTS`` (64)
-products of lowered operands packs every
+``Fp`` once, so stored types are unchanged.  A call with at least
+``PACKED_MIN_PRODUCTS`` (64) products of lowered operands packs every
 exponent vector into one int, after Monagan and Pearce's packed exponent
 vectors (CASC 2007): one field per coordinate, the first most significant
 so that int order is lexicographic order.  A field is ``bits + 3`` wide,
@@ -49,11 +44,12 @@ from a loss, and adding ``lower`` first tests a lower wall, the narrow
 calls keep the tuple loop: below about 48 products, measured per call over
 Q and GF(7) with 2 and 3 variables, the layout and the packing cost more
 than the cheaper products save.  :func:`_canonical` sorts the int keys and
-unpacks only the survivors, and the certificate reads X with one shift.
-Sums of terms
+unpacks only the survivors.  The independence certificate lowers its
+coefficients with :func:`_lowered` but forms no product.  Sums of terms
 (:meth:`Element.from_terms`, :func:`linear_combine`) go through
-:func:`_summed`.  A map that keeps terms distinct and in lexicographic order
-(a derivation, a quotient, a layer split) builds its term tuple directly.
+:func:`_summed`.  A map that keeps terms distinct and in lexicographic
+order (a derivation, a quotient, a layer split) builds its term tuple
+directly.
 """
 
 from __future__ import annotations
@@ -64,7 +60,8 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import inf, lcm
 from operator import add, and_, itemgetter, le, lshift, rshift, sub
-from typing import Iterable, Mapping, NamedTuple
+from collections.abc import Iterable, Mapping
+from typing import NamedTuple
 
 from .fields import Fp
 
@@ -284,9 +281,7 @@ def _lowered(pairs):
     Operands over two fields (``Fraction`` and ``Fp``, or two primes) raise
     ``ValueError`` whichever path the call takes: every coefficient's type
     is scanned, one set per pair, and the operands' own sets only when an
-    int shares that set with another type.  A second operand given as
-    :class:`_Units` is 1 in whatever field the call lowers to: it is
-    passed through as it is, never scanned or copied."""
+    int shares that set with another type."""
     types = set()
     as_is = False
     live = []  # the pairs that form products: an empty operand forms none
@@ -294,9 +289,6 @@ def _lowered(pairs):
         a_terms, b_terms = pair
         if a_terms and b_terms:
             live.append(pair)
-            if type(b_terms) is _Units:
-                types |= {type(c) for _, c in a_terms}
-                continue
             pair_types = {type(c) for _, c in (*a_terms, *b_terms)}
             as_is = as_is or int in pair_types and (len(pair_types) == 1 or (
                 int in {type(c) for _, c in a_terms} and int in {type(c) for _, c in b_terms}))
@@ -307,16 +299,13 @@ def _lowered(pairs):
         if as_is:
             return None
         dens = [(lcm(*(c.denominator for _, c in a_terms)),
-                 1 if type(b_terms) is _Units else lcm(*(c.denominator for _, c in b_terms)))
-                for a_terms, b_terms in live]
+                 lcm(*(c.denominator for _, c in b_terms))) for a_terms, b_terms in live]
         den = lcm(*(da * db for da, db in dens))
         # a's numerators carry den // (da * db), so every product is over den
         return [([(e, c.numerator * (den // (db * c.denominator))) for e, c in a_terms],
-                 b_terms if type(b_terms) is _Units else
                  [(e, c.numerator * (db // c.denominator)) for e, c in b_terms])
                 for (a_terms, b_terms), (_, db) in zip(live, dens)], None, den
-    primes = {c.p for pair in live for terms in pair if type(terms) is not _Units
-              for _, c in terms if type(c) is Fp}
+    primes = {c.p for pair in live for terms in pair for _, c in terms if type(c) is Fp}
     if not types <= {int, Fp} or len(primes) != 1:
         names = {"rational" if t is Fraction else t.__name__ for t in types - {int, Fp}}
         names = sorted(names | {f"prime:{q}" for q in primes})
@@ -324,8 +313,7 @@ def _lowered(pairs):
     if as_is:
         return None
     (p,) = primes
-    return [tuple(terms if type(terms) is _Units else
-                  [(e, c.value if type(c) is Fp else c % p) for e, c in terms]
+    return [tuple([(e, c.value if type(c) is Fp else c % p) for e, c in terms]
                   for terms in pair) for pair in live], p, None
 
 
@@ -404,47 +392,16 @@ class _Columns:
         return list(keys)
 
 
-class _Units(_Columns):
-    """A prebuilt operand whose coefficients are all 1, kept as columns.
-
-    Built once from a term list and reused across calls of
-    :func:`_accumulate` as a second operand: :func:`_lowered` passes it
-    through, :func:`_packed` keys it once per field width, and the tuple
-    loop reads it as ``(exponents, 1)`` terms."""
-
-    __slots__ = ("_keys",)
-
-    def __init__(self, terms):
-        super().__init__(terms)
-        if any(c != 1 for c in self.coefficients):
-            raise ValueError("a unit operand needs every coefficient to be 1")
-        self.coefficients = [1] * len(self.coefficients)
-        self._keys = {}
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def __iter__(self):
-        return zip(zip(*self.columns), self.coefficients)
-
-    def keys(self, width: int, bias: int) -> list:
-        keys = self._keys.get(width)
-        if keys is None:
-            keys = self._keys[width] = super().keys(width, 0)
-        return list(map(add, keys, repeat(bias))) if bias else keys
-
-
 def _packed(pairs, lo, hi, kill):
     """``(layout, pairs)`` with each pair as ``(a_keys, a_coeffs, b_keys, b_coeffs)``.
 
     An operand's key is the weighted sum of its exponents; operand a's (the
     ring element in :func:`ring_act` and in the certificate) also carries
     the bias, so a + b is the product's key.  The layout reaches every
-    operand's extremes, a :class:`_Units` operand's included.  Terms whose
-    lowered coefficient vanishes (a bare int divisible by p) are dropped:
-    their products are neither kills nor losses."""
-    split = [[terms if type(terms) is _Units else _Columns(terms) for terms in pair]
-             for pair in pairs]
+    operand's extremes.  Terms whose lowered coefficient vanishes (a bare
+    int divisible by p) are dropped: their products are neither kills nor
+    losses."""
+    split = [[_Columns(terms) for terms in pair] for pair in pairs]
     extremes = [x for pair in split for op in pair for x in op.extremes]
     reach = max(map(abs, chain(hi, lo or (), extremes)), default=0)
     layout = _layout(lo, hi, kill, reach.bit_length())
@@ -458,17 +415,8 @@ def _packed(pairs, lo, hi, kill):
     return layout, [keyed(a, layout.bias) + keyed(b, 0) for a, b in split]
 
 
-def _unpacked(keys, layout: _Layout):
-    """Exponent tuples of packed keys, in the same order."""
-    keys = list(keys)
-    mask = (1 << layout.width) - 1
-    return zip(*[map(sub, map(and_, map(rshift, keys, repeat(s)), repeat(mask)),
-                     repeat(o)) for s, o in zip(layout.shifts, layout.offsets)])
-
-
 def _accumulate(pairs, lo: Exponents | None, hi: Exponents, kill):
-    """Sum the pairwise products of each ``(a_terms, b_terms)`` pair inside
-    lo..hi; ``b_terms`` may be a prebuilt :class:`_Units`.
+    """Sum the pairwise products of each ``(a_terms, b_terms)`` pair inside lo..hi.
 
     Above hi is a contraction kill (exact) if it exceeds ``kill`` somewhere,
     else a loss: kills take precedence.  Below lo (None: cannot happen) is a
@@ -532,9 +480,11 @@ def _canonical(acc, p, den, layout: _Layout | None):
     else:
         items = [item for item in acc.items() if item[1]]
     items.sort()
-    if layout is not None and items:
+    if layout is not None and items:  # each field of each key, less its offset
         keys, coeffs = zip(*items)
-        items = zip(_unpacked(keys, layout), coeffs)
+        mask = (1 << layout.width) - 1
+        items = zip(zip(*[map(sub, map(and_, map(rshift, keys, repeat(s)), repeat(mask)),
+                              repeat(o)) for s, o in zip(layout.shifts, layout.offsets)]), coeffs)
     return tuple(items)
 
 

@@ -232,23 +232,22 @@ def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 500) -> Chec
     rng = random.Random(seed)
     instances = 0
     for n in range(1, 4):
+        ring_shape, ring_box = ModuleShape.series_shape(n), TruncationBox.uniform(n, 2)
+        variables = [monomial(ring_shape, TruncationBox.uniform(n, 1),
+                              tuple(1 if k == j else 0 for k in range(n))) for j in range(n)]
         for roles in product((SERIES, INVERSE), repeat=n):
             shape = ModuleShape(roles)
             box = TruncationBox.uniform(n, 6)
             for _ in range(per_config):
                 instances += 1
                 m = _random_element(rng, shape, box, margin=4)
-                r = _random_element(rng, ModuleShape.series_shape(n),
-                                    TruncationBox.uniform(n, 2))
+                r = _random_element(rng, ring_shape, ring_box)
                 j = rng.randrange(n)
                 lhs = derivation_act(j, ring_act(r, m))
                 rhs = (ring_act(derivation_act(j, r), m)
                        + ring_act(r, derivation_act(j, m)))
-                xj = monomial(ModuleShape.series_shape(n),
-                              TruncationBox.uniform(n, 1),
-                              tuple(1 if k == j else 0 for k in range(n)))
-                wl = derivation_act(j, ring_act(xj, m))
-                wr = ring_act(xj, derivation_act(j, m)) + m
+                wl = derivation_act(j, ring_act(variables[j], m))
+                wr = ring_act(variables[j], derivation_act(j, m)) + m
                 good = (lhs == rhs and wl == wr
                         and lhs.exact and rhs.exact and wl.exact and wr.exact)
                 if not good:

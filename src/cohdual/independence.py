@@ -19,12 +19,13 @@ makes this quantitative for a finite truncation window:
   the X^l coefficient sits strictly above b - (l-a)^m0, so the profile of s
   on the tail is forced to be exactly that polynomial in l.  The threshold
   accounts for the h-part of the top coefficient, for every lower-index
-  d_j, and for the contraction kill on positive Y-exponents.  Dominance is
-  settled before any product; s itself is never built as an element, its
-  support is read off the integer sums of the product kernel, which takes
-  each d_j prebuilt, made once per (power, lmax) and cached.  A window too
-  short to conclude names the least one that would do, or None where no
-  window ever can.
+  d_j, and for the contraction kill on positive Y-exponents; each of its
+  conditions fails on one interval of degrees, found by bisection.  s is
+  never formed: its profile is the least entry per degree of one column
+  of Y-exponents per term of r_j, read off d_j's cached Y-exponents, and
+  coefficients are summed only where two columns tie.  A window too short
+  to conclude names the least one that would do, or None where no window
+  ever can.
 
 A verified tail plus the pigeonhole on distinct growth rates is what the
 equivalence search over shifted windows (:func:`shift_equiv_window`)
@@ -33,24 +34,17 @@ consumes: profiles of distinct powers admit no shift witness.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 from itertools import compress, repeat
-from operator import mod, rshift
+from operator import add, countOf, eq, gt, sub
 
-from .algebra import (
-    INVERSE,
-    SERIES,
-    Element,
-    ModuleShape,
-    TruncationBox,
-    _Units,
-    _accumulate,
-    _unpacked,
-    _window,
-)
+from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _lowered
+from .fields import Fp
 
 D_SHAPE = ModuleShape((SERIES, INVERSE))
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
 class InexactElementError(ValueError):
@@ -179,11 +173,40 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None) -> Element:
     return Element(D_SHAPE, box, tuple(((l, -(l ** power)), 1) for l in range(lmax + 1)))
 
 
-@lru_cache(maxsize=8)
-def _family(build, power: int, lmax: int) -> _Units:
-    """d_power truncated at lmax, as built by ``build``, in the product
-    kernel's prebuilt form: exponent columns with unit coefficients."""
-    return _Units(build(power, lmax).terms)
+class _FamilyCache:
+    """``_family(build, power, lmax)``: the Y-exponents of d_power truncated
+    at lmax, by X-degree, as built by ``build``.  Least recently used
+    entries leave once all hold more than ``capacity`` exponents, and a
+    longer entry is never kept."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.cache_clear()
+
+    def __call__(self, build, power: int, lmax: int) -> tuple[int, ...]:
+        key = (build, power, lmax)
+        ys = self._entries.pop(key, None)
+        if ys is None:
+            self.misses += 1
+            ys = tuple(y for (_, y), _ in build(power, lmax).terms)
+        else:
+            self.hits, self.size = self.hits + 1, self.size - len(ys)
+        if len(ys) <= self.capacity:
+            self._entries[key] = ys  # the most recently used entry is last
+            self.size += len(ys)
+            while self.size > self.capacity:
+                self.size -= len(self._entries.pop(next(iter(self._entries))))
+        return ys
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.capacity, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries: dict = {}
+        self.hits = self.misses = self.size = 0
+
+
+_family = _FamilyCache(1 << 16)
 
 
 def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
@@ -202,13 +225,9 @@ def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
     if not 0 <= lo <= hi <= d.box.bounds[0]:
         reason = "is reversed: LO > HI" if lo > hi else "outside the element's X-range"
         raise ValueError(f"window [{lo}, {hi}] {reason}")
-    return _profile([e for e, _ in reversed(d.terms)], lo, hi)
-
-
-def _profile(exponents, lo: int, hi: int) -> DeltaSequence:
-    """Least Y-exponent per X-degree in lo..hi among (x, y) pairs given in
-    descending order (the last write per X is its least Y)."""
-    return DeltaSequence(lo, tuple(map(dict(exponents).get, range(lo, hi + 1))))
+    # terms descend here, so the last write per X is its least Y
+    least = dict(e for e, _ in reversed(d.terms))
+    return DeltaSequence(lo, tuple(map(least.get, range(lo, hi + 1))))
 
 
 def decompose_r(r: Element) -> RDecomposition:
@@ -334,14 +353,13 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
                              ) -> IndependenceCertificate:
     """Certify that sum r_j . d_j is nonzero with the forced tail profile.
 
-    Reads (a, b) off the top nonzero coefficient and computes the first
-    degree from which every competing contribution is strictly dominated.
-    At least 3 tail points are demanded; fewer raises
-    :class:`InconclusiveWindowError` with a window estimate before any
-    product is formed.  Otherwise the combination is summed inside an
-    automatically sized box (so nothing is lost) as plain ints, its profile
-    is read off the nonzero sums, and it must equal b - (l-a)^m0 on the
-    whole tail.  All-zero input raises :class:`DegenerateInputError`.
+    Reads (a, b) off the top nonzero coefficient and, from the intervals on
+    which the dominance conditions fail, the first degree from which every
+    competing contribution is strictly dominated.  At least 3 tail points
+    are demanded; fewer raises :class:`InconclusiveWindowError` with the
+    least window that would do, before the profile is read.  The profile
+    (see :func:`_least_exponents`) must equal b - (l-a)^m0 on the whole
+    tail.  All-zero input raises :class:`DegenerateInputError`.
     """
     r_list = tuple(r_list)
     if not r_list:
@@ -361,75 +379,25 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     dec = decompose_r(r_list[m0 - 1])
     a, b = dec.a, dec.b
     h_margin = None if dec.h.is_zero else _min_y_degree(dec.h)
-    lower = [
-        (j, _min_y_degree(r))
-        for j, r in enumerate(r_list[: m0 - 1], start=1)
-        if not r.is_zero
-    ]
-
-    def leading(t: int) -> bool:
-        """The top coefficient's own conditions at t = l - a >= 1, which
-        hold from some least t on (for m0 = 1 the h-part is constant)."""
-        lead = t ** m0
-        if lead < b:
-            return False  # the witness term itself would be killed
-        return h_margin is None or lead - (t - 1) ** m0 > b - h_margin
-
-    def dominated(l: int) -> bool:
-        t = l - a
-        if t < 1 or not leading(t):
-            return False
-        lead = t ** m0
-        for j, margin in lower:
-            if not lead - l ** j > b - margin:
-                return False
-        return True
-
-    suffix = 0  # dominated(l) is False for l <= a, so the scan stops there at the latest
-    while dominated(lmax - suffix):
-        suffix += 1
-    if suffix < 3:
-        if m0 == 1 and h_margin is not None and b - h_margin >= 1:
-            raise InconclusiveWindowError(None)  # t - (t - 1) = 1 for every l
-        # Every condition holds from t = last on (b and the margins are >= 0):
-        # t >= b + 1 settles the witness and, for m0 >= 2, the h-part, as
-        # t^m0 - (t-1)^m0 >= t; t > a gives l < 2t, so for j < m0
-        # t^m0 - l^j > t^(m0-1) * (t - 2^(m0-1)) >= b + 1.  A run of three
-        # thus ends by l = a + last + 2.  leading(t) is monotone in t, and so
-        # is dominated(a + t) when no margin exceeds b: t^m0 / l^j grows with
-        # t, so once t^m0 - l^j > b - margin >= 0 it stays so.  The scan
-        # starts at the least t of the monotone one, found by bisection.
-        last = max(a + 1, 2 ** (m0 - 1) + b + 1)
-        monotone = all(margin <= b for _, margin in lower)
-        first, top = 1, last
-        while first < top:
-            mid = (first + top) // 2
-            held = dominated(a + mid) if monotone else leading(mid)
-            first, top = (first, mid) if held else (mid + 1, top)
-        run = 0
-        for l in range(a + first, a + last + 3):
-            run = run + 1 if dominated(l) else 0
-            if run == 3:
+    if m0 == 1 and h_margin is not None and b - h_margin >= 1:
+        raise InconclusiveWindowError(None)  # t - (t - 1) = 1 for every l
+    fails = _failing_intervals(m0, a, b, h_margin, [
+        (j, _min_y_degree(r)) for j, r in enumerate(r_list[: m0 - 1], start=1)
+        if not r.is_zero])
+    # l <= a always fails; past the last failure up to lmax every degree is dominated
+    tail_start = a + 1 + max((min(hi, lmax - a) for lo, hi in fails if lo <= lmax - a),
+                             default=0)
+    if lmax - tail_start < 2:
+        t = 1  # the least t with t, t + 1 and t + 2 outside every interval
+        for lo, hi in sorted(fails):
+            if lo - t >= 3:
                 break
-        raise InconclusiveWindowError(l)
-    tail_start = lmax - suffix + 1
+            t = max(t, hi + 1)
+        raise InconclusiveWindowError(a + t + 2)
 
-    _, hi, kill = _window(D_SHAPE.roles, box.bounds)
-    # make_d is looked up here, so a replaced builder is a cache key of its own
-    acc, p, _, dropped, layout = _accumulate(
-        [(r.terms, _family(make_d, j, lmax))
-         for j, r in enumerate(r_list, start=1) if not r.is_zero],
-        None, hi, kill)
-    if dropped:
-        raise CertificateError("the automatically sized box lost terms")
-    # residues mod p, numerators over a common denominator, or unlowered sums
-    keys = sorted(compress(acc, map(mod, acc.values(), repeat(p)) if p else acc.values()),
-                  reverse=True)
-    if layout is not None:  # X is the top field, so the last key per X has its least Y
-        keys = _unpacked(dict(zip(map(rshift, keys, repeat(layout.shifts[0])), keys)).values(),
-                         layout)
-    profile = _profile(keys, 0, lmax)
-    expected = tuple(b - (l - a) ** m0 for l in range(tail_start, lmax + 1))
+    profile = DeltaSequence(0, _least_exponents(r_list, lmax, box))
+    expected = tuple(map(sub, repeat(b), map(pow, range(tail_start - a, lmax - a + 1),
+                                             repeat(m0))))
     if profile.entries[tail_start:] != expected:
         l, want = next((l, want) for l, want in enumerate(expected, start=tail_start)
                        if profile.entries[l] != want)
@@ -439,3 +407,85 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
         m0=m0, a=a, b=b, lmax=lmax, tail_start=tail_start,
         delta=profile, decomposition=dec, nonzero=True, box=box,
     )
+
+
+def _least(holds, lo: int, hi: int) -> int:
+    """Least t in lo..hi where ``holds``, false then true, turns true; hi if
+    it never does before hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+    return lo
+
+
+def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
+                       lower: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The t = l - a >= 1 at which dominance fails, as nonempty intervals.
+
+    The top coefficient's own conditions hold from some least t on.  Lower
+    index j needs p_j(t) = t^m0 - (a + t)^j - (b - margin_j) > 0; p_j'
+    changes sign once on t > 0, from - to +, as t^(m0-1) / (a + t)^(j-1)
+    grows for j < m0, so p_j(t + 1) - p_j(t) does too and p_j fails on one
+    interval around its least point.  Every condition holds from t = last
+    on (b and the margins are >= 0): t >= b + 1 settles the witness and,
+    for m0 >= 2, the h-part, as t^m0 - (t-1)^m0 >= t; t > a gives l < 2t,
+    so for j < m0 t^m0 - l^j > t^(m0-1) * (t - 2^(m0-1)) >= b + 1.  Each
+    end is found by bisection: O(m0 log last).  The case m0 = 1 with
+    b - h_margin >= 1, where the h-part never holds, is the caller's."""
+    last = max(a + 1, 2 ** (m0 - 1) + b + 1)
+
+    def leading(t: int) -> bool:  # the witness term survives, the h-part stays above it
+        return t ** m0 >= b and (h_margin is None or t ** m0 - (t - 1) ** m0 > b - h_margin)
+
+    fails = [(1, _least(leading, 1, last) - 1)]
+    for j, margin in lower:
+        def p(t, j=j, c=b - margin):
+            return t ** m0 - (a + t) ** j - c
+        low = _least(lambda t: p(t + 1) > p(t), 1, last)
+        if p(low) <= 0:
+            fails.append((_least(lambda t: p(t) <= 0, 1, low),
+                          _least(lambda t: p(t) > 0, low, last) - 1))
+    return [(lo, hi) for lo, hi in fails if lo <= hi]
+
+
+def _least_exponents(r_list, lmax: int, box: TruncationBox) -> tuple[int | None, ...]:
+    """Least Y-exponent of each X^0..X^lmax coefficient of sum r_j . d_j.
+
+    A term c X^x Y^y of r_j, c lowered to a nonzero int, gives at each l >= x
+    the candidate y + (d_j's Y-exponent at l - x), killed if positive.  The
+    least y per (j, x) gives a column over all degrees, 1 (absent) below x.
+    Where two or more columns reach the least entry, their coefficients are
+    re-summed, and if they cancel every candidate at that degree is."""
+    live = [(j, r) for j, r in enumerate(r_list, start=1) if not r.is_zero]
+    # lowered against a unit of the operands' field: mixed fields raise here
+    one = next((Fp(1, c.p) for _, r in live for _, c in r.terms if type(c) is Fp), Fraction(1))
+    lowered, p, _ = _lowered([(r.terms, (((0, 0), one),)) for _, r in live])
+    n = lmax + 1
+    columns, coefficients, candidates = [], [], []
+    for (j, r), (terms, _) in zip(live, lowered):
+        ys = _family(make_d, j, lmax)  # looked up here, so a replaced builder is its own key
+        if min(ys) + _min_y_degree(r) < -box.bounds[1]:
+            raise CertificateError("the automatically sized box lost terms")
+        column_x = -1
+        for (x, y), c in terms:  # ascending, so the first live term per x has its least y
+            if c and x < n:
+                if x != column_x:
+                    column_x = x
+                    columns.append((1,) * x + (tuple(map(add, ys[:n - x], repeat(y))) if y
+                                               else ys[:n - x]))
+                    coefficients.append(c)
+                candidates.append((ys, x, y, c))
+    rows = list(zip(*columns)) if columns else [(1,)] * n
+    least = list(map(min, rows))
+    entries = [v if v <= 0 else None for v in least]
+    nonzero = (lambda total: total % p) if p else bool
+    for l in compress(range(n), map(gt, map(countOf, rows, least), repeat(1))):
+        row, v = rows[l], least[l]
+        if v > 0 or nonzero(sum(compress(coefficients, map(eq, row, repeat(v))))):
+            continue
+        sums: dict[int, int] = {}
+        for ys, x, y, c in candidates:
+            if x <= l and y + ys[l - x] <= 0:
+                sums[y + ys[l - x]] = sums.get(y + ys[l - x], 0) + c
+        entries[l] = min((w for w, total in sums.items() if nonzero(total)), default=None)
+    return tuple(entries)

@@ -102,10 +102,18 @@ def oracle_certificate(r_list, lmax):
     every sum is a coefficient object; both kernels are checked against
     :func:`oracle_product` elsewhere.  m0, a and b are read off the top
     coefficient, and tail is the least degree from which the profile
-    follows b - (l - a)^m0 up to lmax.
+    follows b - (l - a)^m0 up to lmax.  Over GF(p) each d_j carries the
+    unit of GF(p), so a bare int in r_j is read mod p, as the certificate
+    reads it (an int times an int would stay an int).
     """
     box = auto_truncation(r_list, lmax)
-    s = linear_combine([(1, ring_act(r, make_d(j, lmax, box)))
+    one = next((c ** 0 for r in r_list for _, c in r.terms if type(c) is Fp), 1)
+
+    def d(j):
+        plain = make_d(j, lmax, box)
+        return Element(plain.shape, box, tuple((e, one) for e, _ in plain.terms))
+
+    s = linear_combine([(1, ring_act(r, d(j)))
                         for j, r in enumerate(r_list, start=1) if not r.is_zero])
     assert s.exact
     profile = delta(s, (0, lmax))
@@ -116,6 +124,57 @@ def oracle_certificate(r_list, lmax):
     while tail > 0 and profile.value(tail - 1) == b - (tail - 1 - a) ** m0:
         tail -= 1
     return m0, a, b, profile, tail
+
+
+def oracle_dominance(r_list):
+    """``(dominated, settled)`` for sum r_j . d_j.
+
+    ``dominated(l)`` writes the certificate's conditions out degree by
+    degree: with t = l - a >= 1, the witness term X^a Y^b of the top
+    coefficient survives (t^m0 >= b), its higher X-layers stay above it
+    (t^m0 - (t-1)^m0 > b - their least Y-degree), and so does every lower
+    r_j (t^m0 - l^j > b - its least Y-degree).  Every degree from
+    ``settled`` on is dominated, unless m0 = 1 and the higher layers reach
+    below b, when none is."""
+    m0 = max(j for j, r in enumerate(r_list, start=1) if not r.is_zero)
+    top = r_list[m0 - 1].term_map()
+    a = min(x for x, _ in top)
+    b = min(y for x, y in top if x == a)
+    h_margin = min((y for x, y in top if x != a), default=None)
+    lower = [(j, min(y for _, y in r.term_map()))
+             for j, r in enumerate(r_list[: m0 - 1], start=1) if not r.is_zero]
+
+    def dominated(l):
+        t = l - a
+        if t < 1 or t ** m0 < b:
+            return False
+        if h_margin is not None and not t ** m0 - (t - 1) ** m0 > b - h_margin:
+            return False
+        return all(t ** m0 - l ** j > b - margin for j, margin in lower)
+
+    return dominated, a + max(a + 1, 2 ** (m0 - 1) + b + 1)
+
+
+def oracle_tail_start(r_list, lmax):
+    """The least degree from which every degree up to lmax is dominated,
+    found by scanning down from lmax."""
+    dominated, _ = oracle_dominance(r_list)
+    l = lmax
+    while dominated(l):
+        l -= 1
+    return l + 1
+
+
+def oracle_required_lmax(r_list, start=2):
+    """The least l >= start whose degrees l - 2, l - 1 and l are all
+    dominated, found by scanning up; None if there is none."""
+    dominated, settled = oracle_dominance(r_list)
+    run = 0
+    for l in range(start - 2, max(start, settled) + 3):
+        run = run + 1 if dominated(l) else 0
+        if run >= 3 and l >= start:
+            return l
+    return None
 
 
 def oracle_rank(rows):

@@ -407,38 +407,6 @@ def test_kernel_walls_kills_and_vanishing_products(base, size):
     _assert_kernel_matches_oracle(out, sevens, walled, D2.roles, box.bounds, size)
 
 
-@pytest.mark.parametrize("threshold", [0, algebra.PACKED_MIN_PRODUCTS * 100],
-                         ids=["packed", "tuple-loop"])
-def test_a_unit_operand_multiplies_like_its_terms(monkeypatch, threshold):
-    """One prebuilt unit operand, reused across calls whose fields are
-    narrow and past 64 bits wide, agrees with the oracle on its terms over
-    Q (bare ints, Fractions and both) and GF(7) (bare ints that vanish mod 7
-    included), with kills and walls in reach."""
-    monkeypatch.setattr(algebra, "PACKED_MIN_PRODUCTS", threshold)
-    d = make_d(3, 6)
-    units = algebra._Units(d.terms)
-    assert len(units) == 7 and list(units) == list(d.terms)
-    rng = random.Random(f"units/{threshold}")
-    # walls inside and outside d's reach (X to 6, Y to -216), fields of four
-    # widths, one used twice; in the box (7, 7) a field too narrow for d
-    # would carry X^4 Y^-64 into X^3 Y^0
-    for bounds in ((7, 7), (8, 240), (2 ** 64 + 1, 2 ** 64 + 9), (5, 30), (7, 7)):
-        box = TruncationBox(bounds)
-        lo, hi, kill = algebra._window(D2.roles, box.bounds)
-        for draw in (*COEFFICIENT_KINDS["rational"], *COEFFICIENT_KINDS["prime:7"]):
-            r = _walled_sample(rng, S2, TruncationBox((3, 3)), 5, draw)
-            acc, p, den, dropped, layout = algebra._accumulate(
-                [(r.terms, units)], lo, hi, kill)
-            # 1 in r's field: an Fp in r makes the bare ints residues mod 7
-            one = next((c ** 0 for _, c in r.terms if type(c) is Fp), 1)
-            want_terms, want_exact = oracle_product(
-                r.term_map(), dict.fromkeys(d.term_map(), one), D2.roles, box.bounds)
-            assert dict(algebra._canonical(acc, p, den, layout)) == want_terms
-            assert dropped == (not want_exact)
-    with pytest.raises(ValueError, match="every coefficient to be 1"):
-        algebra._Units([((0, 0), 2)])
-
-
 def test_leibniz_check_fails_on_a_wrong_inverse_rule(monkeypatch):
     """The series rule's factor e[j] on an inverse direction breaks the Weyl
     relation at the socle, and the acceptance check must notice."""

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -421,3 +422,20 @@ def test_indep_names_a_window_past_the_old_scan_limit(capsys):
                         "--trunc", "10000000")
     assert code == 2
     assert doc["required_lmax"] == 3165
+
+
+def test_indep_window_behind_a_dip_is_named_at_once(capsys):
+    """With r_2 = Y^5 and r_3 = X^(10^12) the lower condition fails on about
+    10^8 degrees; the window is read off that failure interval, not found by
+    scanning it."""
+    a = 10 ** 12
+    started = time.perf_counter()
+    code, doc = run_doc(capsys, "indep", "0", "Y^5", f"X^{a}", "--trunc", str(a),
+                        "--lmax", "10")
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    lo, hi = 1, a  # the least t = l - a with t^3 - (a + t)^2 > -5, by its own bisection
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** 3 - (a + mid) ** 2 > -5 else (mid + 1, hi)
+    assert doc["required_lmax"] == a + lo + 2

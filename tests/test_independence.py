@@ -36,8 +36,11 @@ from conftest import (
     COEFFICIENT_KINDS,
     int_coefficient,
     oracle_certificate,
+    oracle_dominance,
     oracle_min_profile,
     oracle_product,
+    oracle_required_lmax,
+    oracle_tail_start,
 )
 
 S2 = ModuleShape.series_shape(2)
@@ -463,6 +466,156 @@ def test_required_lmax_for_a_huge_x_order():
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if mid ** 3 > (a + mid) ** 2 else (mid + 1, hi)
     assert info.value.required_lmax == a + lo + 2
+
+
+def test_the_scan_oracle_agrees_on_the_pinned_windows():
+    """The degree-by-degree scan names the pinned windows too: 3165, the
+    non-monotone 103, and, scanned from just below the answer, X^(10^12)
+    with a lower condition at margin 0 and at margin 5 (a dip of about
+    10^8 failing degrees)."""
+    box = TruncationBox((100, 10 ** 7))
+    for terms, required in ((({(0, 0): 1}, {(0, 10 ** 7): 1}), 3165),
+                            (({}, {(0, 10_600): 1}, {(100, 0): 1}), 103)):
+        r_list = tuple(Element.from_terms(S2, box, t) for t in terms)
+        assert oracle_required_lmax(r_list) == required
+    a = 10 ** 12
+    box = TruncationBox((a, 5))
+    for margin in (0, 5):
+        r_list = (Element.zero(S2, box), Element.from_terms(S2, box, {(0, margin): 1}),
+                  Element.from_terms(S2, box, {(a, 0): 1}))
+        with pytest.raises(InconclusiveWindowError) as info:
+            independence_certificate(r_list, 10)
+        required = info.value.required_lmax
+        dominated, _ = oracle_dominance(r_list)
+        assert not dominated(required - 3)
+        assert oracle_required_lmax(r_list, required - 40) == required
+
+
+def _tail_r_list(rng):
+    """A combination whose dominance tail has some shape: top index 1-4, a
+    witness X^a Y^b, sometimes higher X-layers, and lower coefficients whose
+    least Y-degree is often above b.  In a third of the draws, with a from
+    20 to 60 and every lower margin just past the most that t = 1..k needs
+    (k from 1 to 4), each lower condition holds up to t = k and, for
+    j >= 2, often fails on an interval after it."""
+    box = TruncationBox((64, 300_000))
+    dip = rng.random() < 1 / 3
+    m0 = rng.randint(3, 4) if dip else rng.randint(1, 4)
+    a = rng.randint(20, 60) if dip else rng.randint(0, 30)
+    b = rng.choice((0, 1, rng.randint(0, 12)))
+    top = {(a, b): 1}
+    if not dip and rng.random() < 0.4:
+        top[(a + rng.randint(1, 3), rng.randint(0, 3 * b + 2))] = 1
+    k = rng.randint(1, 4)
+    r_list = []
+    for j in range(1, m0):
+        if dip:
+            margin = max((a + t) ** j - t ** m0 for t in range(1, k + 1)) + b + rng.randint(1, 6)
+        else:
+            margin = rng.choice((0, rng.randint(0, b + 2), rng.randint(b, 3000)))
+        r_list.append({} if rng.random() < 0.2 else {(rng.randint(0, 3), margin): 1})
+    return tuple(Element.from_terms(S2, box, t) for t in (*r_list, top))
+
+
+def test_tail_start_matches_the_scan_oracle():
+    """tail_start equals the scan down from lmax; an inconclusive window
+    names the scan's least window (or None, only where the scan finds no
+    run).  Over 400 combinations, each at lmax 2 and at a window inside the
+    range where the tail moves."""
+    rng = random.Random("tail")
+    outcomes = {"certified": 0, "named": 0, "none": 0, "dip": 0, "run before a dip": 0}
+    for _ in range(400):
+        r_list = _tail_r_list(rng)
+        dominated, settled = oracle_dominance(r_list)
+        shape = "".join("+" if dominated(l) else "-" for l in range(settled))
+        # dominated, then not: a tail no bisection on l finds
+        outcomes["dip"] += "+-" in shape
+        outcomes["run before a dip"] += "+++-" in shape
+        for lmax in (2, rng.randint(3, settled + 3)):
+            tail = oracle_tail_start(r_list, lmax)
+            if lmax - tail >= 2:
+                assert independence_certificate(r_list, lmax).tail_start == tail
+                outcomes["certified"] += 1
+                continue
+            with pytest.raises(InconclusiveWindowError) as info:
+                independence_certificate(r_list, lmax)
+            assert info.value.required_lmax == oracle_required_lmax(r_list)
+            outcomes["named" if info.value.required_lmax else "none"] += 1
+    assert min(outcomes.values()) >= 4, outcomes
+
+
+# (draw for every coefficient, draw for the top one): the prime fields mix
+# bare ints into the lower coefficients, some divisible by p.  The top one
+# draws residues only: the certificate still reads (a, b) off a bare int
+# that vanishes mod p, a known defect that makes it raise CertificateError.
+ORACLE_DRAWS = {
+    "int": (int_coefficient, int_coefficient),
+    "rational": (COEFFICIENT_KINDS["rational"][1],) * 2,
+    "gf7": COEFFICIENT_KINDS["prime:7"][::-1],
+    "gf32003": (lambda rng: (Fp(rng.randint(1, 32002), 32003) if rng.random() < 0.7
+                             else rng.choice((32003, -64006, 5))),
+                lambda rng: Fp(rng.randint(1, 32002), 32003)),
+}
+
+
+def _oracle_r_list(rng, draw, top_draw):
+    """1-4 coefficients of up to 4 terms with exponents up to 3.  Sometimes
+    r_1 = X - Y plus a higher term (X and -Y cancel along every degree of
+    r_1 . d_1), and sometimes a lower coefficient sits far up in Y (a margin
+    above b)."""
+    count = rng.randint(1, 4)
+    r_list = [{} if rng.random() < 0.15 else
+              {(rng.randint(0, 3), rng.randint(0, 3)): draw(rng) for _ in range(rng.randint(1, 4))}
+              for _ in range(count - 1)]
+    if count >= 2 and rng.random() < 0.3:
+        c = top_draw(rng)
+        r_list[0] = {(1, 0): c, (0, 1): -c, (rng.randint(1, 3), rng.randint(1, 3)): draw(rng)}
+    if count >= 2 and rng.random() < 0.3:
+        r_list[rng.randrange(count - 1)] = {(rng.randint(0, 3), rng.randint(20, 40)): draw(rng)}
+    r_list.append({(rng.randint(0, 3), rng.randint(0, 3)): top_draw(rng)
+                   for _ in range(rng.randint(1, 4))})
+    return tuple(Element.from_terms(S2, TruncationBox((3, 40)), r) for r in r_list)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_DRAWS))
+def test_certificates_match_the_oracles(kind):
+    """Over 80 combinations per field, at lmax 40: every certificate equals
+    the element-path oracle (m0, a, b and the whole profile) and the scan
+    oracle (tail_start); every inconclusive window is the scan's."""
+    rng = random.Random(f"oracles/{kind}")
+    certified = 0
+    for _ in range(80):
+        r_list = _oracle_r_list(rng, *ORACLE_DRAWS[kind])
+        tail = oracle_tail_start(r_list, 40)
+        if 40 - tail < 2:
+            with pytest.raises(InconclusiveWindowError) as info:
+                independence_certificate(r_list, 40)
+            assert info.value.required_lmax == oracle_required_lmax(r_list)
+            continue
+        cert = independence_certificate(r_list, 40)
+        m0, a, b, profile, _ = oracle_certificate(r_list, 40)
+        assert (cert.m0, cert.a, cert.b, cert.tail_start) == (m0, a, b, tail)
+        assert cert.delta == profile
+        certified += 1
+    assert certified >= 50
+
+
+def test_the_family_cache_keeps_no_entry_past_its_bound():
+    """The d-family cache bounds the Y-exponents it holds, not its entries:
+    an entry longer than the bound is handed out but not kept, and the
+    least recently used entries leave once the total would pass it."""
+    cache = independence._FamilyCache(10)
+    assert cache(make_d, 2, 10) == tuple(-(l * l) for l in range(11))
+    assert cache.cache_info().currsize == 0
+    cache(make_d, 1, 5)
+    cache(make_d, 2, 3)  # 6 + 4 exponents: both kept
+    cache(make_d, 1, 5)
+    cache(make_d, 3, 0)  # one more: d_2 at lmax 3, the least recently used, leaves
+    assert list(cache._entries) == [(make_d, 1, 5), (make_d, 3, 0)]
+    assert cache.cache_info()[:2] == (1, 4)
+    independence._family.cache_clear()
+    independence._family(make_d, 1, independence._family.capacity)
+    assert independence._family.cache_info().currsize == 0
 
 
 def test_certificate_past_2_to_the_64():
