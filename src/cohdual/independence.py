@@ -21,11 +21,13 @@ makes this quantitative for a finite truncation window:
   accounts for the h-part of the top coefficient, for every lower-index
   d_j, and for the contraction kill on positive Y-exponents; each of its
   conditions fails on one interval of degrees, found by bisection.  s is
-  never formed: its profile is the least entry per degree of one column
-  of Y-exponents per term of r_j, read off d_j's cached Y-exponents, and
-  coefficients are summed only where two columns tie.  A window too short
-  to conclude names the least one that would do, or None where no window
-  ever can.
+  never formed: each term of r_j gives one column of Y-exponents, read
+  off d_j's cached Y-exponents.  On the tail each column is checked, in
+  one pass, to lie strictly above the witness column of X^a Y^b, which
+  then is the profile there; before the tail (or everywhere, if a check
+  fails) the profile is the least entry per degree, with coefficients
+  summed only where two columns tie.  A window too short to conclude
+  names the least one that would do, or None where no window ever can.
 
 A verified tail plus the pigeonhole on distinct growth rates is what the
 equivalence search over shifted windows (:func:`shift_equiv_window`)
@@ -38,12 +40,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, countOf, eq, gt, sub
+from operator import add, countOf, eq, gt, itemgetter, lt, sub
 
 from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _lowered
 from .fields import Fp
 
 D_SHAPE = ModuleShape((SERIES, INVERSE))
+R_SHAPE = ModuleShape((SERIES, SERIES))  # the coefficients r_j
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
@@ -237,7 +240,7 @@ def decompose_r(r: Element) -> RDecomposition:
     polynomial in Y alone, b is the Y-order of g, and h is what remains
     after dividing the higher layers by X^(a+1).
     """
-    if r.shape != ModuleShape.series_shape(2):
+    if r.shape != R_SHAPE:
         raise ValueError("decomposition expects a polynomial over two series variables")
     if r.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
@@ -355,7 +358,9 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
 
     Reads (a, b) off the top nonzero coefficient and, from the intervals on
     which the dominance conditions fail, the first degree from which every
-    competing contribution is strictly dominated.  At least 3 tail points
+    competing contribution is strictly dominated; only terms that survive
+    in the coefficients' field count (over GF(p), a bare int divisible by p
+    is no term).  At least 3 tail points
     are demanded; fewer raises :class:`InconclusiveWindowError` with the
     least window that would do, before the profile is read.  The profile
     (see :func:`_least_exponents`) must equal b - (l-a)^m0 on the whole
@@ -365,25 +370,32 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     if not r_list:
         raise DegenerateInputError("no coefficient polynomials given")
     for r in r_list:
-        if r.shape != ModuleShape.series_shape(2):
+        if r.shape != R_SHAPE:
             raise ValueError("coefficients must be polynomials over two series variables")
         if not r.exact:
             raise InexactElementError("coefficient polynomials must be exact")
     if all(r.is_zero for r in r_list):
         raise DegenerateInputError("every coefficient polynomial is zero")
-    m0 = max(j for j, r in enumerate(r_list, start=1) if not r.is_zero)
     box = auto_truncation(r_list, lmax)
     if lmax < 0:  # make_d's own check, made before the dominance analysis
         raise ValueError(f"lmax must be nonnegative, got {lmax}")
+    live = [(j, r) for j, r in enumerate(r_list, start=1) if not r.is_zero]
+    # lowered against a unit of the operands' field: mixed fields raise here
+    one = next((Fp(1, c.p) for _, r in live for _, c in r.terms if type(c) is Fp), Fraction(1))
+    lowered, p, _ = _lowered([(r.terms, (((0, 0), one),)) for _, r in live])
+    # a term whose coefficient lowers to 0 (a bare int divisible by p) is no term
+    live = [(j, Element(R_SHAPE, r.box, tuple(compress(r.terms, map(itemgetter(1), terms)))),
+             [t for t in terms if t[1]]) for (j, r), (terms, _) in zip(live, lowered)]
+    live = [(j, r, terms) for j, r, terms in live if terms]  # nonempty: no Fp term lowers to 0
+    m0 = live[-1][0]
 
-    dec = decompose_r(r_list[m0 - 1])
+    dec = decompose_r(live[-1][1])
     a, b = dec.a, dec.b
     h_margin = None if dec.h.is_zero else _min_y_degree(dec.h)
     if m0 == 1 and h_margin is not None and b - h_margin >= 1:
         raise InconclusiveWindowError(None)  # t - (t - 1) = 1 for every l
-    fails = _failing_intervals(m0, a, b, h_margin, [
-        (j, _min_y_degree(r)) for j, r in enumerate(r_list[: m0 - 1], start=1)
-        if not r.is_zero])
+    fails = _failing_intervals(m0, a, b, h_margin,
+                               [(j, _min_y_degree(r)) for j, r, _ in live[:-1]])
     # l <= a always fails; past the last failure up to lmax every degree is dominated
     tail_start = a + 1 + max((min(hi, lmax - a) for lo, hi in fails if lo <= lmax - a),
                              default=0)
@@ -395,7 +407,7 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
             t = max(t, hi + 1)
         raise InconclusiveWindowError(a + t + 2)
 
-    profile = DeltaSequence(0, _least_exponents(r_list, lmax, box))
+    profile = DeltaSequence(0, _least_exponents(live, p, lmax, box, a, b, tail_start))
     expected = tuple(map(sub, repeat(b), map(pow, range(tail_start - a, lmax - a + 1),
                                              repeat(m0))))
     if profile.entries[tail_start:] != expected:
@@ -448,38 +460,50 @@ def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
     return [(lo, hi) for lo, hi in fails if lo <= hi]
 
 
-def _least_exponents(r_list, lmax: int, box: TruncationBox) -> tuple[int | None, ...]:
+def _least_exponents(live, p: int | None, lmax: int, box: TruncationBox, a: int, b: int,
+                     tail_start: int) -> tuple[int | None, ...]:
     """Least Y-exponent of each X^0..X^lmax coefficient of sum r_j . d_j.
 
-    A term c X^x Y^y of r_j, c lowered to a nonzero int, gives at each l >= x
-    the candidate y + (d_j's Y-exponent at l - x), killed if positive.  The
-    least y per (j, x) gives a column over all degrees, 1 (absent) below x.
-    Where two or more columns reach the least entry, their coefficients are
-    re-summed, and if they cancel every candidate at that degree is."""
-    live = [(j, r) for j, r in enumerate(r_list, start=1) if not r.is_zero]
-    # lowered against a unit of the operands' field: mixed fields raise here
-    one = next((Fp(1, c.p) for _, r in live for _, c in r.terms if type(c) is Fp), Fraction(1))
-    lowered, p, _ = _lowered([(r.terms, (((0, 0), one),)) for _, r in live])
+    ``live`` holds (j, r_j, r_j's terms lowered to nonzero ints, mod p if p).
+    A term c X^x Y^y of r_j gives at each l >= x the candidate y + (d_j's
+    Y-exponent at l - x), killed if positive; the least y per (j, x) gives a
+    column.  On the tail, if the witness column X^a Y^b (the top index's
+    first) lies at or below 0 and, checked in one pass per column from
+    max(x, tail_start) on, strictly below every other column, it is the
+    profile.  Before the tail, or on the whole window if a check fails, the
+    profile is the least entry per degree of the columns cut there; where
+    two or more reach it their coefficients are re-summed, and if they
+    cancel every candidate at that degree is."""
     n = lmax + 1
-    columns, coefficients, candidates = [], [], []
-    for (j, r), (terms, _) in zip(live, lowered):
+    columns, candidates = [], []
+    for j, r, terms in live:
         ys = _family(make_d, j, lmax)  # looked up here, so a replaced builder is its own key
         if min(ys) + _min_y_degree(r) < -box.bounds[1]:
             raise CertificateError("the automatically sized box lost terms")
-        column_x = -1
-        for (x, y), c in terms:  # ascending, so the first live term per x has its least y
-            if c and x < n:
+        witness, column_x = len(columns), -1  # m0 comes last: its first column is X^a Y^b
+        for (x, y), c in terms:  # ascending, so the first term per x has its least y
+            if x < n:
                 if x != column_x:
                     column_x = x
-                    columns.append((1,) * x + (tuple(map(add, ys[:n - x], repeat(y))) if y
-                                               else ys[:n - x]))
-                    coefficients.append(c)
+                    columns.append((ys, x, y, c))
                 candidates.append((ys, x, y, c))
-    rows = list(zip(*columns)) if columns else [(1,)] * n
+    tail = tuple(map(add, columns[witness][0][tail_start - a:n - a], repeat(b)))
+
+    def above(ys, x, y):  # strictly above the witness from max(x, tail_start) on
+        k = max(x, tail_start)
+        column = ys[k - x:n - x]
+        return all(map(lt, tail[k - tail_start:], map(add, column, repeat(y)) if y else column))
+
+    dominated = max(tail) <= 0 and all(above(ys, x, y) for i, (ys, x, y, _) in
+                                       enumerate(columns) if i != witness)
+    cut = tail_start if dominated else n
+    rows = list(zip(*[(1,) * x + (tuple(map(add, ys[:cut - x], repeat(y))) if y else ys[:cut - x])
+                      for ys, x, y, _ in columns if x < cut])) or [(1,)] * cut
     least = list(map(min, rows))
     entries = [v if v <= 0 else None for v in least]
+    coefficients = [c for _, x, _, c in columns if x < cut]
     nonzero = (lambda total: total % p) if p else bool
-    for l in compress(range(n), map(gt, map(countOf, rows, least), repeat(1))):
+    for l in compress(range(cut), map(gt, map(countOf, rows, least), repeat(1))):
         row, v = rows[l], least[l]
         if v > 0 or nonzero(sum(compress(coefficients, map(eq, row, repeat(v))))):
             continue
@@ -488,4 +512,4 @@ def _least_exponents(r_list, lmax: int, box: TruncationBox) -> tuple[int | None,
             if x <= l and y + ys[l - x] <= 0:
                 sums[y + ys[l - x]] = sums.get(y + ys[l - x], 0) + c
         entries[l] = min((w for w, total in sums.items() if nonzero(total)), default=None)
-    return tuple(entries)
+    return tuple(entries) + (tail if dominated else ())

@@ -94,6 +94,15 @@ def oracle_min_profile(terms, lo, hi):
     return tuple(entries)
 
 
+def surviving_terms(r_list):
+    """Each r_j's term map without the bare ints that vanish in the
+    combination's field: over GF(p) (some coefficient is an ``Fp``), an int
+    divisible by p is no term."""
+    p = next((c.p for r in r_list for _, c in r.terms if type(c) is Fp), None)
+    return [{e: c for e, c in r.terms if p is None or type(c) is not int or c % p}
+            for r in r_list]
+
+
 def oracle_certificate(r_list, lmax):
     """(m0, a, b, profile, tail) of sum r_j . d_j by the element path.
 
@@ -104,7 +113,8 @@ def oracle_certificate(r_list, lmax):
     coefficient, and tail is the least degree from which the profile
     follows b - (l - a)^m0 up to lmax.  Over GF(p) each d_j carries the
     unit of GF(p), so a bare int in r_j is read mod p, as the certificate
-    reads it (an int times an int would stay an int).
+    reads it (an int times an int would stay an int), and m0, a and b are
+    read off the :func:`surviving_terms`.
     """
     box = auto_truncation(r_list, lmax)
     one = next((c ** 0 for r in r_list for _, c in r.terms if type(c) is Fp), 1)
@@ -117,9 +127,10 @@ def oracle_certificate(r_list, lmax):
                         for j, r in enumerate(r_list, start=1) if not r.is_zero])
     assert s.exact
     profile = delta(s, (0, lmax))
-    m0 = max(j for j, r in enumerate(r_list, start=1) if not r.is_zero)
-    a = min(x for (x, _), _ in r_list[m0 - 1].terms)
-    b = min(y for (x, y), _ in r_list[m0 - 1].terms if x == a)
+    maps = surviving_terms(r_list)
+    m0 = max(j for j, terms in enumerate(maps, start=1) if terms)
+    a = min(x for x, _ in maps[m0 - 1])
+    b = min(y for x, y in maps[m0 - 1] if x == a)
     tail = lmax + 1
     while tail > 0 and profile.value(tail - 1) == b - (tail - 1 - a) ** m0:
         tail -= 1
@@ -133,16 +144,18 @@ def oracle_dominance(r_list):
     degree: with t = l - a >= 1, the witness term X^a Y^b of the top
     coefficient survives (t^m0 >= b), its higher X-layers stay above it
     (t^m0 - (t-1)^m0 > b - their least Y-degree), and so does every lower
-    r_j (t^m0 - l^j > b - its least Y-degree).  Every degree from
-    ``settled`` on is dominated, unless m0 = 1 and the higher layers reach
-    below b, when none is."""
-    m0 = max(j for j, r in enumerate(r_list, start=1) if not r.is_zero)
-    top = r_list[m0 - 1].term_map()
+    r_j (t^m0 - l^j > b - its least Y-degree), all read off the
+    :func:`surviving_terms`.  Every degree from ``settled`` on is
+    dominated, unless m0 = 1 and the higher layers reach below b, when none
+    is."""
+    maps = surviving_terms(r_list)
+    m0 = max(j for j, terms in enumerate(maps, start=1) if terms)
+    top = maps[m0 - 1]
     a = min(x for x, _ in top)
     b = min(y for x, y in top if x == a)
     h_margin = min((y for x, y in top if x != a), default=None)
-    lower = [(j, min(y for _, y in r.term_map()))
-             for j, r in enumerate(r_list[: m0 - 1], start=1) if not r.is_zero]
+    lower = [(j, min(y for _, y in terms))
+             for j, terms in enumerate(maps[: m0 - 1], start=1) if terms]
 
     def dominated(l):
         t = l - a

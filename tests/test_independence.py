@@ -41,6 +41,7 @@ from conftest import (
     oracle_product,
     oracle_required_lmax,
     oracle_tail_start,
+    surviving_terms,
 )
 
 S2 = ModuleShape.series_shape(2)
@@ -358,6 +359,7 @@ def test_certificate_short_windows_match_oracle(lmax):
             outcomes.add("inconclusive")
             continue
         outcomes.add("certified")
+        assert cert.tail_start == 1 or lmax == 4  # at lmax 3, the shortest tail: 3 points
         profile = oracle_min_profile(_oracle_sum(r_list, range(lmax + 1), cert.box), 0, lmax)
         assert cert.delta == DeltaSequence(0, profile)
     assert "inconclusive" in outcomes
@@ -429,8 +431,9 @@ def test_required_lmax_is_the_least_window(terms, required):
 @pytest.mark.parametrize("kind", sorted(FAMILY_DRAWS))
 def test_required_lmax_on_random_combinations(kind):
     """Over random combinations inconclusive at lmax 2 (every one is: three
-    tail points need l >= 3): the named window certifies and every shorter
-    one is inconclusive, or, only for a top index of 1, no window is named."""
+    tail points need l >= 3): the named window certifies, on its shortest
+    tail of 3 points, with the element path's profile, and every shorter one
+    is inconclusive, or, only for a top index of 1, no window is named."""
     rng = random.Random(f"required/{kind}")
     named = 0
     for _ in range(40):
@@ -444,6 +447,7 @@ def test_required_lmax_on_random_combinations(kind):
             assert max(j for j, r in enumerate(r_list, start=1) if not r.is_zero) == 1
             continue
         named += 1
+        _assert_certificate_matches_oracle(r_list, required)
         assert independence_certificate(r_list, required).tail_start == required - 2
         for lmax in range(3, required):
             with pytest.raises(InconclusiveWindowError):
@@ -544,21 +548,18 @@ def test_tail_start_matches_the_scan_oracle():
     assert min(outcomes.values()) >= 4, outcomes
 
 
-# (draw for every coefficient, draw for the top one): the prime fields mix
-# bare ints into the lower coefficients, some divisible by p.  The top one
-# draws residues only: the certificate still reads (a, b) off a bare int
-# that vanishes mod p, a known defect that makes it raise CertificateError.
+# one coefficient draw per field: the prime fields mix in bare ints, some
+# divisible by p, in every coefficient, the top one included
 ORACLE_DRAWS = {
-    "int": (int_coefficient, int_coefficient),
-    "rational": (COEFFICIENT_KINDS["rational"][1],) * 2,
-    "gf7": COEFFICIENT_KINDS["prime:7"][::-1],
-    "gf32003": (lambda rng: (Fp(rng.randint(1, 32002), 32003) if rng.random() < 0.7
-                             else rng.choice((32003, -64006, 5))),
-                lambda rng: Fp(rng.randint(1, 32002), 32003)),
+    "int": int_coefficient,
+    "rational": COEFFICIENT_KINDS["rational"][1],
+    "gf7": COEFFICIENT_KINDS["prime:7"][1],
+    "gf32003": lambda rng: (Fp(rng.randint(1, 32002), 32003) if rng.random() < 0.7
+                            else rng.choice((32003, -64006, 5))),
 }
 
 
-def _oracle_r_list(rng, draw, top_draw):
+def _oracle_r_list(rng, draw):
     """1-4 coefficients of up to 4 terms with exponents up to 3.  Sometimes
     r_1 = X - Y plus a higher term (X and -Y cancel along every degree of
     r_1 . d_1), and sometimes a lower coefficient sits far up in Y (a margin
@@ -568,11 +569,11 @@ def _oracle_r_list(rng, draw, top_draw):
               {(rng.randint(0, 3), rng.randint(0, 3)): draw(rng) for _ in range(rng.randint(1, 4))}
               for _ in range(count - 1)]
     if count >= 2 and rng.random() < 0.3:
-        c = top_draw(rng)
+        c = draw(rng)
         r_list[0] = {(1, 0): c, (0, 1): -c, (rng.randint(1, 3), rng.randint(1, 3)): draw(rng)}
     if count >= 2 and rng.random() < 0.3:
         r_list[rng.randrange(count - 1)] = {(rng.randint(0, 3), rng.randint(20, 40)): draw(rng)}
-    r_list.append({(rng.randint(0, 3), rng.randint(0, 3)): top_draw(rng)
+    r_list.append({(rng.randint(0, 3), rng.randint(0, 3)): draw(rng)
                    for _ in range(rng.randint(1, 4))})
     return tuple(Element.from_terms(S2, TruncationBox((3, 40)), r) for r in r_list)
 
@@ -585,7 +586,7 @@ def test_certificates_match_the_oracles(kind):
     rng = random.Random(f"oracles/{kind}")
     certified = 0
     for _ in range(80):
-        r_list = _oracle_r_list(rng, *ORACLE_DRAWS[kind])
+        r_list = _oracle_r_list(rng, ORACLE_DRAWS[kind])
         tail = oracle_tail_start(r_list, 40)
         if 40 - tail < 2:
             with pytest.raises(InconclusiveWindowError) as info:
@@ -598,6 +599,87 @@ def test_certificates_match_the_oracles(kind):
         assert cert.delta == profile
         certified += 1
     assert certified >= 50
+
+
+def test_a_bare_int_that_vanishes_mod_p_is_no_term():
+    """Over GF(7) a bare 14 is 0: (a, b) come from X^2 Y^3, the term of the
+    top coefficient that survives, and an r_j of such ints counts as zero."""
+    box = TruncationBox((3, 40))
+    r_list = (Element.from_terms(S2, box, {(0, 23): Fp(4, 7)}),
+              Element.from_terms(S2, box, {(0, 1): 14, (2, 3): 1}))
+    cert = independence_certificate(r_list, 40)
+    assert (cert.m0, cert.a, cert.b) == (2, 2, 3)
+    assert cert.decomposition == decompose_r(Element.from_terms(S2, box, {(2, 3): 1}))
+    assert cert.delta == oracle_certificate(r_list, 40)[3]
+    cert = independence_certificate(r_list + (Element.from_terms(S2, box, {(1, 0): 7}),), 40)
+    assert (cert.m0, cert.a, cert.b) == (2, 2, 3)
+
+
+def _claim_the_tail_from(monkeypatch, t):
+    """Make the dominance analysis claim every degree from l = a + t on."""
+    monkeypatch.setattr(independence, "_failing_intervals",
+                        lambda *args: [(1, t - 1)] if t > 1 else [])
+
+
+def _assert_certificate_follows_the_profile(r_list, lmax, tail_start):
+    """The certificate at a claimed tail_start carries the element-path
+    profile, or raises at the first tail degree where that profile leaves
+    b - (l - a)^m0."""
+    m0, a, b, profile, _ = oracle_certificate(r_list, lmax)
+    off = next((l for l in range(tail_start, lmax + 1)
+                if profile.value(l) != b - (l - a) ** m0), None)
+    if off is None:
+        cert = independence_certificate(r_list, lmax)
+        assert (cert.m0, cert.a, cert.b, cert.tail_start) == (m0, a, b, tail_start)
+        assert cert.delta == profile
+        return "certified"
+    message = f"profile at degree {off} is {profile.value(off)}, expected {b - (off - a) ** m0}"
+    with pytest.raises(CertificateError, match=f"^{message}$"):
+        independence_certificate(r_list, lmax)
+    return "raised"
+
+
+def test_a_tail_claimed_too_early_reads_the_whole_window(monkeypatch):
+    """When the analysis claims dominance from l = a + 1 on, competing
+    columns tie with or undercut the witness on that tail (or the witness
+    is still killed there): the profile is still the element path's, and
+    the certificate raises exactly where it leaves b - (l - a)^m0."""
+    _claim_the_tail_from(monkeypatch, 1)
+    rng = random.Random("claimed early")
+    outcomes = {"certified": 0, "raised": 0}
+    for _ in range(200):
+        r_list = _oracle_r_list(rng, ORACLE_DRAWS[rng.choice(sorted(ORACLE_DRAWS))])
+        m0, a, b, _, _ = oracle_certificate(r_list, 40)
+        if m0 == 1 and any(x != a and y < b for x, y in surviving_terms(r_list)[0]):
+            continue  # never concludes, before any analysis
+        outcomes[_assert_certificate_follows_the_profile(r_list, 40, a + 1)] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_a_cancelling_tie_on_the_claimed_tail_is_seen(monkeypatch):
+    """3 d_1 + 4 Y^2 d_2 over GF(7) ties at X^2 Y^-2 and cancels there; a
+    tail claimed from l = 2 must not take the witness's -2 for the entry."""
+    _claim_the_tail_from(monkeypatch, 2)
+    r_list = tuple(poly(terms) for terms in CANCELLING["prime:7"])
+    with pytest.raises(CertificateError, match="^profile at degree 2 is None, expected -2$"):
+        independence_certificate(r_list, 40)
+
+
+def test_a_column_starting_inside_the_tail_is_compared_from_its_start(monkeypatch):
+    """X^5 d_1 + (1 + X Y^2000) d_2 has its tail from l = 2, so the column
+    of X^5 starts inside it.  Built correctly it stays above the witness
+    -l^2; with d_1 built as the cube, -(l - 5)^3 first undercuts it at
+    l = 10 (Y^2000 widens the automatic box enough to hold the cube)."""
+    box = TruncationBox((5, 2000))
+    r_list = (Element.from_terms(S2, box, {(5, 0): 1}),
+              Element.from_terms(S2, box, {(0, 0): 1, (1, 2000): 1}))
+    cert = independence_certificate(r_list, 12)
+    assert (cert.tail_start, cert.delta) == (2, oracle_certificate(r_list, 12)[3])
+    real_make_d = independence.make_d
+    monkeypatch.setattr(independence, "make_d",
+                        lambda power, lmax, box=None: real_make_d(power + 2 * (power == 1), lmax))
+    with pytest.raises(CertificateError, match="^profile at degree 10 is -125, expected -100$"):
+        independence_certificate(r_list, 12)
 
 
 def test_the_family_cache_keeps_no_entry_past_its_bound():
