@@ -22,12 +22,13 @@ makes this quantitative for a finite truncation window:
   d_j, and for the contraction kill on positive Y-exponents; each of its
   conditions fails on one interval of degrees, found by bisection.  s is
   never formed: each term of r_j gives one column of Y-exponents, read
-  off d_j's cached Y-exponents.  On the tail each column is checked, in
-  one pass, to lie strictly above the witness column of X^a Y^b, which
-  then is the profile there; before the tail (or everywhere, if a check
-  fails) the profile is the least entry per degree, with coefficients
-  summed only where two columns tie.  A window too short to conclude
-  names the least one that would do, or None where no window ever can.
+  off d_j's cached Y-exponents.  On the tail one packed subtraction per
+  column checks that it lies strictly above the witness column of X^a Y^b,
+  which then is the profile there, equal to b - (l-a)^m0 when d_m0 passed
+  the ``pow`` check made once per cached entry; before the tail (or
+  everywhere, if a check fails) the profile is the least entry per degree,
+  with coefficients summed only where two columns tie.  A window too short
+  to conclude names the least one that would do, or None where none can.
 
 A verified tail plus the pigeonhole on distinct growth rates is what the
 equivalence search over shifted windows (:func:`shift_equiv_window`)
@@ -39,8 +40,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add, countOf, eq, gt, itemgetter, lt, sub
+from itertools import compress, repeat, zip_longest
+from operator import add, countOf, eq, gt, itemgetter, neg, sub
 
 from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _lowered
 from .fields import Fp
@@ -176,30 +177,69 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None) -> Element:
     return Element(D_SHAPE, box, tuple(((l, -(l ** power)), 1) for l in range(lmax + 1)))
 
 
+class _FamilyEntry:
+    """A cached d_power at lmax: ``ys`` by X-degree, their least and
+    greatest value, the ``key`` (build, power, lmax) it was built for, and
+    whether ys is -l^power, checked with ``pow`` once, as it is built.
+    ``packed(w)`` is ys as one int of w-bit fields, field t holding
+    ys[t] + 2^(w - 2); each width is packed once and weighs as much as ys."""
+
+    __slots__ = ("cache", "key", "ys", "lo", "hi", "closed", "forms")
+
+    def __init__(self, cache: _FamilyCache, key: tuple, ys: tuple[int, ...]):
+        self.cache, self.key, self.ys, self.lo, self.hi = cache, key, ys, min(ys), max(ys)
+        self.closed = ys == tuple(map(neg, map(pow, range(key[2] + 1), repeat(key[1]))))
+        self.forms: dict[int, int] = {}
+
+    @property
+    def weight(self) -> int:
+        return len(self.ys) * (1 + len(self.forms))
+
+    def packed(self, w: int) -> int:
+        if w not in self.forms:
+            fields, width = list(map(add, self.ys, repeat(1 << (w - 2)))), w
+            while len(fields) > 1:  # neighbours join: O(n log n) bit operations, not O(n^2)
+                fields = [low | high << width for low, high in
+                          zip_longest(fields[::2], fields[1::2], fillvalue=0)]
+                width *= 2
+            self.forms[w] = fields[0]
+            self.cache._grew(self)
+        return self.forms[w]
+
+
 class _FamilyCache:
-    """``_family(build, power, lmax)``: the Y-exponents of d_power truncated
-    at lmax, by X-degree, as built by ``build``.  Least recently used
-    entries leave once all hold more than ``capacity`` exponents, and a
-    longer entry is never kept."""
+    """``_family(build, power, lmax)``: the :class:`_FamilyEntry` of
+    d_power truncated at lmax, as built by ``build``.  Least recently used
+    entries leave once all weigh more than ``capacity`` exponents, and a
+    heavier entry is never kept."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.cache_clear()
 
-    def __call__(self, build, power: int, lmax: int) -> tuple[int, ...]:
+    def __call__(self, build, power: int, lmax: int) -> _FamilyEntry:
         key = (build, power, lmax)
-        ys = self._entries.pop(key, None)
-        if ys is None:
+        entry = self._entries.pop(key, None)
+        if entry is None:
             self.misses += 1
-            ys = tuple(y for (_, y), _ in build(power, lmax).terms)
+            entry = _FamilyEntry(self, key, tuple(y for (_, y), _ in build(power, lmax).terms))
         else:
-            self.hits, self.size = self.hits + 1, self.size - len(ys)
-        if len(ys) <= self.capacity:
-            self._entries[key] = ys  # the most recently used entry is last
-            self.size += len(ys)
+            self.hits, self.size = self.hits + 1, self.size - entry.weight
+        return self._keep(entry)
+
+    def _keep(self, entry: _FamilyEntry) -> _FamilyEntry:
+        if entry.weight <= self.capacity:
+            self._entries[entry.key] = entry  # the most recently used entry is last
+            self.size += entry.weight
             while self.size > self.capacity:
-                self.size -= len(self._entries.pop(next(iter(self._entries))))
-        return ys
+                self.size -= self._entries.pop(next(iter(self._entries))).weight
+        return entry
+
+    def _grew(self, entry: _FamilyEntry) -> None:
+        """Weigh a held entry again after a form was packed for it."""
+        if self._entries.get(entry.key) is entry:
+            self.size -= self._entries.pop(entry.key).weight - len(entry.ys)
+            self._keep(entry)
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(self.hits, self.misses, self.capacity, len(self._entries))
@@ -407,10 +447,11 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
             t = max(t, hi + 1)
         raise InconclusiveWindowError(a + t + 2)
 
-    profile = DeltaSequence(0, _least_exponents(live, p, lmax, box, a, b, tail_start))
-    expected = tuple(map(sub, repeat(b), map(pow, range(tail_start - a, lmax - a + 1),
-                                             repeat(m0))))
-    if profile.entries[tail_start:] != expected:
+    entries, closed = _least_exponents(live, p, lmax, box, a, b, tail_start)
+    profile = DeltaSequence(0, entries)
+    expected = () if closed else tuple(map(sub, repeat(b), map(
+        pow, range(tail_start - a, lmax - a + 1), repeat(m0))))
+    if expected and profile.entries[tail_start:] != expected:
         l, want = next((l, want) for l, want in enumerate(expected, start=tail_start)
                        if profile.entries[l] != want)
         raise CertificateError(f"profile at degree {l} is {profile.entries[l]}, expected {want}")
@@ -461,44 +502,42 @@ def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
 
 
 def _least_exponents(live, p: int | None, lmax: int, box: TruncationBox, a: int, b: int,
-                     tail_start: int) -> tuple[int | None, ...]:
-    """Least Y-exponent of each X^0..X^lmax coefficient of sum r_j . d_j.
+                     tail_start: int) -> tuple[tuple[int | None, ...], bool]:
+    """Least Y-exponent of each X^0..X^lmax coefficient of sum r_j . d_j,
+    and whether its tail is known to be b - (l - a)^m0.
 
     ``live`` holds (j, r_j, r_j's terms lowered to nonzero ints, mod p if p).
     A term c X^x Y^y of r_j gives at each l >= x the candidate y + (d_j's
     Y-exponent at l - x), killed if positive; the least y per (j, x) gives a
     column.  On the tail, if the witness column X^a Y^b (the top index's
-    first) lies at or below 0 and, checked in one pass per column from
-    max(x, tail_start) on, strictly below every other column, it is the
-    profile.  Before the tail, or on the whole window if a check fails, the
-    profile is the least entry per degree of the columns cut there; where
-    two or more reach it their coefficients are re-summed, and if they
-    cancel every candidate at that degree is."""
+    first) lies at or below 0 and every other column strictly above it, each
+    decided by one packed subtraction (:func:`_above`), it is the profile,
+    known to be b - (l - a)^m0 when d_m0's entry follows its closed form.
+    Before the tail, or on the whole window if a check fails, the profile is
+    the least entry per degree of the columns cut there; where two or more
+    reach it their coefficients are re-summed, and if they cancel every
+    candidate at that degree is."""
     n = lmax + 1
     columns, candidates = [], []
     for j, r, terms in live:
-        ys = _family(make_d, j, lmax)  # looked up here, so a replaced builder is its own key
-        if min(ys) + _min_y_degree(r) < -box.bounds[1]:
+        entry = _family(make_d, j, lmax)  # looked up here, so a replaced builder is its own key
+        if entry.key[1:] != (j, lmax):
+            raise CertificateError(f"the cached d_{j} at lmax {lmax} was built "
+                                   f"as d_{entry.key[1]} at lmax {entry.key[2]}")
+        if entry.lo + _min_y_degree(r) < -box.bounds[1]:
             raise CertificateError("the automatically sized box lost terms")
         witness, column_x = len(columns), -1  # m0 comes last: its first column is X^a Y^b
         for (x, y), c in terms:  # ascending, so the first term per x has its least y
             if x < n:
                 if x != column_x:
                     column_x = x
-                    columns.append((ys, x, y, c))
-                candidates.append((ys, x, y, c))
-    tail = tuple(map(add, columns[witness][0][tail_start - a:n - a], repeat(b)))
-
-    def above(ys, x, y):  # strictly above the witness from max(x, tail_start) on
-        k = max(x, tail_start)
-        column = ys[k - x:n - x]
-        return all(map(lt, tail[k - tail_start:], map(add, column, repeat(y)) if y else column))
-
-    dominated = max(tail) <= 0 and all(above(ys, x, y) for i, (ys, x, y, _) in
-                                       enumerate(columns) if i != witness)
+                    columns.append((entry, x, y, c))
+                candidates.append((entry.ys, x, y, c))
+    dominated = all(_above(columns, witness, tail_start, n))
     cut = tail_start if dominated else n
-    rows = list(zip(*[(1,) * x + (tuple(map(add, ys[:cut - x], repeat(y))) if y else ys[:cut - x])
-                      for ys, x, y, _ in columns if x < cut])) or [(1,)] * cut
+    rows = list(zip(*[(1,) * x + (tuple(map(add, e.ys[:cut - x], repeat(y))) if y
+                                  else e.ys[:cut - x])
+                      for e, x, y, _ in columns if x < cut])) or [(1,)] * cut
     least = list(map(min, rows))
     entries = [v if v <= 0 else None for v in least]
     coefficients = [c for _, x, _, c in columns if x < cut]
@@ -512,4 +551,45 @@ def _least_exponents(live, p: int | None, lmax: int, box: TruncationBox, a: int,
             if x <= l and y + ys[l - x] <= 0:
                 sums[y + ys[l - x]] = sums.get(y + ys[l - x], 0) + c
         entries[l] = min((w for w, total in sums.items() if nonzero(total)), default=None)
-    return tuple(entries) + (tail if dominated else ())
+    if not dominated:
+        return tuple(entries), False
+    top = columns[witness][0]
+    tail = top.ys[tail_start - a:n - a]
+    return tuple(entries) + (tuple(map(add, tail, repeat(b))) if b else tail), top.closed
+
+
+def _above(columns, witness: int, tail_start: int, n: int):
+    """Yield whether the witness column (entry, a, b, c) lies below 1 from
+    tail_start to n - 1, then, per other column (entry, x, y, c), whether
+    y + ys[l - x] lies strictly above b + ys[l - a] from max(x, tail_start).
+
+    All are packed at one width w whose guard G = 2^(w - 1) exceeds 2M + 1,
+    M = max(-least ys, greatest ys + greatest y) bounding every compared
+    value.  From degree k, C is the column's slice and W the witness's plus
+    b + 1 - y - G per field: field t of C - W is the difference plus G - 1,
+    in [0, 2G), so nothing borrows and all guard bits are set exactly when
+    the column is above at every degree (Lamport 1975).  Fields past the
+    n - k compared ones never reach them, so no slice is masked.  The
+    constant 1 is an entry of zeros with y = 1."""
+    top, a, b, _ = columns[witness]
+    most = max(y for _, _, y, _ in columns)
+    w = (2 * max(max(-e.lo, e.hi + most) for e, _, _, _ in columns) + 1).bit_length() + 1
+    guard, ones, count = 1 << (w - 1), 1, 1
+    while count < n:  # n fields of 1, by doubling
+        ones, count = ones | ones << w * count, 2 * count
+    ones &= (1 << w * n) - 1
+    starts: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def above(column: int, k: int, y: int) -> bool:  # column: the packed fields from degree k
+        if (k, y) not in starts:  # W minus y per field, so C - W is one subtraction
+            ones_k = ones >> w * k
+            starts[k, y] = ones_k << (w - 1), (top.packed(w) >> w * (k - a)) + (
+                b + 1 - y - guard) * ones_k
+        guards, low = starts[k, y]
+        return (column - low) & guards == guards
+
+    yield above((guard >> 1) * (ones >> w * tail_start), tail_start, 1)
+    for i, (e, x, y, _) in enumerate(columns):
+        if i != witness:
+            k = max(x, tail_start)
+            yield above(e.packed(w) >> w * (k - x), k, y)

@@ -18,6 +18,7 @@ from cohdual.algebra import (
     ring_act,
 )
 from cohdual.independence import (
+    D_SHAPE,
     CertificateError,
     DegenerateInputError,
     DeltaSequence,
@@ -35,6 +36,7 @@ from cohdual.fields import Fp
 from conftest import (
     COEFFICIENT_KINDS,
     int_coefficient,
+    oracle_above,
     oracle_certificate,
     oracle_dominance,
     oracle_min_profile,
@@ -683,11 +685,12 @@ def test_a_column_starting_inside_the_tail_is_compared_from_its_start(monkeypatc
 
 
 def test_the_family_cache_keeps_no_entry_past_its_bound():
-    """The d-family cache bounds the Y-exponents it holds, not its entries:
-    an entry longer than the bound is handed out but not kept, and the
-    least recently used entries leave once the total would pass it."""
+    """The d-family cache bounds the Y-exponents it holds, packed forms
+    included, not its entries: an entry heavier than the bound is handed out
+    but not kept, and the least recently used entries leave once the total
+    would pass it."""
     cache = independence._FamilyCache(10)
-    assert cache(make_d, 2, 10) == tuple(-(l * l) for l in range(11))
+    assert cache(make_d, 2, 10).ys == tuple(-(l * l) for l in range(11))
     assert cache.cache_info().currsize == 0
     cache(make_d, 1, 5)
     cache(make_d, 2, 3)  # 6 + 4 exponents: both kept
@@ -695,9 +698,117 @@ def test_the_family_cache_keeps_no_entry_past_its_bound():
     cache(make_d, 3, 0)  # one more: d_2 at lmax 3, the least recently used, leaves
     assert list(cache._entries) == [(make_d, 1, 5), (make_d, 3, 0)]
     assert cache.cache_info()[:2] == (1, 4)
+
+    cache = independence._FamilyCache(12)
+    d1, d2 = cache(make_d, 1, 3), cache(make_d, 2, 3)
+    d1.packed(8)  # a packed form weighs as much as ys: 8 + 4, and d_1 is now the most recent
+    assert (list(cache._entries), cache.size) == ([(make_d, 2, 3), (make_d, 1, 3)], 12)
+    d2.packed(8)  # 8 + 8: d_1 leaves
+    assert (list(cache._entries), cache.size) == ([(make_d, 2, 3)], 8)
+    d2.packed(8)  # packed once
+    d2.packed(9)  # 12: kept
+    assert cache.size == 12
+    d2.packed(10)  # 16: d_2 itself is now too heavy to keep
+    assert (cache.cache_info().currsize, cache.size) == (0, 0)
+    assert sorted(d2.forms) == [8, 9, 10]
+
     independence._family.cache_clear()
-    independence._family(make_d, 1, independence._family.capacity)
+    independence._family(make_d, 1, independence._family.capacity).packed(20)
     assert independence._family.cache_info().currsize == 0
+    _certify_past_2_to_the_64()  # packs d_1 and d_4 at lmax 65,600
+    assert (independence._family.cache_info().currsize, independence._family.size) == (0, 0)
+
+
+def _certify_past_2_to_the_64():
+    r_list = (poly({(0, 1): Fraction(1, 3)}), Element.zero(S2, RBOX),
+              Element.zero(S2, RBOX), poly({(0, 0): Fraction(-2, 5)}))
+    return r_list, independence_certificate(r_list, 65_600)
+
+
+def _entry(ys, power=1):
+    """A d-family entry holding ``ys`` (all <= 0), as a cache that keeps
+    nothing builds it."""
+    lmax = len(ys) - 1
+    d = Element.from_terms(D_SHAPE, TruncationBox((lmax, -min(ys))),
+                           {(l, y): 1 for l, y in enumerate(ys)})
+    return independence._FamilyCache(0)(lambda power, lmax: d, power, lmax)
+
+
+def _packed_answers(columns, tail_start, n, witness=0):
+    """The packed tail test's answers, checked against the elementwise oracle."""
+    answers = list(independence._above(columns, witness, tail_start, n))
+    assert answers == oracle_above(columns, witness, tail_start, n)
+    return answers
+
+
+def test_the_packed_tail_test_matches_the_elementwise_oracle():
+    """Random witnesses and columns, each column above the witness by a
+    random margin except, now and then, at one degree where it ties or
+    undercuts; magnitudes run from 1 past 2^64.  Each entry's fields
+    outside the compared slice are random too, so an unmasked field that
+    leaked in would show."""
+    rng = random.Random("packed tail")
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        scale = rng.choice((1, 2, 100, 2 ** 40, 2 ** 64, 2 ** 100))
+        n = rng.randint(1, 24)
+        tail_start = rng.randint(0, n - 1)
+        a = rng.randint(0, tail_start)
+        b = rng.choice((0, rng.randint(0, scale)))
+        top = _entry([-rng.randint(0, scale) for _ in range(n)])
+        columns = [(top, a, b, 1)]
+        for _ in range(rng.randint(1, 5)):
+            x = rng.randint(0, n - 1)
+            k = max(x, tail_start)
+            want = [b + top.ys[l - a] + rng.randint(1, scale) for l in range(k, n)]
+            if rng.random() < 0.4:
+                want[rng.randrange(len(want))] -= rng.choice((1, 2, scale + 1))
+            y = max(0, *want) + rng.choice((0, 1, scale))
+            ys = [-rng.randint(0, scale) for _ in range(n)]
+            ys[k - x:n - x] = [v - y for v in want]
+            columns.append((_entry(ys), x, y, 1))
+        for answer in _packed_answers(columns, tail_start, n):
+            seen[answer] += 1
+    assert min(seen.values()) >= 300, seen
+
+
+@pytest.mark.parametrize("m", [0] + [2 ** k + step for k in (1, 7, 8, 63, 64, 65, 100)
+                                   for step in (-1, 0)])
+def test_the_packed_tail_test_at_its_widest_differences(m):
+    """With M = m bounding the compared values (the field width steps up
+    between 2^k - 1 and 2^k, and 2M + 1 = 1 is a power of two at M = 0),
+    a column at -M against a witness at M differs by -2M and one at M
+    against a witness at -M by 2M.  Both are read right on a tail of one
+    degree, where a borrow has no compared field above it to land in."""
+    # the witness X^0 Y^m sits at m on degree 1; columns at -m and at m (a tie)
+    columns = [(_entry([-m, 0]), 0, m, 1), (_entry([-m, -m]), 0, 0, 1), (_entry([0, 0]), 0, m, 1)]
+    assert _packed_answers(columns, 1, 2) == [m == 0, False, False]
+    # the witness X^0 Y^0 sits at -m; a column at m is above it by 2m, one at -m ties
+    columns = [(_entry([-m, -m]), 0, 0, 1), (_entry([0, 0]), 0, m, 1), (_entry([0, -m]), 0, 0, 1)]
+    assert _packed_answers(columns, 1, 2) == [True, m > 0, False]
+
+
+def test_the_packed_tail_test_pinned_cases():
+    """A tie at one degree is not above, however far above the rest is; a
+    column starting inside the tail is read from its own start; a column's
+    y counts, 0 or not; the witness must sit at or below 0."""
+    top = _entry([-(t * t) for t in range(8)])  # the witness X^1 Y^2 is 2 - (l - 1)^2
+    tie_at_5 = _entry([-(t * t) - 40 * (t == 4) for t in range(8)])  # 40 above but at l = 5
+    columns = [(top, 1, 2, 1), (tie_at_5, 1, 42, 1), (tie_at_5, 1, 43, 1)]
+    assert _packed_answers(columns, 3, 8) == [True, False, True]
+    assert _packed_answers(columns, 6, 8) == [True, True, True]
+    assert _packed_answers(columns, 2, 8) == [False, False, True]  # 2 - 1 > 0 at l = 2
+    # -(l - x)^3 from x = 5 or 4 stays above the witness; from x = 2 it undercuts at l = 4
+    cube = _entry([-(t ** 3) for t in range(8)])
+    columns = [(top, 1, 2, 1), (cube, 5, 0, 1), (cube, 4, 0, 1), (cube, 2, 0, 1)]
+    assert _packed_answers(columns, 3, 8) == [True, True, True, False]
+    assert _packed_answers([columns[0], columns[3]], 3, 4) == [True, True]  # -1 > -2 at l = 3
+    # the witness's own entry ties at y = b and is above at y = b + 1; y = 0 over zeros
+    zeros = _entry([0] * 8)
+    columns = [(top, 1, 2, 1), (top, 1, 2, 1), (top, 1, 3, 1), (zeros, 1, 0, 1)]
+    assert _packed_answers(columns, 3, 8) == [True, False, True, True]
+    columns = [(top, 1, 0, 1), (top, 1, 0, 1), (top, 1, 1, 1), (zeros, 7, 0, 1)]
+    assert _packed_answers(columns, 2, 8) == [True, False, True, True]
 
 
 def test_certificate_past_2_to_the_64():
@@ -705,9 +816,7 @@ def test_certificate_past_2_to_the_64():
     Y-bound lmax^4 + 2 passes 2**64, so the kernel packs exponents into
     fields wider than 64 bits."""
     lmax = 65_600
-    r_list = (poly({(0, 1): Fraction(1, 3)}), Element.zero(S2, RBOX),
-              Element.zero(S2, RBOX), poly({(0, 0): Fraction(-2, 5)}))
-    cert = independence_certificate(r_list, lmax)
+    r_list, cert = _certify_past_2_to_the_64()
     assert cert.box.bounds[1] > 2 ** 64
     assert (cert.m0, cert.a, cert.b, cert.tail_start) == (4, 0, 0, 1)
     for lo, hi in ((0, 12), (lmax - 12, lmax)):
@@ -752,6 +861,63 @@ def test_certificate_torsion_combination_never_concludes():
     killed = ring_act(r, d1)
     assert killed.is_zero
     assert not killed.exact
+
+
+def test_a_family_reaching_below_the_automatic_box_raises(monkeypatch):
+    """The automatic box reaches lmax^m0 + the largest Y-degree + 1 = 11
+    below 0 for r_1 = 1 at lmax 10.  A d_1 whose last exponent is -12 would
+    have lost terms there; one at -11 fits, and its profile leaves -l."""
+    def reaching(depth):
+        def build(power, lmax, box=None):
+            ys = [-(l ** power) for l in range(lmax)] + [-depth]
+            return Element.from_terms(D_SHAPE, TruncationBox((lmax, depth)),
+                                      {(l, y): 1 for l, y in enumerate(ys)})
+        return build
+
+    r_list = (poly({(0, 0): 1}),)
+    monkeypatch.setattr(independence, "make_d", reaching(12))
+    with pytest.raises(CertificateError, match="^the automatically sized box lost terms$"):
+        independence_certificate(r_list, 10)
+    monkeypatch.setattr(independence, "make_d", reaching(11))
+    with pytest.raises(CertificateError, match="^profile at degree 10 is -11, expected -10$"):
+        independence_certificate(r_list, 10)
+
+
+def test_a_cached_entry_of_another_power_raises(monkeypatch):
+    """Each entry is stamped with the power and lmax it was checked against:
+    an entry for d_1 handed out for d_2 fails the certificate."""
+    real_family = independence._family
+    monkeypatch.setattr(independence, "_family",
+                        lambda build, power, lmax: real_family(build, 1, lmax))
+    with pytest.raises(CertificateError,
+                       match="^the cached d_2 at lmax 40 was built as d_1 at lmax 40$"):
+        independence_certificate((poly({(0, 0): 1}), poly({(0, 0): 1})), 40)
+
+
+def test_each_entry_is_checked_against_its_closed_form_once(monkeypatch):
+    """An entry records whether its exponents are -l^power.  A cold
+    certificate pays one ``pow`` pass and one packing per entry, a warm one
+    neither."""
+    cache = independence._FamilyCache(100)
+    assert cache(make_d, 3, 20).closed
+    assert not cache(lambda power, lmax: make_d(power + 1, lmax), 3, 20).closed
+    assert not cache(lambda power, lmax: make_d(power, lmax - 1), 3, 20).closed
+    assert not _entry([0, -1, -4, -9, -15], power=2).closed
+    assert _entry([0, -1, -4, -9, -16], power=2).closed
+
+    calls = []
+    monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
+                        raising=False)
+    r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
+              poly({(0, 0): 1, (1, 2): -1}))
+    independence._family.cache_clear()
+    cert = independence_certificate(r_list, 50)
+    assert (cert.m0, cert.tail_start, len(calls)) == (4, 2, 4 * 51)
+    assert [len(entry.forms) for entry in independence._family._entries.values()] == [1] * 4
+    calls.clear()
+    assert independence_certificate(r_list, 50) == cert
+    assert calls == []
+    assert [len(entry.forms) for entry in independence._family._entries.values()] == [1] * 4
 
 
 def _independence_line():
