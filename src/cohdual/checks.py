@@ -3,9 +3,11 @@
 Each check function runs many instances of one mathematical claim and
 returns a single :class:`CheckLine` with a pass verdict and a short
 detail.  Randomized checks draw everything from one seeded generator, so
-a run is reproducible from (suite, seed).  The sizes below are chosen to
-finish comfortably fast while still sweeping every shape and position the
-finite windows can reach.
+a run is reproducible from (suite, seed).  The algebra line is decided
+on the monomial basis of its region, with seeded draws over Q, GF(7) and
+GF(32003) for the linearity that makes that a proof and for the packed
+kernel.  The sizes below are chosen to finish comfortably fast while
+still sweeping every shape and position the finite windows can reach.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from itertools import product
 
 from .algebra import (
     INVERSE,
+    PACKED_MIN_PRODUCTS,
     SERIES,
     Element,
     ModuleShape,
     TruncationBox,
     derivation_act,
+    linear_combine,
     monomial,
     ring_act,
 )
@@ -220,14 +224,46 @@ def balance_trials(seed: int = DEFAULT_SEED, trials: int = 500) -> CheckLine:
     return CheckLine("pairing-balance", trials, True)
 
 
-def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 500) -> CheckLine:
-    """Product rule and the commutator with the matching variable.
+def _broken_variable(m, variables, pairs):
+    """The first j at which D_j breaks, exactly, the Weyl law on m and X_j
+    (``variables[j]``) or the product rule on m and some (r, [D_0(r), ...])
+    of pairs; None when none does."""
+    dms = [derivation_act(j, m) for j in range(len(variables))]
+    for j, (x, dm) in enumerate(zip(variables, dms)):
+        wl, wr = derivation_act(j, ring_act(x, m)), ring_act(x, dm) + m
+        if not (wl == wr and wl.exact and wr.exact):
+            return j
+    for r, drs in pairs:
+        rm = ring_act(r, m)
+        for j, (dr, dm) in enumerate(zip(drs, dms)):
+            lhs, rhs = derivation_act(j, rm), ring_act(dr, m) + ring_act(r, dm)
+            if not (lhs == rhs and lhs.exact and rhs.exact):
+                return j
+    return None
 
-    For every role assignment in up to three variables, the derivation
-    must satisfy both the product rule against polynomial multiplication
-    and the unit commutator with its own variable, per_config times with
-    fresh random samples.  Headroom in the sampling keeps all products
-    exact so the identities are exercised exactly, including across kills.
+
+def _field_draw(rng, field, shape, box, exps, full) -> Element:
+    """Ratios over field (over Q mostly with non-unit denominators) on every
+    monomial of exps when full, else on one to four of them."""
+    return Element.from_terms(shape, box, [
+        (e, field.from_int(rng.choice((1, -1)) * rng.randint(1, 6))
+         / field.from_int(rng.randint(2, 6)))
+        for e in (exps if full else rng.sample(exps, rng.randint(1, min(4, len(exps)))))])
+
+
+def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 2) -> CheckLine:
+    """Product rule and the commutator with the matching variable, exactly.
+
+    Both sides of both laws are linear in each argument and ``exact`` is
+    the AND of the per-product drops, so the laws are decided on the
+    monomial basis: for every role assignment in up to three variables,
+    every m inside margin 4 of box 6, every ring monomial r of box 2 and
+    every variable.  That proves them on the whole region if the kernels
+    are linear over each field: so the seed draws per_config (r, m) per
+    role assignment over each of Q, GF(7) and GF(32003), checked on both
+    laws and on ring_act's linearity in m, plus one full-support pair per
+    field, under a drawn role assignment, for each n whose r.m reaches
+    ``PACKED_MIN_PRODUCTS``.
     """
     rng = random.Random(seed)
     instances = 0
@@ -235,24 +271,39 @@ def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 500) -> Chec
         ring_shape, ring_box = ModuleShape.series_shape(n), TruncationBox.uniform(n, 2)
         variables = [monomial(ring_shape, TruncationBox.uniform(n, 1),
                               tuple(1 if k == j else 0 for k in range(n))) for j in range(n)]
-        for roles in product((SERIES, INVERSE), repeat=n):
+        r_exps = list(product(range(3), repeat=n))
+        rs = [(r, [derivation_act(j, r) for j in range(n)])
+              for r in (monomial(ring_shape, ring_box, e) for e in r_exps)]
+        assignments = list(product((SERIES, INVERSE), repeat=n))
+        full = rng.choice(assignments) if len(rs) ** 2 >= PACKED_MIN_PRODUCTS else None
+        for roles in assignments:
             shape = ModuleShape(roles)
             box = TruncationBox.uniform(n, 6)
-            for _ in range(per_config):
-                instances += 1
-                m = _random_element(rng, shape, box, margin=4)
-                r = _random_element(rng, ring_shape, ring_box)
-                j = rng.randrange(n)
-                lhs = derivation_act(j, ring_act(r, m))
-                rhs = (ring_act(derivation_act(j, r), m)
-                       + ring_act(r, derivation_act(j, m)))
-                wl = derivation_act(j, ring_act(variables[j], m))
-                wr = ring_act(variables[j], derivation_act(j, m)) + m
-                good = (lhs == rhs and wl == wr
-                        and lhs.exact and rhs.exact and wl.exact and wr.exact)
-                if not good:
-                    return CheckLine("leibniz-and-weyl", instances, False,
-                                     f"roles {roles}, variable {j}")
+            m_exps = list(product(*(range(3) if role == SERIES else range(0, -3, -1)
+                                    for role in roles)))
+
+            def failed(what):
+                return CheckLine("leibniz-and-weyl", instances, False, f"roles {roles}, {what}")
+
+            for field in (RATIONAL, PrimeField(7), PrimeField(32003)):
+                for k in range(per_config + (roles == full)):
+                    instances += 1
+                    r = _field_draw(rng, field, ring_shape, ring_box, r_exps, k == per_config)
+                    m = _field_draw(rng, field, shape, box, m_exps, k == per_config)
+                    rm = ring_act(r, m)
+                    summed = linear_combine(
+                        (c, ring_act(r, Element(shape, box, ((e, 1),)))) for e, c in m.terms)
+                    if rm != summed or rm.exact != summed.exact:
+                        return failed(f"ring action not linear in m over {field.descriptor}")
+                    pair = (r, [derivation_act(j, r) for j in range(n)])
+                    j = _broken_variable(m, variables, [pair])
+                    if j is not None:
+                        return failed(f"variable {j} over {field.descriptor}")
+            for e in m_exps:  # the Weyl pairs of m, then its Leibniz triples
+                instances += n * (1 + len(rs))
+                j = _broken_variable(monomial(shape, box, e), variables, rs)
+                if j is not None:
+                    return failed(f"variable {j}")
     return CheckLine("leibniz-and-weyl", instances, True)
 
 

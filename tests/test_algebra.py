@@ -20,7 +20,7 @@ from cohdual.algebra import (
     quotient_by_series_var,
     ring_act,
 )
-from cohdual.checks import DEFAULT_SEED, leibniz_weyl_trials
+from cohdual.checks import DEFAULT_SEED, leibniz_weyl_trials, run_suite
 from cohdual.duality import matlis_pair
 from cohdual.fields import Fp
 from cohdual.independence import decompose_r, make_d
@@ -418,9 +418,102 @@ def test_leibniz_check_fails_on_a_wrong_inverse_rule(monkeypatch):
             m.shape, m.box, [t for t in lowered if m.box.admits(m.shape, t[0])], m.exact)
 
     monkeypatch.setattr(checks, "derivation_act", series_factor_everywhere)
-    line = leibniz_weyl_trials(DEFAULT_SEED, per_config=50)
+    line = leibniz_weyl_trials(DEFAULT_SEED)
     assert not line.passed
     assert "inverse" in line.detail
+
+
+def _algebra_line():
+    (line,) = run_suite("algebra", DEFAULT_SEED).lines
+    return line
+
+
+def test_algebra_suite_fails_on_squared_residues(monkeypatch):
+    """A GF(p) kernel that squares each lowered residue must FAIL the suite."""
+    lowered = algebra._lowered
+
+    def squared(pairs):
+        out = lowered(pairs)
+        if out is None or out[1] is None:
+            return out
+        new_pairs, p, den = out
+        live = [pair for pair in pairs if pair[0] and pair[1]]
+        return [tuple([(e, v * v % p if type(c) is Fp else v)
+                       for (e, v), (_, c) in zip(low, terms)]
+                      for low, terms in zip(new_pair, pair))
+                for new_pair, pair in zip(new_pairs, live)], p, den
+
+    monkeypatch.setattr(algebra, "_lowered", squared)
+    assert not _algebra_line().passed
+
+
+def test_algebra_suite_fails_on_halved_rational_products(monkeypatch):
+    """A Q kernel whose common denominator is doubled in the output must FAIL."""
+    canonical = algebra._canonical
+
+    def halved(acc, p, den, layout):
+        return canonical(acc, p, None if den is None else 2 * den, layout)
+
+    monkeypatch.setattr(algebra, "_canonical", halved)
+    assert not _algebra_line().passed
+
+
+def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
+    """The algebra line runs the int tuple loop, lowered Q, lowered GF(p)
+    and the packed loop."""
+    accumulate = algebra._accumulate
+    seen = set()
+
+    def counted(pairs, lo, hi, kill):
+        out = accumulate(pairs, lo, hi, kill)
+        _, p, den, _, layout = out
+        if layout is not None:
+            seen.add("packed")
+        if den is not None:
+            seen.add("Q")
+        elif p is not None:
+            seen.add("GF(p)")
+        elif all(type(c) is int for pair in pairs for terms in pair for _, c in terms):
+            seen.add("int tuple loop")
+        return out
+
+    monkeypatch.setattr(algebra, "_accumulate", counted)
+    assert _algebra_line().passed
+    assert {"int tuple loop", "Q", "GF(p)", "packed"} <= seen
+
+
+@pytest.mark.parametrize("per_config", [0, 2])
+def test_leibniz_check_sweeps_the_whole_monomial_region(per_config):
+    """Every (roles, m, r, j) triple and (roles, m, j) pair of the region,
+    plus the field draws: per_config per role assignment and field, and one
+    full-support draw per field for n = 2 and n = 3."""
+    sweep = sum(2 ** n * n * 3 ** n * (3 ** n + 1) for n in range(1, 4))
+    draws = sum(2 ** n for n in range(1, 4)) * 3 * per_config + 2 * 3
+    assert sweep == 18162 + 726
+    line = leibniz_weyl_trials(DEFAULT_SEED, per_config)
+    assert line.passed
+    assert line.instances == sweep + draws
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5, 701])
+def test_leibniz_check_fails_on_one_wrong_monomial(monkeypatch, seed):
+    """A derivation wrong only at (-2, 2, -2) along variable 2, under roles
+    (inverse, series, inverse), is inside the swept region: every seed
+    must see it."""
+    import cohdual.checks as checks
+
+    roles, bad = (INVERSE, SERIES, INVERSE), (-2, 2, -2)
+
+    def wrong_at_one_monomial(j, m):
+        out = derivation_act(j, m)
+        if j == 2 and m.shape.roles == roles and m.coefficient(bad):
+            out = out + derivation_act(j, monomial(m.shape, m.box, bad, m.coefficient(bad)))
+        return out
+
+    monkeypatch.setattr(checks, "derivation_act", wrong_at_one_monomial)
+    line = leibniz_weyl_trials(seed)
+    assert not line.passed
+    assert f"roles {roles}, variable 2" in line.detail
 
 
 def _frame(rng):

@@ -375,7 +375,7 @@ def test_suite_report_bytes_are_pinned():
     """``check --suite all`` at the default seed writes exactly these bytes."""
     payload = write_document(to_document(run_suite("all", DEFAULT_SEED)))
     assert hashlib.sha256(payload).hexdigest() == (
-        "7fb266bebba84da9e51c0df182ba6575547b8b031d34d2525a23b612ef071849")
+        "5bb84a542cac0c19d6efb51f82b4d0cac64fd46173e3e03d02a34448f0094598")
 
 
 def test_roundtrip_check_fails_when_signs_are_dropped(monkeypatch):
