@@ -46,10 +46,11 @@ Q and GF(7) with 2 and 3 variables, the layout and the packing cost more
 than the cheaper products save.  :func:`_canonical` sorts the int keys and
 unpacks only the survivors.  The independence certificate lowers its
 coefficients with :func:`_lowered` but forms no product.  Sums of terms
-(:meth:`Element.from_terms`, :func:`linear_combine`) go through
-:func:`_summed`.  A map that keeps terms distinct and in lexicographic
-order (a derivation, a quotient, a layer split) builds its term tuple
-directly.
+go through :func:`_summed`: :meth:`Element.from_terms` and
+:func:`linear_combine` call it, and so does ``+``, directly on the two term
+tuples (``a - b`` is ``a + -b``).  A map that keeps terms distinct and in
+lexicographic order (a derivation, a quotient, a negation, a layer split)
+builds its term tuple directly.
 """
 
 from __future__ import annotations
@@ -154,15 +155,14 @@ class TruncationBox:
         return all(map(le, lo, exponents)) and all(map(le, exponents, hi))
 
 
-@dataclass(frozen=True, eq=False)
-class Element:
+class Element(NamedTuple):
     """A finite sum of scaled monomials inside one shape and box.
 
     ``terms`` is kept sorted lexicographically by exponent vector and never
     contains zero coefficients; two elements are equal exactly when their
     shapes, boxes and term lists agree.  The ``exact`` flag is bookkeeping,
     not part of the value: it is true while no operation has discarded an
-    out-of-box term.
+    out-of-box term.  ``e._replace(exact=False)`` is a copy with the flag cleared.
     """
 
     shape: ModuleShape
@@ -171,16 +171,13 @@ class Element:
     exact: bool = True
 
     def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.box == other.box
-            and self.terms == other.terms
-        )
+        return isinstance(other, Element) and self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
-        return hash((self.shape, self.box, self.terms))
+        return hash(self[:3])
 
     @classmethod
     def from_terms(
@@ -222,13 +219,15 @@ class Element:
         return linear_combine([(scalar, self)])
 
     def __add__(self, other: "Element") -> "Element":
-        return linear_combine([(1, self), (1, other)])
+        _check_frame(self, other)
+        return Element(self.shape, self.box, _summed(self.terms + other.terms),
+                       self.exact and other.exact)
 
     def __sub__(self, other: "Element") -> "Element":
-        return linear_combine([(1, self), (-1, other)])
+        return self + -other
 
-    def __neg__(self) -> "Element":
-        return self.scale(-1)
+    def __neg__(self) -> "Element":  # negating keeps the terms nonzero and in order
+        return Element(self.shape, self.box, tuple([(e, -c) for e, c in self.terms]), self.exact)
 
     def __repr__(self):
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.terms) or "0"
@@ -249,16 +248,22 @@ def linear_combine(pairs: Iterable[tuple[object, Element]]) -> Element:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty linear combination (shape unknown)")
-    shape, box = pairs[0][1].shape, pairs[0][1].box
+    first = pairs[0][1]
     items = []
     for scalar, elem in pairs:
-        if elem.shape != shape or elem.box != box:
-            raise ValueError("linear_combine requires a common shape and box")
+        _check_frame(first, elem)
         if type(scalar) is int and scalar == 1:  # then 1 * c is c, same type
             items += elem.terms
         elif scalar:
             items += [(e, scalar * c) for e, c in elem.terms]
-    return Element(shape, box, _summed(items), all(elem.exact for _, elem in pairs))
+    return Element(first.shape, first.box, _summed(items), all(e.exact for _, e in pairs))
+
+
+def _check_frame(a: Element, b: Element) -> None:
+    """Refuse two elements of different shapes or boxes, testing identity first."""
+    if (a.shape is not b.shape and a.shape != b.shape
+            or a.box is not b.box and a.box != b.box):
+        raise ValueError("linear_combine requires a common shape and box")
 
 
 def _summed(items) -> tuple:
@@ -279,9 +284,8 @@ def _lowered(pairs):
     and is left out.  None when no pair is left, or when some pair holds a
     bare ``int`` in both operands (an int times an int stays an int).
     Operands over two fields (``Fraction`` and ``Fp``, or two primes) raise
-    ``ValueError`` whichever path the call takes: every coefficient's type
-    is scanned, one set per pair, and the operands' own sets only when an
-    int shares that set with another type."""
+    ``ValueError`` whichever path the call takes: the coefficient types of
+    every operand are scanned, once each."""
     types = set()
     as_is = False
     live = []  # the pairs that form products: an empty operand forms none
@@ -289,10 +293,10 @@ def _lowered(pairs):
         a_terms, b_terms = pair
         if a_terms and b_terms:
             live.append(pair)
-            pair_types = {type(c) for _, c in (*a_terms, *b_terms)}
-            as_is = as_is or int in pair_types and (len(pair_types) == 1 or (
-                int in {type(c) for _, c in a_terms} and int in {type(c) for _, c in b_terms}))
-            types |= pair_types
+            a_types = {type(c) for _, c in a_terms}
+            b_types = {type(c) for _, c in b_terms}
+            as_is = as_is or int in a_types and int in b_types
+            types.update(a_types, b_types)
     if not live:
         return None
     if types <= {int, Fraction}:
@@ -499,7 +503,7 @@ def ring_act(r: Element, m: Element) -> Element:
     The result lives in m's shape and box.  r may be declared over any
     shape; what matters is that its stored exponents are nonnegative.
     """
-    if r.shape.nvars != m.shape.nvars:
+    if len(r.shape.roles) != len(m.shape.roles):
         raise ValueError("operands disagree on the variable count")
     # a series-shaped r holds nonnegative exponents by its box; other shapes are scanned
     if INVERSE in r.shape.roles and any(x < 0 for e, _ in r.terms for x in e):
@@ -507,7 +511,7 @@ def ring_act(r: Element, m: Element) -> Element:
         raise ValueError(f"ring element has a negative exponent: {e}")
     _, hi, kill = _window(m.shape.roles, m.box.bounds)
     # r's exponents are nonnegative and m lies in the box: nothing falls below it
-    acc, p, den, dropped, layout = _accumulate([(r.terms, m.terms)], None, hi, kill)
+    acc, p, den, dropped, layout = _accumulate(((r.terms, m.terms),), None, hi, kill)
     return Element(m.shape, m.box, _canonical(acc, p, den, layout),
                    r.exact and m.exact and not dropped)
 
@@ -528,17 +532,17 @@ def derivation_act(j: int, m: Element) -> Element:
     clears ``exact`` (unless its derived coefficient already vanished, as can
     happen over a prime field).
     """
-    if not 0 <= j < m.shape.nvars:
+    if not 0 <= j < len(m.shape.roles):
         raise ValueError(f"variable index out of range: {j}")
-    role = m.shape.role(j)
-    bound = m.box.bound(j)
+    series = m.shape.roles[j] == SERIES
+    floor = -m.box.bounds[j]
     terms = []
     dropped = False
     for e, c in m.terms:
-        coeff = (e[j] if role == SERIES else e[j] - 1) * c
+        coeff = (e[j] if series else e[j] - 1) * c
         if not coeff:
             continue
-        if role == INVERSE and e[j] - 1 < -bound:
+        if not series and e[j] - 1 < floor:
             dropped = True
             continue
         terms.append((e[:j] + (e[j] - 1,) + e[j + 1:], coeff))

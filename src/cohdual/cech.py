@@ -114,11 +114,9 @@ class CohomologyTable:
     entries: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def dims_at(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        target = tuple(a)
-        for degree, dims in self.entries:
-            if degree == target:
-                return dims
-        raise KeyError(f"degree {target} not in the table window")
+        if (dims := dict(self.entries).get(tuple(a))) is None:
+            raise KeyError(f"degree {tuple(a)} not in the table window")
+        return dims
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -348,7 +348,7 @@ def roundtrip_trials(seed: int = DEFAULT_SEED, trials: int = 1000) -> CheckLine:
         else:
             e = _random_element(rng, shape, box, coeffs=coeffs)
         if rng.random() < 0.2:
-            e = replace(e, exact=False)
+            e = e._replace(exact=False)
         text = serialize_element(e)
         reparsed = parse_element(text, shape, box, field)
         doc = element_to_document(e, field)

@@ -60,10 +60,10 @@ def matlis_pair(d: Element, m: Element,
     may drop terms and then clears the flag.
     """
     # roles are SERIES or INVERSE, so dual shapes are those that differ in every role
-    if d.shape.nvars != m.shape.nvars or any(map(eq, d.shape.roles, m.shape.roles)):
+    if len(d.shape.roles) != len(m.shape.roles) or any(map(eq, d.shape.roles, m.shape.roles)):
         raise ValueError("pairing requires mutually dual shapes")
     shape, box, (lo, hi, kill) = _pairing_frame(d.box.bounds, m.box.bounds, out_box)
-    acc, p, den, dropped, layout = _accumulate([(d.terms, m.terms)], lo, hi, kill)
+    acc, p, den, dropped, layout = _accumulate(((d.terms, m.terms),), lo, hi, kill)
     return Element(shape, box, _canonical(acc, p, den, layout),
                    d.exact and m.exact and not dropped)
 
@@ -115,7 +115,7 @@ def pairing_perfection_check(n: int, i: int, bound: int) -> PairingReport:
                 if coeff != 1:
                     passed = False
             value = paired.coefficient(zero)
-            matched = tuple(a + b for a, b in zip(de, me)) == zero
+            matched = tuple(map(add, de, me)) == zero
             if matched:
                 permutation.append((de, me))
             if bool(value) != matched or (matched and value != 1):

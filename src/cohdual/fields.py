@@ -46,6 +46,9 @@ class Fp:
     def __setattr__(self, name, val):  # immutable
         raise AttributeError("Fp values are immutable")
 
+    def __reduce__(self):  # copies and pickles rebuild rather than set slots
+        return Fp, (self.value, self.p)
+
     def _coerce(self, other):
         if isinstance(other, Fp):
             if other.p != self.p:

@@ -1,7 +1,6 @@
 """Socle pairing, torsion functor, and the regular-sequence check."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -179,7 +178,7 @@ def test_balance_check_fails_when_the_pairing_drops_its_last_term(monkeypatch):
     from cohdual.checks import balance_trials
 
     assert balance_trials().passed
-    _patch_pairing(monkeypatch, lambda e: replace(e, terms=e.terms[:-1]))
+    _patch_pairing(monkeypatch, lambda e: e._replace(terms=e.terms[:-1]))
     assert not balance_trials().passed
 
 

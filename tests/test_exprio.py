@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -154,7 +153,7 @@ def test_element_document_roundtrip():
     restored = element_from_document(doc)
     assert restored == e
     assert restored.exact
-    lossy = replace(e, exact=False)
+    lossy = e._replace(exact=False)
     restored = element_from_document(element_to_document(lossy))
     assert restored == lossy
     assert not restored.exact
@@ -239,6 +238,30 @@ def test_write_and_read_document(tmp_path):
     path.write_text(json.dumps({"schema": "slides/2"}))
     with pytest.raises(SchemaError):
         read_document(path)
+
+
+def _json_value(rng, depth):
+    """A random JSON-able value with string keys: every leaf type, escapes,
+    empty and nested containers, tuples (written as lists)."""
+    leaves = (None, True, False, 0, -7, 2 ** 70, 2.5, -0.0, float("inf"), "",
+              "plain", 'quote " and \\\\', "tab\tline\n", "café ∃ \U0001d54f", "\x00")
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    items = [_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    kind = rng.choice((dict, list, tuple))
+    if kind is dict:
+        return {rng.choice(("a", "b", "Z", "é", "k\n", "10", "2")) + str(k): v
+                for k, v in enumerate(items)}
+    return kind(items)
+
+
+def test_documents_are_written_as_json_lays_them_out():
+    """The writer's bytes are ``json.dumps`` with sorted keys, indent 2, ASCII."""
+    rng = random.Random("writer")
+    for _ in range(2000):
+        doc = {"schema": "cohdual/1", "body": _json_value(rng, 4)}
+        expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        assert write_document(doc) == expected.encode("ascii")
 
 
 def test_report_documents_carry_their_fields():
@@ -376,6 +399,16 @@ def test_suite_report_bytes_are_pinned():
     payload = write_document(to_document(run_suite("all", DEFAULT_SEED)))
     assert hashlib.sha256(payload).hexdigest() == (
         "5bb84a542cac0c19d6efb51f82b4d0cac64fd46173e3e03d02a34448f0094598")
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (5, "c5ed775e49116969c624d18c5438fe050179f336af252dc0fb12681976eaaf29"),
+    (701, "70af97cff28694cb80fd575a13128b51f53bb866ececa6809d831774e43101e1"),
+])
+def test_suite_report_bytes_are_pinned_at_more_seeds(seed, digest):
+    """``check --suite all`` writes exactly these bytes at two more seeds."""
+    payload = write_document(to_document(run_suite("all", seed)))
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 def test_roundtrip_check_fails_when_signs_are_dropped(monkeypatch):

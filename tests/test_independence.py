@@ -1,7 +1,6 @@
 """Profiles, decompositions, shift search, and the independence certificate."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -103,7 +102,7 @@ def test_delta_matches_min_scan_oracle():
 def test_delta_requires_exact_dual_shape():
     d = make_d(2, 3)
     with pytest.raises(InexactElementError):
-        delta(replace(d, exact=False))
+        delta(d._replace(exact=False))
     with pytest.raises(ValueError):
         delta(monomial(S2, RBOX, (1, 1)))
     with pytest.raises(ValueError):
@@ -161,7 +160,7 @@ def test_decompose_validation():
     with pytest.raises(ValueError):
         decompose_r(Element.zero(S2, RBOX))
     with pytest.raises(InexactElementError):
-        decompose_r(replace(poly({(1, 0): 1}), exact=False))
+        decompose_r(poly({(1, 0): 1})._replace(exact=False))
     with pytest.raises(ValueError):
         decompose_r(make_d(1, 2))
 
@@ -833,7 +832,7 @@ def test_certificate_degenerate_inputs():
     with pytest.raises(DegenerateInputError):
         independence_certificate((zero, zero), 10)
     with pytest.raises(InexactElementError):
-        independence_certificate((replace(poly({(0, 0): 1}), exact=False),), 10)
+        independence_certificate((poly({(0, 0): 1})._replace(exact=False),), 10)
     with pytest.raises(ValueError):
         independence_certificate((make_d(1, 3),), 10)
 
