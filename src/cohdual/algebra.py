@@ -26,25 +26,11 @@ term through a series-side wall records the loss by clearing the element's
 
 Terms are made in two places.  Products go through one kernel shared by
 :func:`ring_act` and :func:`duality.matlis_pair` (a product both contracted
-and outside the box is a kill, never a loss): :func:`_accumulate` sums plain
-ints (numerators over one common denominator, residues mod p) for one or more
-operand pairs, and :func:`_canonical` raises each sum to a ``Fraction`` or
-``Fp`` once, so stored types are unchanged.  A call with at least
-``PACKED_MIN_PRODUCTS`` (64) products of lowered operands packs every
-exponent vector into one int, after Monagan and Pearce's packed exponent
-vectors (CASC 2007): one field per coordinate, the first most significant
-so that int order is lexicographic order.  A field is ``bits + 3`` wide,
-where 2**bits bounds every exponent and box bound of the call, so boxes
-past 2**64 stay exact.  Each field holds exponent + G - 1 - hi, with G its
-top (guard) bit; the bias rides on operand a, so the sum of two keys is the
-product's key.  ``key & guards`` then flags every coordinate past hi at
-once, ``key & kills`` (the guards of the inverse coordinates) tells a kill
-from a loss, and adding ``lower`` first tests a lower wall, the narrow
-``out_box`` of :func:`duality.matlis_pair`, with the same guards.  Smaller
-calls keep the tuple loop: below about 48 products, measured per call over
-Q and GF(7) with 2 and 3 variables, the layout and the packing cost more
-than the cheaper products save.  :func:`_canonical` sorts the int keys and
-unpacks only the survivors.  The independence certificate lowers its
+and outside the box is a kill, never a loss): :func:`_accumulate` sums the
+products of one operand pair as plain ints (numerators over one common
+denominator, residues mod p), in one loop over exponent tuples, and
+:func:`_canonical` raises each sum to a ``Fraction`` or ``Fp`` once, so
+stored types are unchanged.  The independence certificate lowers its
 coefficients with :func:`_lowered` but forms no product.  Sums of terms
 go through :func:`_summed`: :meth:`Element.from_terms` and
 :func:`linear_combine` call it, and so does ``+``, directly on the two term
@@ -58,9 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
 from math import inf, lcm
-from operator import add, and_, itemgetter, le, lshift, rshift, sub
+from operator import add, le
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
@@ -229,10 +214,25 @@ class Element(NamedTuple):
     def __neg__(self) -> "Element":  # negating keeps the terms nonzero and in order
         return Element(self.shape, self.box, tuple([(e, -c) for e, c in self.terms]), self.exact)
 
+    # refused outright: NotImplemented would let the tuple base repeat or concatenate
+    def __mul__(self, other):
+        _unsupported("*", self, other)
+
+    def __rmul__(self, other):
+        _unsupported("*", other, self)
+
+    def __radd__(self, other):
+        _unsupported("+", other, self)
+
     def __repr__(self):
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.terms) or "0"
         flag = "" if self.exact else ", inexact"
         return f"<Element {body}{flag}>"
+
+
+def _unsupported(op: str, left, right):
+    raise TypeError(f"unsupported operand type(s) for {op}: "
+                    f"'{type(left).__name__}' and '{type(right).__name__}'")
 
 
 def monomial(shape: ModuleShape, box: TruncationBox, exponents: Exponents,
@@ -329,154 +329,39 @@ def _window(roles: tuple[str, ...], bounds: tuple[int, ...]):
     return lo, hi, tuple(inf if r == SERIES else 0 for r in roles)
 
 
-# Calls with fewer products than this keep the tuple loop: per call, packing
-# broke even at about 48 products and was 10-20% faster at 64.
-PACKED_MIN_PRODUCTS = 64
-
-
-class _Layout(NamedTuple):
-    """Where each coordinate sits in a packed key, and the masks that test it."""
-
-    width: int  # bits per field
-    shifts: tuple[int, ...]  # field positions, first coordinate most significant
-    offsets: tuple[int, ...]  # field value minus exponent, per coordinate
-    bias: int  # added to operand a's keys: every field offset at once
-    guards: int  # the top bit of every field: set where a coordinate passed hi
-    kills: int  # the guards of the coordinates where passing hi is a kill
-    lower: int  # added to a key inside hi: a guard stays clear where it is below lo
-
-
-@lru_cache(maxsize=256)
-def _layout(lo: Exponents | None, hi: Exponents, kill, bits: int) -> _Layout:
-    """Packed layout for a call whose bounds and operand exponents all lie
-    below 2**bits in absolute value.
-
-    Each field is ``bits + 3`` wide with guard bit G = 2**(bits + 2), more
-    than three times any of them, and holds exponent + G - 1 - hi.  A
-    product's exponent differs from hi or lo by less than G, so its field
-    stays in [0, 2G): keys add without carries, the guard is set exactly
-    where the exponent passes hi, and adding ``lower`` (hi - lo + 1 per
-    field) sets it exactly where the exponent reaches lo.  ``kill`` must
-    equal hi wherever it is finite, as :func:`_window` gives it."""
-    n = len(hi)
-    width = bits + 3
-    guard = 1 << (width - 1)
-    shifts = tuple(width * (n - 1 - k) for k in range(n))
-    offsets = tuple(guard - 1 - h for h in hi)
-    lower = 0 if lo is None else sum((h - l + 1) << s for s, h, l in zip(shifts, hi, lo))
-    return _Layout(
-        width, shifts, offsets,
-        sum(o << s for s, o in zip(shifts, offsets)),
-        sum(guard << s for s in shifts),
-        sum(guard << s for s, k in zip(shifts, kill) if k != inf),
-        lower)
-
-
-class _Columns:
-    """An operand of the packed loop: one exponent list per coordinate, the
-    coefficients, and the least and greatest exponent of each coordinate."""
-
-    __slots__ = ("columns", "coefficients", "extremes")
-
-    def __init__(self, terms):
-        exps = list(map(itemgetter(0), terms))
-        n = len(exps[0]) if exps else 0
-        self.columns = [list(map(itemgetter(k), exps)) for k in range(n)]
-        self.coefficients = list(map(itemgetter(1), terms))
-        self.extremes = [f(col) for col in self.columns for f in (min, max)]
-
-    def keys(self, width: int, bias: int) -> list:
-        """Packed keys in fields ``width`` bits wide, each plus ``bias``."""
-        cols = self.columns
-        keys = cols[0] if cols else ()
-        for col in cols[1:]:
-            keys = map(add, map(lshift, keys, repeat(width)), col)
-        if bias:
-            keys = map(add, keys, repeat(bias))
-        return list(keys)
-
-
-def _packed(pairs, lo, hi, kill):
-    """``(layout, pairs)`` with each pair as ``(a_keys, a_coeffs, b_keys, b_coeffs)``.
-
-    An operand's key is the weighted sum of its exponents; operand a's (the
-    ring element in :func:`ring_act` and in the certificate) also carries
-    the bias, so a + b is the product's key.  The layout reaches every
-    operand's extremes.  Terms whose lowered coefficient vanishes (a bare
-    int divisible by p) are dropped: their products are neither kills nor
-    losses."""
-    split = [[_Columns(terms) for terms in pair] for pair in pairs]
-    extremes = [x for pair in split for op in pair for x in op.extremes]
-    reach = max(map(abs, chain(hi, lo or (), extremes)), default=0)
-    layout = _layout(lo, hi, kill, reach.bit_length())
-
-    def keyed(op, bias):
-        keys, coeffs = op.keys(layout.width, bias), op.coefficients
-        if all(coeffs):
-            return keys, coeffs
-        return list(compress(keys, coeffs)), list(compress(coeffs, coeffs))
-
-    return layout, [keyed(a, layout.bias) + keyed(b, 0) for a, b in split]
-
-
-def _accumulate(pairs, lo: Exponents | None, hi: Exponents, kill):
-    """Sum the pairwise products of each ``(a_terms, b_terms)`` pair inside lo..hi.
+def _accumulate(a_terms, b_terms, lo: Exponents | None, hi: Exponents, kill):
+    """Sum the products of the terms of a and b inside lo..hi.
 
     Above hi is a contraction kill (exact) if it exceeds ``kill`` somewhere,
     else a loss: kills take precedence.  Below lo (None: cannot happen) is a
-    loss; a vanishing product is neither.  Returns ``(acc, p, den, dropped,
-    layout)``: acc maps exponents to int sums (residues mod p, or numerators
-    over den) or, when :func:`_lowered` refuses, to the sums of the
-    coefficients as they are (p and den None); zero sums stay in acc.  With
-    at least ``PACKED_MIN_PRODUCTS`` products of lowered operands the keys
-    of acc are packed ints in ``layout`` (see :func:`_layout`), else
-    exponent tuples and layout None."""
-    lowered = _lowered(pairs)
-    p = den = layout = None
+    loss; a vanishing product is neither.  Returns ``(acc, p, den, dropped)``:
+    acc maps exponent tuples to int sums (residues mod p, or numerators over
+    den) or, when :func:`_lowered` refuses, to the sums of the coefficients
+    as they are (p and den None); zero sums stay in acc."""
+    lowered = _lowered(((a_terms, b_terms),))
+    p = den = None
     if lowered is not None:
-        pairs, p, den = lowered
-        if sum(len(a) * len(b) for a, b in pairs) >= PACKED_MIN_PRODUCTS:
-            layout, pairs = _packed(pairs, lo, hi, kill)
+        ((a_terms, b_terms),), p, den = lowered
     acc: dict = {}
     dropped = False
-    if layout is None:
-        for a_terms, b_terms in pairs:
-            for ea, ca in a_terms:
-                for eb, cb in b_terms:
-                    c = ca * cb
-                    if not c:
-                        continue
-                    out = tuple(map(add, ea, eb))
-                    if not all(map(le, out, hi)):
-                        if all(map(le, out, kill)):
-                            dropped = True
-                    elif lo is None or all(map(le, lo, out)):
-                        acc[out] = acc[out] + c if out in acc else c
-                    else:
-                        dropped = True
-        return acc, p, den, dropped, None
-    # lowered coefficients are nonzero, so no product vanishes on this path
-    guards, kills, lower = layout.guards, layout.kills, layout.lower
-    get = acc.get
-    for a_keys, a_coeffs, b_keys, b_coeffs in pairs:
-        for ka, ca in zip(a_keys, a_coeffs):
-            for kb, cb in zip(b_keys, b_coeffs):
-                k = ka + kb
-                if k & guards:
-                    if not k & kills:
-                        dropped = True
-                elif lower and (k + lower) & guards != guards:
+    for ea, ca in a_terms:
+        for eb, cb in b_terms:
+            c = ca * cb
+            if not c:
+                continue
+            out = tuple(map(add, ea, eb))
+            if not all(map(le, out, hi)):
+                if all(map(le, out, kill)):
                     dropped = True
-                else:
-                    acc[k] = get(k, 0) + ca * cb
-    return acc, p, den, dropped, layout
+            elif lo is None or all(map(le, lo, out)):
+                acc[out] = acc[out] + c if out in acc else c
+            else:
+                dropped = True
+    return acc, p, den, dropped
 
 
-def _canonical(acc, p, den, layout: _Layout | None):
-    """The nonzero sums of :func:`_accumulate` as sorted ``Fraction``/``Fp`` terms.
-
-    Packed keys sort in lexicographic order, so only the survivors are
-    unpacked, after the sort."""
+def _canonical(acc, p, den):
+    """The nonzero sums of :func:`_accumulate` as sorted ``Fraction``/``Fp`` terms."""
     if den is not None:
         items = [(e, Fraction(v, den)) for e, v in acc.items() if v]
     elif p is not None:
@@ -484,11 +369,6 @@ def _canonical(acc, p, den, layout: _Layout | None):
     else:
         items = [item for item in acc.items() if item[1]]
     items.sort()
-    if layout is not None and items:  # each field of each key, less its offset
-        keys, coeffs = zip(*items)
-        mask = (1 << layout.width) - 1
-        items = zip(zip(*[map(sub, map(and_, map(rshift, keys, repeat(s)), repeat(mask)),
-                              repeat(o)) for s, o in zip(layout.shifts, layout.offsets)]), coeffs)
     return tuple(items)
 
 
@@ -511,8 +391,8 @@ def ring_act(r: Element, m: Element) -> Element:
         raise ValueError(f"ring element has a negative exponent: {e}")
     _, hi, kill = _window(m.shape.roles, m.box.bounds)
     # r's exponents are nonnegative and m lies in the box: nothing falls below it
-    acc, p, den, dropped, layout = _accumulate(((r.terms, m.terms),), None, hi, kill)
-    return Element(m.shape, m.box, _canonical(acc, p, den, layout),
+    acc, p, den, dropped = _accumulate(r.terms, m.terms, None, hi, kill)
+    return Element(m.shape, m.box, _canonical(acc, p, den),
                    r.exact and m.exact and not dropped)
 
 

@@ -5,9 +5,12 @@ returns a single :class:`CheckLine` with a pass verdict and a short
 detail.  Randomized checks draw everything from one seeded generator, so
 a run is reproducible from (suite, seed).  The algebra line is decided
 on the monomial basis of its region, with seeded draws over Q, GF(7) and
-GF(32003) for the linearity that makes that a proof and for the packed
-kernel.  The sizes below are chosen to finish comfortably fast while
-still sweeping every shape and position the finite windows can reach.
+GF(32003) for the linearity that makes that a proof.  The independence
+line compares each certificate, whose tail comes from a closed form, with
+the combination formed as elements, and the balance line also pairs into
+a narrow box, so a lower wall of the product kernel is seen.  The sizes
+below are chosen to finish comfortably fast while still sweeping every
+shape and position the finite windows can reach.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from itertools import product
 
 from .algebra import (
     INVERSE,
-    PACKED_MIN_PRODUCTS,
     SERIES,
     Element,
     ModuleShape,
@@ -48,7 +50,6 @@ from .exprio import (
 )
 from .fields import RATIONAL, PrimeField
 from .independence import (
-    CertificateError,
     InconclusiveWindowError,
     delta,
     fit_shift_form,
@@ -156,12 +157,13 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
                         lmax: int = 30) -> CheckLine:
     """Certify random combinations and cross-check what the tail reveals.
 
-    Each certificate's shifts must agree with an independent reading of
-    the top coefficient, and refitting the verified tail must recover them
-    (for a top index of 1 only their sum is identifiable).  The expected
-    certification rate is well above 95 percent; windows too short to
-    conclude are counted but are not failures; a tail that contradicts the
-    analysis (:class:`CertificateError`) fails its trial.
+    Each certificate's whole profile must equal that of sum r_j . d_j formed
+    as elements (``ring_act`` on ``make_d`` in the certificate's box, then
+    ``linear_combine``), which must be exact; its shifts must agree with an
+    independent reading of the top coefficient, and refitting the tail must
+    recover them (for a top index of 1 only their sum is identifiable).  The
+    expected certification rate is well above 95 percent; windows too short
+    to conclude are counted but are not failures.
     """
     rng = random.Random(seed)
     certified = 0
@@ -172,14 +174,14 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
             cert = independence_certificate(r_list, lmax)
         except InconclusiveWindowError:
             continue
-        except CertificateError:
-            bad.append(trial)
-            continue
         certified += 1
+        s = linear_combine((1, ring_act(r, make_d(j, lmax, cert.box)))
+                           for j, r in enumerate(r_list, start=1) if not r.is_zero)
         top = r_list[cert.m0 - 1]
         a = min(e[0] for e, _ in top.terms)
         b = min(e[1] for e, _ in top.terms if e[0] == a)
-        ok = (cert.a, cert.b, cert.nonzero) == (a, b, True)
+        ok = s.exact and delta(s, (0, lmax)) == cert.delta
+        ok = ok and (cert.a, cert.b, cert.nonzero) == (a, b, True)
         ok = ok and cert.m0 == max(
             j for j, r in enumerate(r_list, start=1) if not r.is_zero)
         fit = fit_shift_form(cert.delta, cert.m0, cert.tail_start)
@@ -202,6 +204,8 @@ def balance_trials(seed: int = DEFAULT_SEED, trials: int = 500) -> CheckLine:
 
     Elements are sampled with enough headroom that every product stays
     exact, so the three-way equality is tested on the nose, kills included.
+    Pairing into the narrow box of bound 1 must give the default pairing's
+    terms inside it, and must be inexact whenever one lies outside.
     """
     rng = random.Random(seed)
     for trial in range(trials):
@@ -215,9 +219,13 @@ def balance_trials(seed: int = DEFAULT_SEED, trials: int = 500) -> CheckLine:
                             TruncationBox.uniform(n, 2))
         left = matlis_pair(ring_act(r, d), m)
         right = matlis_pair(d, ring_act(r, m))
-        outside = ring_act(r, matlis_pair(d, m))
+        paired = matlis_pair(d, m)
+        outside = ring_act(r, paired)
+        narrow = matlis_pair(d, m, TruncationBox.uniform(n, 1))
+        inside = tuple(t for t in paired.terms if min(t[0]) >= -1)
         good = (left == right == outside
-                and left.exact and right.exact and outside.exact)
+                and left.exact and right.exact and outside.exact
+                and narrow.terms == inside and not (narrow.exact and inside != paired.terms))
         if not good:
             return CheckLine("pairing-balance", trial + 1, False,
                              f"trial {trial}: n={n} i={i}")
@@ -262,8 +270,8 @@ def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 2) -> CheckL
     are linear over each field: so the seed draws per_config (r, m) per
     role assignment over each of Q, GF(7) and GF(32003), checked on both
     laws and on ring_act's linearity in m, plus one full-support pair per
-    field, under a drawn role assignment, for each n whose r.m reaches
-    ``PACKED_MIN_PRODUCTS``.
+    field, under a drawn role assignment, for each n whose r.m forms at
+    least 64 products.
     """
     rng = random.Random(seed)
     instances = 0
@@ -275,7 +283,7 @@ def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 2) -> CheckL
         rs = [(r, [derivation_act(j, r) for j in range(n)])
               for r in (monomial(ring_shape, ring_box, e) for e in r_exps)]
         assignments = list(product((SERIES, INVERSE), repeat=n))
-        full = rng.choice(assignments) if len(rs) ** 2 >= PACKED_MIN_PRODUCTS else None
+        full = rng.choice(assignments) if len(rs) ** 2 >= 64 else None
         for roles in assignments:
             shape = ModuleShape(roles)
             box = TruncationBox.uniform(n, 6)

@@ -21,14 +21,13 @@ makes this quantitative for a finite truncation window:
   accounts for the h-part of the top coefficient, for every lower-index
   d_j, and for the contraction kill on positive Y-exponents; each of its
   conditions fails on one interval of degrees, found by bisection.  s is
-  never formed: each term of r_j gives one column of Y-exponents, read
-  off d_j's cached Y-exponents.  On the tail one packed subtraction per
-  column checks that it lies strictly above the witness column of X^a Y^b,
-  which then is the profile there, equal to b - (l-a)^m0 when d_m0 passed
-  the ``pow`` check made once per cached entry; before the tail (or
-  everywhere, if a check fails) the profile is the least entry per degree,
-  with coefficients summed only where two columns tie.  A window too short
-  to conclude names the least one that would do, or None where none can.
+  never formed: the tail is read from the closed form, and before it each
+  term of r_j gives one column of Y-exponents, y - (l - x)^j, whose least
+  entry per degree is the profile, with coefficients summed only where two
+  columns tie.  A window too short to conclude names the least one that
+  would do, or None where none can.  The check line
+  ``independence-random-combinations`` forms s as elements and compares
+  the whole profile.
 
 A verified tail plus the pigeonhole on distinct growth rates is what the
 equivalence search over shifted windows (:func:`shift_equiv_window`)
@@ -37,18 +36,17 @@ consumes: profiles of distinct powers admit no shift witness.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat, zip_longest
-from operator import add, countOf, eq, gt, itemgetter, neg, sub
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import add, countOf, eq, gt, itemgetter, neg
 
 from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _lowered
 from .fields import Fp
 
 D_SHAPE = ModuleShape((SERIES, INVERSE))
 R_SHAPE = ModuleShape((SERIES, SERIES))  # the coefficients r_j
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
 class InexactElementError(ValueError):
@@ -78,7 +76,10 @@ class InconclusiveWindowError(Exception):
 
 
 class CertificateError(RuntimeError):
-    """Internal inconsistency: the verified tail contradicts the analysis."""
+    """Internal inconsistency: a certificate contradicts its analysis.
+
+    Nothing in this module raises it since the tail is read from the closed
+    form; it stays part of the interface, and the CLI maps it."""
 
 
 @dataclass(frozen=True)
@@ -177,79 +178,11 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None) -> Element:
     return Element(D_SHAPE, box, tuple(((l, -(l ** power)), 1) for l in range(lmax + 1)))
 
 
-class _FamilyEntry:
-    """A cached d_power at lmax: ``ys`` by X-degree, their least and
-    greatest value, the ``key`` (build, power, lmax) it was built for, and
-    whether ys is -l^power, checked with ``pow`` once, as it is built.
-    ``packed(w)`` is ys as one int of w-bit fields, field t holding
-    ys[t] + 2^(w - 2); each width is packed once and weighs as much as ys."""
-
-    __slots__ = ("cache", "key", "ys", "lo", "hi", "closed", "forms")
-
-    def __init__(self, cache: _FamilyCache, key: tuple, ys: tuple[int, ...]):
-        self.cache, self.key, self.ys, self.lo, self.hi = cache, key, ys, min(ys), max(ys)
-        self.closed = ys == tuple(map(neg, map(pow, range(key[2] + 1), repeat(key[1]))))
-        self.forms: dict[int, int] = {}
-
-    @property
-    def weight(self) -> int:
-        return len(self.ys) * (1 + len(self.forms))
-
-    def packed(self, w: int) -> int:
-        if w not in self.forms:
-            fields, width = list(map(add, self.ys, repeat(1 << (w - 2)))), w
-            while len(fields) > 1:  # neighbours join: O(n log n) bit operations, not O(n^2)
-                fields = [low | high << width for low, high in
-                          zip_longest(fields[::2], fields[1::2], fillvalue=0)]
-                width *= 2
-            self.forms[w] = fields[0]
-            self.cache._grew(self)
-        return self.forms[w]
-
-
-class _FamilyCache:
-    """``_family(build, power, lmax)``: the :class:`_FamilyEntry` of
-    d_power truncated at lmax, as built by ``build``.  Least recently used
-    entries leave once all weigh more than ``capacity`` exponents, and a
-    heavier entry is never kept."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.cache_clear()
-
-    def __call__(self, build, power: int, lmax: int) -> _FamilyEntry:
-        key = (build, power, lmax)
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            self.misses += 1
-            entry = _FamilyEntry(self, key, tuple(y for (_, y), _ in build(power, lmax).terms))
-        else:
-            self.hits, self.size = self.hits + 1, self.size - entry.weight
-        return self._keep(entry)
-
-    def _keep(self, entry: _FamilyEntry) -> _FamilyEntry:
-        if entry.weight <= self.capacity:
-            self._entries[entry.key] = entry  # the most recently used entry is last
-            self.size += entry.weight
-            while self.size > self.capacity:
-                self.size -= self._entries.pop(next(iter(self._entries))).weight
-        return entry
-
-    def _grew(self, entry: _FamilyEntry) -> None:
-        """Weigh a held entry again after a form was packed for it."""
-        if self._entries.get(entry.key) is entry:
-            self.size -= self._entries.pop(entry.key).weight - len(entry.ys)
-            self._keep(entry)
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.capacity, len(self._entries))
-
-    def cache_clear(self) -> None:
-        self._entries: dict = {}
-        self.hits = self.misses = self.size = 0
-
-
-_family = _FamilyCache(1 << 16)
+@lru_cache(maxsize=4)
+def _negated_powers(power: int, lmax: int) -> tuple[int, ...]:
+    """-l^power for l = 0..lmax: d_power's Y-exponents by X-degree, from the
+    closed form.  Four entries hold every power of a certificate with m0 <= 4."""
+    return tuple(map(neg, map(pow, range(lmax + 1), repeat(power))))
 
 
 def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
@@ -400,11 +333,11 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     which the dominance conditions fail, the first degree from which every
     competing contribution is strictly dominated; only terms that survive
     in the coefficients' field count (over GF(p), a bare int divisible by p
-    is no term).  At least 3 tail points
-    are demanded; fewer raises :class:`InconclusiveWindowError` with the
-    least window that would do, before the profile is read.  The profile
-    (see :func:`_least_exponents`) must equal b - (l-a)^m0 on the whole
-    tail.  All-zero input raises :class:`DegenerateInputError`.
+    is no term).  At least 3 tail points are demanded; fewer raises
+    :class:`InconclusiveWindowError` with the least window that would do,
+    before the profile is read.  The profile (see :func:`_least_exponents`)
+    is b - (l-a)^m0 on the whole tail.  All-zero input raises
+    :class:`DegenerateInputError`.
     """
     r_list = tuple(r_list)
     if not r_list:
@@ -447,18 +380,10 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
             t = max(t, hi + 1)
         raise InconclusiveWindowError(a + t + 2)
 
-    entries, closed = _least_exponents(live, p, lmax, box, a, b, tail_start)
-    profile = DeltaSequence(0, entries)
-    expected = () if closed else tuple(map(sub, repeat(b), map(
-        pow, range(tail_start - a, lmax - a + 1), repeat(m0))))
-    if expected and profile.entries[tail_start:] != expected:
-        l, want = next((l, want) for l, want in enumerate(expected, start=tail_start)
-                       if profile.entries[l] != want)
-        raise CertificateError(f"profile at degree {l} is {profile.entries[l]}, expected {want}")
-
     return IndependenceCertificate(
         m0=m0, a=a, b=b, lmax=lmax, tail_start=tail_start,
-        delta=profile, decomposition=dec, nonzero=True, box=box,
+        delta=DeltaSequence(0, _least_exponents(live, p, a, b, tail_start, lmax)),
+        decomposition=dec, nonzero=True, box=box,
     )
 
 
@@ -501,46 +426,34 @@ def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
     return [(lo, hi) for lo, hi in fails if lo <= hi]
 
 
-def _least_exponents(live, p: int | None, lmax: int, box: TruncationBox, a: int, b: int,
-                     tail_start: int) -> tuple[tuple[int | None, ...], bool]:
-    """Least Y-exponent of each X^0..X^lmax coefficient of sum r_j . d_j,
-    and whether its tail is known to be b - (l - a)^m0.
+def _least_exponents(live, p: int | None, a: int, b: int, tail_start: int,
+                     lmax: int) -> tuple[int | None, ...]:
+    """Least Y-exponent of each X^0..X^lmax coefficient of sum r_j . d_j.
 
-    ``live`` holds (j, r_j, r_j's terms lowered to nonzero ints, mod p if p).
-    A term c X^x Y^y of r_j gives at each l >= x the candidate y + (d_j's
-    Y-exponent at l - x), killed if positive; the least y per (j, x) gives a
-    column.  On the tail, if the witness column X^a Y^b (the top index's
-    first) lies at or below 0 and every other column strictly above it, each
-    decided by one packed subtraction (:func:`_above`), it is the profile,
-    known to be b - (l - a)^m0 when d_m0's entry follows its closed form.
-    Before the tail, or on the whole window if a check fails, the profile is
-    the least entry per degree of the columns cut there; where two or more
-    reach it their coefficients are re-summed, and if they cancel every
-    candidate at that degree is."""
-    n = lmax + 1
+    ``live`` holds (j, r_j, r_j's terms lowered to nonzero ints, mod p if p),
+    the top index m0 last.  From tail_start on the dominance analysis forces
+    the profile to be b - (l - a)^m0.  Before it, a term c X^x Y^y of r_j
+    gives at each l >= x the candidate y - (l - x)^j, killed if positive;
+    the least y per (j, x) gives a column, and the profile is the least
+    entry per degree of the columns.  Where two or more reach it their
+    coefficients are re-summed, and if they cancel every candidate at that
+    degree is."""
     columns, candidates = [], []
-    for j, r, terms in live:
-        entry = _family(make_d, j, lmax)  # looked up here, so a replaced builder is its own key
-        if entry.key[1:] != (j, lmax):
-            raise CertificateError(f"the cached d_{j} at lmax {lmax} was built "
-                                   f"as d_{entry.key[1]} at lmax {entry.key[2]}")
-        if entry.lo + _min_y_degree(r) < -box.bounds[1]:
-            raise CertificateError("the automatically sized box lost terms")
-        witness, column_x = len(columns), -1  # m0 comes last: its first column is X^a Y^b
+    for j, _, terms in live:
+        ys, column_x = _negated_powers(j, lmax), -1
         for (x, y), c in terms:  # ascending, so the first term per x has its least y
-            if x < n:
+            if x < tail_start:
                 if x != column_x:
                     column_x = x
-                    columns.append((entry, x, y, c))
-                candidates.append((entry.ys, x, y, c))
-    dominated = all(_above(columns, witness, tail_start, n))
-    cut = tail_start if dominated else n
-    rows = list(zip(*[(1,) * x + (tuple(map(add, e.ys[:cut - x], repeat(y))) if y
-                                  else e.ys[:cut - x])
-                      for e, x, y, _ in columns if x < cut])) or [(1,)] * cut
+                    columns.append((ys, x, y, c))
+                candidates.append((ys, x, y, c))
+    cut = tail_start
+    rows = list(zip(*[(1,) * x + (tuple(map(add, ys[:cut - x], repeat(y))) if y
+                                  else ys[:cut - x])
+                      for ys, x, y, _ in columns])) or [(1,)] * cut
     least = list(map(min, rows))
     entries = [v if v <= 0 else None for v in least]
-    coefficients = [c for _, x, _, c in columns if x < cut]
+    coefficients = [c for _, _, _, c in columns]
     nonzero = (lambda total: total % p) if p else bool
     for l in compress(range(cut), map(gt, map(countOf, rows, least), repeat(1))):
         row, v = rows[l], least[l]
@@ -551,45 +464,5 @@ def _least_exponents(live, p: int | None, lmax: int, box: TruncationBox, a: int,
             if x <= l and y + ys[l - x] <= 0:
                 sums[y + ys[l - x]] = sums.get(y + ys[l - x], 0) + c
         entries[l] = min((w for w, total in sums.items() if nonzero(total)), default=None)
-    if not dominated:
-        return tuple(entries), False
-    top = columns[witness][0]
-    tail = top.ys[tail_start - a:n - a]
-    return tuple(entries) + (tuple(map(add, tail, repeat(b))) if b else tail), top.closed
-
-
-def _above(columns, witness: int, tail_start: int, n: int):
-    """Yield whether the witness column (entry, a, b, c) lies below 1 from
-    tail_start to n - 1, then, per other column (entry, x, y, c), whether
-    y + ys[l - x] lies strictly above b + ys[l - a] from max(x, tail_start).
-
-    All are packed at one width w whose guard G = 2^(w - 1) exceeds 2M + 1,
-    M = max(-least ys, greatest ys + greatest y) bounding every compared
-    value.  From degree k, C is the column's slice and W the witness's plus
-    b + 1 - y - G per field: field t of C - W is the difference plus G - 1,
-    in [0, 2G), so nothing borrows and all guard bits are set exactly when
-    the column is above at every degree (Lamport 1975).  Fields past the
-    n - k compared ones never reach them, so no slice is masked.  The
-    constant 1 is an entry of zeros with y = 1."""
-    top, a, b, _ = columns[witness]
-    most = max(y for _, _, y, _ in columns)
-    w = (2 * max(max(-e.lo, e.hi + most) for e, _, _, _ in columns) + 1).bit_length() + 1
-    guard, ones, count = 1 << (w - 1), 1, 1
-    while count < n:  # n fields of 1, by doubling
-        ones, count = ones | ones << w * count, 2 * count
-    ones &= (1 << w * n) - 1
-    starts: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def above(column: int, k: int, y: int) -> bool:  # column: the packed fields from degree k
-        if (k, y) not in starts:  # W minus y per field, so C - W is one subtraction
-            ones_k = ones >> w * k
-            starts[k, y] = ones_k << (w - 1), (top.packed(w) >> w * (k - a)) + (
-                b + 1 - y - guard) * ones_k
-        guards, low = starts[k, y]
-        return (column - low) & guards == guards
-
-    yield above((guard >> 1) * (ones >> w * tail_start), tail_start, 1)
-    for i, (e, x, y, _) in enumerate(columns):
-        if i != witness:
-            k = max(x, tail_start)
-            yield above(e.packed(w) >> w * (k - x), k, y)
+    tail = _negated_powers(live[-1][0], lmax)[tail_start - a:lmax + 1 - a]
+    return tuple(entries) + (tuple(map(add, tail, repeat(b))) if b else tail)

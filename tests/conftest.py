@@ -168,28 +168,6 @@ def oracle_dominance(r_list):
     return dominated, a + max(a + 1, 2 ** (m0 - 1) + b + 1)
 
 
-def oracle_above(columns, witness, tail_start, n):
-    """The certificate's packed tail test, one comparison at a time.
-
-    ``columns`` holds (entry, x, y, c): the column's value at degree l is
-    y + entry.ys[l - x].  The first answer says whether the witness column
-    ``columns[witness]`` lies at or below 0 at every degree from
-    tail_start to n - 1; then, for each other column in order, whether it
-    lies strictly above the witness at every degree from max(x,
-    tail_start) to n - 1."""
-
-    def value(column, l):
-        entry, x, y, _ = column
-        return y + entry.ys[l - x]
-
-    answers = [all(value(columns[witness], l) <= 0 for l in range(tail_start, n))]
-    for i, column in enumerate(columns):
-        if i != witness:
-            answers.append(all(value(column, l) > value(columns[witness], l)
-                               for l in range(max(column[1], tail_start), n)))
-    return answers
-
-
 def oracle_tail_start(r_list, lmax):
     """The least degree from which every degree up to lmax is dominated,
     found by scanning down from lmax."""

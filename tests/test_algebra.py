@@ -323,7 +323,7 @@ def _walled_sample(rng, shape, box, count, draw):
 
 
 def _assert_kernel_matches_oracle(out, a, b, roles, bounds, size=None):
-    if size is not None:  # size x size products: packed from 8 x 8 on
+    if size is not None:  # size x size products
         assert len(a.terms) == len(b.terms) == size
     want_terms, want_exact = oracle_product(a.term_map(), b.term_map(), roles, bounds)
     assert out.term_map() == want_terms
@@ -336,10 +336,10 @@ def _assert_kernel_matches_oracle(out, a, b, roles, bounds, size=None):
 def test_kernel_matches_oracle_on_both_sides_of_the_threshold(base):
     """ring_act and matlis_pair (into the default and into narrow boxes)
     agree with the oracle over Q and GF(7), bare ints that vanish mod 7
-    included, whether a call is small enough for the tuple loop or packs
-    its exponents; box bounds past 2**64 need fields wider than 64 bits."""
+    included, on calls of fewer and of at least 64 products, in boxes
+    small and past 2**64."""
     rng = random.Random(f"kernel/{base}")
-    packed = {"ring": set(), "pair": set()}
+    large = {"ring": set(), "pair": set()}
     for field, kinds in COEFFICIENT_KINDS.items():
         for _ in range(40):
             n = rng.randint(1, 3)
@@ -352,21 +352,21 @@ def test_kernel_matches_oracle_on_both_sides_of_the_threshold(base):
                                TruncationBox(tuple(base + rng.randint(0, 3) for _ in range(n))),
                                count(), rng.choice(kinds))
             _assert_kernel_matches_oracle(ring_act(r, m), r, m, shape.roles, box.bounds)
-            packed["ring"].add(len(r.terms) * len(m.terms) >= algebra.PACKED_MIN_PRODUCTS)
+            large["ring"].add(len(r.terms) * len(m.terms) >= 64)
 
             d = _walled_sample(rng, shape.dual(), box, count(), rng.choice(kinds))
             out_box = rng.choice((None, TruncationBox(
                 tuple(rng.choice((0, b // 2, b, 2 * b)) for b in box.bounds))))
             out = matlis_pair(d, m, out_box)
             _assert_kernel_matches_oracle(out, d, m, (INVERSE,) * n, out.box.bounds)
-            packed["pair"].add(len(d.terms) * len(m.terms) >= algebra.PACKED_MIN_PRODUCTS)
-    assert packed == {"ring": {False, True}, "pair": {False, True}}
+            large["pair"].add(len(d.terms) * len(m.terms) >= 64)
+    assert large == {"ring": {False, True}, "pair": {False, True}}
 
 
 @pytest.mark.parametrize("base", [0, 2 ** 64], ids=["small-box", "box-past-2^64"])
-@pytest.mark.parametrize("size", [2, 8], ids=["tuple-loop", "packed"])
+@pytest.mark.parametrize("size", [2, 8], ids=["2x2", "8x8"])
 def test_kernel_walls_kills_and_vanishing_products(base, size):
-    """The rules on each path, one case each, with size x size products.
+    """The kernel's rules, one case each, with size x size products.
 
     Y kills every product of r on m, and X also passes its wall on most of
     them: an exact zero.  Pairing into a box that holds only the upper half
@@ -374,7 +374,6 @@ def test_kernel_walls_kills_and_vanishing_products(base, size):
     product with a positive coordinate is a kill even when the other one
     is below.  Over GF(7) a
     bare 7 vanishes, so its products past the wall lose nothing."""
-    assert (size * size >= algebra.PACKED_MIN_PRODUCTS) == (size == 8)
     box = TruncationBox((base + size, base + 1))
     m = Element.from_terms(D2, box, {(base + size - x, 0): Fraction(1, x + 1)
                                      for x in range(size)})
@@ -450,35 +449,33 @@ def test_algebra_suite_fails_on_halved_rational_products(monkeypatch):
     """A Q kernel whose common denominator is doubled in the output must FAIL."""
     canonical = algebra._canonical
 
-    def halved(acc, p, den, layout):
-        return canonical(acc, p, None if den is None else 2 * den, layout)
+    def halved(acc, p, den):
+        return canonical(acc, p, None if den is None else 2 * den)
 
     monkeypatch.setattr(algebra, "_canonical", halved)
     assert not _algebra_line().passed
 
 
 def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
-    """The algebra line runs the int tuple loop, lowered Q, lowered GF(p)
-    and the packed loop."""
+    """The algebra line multiplies bare ints as they are, lowered Q and
+    lowered GF(p)."""
     accumulate = algebra._accumulate
     seen = set()
 
-    def counted(pairs, lo, hi, kill):
-        out = accumulate(pairs, lo, hi, kill)
-        _, p, den, _, layout = out
-        if layout is not None:
-            seen.add("packed")
+    def counted(a_terms, b_terms, lo, hi, kill):
+        out = accumulate(a_terms, b_terms, lo, hi, kill)
+        _, p, den, _ = out
         if den is not None:
             seen.add("Q")
         elif p is not None:
             seen.add("GF(p)")
-        elif all(type(c) is int for pair in pairs for terms in pair for _, c in terms):
-            seen.add("int tuple loop")
+        elif all(type(c) is int for terms in (a_terms, b_terms) for _, c in terms):
+            seen.add("int")
         return out
 
     monkeypatch.setattr(algebra, "_accumulate", counted)
     assert _algebra_line().passed
-    assert {"int tuple loop", "Q", "GF(p)", "packed"} <= seen
+    assert {"int", "Q", "GF(p)"} <= seen
 
 
 @pytest.mark.parametrize("per_config", [0, 2])

@@ -182,6 +182,47 @@ def test_balance_check_fails_when_the_pairing_drops_its_last_term(monkeypatch):
     assert not balance_trials().passed
 
 
+def _patch_lower_wall(monkeypatch, wall):
+    """Hand the product kernel ``wall(lo)`` for its lower wall in every pairing."""
+    import cohdual.duality as duality
+
+    real = duality._accumulate
+    monkeypatch.setattr(duality, "_accumulate", lambda a, b, lo, hi, kill:
+                        real(a, b, wall(lo), hi, kill))
+
+
+@pytest.mark.parametrize("seed", [1729, 5, 701])
+@pytest.mark.parametrize("wall, failing", [
+    # the lower-wall test always true: only a narrow box has products below it
+    (lambda lo: None, {"pairing-balance"}),
+    # terms on the wall dropped: the surjectivity witnesses sit on it too
+    (lambda lo: None if lo is None else tuple(x + 1 for x in lo),
+     {"pairing-balance", "pairing-perfection-and-surjectivity"}),
+], ids=["ignored", "one-step-high"])
+def test_duality_suite_fails_on_a_wrong_lower_wall(monkeypatch, seed, wall, failing):
+    """The balance line also pairs into a narrow box, so a kernel that keeps
+    the products below its lower wall, or drops those on it, must FAIL the
+    duality suite."""
+    from cohdual.checks import run_suite
+
+    assert run_suite("duality", seed).passed
+    _patch_lower_wall(monkeypatch, wall)
+    report = run_suite("duality", seed)
+    assert {line.name for line in report.lines if not line.passed} == failing
+
+
+def test_balance_check_fails_when_a_narrow_pairing_claims_exactness(monkeypatch):
+    """A pairing whose loss below the wall leaves ``exact`` set must FAIL."""
+    import cohdual.duality as duality
+    from cohdual.checks import balance_trials
+
+    real = duality._accumulate
+    monkeypatch.setattr(duality, "_accumulate", lambda *args: real(*args)[:3] + (False,))
+    line = balance_trials()
+    assert not line.passed
+    assert line.detail.startswith("trial ")
+
+
 def test_surjectivity_witness_frozen():
     m, d = tensor_surjectivity_witness((-2, -3), 2, 1)
     assert m.term_map() == {(-2, 0): 1}

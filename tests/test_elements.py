@@ -129,6 +129,22 @@ def test_sums_refuse_a_frame_mismatch():
                 op()
 
 
+def test_tuple_operations_are_refused():
+    """An element is a tuple underneath, but it neither repeats nor
+    concatenates: ``*`` and a tuple on the left of ``+`` raise as they
+    would on any record, and the element operations are unchanged."""
+    e = Element.from_terms(S2, BOX, {(1, -1): 2, (0, 0): Fraction(1, 3)})
+    for op, message in ((lambda: e * 2, "'Element' and 'int'"),
+                        (lambda: 2 * e, "'int' and 'Element'"),
+                        (lambda: e * e, "'Element' and 'Element'"),
+                        (lambda: (1,) + e, "'tuple' and 'Element'")):
+        with pytest.raises(TypeError, match=f"^unsupported operand type\\(s\\) for .: {message}$"):
+            op()
+    assert (e + e).term_map() == {(1, -1): 4, (0, 0): Fraction(2, 3)}
+    assert (e - e).is_zero and (e - e).exact
+    assert (-e).term_map() == {(1, -1): -2, (0, 0): Fraction(-1, 3)}
+
+
 # Operands of the lowering contract, two terms each (one for none): the key
 # names the coefficient types, "T" holds residues mod two primes and "e" is
 # an empty operand.

@@ -8,17 +8,13 @@ import pytest
 
 import cohdual.independence as independence
 from cohdual.algebra import (
-    PACKED_MIN_PRODUCTS,
     Element,
     ModuleShape,
     TruncationBox,
-    linear_combine,
     monomial,
     ring_act,
 )
 from cohdual.independence import (
-    D_SHAPE,
-    CertificateError,
     DegenerateInputError,
     DeltaSequence,
     InconclusiveWindowError,
@@ -35,7 +31,6 @@ from cohdual.fields import Fp
 from conftest import (
     COEFFICIENT_KINDS,
     int_coefficient,
-    oracle_above,
     oracle_certificate,
     oracle_dominance,
     oracle_min_profile,
@@ -344,8 +339,8 @@ def test_certificate_matches_element_path(draw):
 
 @pytest.mark.parametrize("lmax", range(5))
 def test_certificate_short_windows_match_oracle(lmax):
-    """Windows of 0-4 degrees, all below the packing threshold: conclusive
-    certificates carry the oracle's whole profile, the rest are inconclusive."""
+    """Windows of 0-4 degrees: conclusive certificates carry the oracle's
+    whole profile, the rest are inconclusive."""
     rng = random.Random(f"short/{lmax}")
     outcomes = set()
     for _ in range(40):
@@ -353,7 +348,6 @@ def test_certificate_short_windows_match_oracle(lmax):
         r_list = _random_r_list(rng, draw)
         if all(r.is_zero for r in r_list):
             continue
-        assert sum(len(r.terms) for r in r_list) * (lmax + 1) < PACKED_MIN_PRODUCTS
         try:
             cert = independence_certificate(r_list, lmax)
         except InconclusiveWindowError:
@@ -374,25 +368,20 @@ FAMILY_DRAWS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(FAMILY_DRAWS))
-@pytest.mark.parametrize("lmax", [8, 100], ids=["tuple-loop", "packed"])
+@pytest.mark.parametrize("kind, lmax", [
+    *((kind, lmax) for lmax in (8, 100) for kind in sorted(FAMILY_DRAWS)),
+    *((kind, lmax) for lmax in (1000, 3000) for kind in ("fraction", "gf32003"))])
 def test_cached_family_certificates_match_oracle(kind, lmax):
-    """Certificates built on the cached d-family equal the element-path
-    oracle over Q, GF(32003) and the ints, first with the cache emptied
-    (each (power, lmax) built on its first use) and then with every
-    family member cached."""
+    """Certificates read from the memo of the d-family's closed form equal
+    the element-path oracle, first with the memo emptied (each (power,
+    lmax) computed on its first use) and then with every member held."""
     rng = random.Random(f"family/{kind}/{lmax}")
-    combinations = []
-    while len(combinations) < 12:
-        r_list = tuple(poly({(rng.randint(0, 3), rng.randint(0, 3)): FAMILY_DRAWS[kind](rng)
-                             for _ in range(rng.randint(1, 2))})
-                       for _ in range(rng.randint(1, 3)))
-        # 1-3 coefficients of 1-2 terms: at most 6 * 9 products below the threshold
-        assert (sum(map(len, (r.terms for r in r_list))) * (lmax + 1)
-                >= PACKED_MIN_PRODUCTS) == (lmax == 100)
-        combinations.append(r_list)
+    combinations = [tuple(poly({(rng.randint(0, 3), rng.randint(0, 3)): FAMILY_DRAWS[kind](rng)
+                                for _ in range(rng.randint(1, 2))})
+                          for _ in range(rng.randint(1, 3)))
+                    for _ in range(12)]
     powers = {j for r_list in combinations for j in range(1, len(r_list) + 1)}
-    independence._family.cache_clear()
+    independence._negated_powers.cache_clear()
     for warmth in ("cold", "warm"):
         certified = 0
         for r_list in combinations:
@@ -402,8 +391,8 @@ def test_cached_family_certificates_match_oracle(kind, lmax):
                 continue
             certified += 1
         assert certified >= 6, warmth
-        # each d_j is built once, on its first use
-        assert independence._family.cache_info().misses == len(powers), warmth
+        # each d_j is computed once, on its first use
+        assert independence._negated_powers.cache_info().misses == len(powers), warmth
 
 
 @pytest.mark.parametrize("terms, required", [
@@ -622,100 +611,91 @@ def _claim_the_tail_from(monkeypatch, t):
                         lambda *args: [(1, t - 1)] if t > 1 else [])
 
 
-def _assert_certificate_follows_the_profile(r_list, lmax, tail_start):
-    """The certificate at a claimed tail_start carries the element-path
-    profile, or raises at the first tail degree where that profile leaves
-    b - (l - a)^m0."""
-    m0, a, b, profile, _ = oracle_certificate(r_list, lmax)
-    off = next((l for l in range(tail_start, lmax + 1)
-                if profile.value(l) != b - (l - a) ** m0), None)
-    if off is None:
-        cert = independence_certificate(r_list, lmax)
-        assert (cert.m0, cert.a, cert.b, cert.tail_start) == (m0, a, b, tail_start)
-        assert cert.delta == profile
-        return "certified"
-    message = f"profile at degree {off} is {profile.value(off)}, expected {b - (off - a) ** m0}"
-    with pytest.raises(CertificateError, match=f"^{message}$"):
-        independence_certificate(r_list, lmax)
-    return "raised"
+def _independence_line():
+    from cohdual.checks import DEFAULT_SEED, run_suite
+
+    report = run_suite("independence", DEFAULT_SEED)
+    return next(line for line in report.lines
+                if line.name == "independence-random-combinations"), report.passed
 
 
-def test_a_tail_claimed_too_early_reads_the_whole_window(monkeypatch):
-    """When the analysis claims dominance from l = a + 1 on, competing
-    columns tie with or undercut the witness on that tail (or the witness
-    is still killed there): the profile is still the element path's, and
-    the certificate raises exactly where it leaves b - (l - a)^m0."""
+def _assert_the_check_fails():
+    line, passed = _independence_line()
+    assert not line.passed and not passed
+    assert "cross-checks failed on trials [" in line.detail
+
+
+def test_a_tail_claimed_too_early_fails_the_check(monkeypatch):
+    """When the analysis claims dominance from l = a + 1 on, the certificate
+    reads b - (l - a)^m0 there: its profile is the element path's exactly
+    when that path follows the closed form from a + 1 on, and the check
+    line sees the combinations where it does not."""
     _claim_the_tail_from(monkeypatch, 1)
     rng = random.Random("claimed early")
-    outcomes = {"certified": 0, "raised": 0}
+    outcomes = {"same": 0, "differs": 0}
     for _ in range(200):
         r_list = _oracle_r_list(rng, ORACLE_DRAWS[rng.choice(sorted(ORACLE_DRAWS))])
-        m0, a, b, _, _ = oracle_certificate(r_list, 40)
+        m0, a, b, profile, _ = oracle_certificate(r_list, 40)
         if m0 == 1 and any(x != a and y < b for x, y in surviving_terms(r_list)[0]):
             continue  # never concludes, before any analysis
-        outcomes[_assert_certificate_follows_the_profile(r_list, 40, a + 1)] += 1
+        cert = independence_certificate(r_list, 40)
+        follows = all(profile.value(l) == b - (l - a) ** m0 for l in range(a + 1, 41))
+        assert (cert.tail_start, cert.delta == profile) == (a + 1, follows)
+        outcomes["same" if follows else "differs"] += 1
     assert min(outcomes.values()) >= 40, outcomes
+    _assert_the_check_fails()
 
 
 def test_a_cancelling_tie_on_the_claimed_tail_is_seen(monkeypatch):
-    """3 d_1 + 4 Y^2 d_2 over GF(7) ties at X^2 Y^-2 and cancels there; a
-    tail claimed from l = 2 must not take the witness's -2 for the entry."""
-    _claim_the_tail_from(monkeypatch, 2)
+    """3 d_1 + 4 Y^2 d_2 over GF(7) ties at X^2 Y^-2 and cancels there.  Its
+    tail starts at l = 3; a tail claimed from l = 2 reads the witness's -2
+    at l = 2, where the element path has no term, and nowhere else differs."""
     r_list = tuple(poly(terms) for terms in CANCELLING["prime:7"])
-    with pytest.raises(CertificateError, match="^profile at degree 2 is None, expected -2$"):
-        independence_certificate(r_list, 40)
+    profile = oracle_certificate(r_list, 40)[3]
+    assert independence_certificate(r_list, 40).delta == profile
+    _claim_the_tail_from(monkeypatch, 2)
+    entries = independence_certificate(r_list, 40).delta.entries
+    assert [l for l in range(41) if entries[l] != profile.value(l)] == [2]
+    assert (entries[2], profile.value(2)) == (-2, None)
 
 
 def test_a_column_starting_inside_the_tail_is_compared_from_its_start(monkeypatch):
     """X^5 d_1 + (1 + X Y^2000) d_2 has its tail from l = 2, so the column
-    of X^5 starts inside it.  Built correctly it stays above the witness
-    -l^2; with d_1 built as the cube, -(l - 5)^3 first undercuts it at
-    l = 10 (Y^2000 widens the automatic box enough to hold the cube)."""
+    of X^5 starts inside it.  With d_1 correct it stays above the witness
+    -l^2 and the certificate is the element path's; formed with d_1 built
+    as the cube, -(l - 5)^3 first undercuts the witness at l = 10 (Y^2000
+    widens the automatic box enough to hold the cube), and from there the
+    element path's profile differs from the certificate's."""
+    import conftest
+
     box = TruncationBox((5, 2000))
     r_list = (Element.from_terms(S2, box, {(5, 0): 1}),
               Element.from_terms(S2, box, {(0, 0): 1, (1, 2000): 1}))
     cert = independence_certificate(r_list, 12)
     assert (cert.tail_start, cert.delta) == (2, oracle_certificate(r_list, 12)[3])
-    real_make_d = independence.make_d
-    monkeypatch.setattr(independence, "make_d",
-                        lambda power, lmax, box=None: real_make_d(power + 2 * (power == 1), lmax))
-    with pytest.raises(CertificateError, match="^profile at degree 10 is -125, expected -100$"):
-        independence_certificate(r_list, 12)
+    monkeypatch.setattr(conftest, "make_d", lambda power, lmax, box=None:
+                        make_d(power + 2 * (power == 1), lmax, box))
+    profile = oracle_certificate(r_list, 12)[3]
+    assert [l for l in range(13) if cert.delta.value(l) != profile.value(l)] == [10, 11, 12]
+    assert (cert.delta.value(10), profile.value(10)) == (-100, -125)
 
 
 def test_the_family_cache_keeps_no_entry_past_its_bound():
-    """The d-family cache bounds the Y-exponents it holds, packed forms
-    included, not its entries: an entry heavier than the bound is handed out
-    but not kept, and the least recently used entries leave once the total
-    would pass it."""
-    cache = independence._FamilyCache(10)
-    assert cache(make_d, 2, 10).ys == tuple(-(l * l) for l in range(11))
-    assert cache.cache_info().currsize == 0
-    cache(make_d, 1, 5)
-    cache(make_d, 2, 3)  # 6 + 4 exponents: both kept
-    cache(make_d, 1, 5)
-    cache(make_d, 3, 0)  # one more: d_2 at lmax 3, the least recently used, leaves
-    assert list(cache._entries) == [(make_d, 1, 5), (make_d, 3, 0)]
-    assert cache.cache_info()[:2] == (1, 4)
-
-    cache = independence._FamilyCache(12)
-    d1, d2 = cache(make_d, 1, 3), cache(make_d, 2, 3)
-    d1.packed(8)  # a packed form weighs as much as ys: 8 + 4, and d_1 is now the most recent
-    assert (list(cache._entries), cache.size) == ([(make_d, 2, 3), (make_d, 1, 3)], 12)
-    d2.packed(8)  # 8 + 8: d_1 leaves
-    assert (list(cache._entries), cache.size) == ([(make_d, 2, 3)], 8)
-    d2.packed(8)  # packed once
-    d2.packed(9)  # 12: kept
-    assert cache.size == 12
-    d2.packed(10)  # 16: d_2 itself is now too heavy to keep
-    assert (cache.cache_info().currsize, cache.size) == (0, 0)
-    assert sorted(d2.forms) == [8, 9, 10]
-
-    independence._family.cache_clear()
-    independence._family(make_d, 1, independence._family.capacity).packed(20)
-    assert independence._family.cache_info().currsize == 0
-    _certify_past_2_to_the_64()  # packs d_1 and d_4 at lmax 65,600
-    assert (independence._family.cache_info().currsize, independence._family.size) == (0, 0)
+    """The memo of the d-family's closed form holds at most four (power,
+    lmax) entries, every member of a certificate with m0 <= 4: at lmax
+    20,000 a repeated certificate computes nothing again."""
+    memo = independence._negated_powers
+    assert memo.cache_info().maxsize == 4
+    memo.cache_clear()
+    assert memo(2, 10) == tuple(-(l * l) for l in range(11))
+    r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
+              poly({(0, 0): 1, (1, 2): -1}))
+    cert = independence_certificate(r_list, 20_000)
+    assert memo.cache_info()[1:] == (5, 4, 4)  # misses, maxsize, currsize
+    assert independence_certificate(r_list, 20_000) == cert
+    assert memo.cache_info()[1:] == (5, 4, 4)
+    _certify_past_2_to_the_64()
+    assert memo.cache_info().currsize == 4
 
 
 def _certify_past_2_to_the_64():
@@ -724,96 +704,9 @@ def _certify_past_2_to_the_64():
     return r_list, independence_certificate(r_list, 65_600)
 
 
-def _entry(ys, power=1):
-    """A d-family entry holding ``ys`` (all <= 0), as a cache that keeps
-    nothing builds it."""
-    lmax = len(ys) - 1
-    d = Element.from_terms(D_SHAPE, TruncationBox((lmax, -min(ys))),
-                           {(l, y): 1 for l, y in enumerate(ys)})
-    return independence._FamilyCache(0)(lambda power, lmax: d, power, lmax)
-
-
-def _packed_answers(columns, tail_start, n, witness=0):
-    """The packed tail test's answers, checked against the elementwise oracle."""
-    answers = list(independence._above(columns, witness, tail_start, n))
-    assert answers == oracle_above(columns, witness, tail_start, n)
-    return answers
-
-
-def test_the_packed_tail_test_matches_the_elementwise_oracle():
-    """Random witnesses and columns, each column above the witness by a
-    random margin except, now and then, at one degree where it ties or
-    undercuts; magnitudes run from 1 past 2^64.  Each entry's fields
-    outside the compared slice are random too, so an unmasked field that
-    leaked in would show."""
-    rng = random.Random("packed tail")
-    seen = {True: 0, False: 0}
-    for _ in range(400):
-        scale = rng.choice((1, 2, 100, 2 ** 40, 2 ** 64, 2 ** 100))
-        n = rng.randint(1, 24)
-        tail_start = rng.randint(0, n - 1)
-        a = rng.randint(0, tail_start)
-        b = rng.choice((0, rng.randint(0, scale)))
-        top = _entry([-rng.randint(0, scale) for _ in range(n)])
-        columns = [(top, a, b, 1)]
-        for _ in range(rng.randint(1, 5)):
-            x = rng.randint(0, n - 1)
-            k = max(x, tail_start)
-            want = [b + top.ys[l - a] + rng.randint(1, scale) for l in range(k, n)]
-            if rng.random() < 0.4:
-                want[rng.randrange(len(want))] -= rng.choice((1, 2, scale + 1))
-            y = max(0, *want) + rng.choice((0, 1, scale))
-            ys = [-rng.randint(0, scale) for _ in range(n)]
-            ys[k - x:n - x] = [v - y for v in want]
-            columns.append((_entry(ys), x, y, 1))
-        for answer in _packed_answers(columns, tail_start, n):
-            seen[answer] += 1
-    assert min(seen.values()) >= 300, seen
-
-
-@pytest.mark.parametrize("m", [0] + [2 ** k + step for k in (1, 7, 8, 63, 64, 65, 100)
-                                   for step in (-1, 0)])
-def test_the_packed_tail_test_at_its_widest_differences(m):
-    """With M = m bounding the compared values (the field width steps up
-    between 2^k - 1 and 2^k, and 2M + 1 = 1 is a power of two at M = 0),
-    a column at -M against a witness at M differs by -2M and one at M
-    against a witness at -M by 2M.  Both are read right on a tail of one
-    degree, where a borrow has no compared field above it to land in."""
-    # the witness X^0 Y^m sits at m on degree 1; columns at -m and at m (a tie)
-    columns = [(_entry([-m, 0]), 0, m, 1), (_entry([-m, -m]), 0, 0, 1), (_entry([0, 0]), 0, m, 1)]
-    assert _packed_answers(columns, 1, 2) == [m == 0, False, False]
-    # the witness X^0 Y^0 sits at -m; a column at m is above it by 2m, one at -m ties
-    columns = [(_entry([-m, -m]), 0, 0, 1), (_entry([0, 0]), 0, m, 1), (_entry([0, -m]), 0, 0, 1)]
-    assert _packed_answers(columns, 1, 2) == [True, m > 0, False]
-
-
-def test_the_packed_tail_test_pinned_cases():
-    """A tie at one degree is not above, however far above the rest is; a
-    column starting inside the tail is read from its own start; a column's
-    y counts, 0 or not; the witness must sit at or below 0."""
-    top = _entry([-(t * t) for t in range(8)])  # the witness X^1 Y^2 is 2 - (l - 1)^2
-    tie_at_5 = _entry([-(t * t) - 40 * (t == 4) for t in range(8)])  # 40 above but at l = 5
-    columns = [(top, 1, 2, 1), (tie_at_5, 1, 42, 1), (tie_at_5, 1, 43, 1)]
-    assert _packed_answers(columns, 3, 8) == [True, False, True]
-    assert _packed_answers(columns, 6, 8) == [True, True, True]
-    assert _packed_answers(columns, 2, 8) == [False, False, True]  # 2 - 1 > 0 at l = 2
-    # -(l - x)^3 from x = 5 or 4 stays above the witness; from x = 2 it undercuts at l = 4
-    cube = _entry([-(t ** 3) for t in range(8)])
-    columns = [(top, 1, 2, 1), (cube, 5, 0, 1), (cube, 4, 0, 1), (cube, 2, 0, 1)]
-    assert _packed_answers(columns, 3, 8) == [True, True, True, False]
-    assert _packed_answers([columns[0], columns[3]], 3, 4) == [True, True]  # -1 > -2 at l = 3
-    # the witness's own entry ties at y = b and is above at y = b + 1; y = 0 over zeros
-    zeros = _entry([0] * 8)
-    columns = [(top, 1, 2, 1), (top, 1, 2, 1), (top, 1, 3, 1), (zeros, 1, 0, 1)]
-    assert _packed_answers(columns, 3, 8) == [True, False, True, True]
-    columns = [(top, 1, 0, 1), (top, 1, 0, 1), (top, 1, 1, 1), (zeros, 7, 0, 1)]
-    assert _packed_answers(columns, 2, 8) == [True, False, True, True]
-
-
 def test_certificate_past_2_to_the_64():
     """A constant r_4 next to a multiple of Y as r_1, at lmax 65,600: the
-    Y-bound lmax^4 + 2 passes 2**64, so the kernel packs exponents into
-    fields wider than 64 bits."""
+    Y-bound lmax^4 + 2 passes 2**64, and the profile stays exact there."""
     lmax = 65_600
     r_list, cert = _certify_past_2_to_the_64()
     assert cert.box.bounds[1] > 2 ** 64
@@ -862,116 +755,74 @@ def test_certificate_torsion_combination_never_concludes():
     assert not killed.exact
 
 
-def test_a_family_reaching_below_the_automatic_box_raises(monkeypatch):
-    """The automatic box reaches lmax^m0 + the largest Y-degree + 1 = 11
-    below 0 for r_1 = 1 at lmax 10.  A d_1 whose last exponent is -12 would
-    have lost terms there; one at -11 fits, and its profile leaves -l."""
-    def reaching(depth):
-        def build(power, lmax, box=None):
-            ys = [-(l ** power) for l in range(lmax)] + [-depth]
-            return Element.from_terms(D_SHAPE, TruncationBox((lmax, depth)),
-                                      {(l, y): 1 for l, y in enumerate(ys)})
-        return build
+def test_a_family_reaching_below_the_automatic_box_fails_the_check(monkeypatch):
+    """A make_d whose last term sits one step below the box it is handed
+    puts that term into the element path's sum, where the certificate's
+    closed form has none: the check must FAIL."""
+    import cohdual.checks as checks
 
-    r_list = (poly({(0, 0): 1}),)
-    monkeypatch.setattr(independence, "make_d", reaching(12))
-    with pytest.raises(CertificateError, match="^the automatically sized box lost terms$"):
-        independence_certificate(r_list, 10)
-    monkeypatch.setattr(independence, "make_d", reaching(11))
-    with pytest.raises(CertificateError, match="^profile at degree 10 is -11, expected -10$"):
-        independence_certificate(r_list, 10)
+    def reaching(power, lmax, box=None):
+        d = make_d(power, lmax, box)
+        (x, _), c = d.terms[-1]
+        return d._replace(terms=d.terms[:-1] + (((x, -d.box.bounds[1] - 1), c),))
 
-
-def test_a_cached_entry_of_another_power_raises(monkeypatch):
-    """Each entry is stamped with the power and lmax it was checked against:
-    an entry for d_1 handed out for d_2 fails the certificate."""
-    real_family = independence._family
-    monkeypatch.setattr(independence, "_family",
-                        lambda build, power, lmax: real_family(build, 1, lmax))
-    with pytest.raises(CertificateError,
-                       match="^the cached d_2 at lmax 40 was built as d_1 at lmax 40$"):
-        independence_certificate((poly({(0, 0): 1}), poly({(0, 0): 1})), 40)
+    monkeypatch.setattr(checks, "make_d", reaching)
+    _assert_the_check_fails()
 
 
 def test_each_entry_is_checked_against_its_closed_form_once(monkeypatch):
-    """An entry records whether its exponents are -l^power.  A cold
-    certificate pays one ``pow`` pass and one packing per entry, a warm one
-    neither."""
-    cache = independence._FamilyCache(100)
-    assert cache(make_d, 3, 20).closed
-    assert not cache(lambda power, lmax: make_d(power + 1, lmax), 3, 20).closed
-    assert not cache(lambda power, lmax: make_d(power, lmax - 1), 3, 20).closed
-    assert not _entry([0, -1, -4, -9, -15], power=2).closed
-    assert _entry([0, -1, -4, -9, -16], power=2).closed
-
+    """Each memo entry is d_power's closed form, computed with ``pow`` once:
+    a cold certificate pays one pass per member, a warm one none."""
     calls = []
     monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
                         raising=False)
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
-    independence._family.cache_clear()
+    independence._negated_powers.cache_clear()
     cert = independence_certificate(r_list, 50)
     assert (cert.m0, cert.tail_start, len(calls)) == (4, 2, 4 * 51)
-    assert [len(entry.forms) for entry in independence._family._entries.values()] == [1] * 4
     calls.clear()
     assert independence_certificate(r_list, 50) == cert
     assert calls == []
-    assert [len(entry.forms) for entry in independence._family._entries.values()] == [1] * 4
-
-
-def _independence_line():
-    from cohdual.checks import DEFAULT_SEED, run_suite
-
-    return next(line for line in run_suite("independence", DEFAULT_SEED).lines
-                if line.name == "independence-random-combinations")
 
 
 def _break_the_family(monkeypatch):
-    """Build the wrong power from j = 2 on, as the certificate finds make_d."""
-    real_make_d = independence.make_d
+    """Build the wrong power from j = 2 on, as the check line finds make_d."""
+    import cohdual.checks as checks
 
-    def wrong_power(power, lmax, box=None):
-        return real_make_d(power - 1 if power >= 2 else power, lmax, box)
-
-    monkeypatch.setattr(independence, "make_d", wrong_power)
+    monkeypatch.setattr(checks, "make_d", lambda power, lmax, box=None:
+                        make_d(power - 1 if power >= 2 else power, lmax, box))
 
 
 def test_independence_check_fails_on_a_broken_family(monkeypatch):
-    """A d-family with the wrong power from j = 2 on makes certificates
-    contradict their own analysis; the check line reports that as FAIL
-    instead of letting the error escape."""
+    """A d-family with the wrong power from j = 2 on gives the combinations
+    formed as elements other profiles than the certificates' closed form;
+    the check line reports that as FAIL."""
     _break_the_family(monkeypatch)
-    line = _independence_line()
-    assert not line.passed
-    assert "failed on trials [" in line.detail
+    _assert_the_check_fails()
 
 
 def test_a_broken_family_fails_the_check_with_a_warm_cache(monkeypatch):
-    """The family cache is keyed by the builder it was filled from, so a
-    cache filled by a passing run does not hide a broken make_d."""
-    assert _independence_line().passed
-    assert independence._family.cache_info().currsize > 0
+    """The memo filled by a passing run does not hide a broken make_d."""
+    assert _independence_line()[0].passed
+    assert independence._negated_powers.cache_info().currsize > 0
     _break_the_family(monkeypatch)
-    line = _independence_line()
-    assert not line.passed
-    assert "failed on trials [" in line.detail
+    _assert_the_check_fails()
 
 
 def test_a_family_cache_keyed_without_the_power_fails_the_check(monkeypatch):
-    """A cache that hands every j the first d_j built at that lmax must make
-    the independence check FAIL."""
-    real_family = independence._family
+    """A memo that hands every j the first d_j computed at that lmax must
+    make the independence check FAIL."""
+    real = independence._negated_powers
     by_lmax = {}
 
-    def keyed_without_power(build, power, lmax):
+    def keyed_without_power(power, lmax):
         if lmax not in by_lmax:
-            by_lmax[lmax] = real_family(build, power, lmax)
+            by_lmax[lmax] = real(power, lmax)
         return by_lmax[lmax]
 
-    monkeypatch.setattr(independence, "_family", keyed_without_power)
-    line = _independence_line()
-    assert not line.passed
-    assert "failed on trials [" in line.detail
+    monkeypatch.setattr(independence, "_negated_powers", keyed_without_power)
+    _assert_the_check_fails()
 
 
 def _family_with_power(monkeypatch, asked, built):

@@ -1,8 +1,6 @@
 """Property tests of the product kernel against the plain-dict oracle.
 
-Each drawn call runs on the packed path (threshold 0) and at the real
-threshold, which keeps most of these small calls on the tuple loop.  They
-run only where hypothesis is installed; the seeded tests in
+They run only where hypothesis is installed; the seeded tests in
 ``test_algebra.py`` cover the same ground without it.
 """
 
@@ -11,7 +9,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
-import cohdual.algebra as algebra  # noqa: E402
 from cohdual.algebra import (  # noqa: E402
     INVERSE,
     SERIES,
@@ -60,19 +57,13 @@ def elements(draw, shape, box, coefficients):
     return Element.from_terms(shape, box, terms)
 
 
-def _matches(product, a, b, roles, bounds):
-    """Both kernel paths, forced by the threshold, agree with the oracle."""
+def _matches(out, a, b, roles, bounds):
+    """The product agrees with the oracle: terms, coefficient types, order, flag."""
     want_terms, want_exact = oracle_product(a.term_map(), b.term_map(), roles, bounds)
-    for threshold in (0, algebra.PACKED_MIN_PRODUCTS):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(algebra, "PACKED_MIN_PRODUCTS", threshold)
-            out = product()
-        if not (out.term_map() == want_terms
-                and coefficient_strings(out.term_map()) == coefficient_strings(want_terms)
-                and [e for e, _ in out.terms] == sorted(want_terms)
-                and out.exact == want_exact):
-            return False
-    return True
+    return (out.term_map() == want_terms
+            and coefficient_strings(out.term_map()) == coefficient_strings(want_terms)
+            and [e for e, _ in out.terms] == sorted(want_terms)
+            and out.exact == want_exact)
 
 
 @PROPERTY
@@ -82,7 +73,7 @@ def test_ring_act_matches_oracle_property(data):
     n = shape.nvars
     m = data.draw(elements(shape, box, coefficients))
     r = data.draw(elements(ModuleShape.series_shape(n), box, coefficients))
-    assert _matches(lambda: ring_act(r, m), r, m, shape.roles, box.bounds)
+    assert _matches(ring_act(r, m), r, m, shape.roles, box.bounds)
 
 
 @PROPERTY
@@ -94,5 +85,5 @@ def test_matlis_pair_matches_oracle_property(data):
     narrow = data.draw(st.one_of(st.none(), st.builds(
         TruncationBox, st.tuples(*(st.sampled_from((0, 1, b // 2)) for b in box.bounds)))))
     out_box = narrow or d.box + m.box
-    assert _matches(lambda: matlis_pair(d, m, narrow), d, m, (INVERSE,) * shape.nvars,
+    assert _matches(matlis_pair(d, m, narrow), d, m, (INVERSE,) * shape.nvars,
                     out_box.bounds)
