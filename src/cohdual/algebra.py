@@ -41,7 +41,6 @@ builds its term tuple directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
@@ -57,16 +56,40 @@ INVERSE = "inverse"
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ModuleShape:
+def _unsupported(op: str, left, right):
+    raise TypeError(f"unsupported operand type(s) for {op}: "
+                    f"'{type(left).__name__}' and '{type(right).__name__}'")
+
+
+class _Record:
+    """Refuses outright the tuple operations a record has no use for:
+    NotImplemented would let the tuple base repeat or concatenate."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        _unsupported("*", self, other)
+
+    def __rmul__(self, other):
+        _unsupported("*", other, self)
+
+    def __radd__(self, other):
+        _unsupported("+", other, self)
+
+
+class ModuleShape(_Record, NamedTuple("ModuleShape", [("roles", tuple)])):
     """Role assignment for the variables, one of SERIES/INVERSE per slot."""
 
-    roles: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for r in self.roles:
+    def __new__(cls, roles: tuple[str, ...]):
+        for r in roles:
             if r not in (SERIES, INVERSE):
                 raise ValueError(f"unknown role: {r!r}")
+        return tuple.__new__(cls, (roles,))
+
+    def __add__(self, other):
+        _unsupported("+", self, other)
 
     @property
     def nvars(self) -> int:
@@ -101,20 +124,20 @@ class ModuleShape:
         return cls((INVERSE,) * i + (SERIES,) * (n - i))
 
 
-@dataclass(frozen=True)
-class TruncationBox:
+class TruncationBox(_Record, NamedTuple("TruncationBox", [("bounds", tuple)])):
     """Per-variable exponent bounds.
 
     A series exponent e is admissible when 0 <= e <= bound; an inverse
     exponent when -bound <= e <= 0.  Bounds are nonnegative integers.
     """
 
-    bounds: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for b in self.bounds:
+    def __new__(cls, bounds: tuple[int, ...]):
+        for b in bounds:
             if not isinstance(b, int) or b < 0:
-                raise ValueError(f"box bounds must be nonnegative integers: {self.bounds}")
+                raise ValueError(f"box bounds must be nonnegative integers: {bounds}")
+        return tuple.__new__(cls, (bounds,))
 
     @classmethod
     def uniform(cls, n: int, bound: int) -> "TruncationBox":
@@ -214,25 +237,12 @@ class Element(NamedTuple):
     def __neg__(self) -> "Element":  # negating keeps the terms nonzero and in order
         return Element(self.shape, self.box, tuple([(e, -c) for e, c in self.terms]), self.exact)
 
-    # refused outright: NotImplemented would let the tuple base repeat or concatenate
-    def __mul__(self, other):
-        _unsupported("*", self, other)
-
-    def __rmul__(self, other):
-        _unsupported("*", other, self)
-
-    def __radd__(self, other):
-        _unsupported("+", other, self)
+    __mul__, __rmul__, __radd__ = _Record.__mul__, _Record.__rmul__, _Record.__radd__
 
     def __repr__(self):
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.terms) or "0"
         flag = "" if self.exact else ", inexact"
         return f"<Element {body}{flag}>"
-
-
-def _unsupported(op: str, left, right):
-    raise TypeError(f"unsupported operand type(s) for {op}: "
-                    f"'{type(left).__name__}' and '{type(right).__name__}'")
 
 
 def monomial(shape: ModuleShape, box: TruncationBox, exponents: Exponents,

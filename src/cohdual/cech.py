@@ -17,21 +17,22 @@ over the rationals and over every prime field alike.
 The expected answer, verified by :func:`verify_realization` over a finite
 window of multidegrees, is concentrated in position i, with a dimension-one
 piece exactly at the degrees whose first i coordinates are all <= -1 and
-whose remaining coordinates are all >= 0.
+whose remaining coordinates are all >= 0.  A slice depends only on which
+coordinates of its degree are negative, so the sweep computes and compares
+once per sign class and lays each class's dimensions over its degrees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .algebra import Element, ModuleShape, TruncationBox, monomial, ring_act
 from .linalg import integer_rank
 
 
-@dataclass(frozen=True)
-class CechDegreePiece:
+class CechDegreePiece(NamedTuple):
     """One multidegree slice of the complex: dimensions and face matrices.
 
     ``boundaries[l]`` maps position l to position l + 1; rows are indexed by
@@ -57,9 +58,10 @@ def build_degree_piece(n: int, i: int, a: tuple[int, ...]) -> CechDegreePiece:
     a = tuple(a)
     if len(a) != n:
         raise ValueError(f"degree {a} has wrong length for n={n}")
+    # S is alive when it holds every negative head coordinate and no tail one is negative
+    negative = {j for j in range(i) if a[j] < 0}
     tail_ok = all(a[j] >= 0 for j in range(i, n))
-    alive = [[subset for subset in combinations(range(i), l)
-              if tail_ok and all(a[j] >= 0 for j in range(i) if j not in subset)]
+    alive = [list(filter(negative.issubset, combinations(range(i), l))) if tail_ok else []
              for l in range(i + 1)]
     boundaries = []
     for l in range(i):
@@ -104,8 +106,7 @@ def realization_support(n: int, i: int, a: tuple[int, ...]) -> bool:
     return all(a[j] <= -1 for j in range(i)) and all(a[j] >= 0 for j in range(i, n))
 
 
-@dataclass
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """Per-multidegree dimensions over a finite window, sorted by degree."""
 
     n: int
@@ -119,8 +120,7 @@ class CohomologyTable:
         return dims
 
 
-@dataclass
-class RealizationReport:
+class RealizationReport(NamedTuple):
     table: CohomologyTable
     passed: bool
     nonzero_count: int
@@ -131,26 +131,29 @@ def verify_realization(n: int, i: int, window: int) -> RealizationReport:
     """Sweep the window [-window, window]^n and compare against the prediction.
 
     Passes when every slice is zero away from position i and the position-i
-    dimension is 1 exactly on the predicted support, 0 elsewhere.
+    dimension is 1 exactly on the predicted support, 0 elsewhere.  The
+    dimensions depend only on which coordinates are negative, so each of the
+    2^n sign classes is looked up and compared once: a class with k negative
+    coordinates holds window^k * (window + 1)^(n - k) degrees, and its
+    dimensions are laid against them without a further lookup.
     """
     if window < 1:
         raise ValueError("window must cover both signs; need window >= 1")
-    entries = []
-    mismatches = []
-    nonzero = 0
-    for a in product(range(-window, window + 1), repeat=n):
-        dims = cech_dims_at_degree(n, i, a)
-        entries.append((a, dims))
-        expected = tuple(
-            (1 if (l == i and realization_support(n, i, a)) else 0)
-            for l in range(i + 1)
-        )
-        if dims != expected:
-            mismatches.append((a, dims))
-        if dims[i] == 1:
-            nonzero += 1
-    table = CohomologyTable(n, i, window, tuple(entries))
-    return RealizationReport(table, not mismatches, nonzero, tuple(mismatches))
+    classes = list(product((True, False), repeat=n))  # True: the coordinate is negative
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    dims = {s: _dims_by_signs(i, s[:i], not any(s[i:])) for s in classes}
+    failing = {s for s in classes
+               if dims[s] != (0,) * i + (int(all(s[:i]) and not any(s[i:])),)}
+    signs = (True,) * window + (False,) * (window + 1)
+    entries = tuple(zip(product(range(-window, window + 1), repeat=n),
+                        map(dims.__getitem__, product(signs, repeat=n))))
+    nonzero = sum(window ** sum(s) * (window + 1) ** (n - sum(s))
+                  for s in classes if dims[s][i] == 1)
+    mismatches = tuple(entry for entry, s in zip(entries, product(signs, repeat=n))
+                       if s in failing) if failing else ()
+    table = CohomologyTable(n, i, window, entries)
+    return RealizationReport(table, not mismatches, nonzero, mismatches)
 
 
 def identify_basis(n: int, i: int, a: tuple[int, ...],

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import (
     INVERSE,
@@ -61,8 +61,7 @@ from .independence import (
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class CheckLine:
+class CheckLine(NamedTuple):
     """Verdict of one named check over some number of instances."""
 
     name: str
@@ -71,8 +70,7 @@ class CheckLine:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     suite: str
     seed: int
     lines: tuple[CheckLine, ...]

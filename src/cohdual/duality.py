@@ -16,10 +16,10 @@ with the final quotient landing back in an all-inverse module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import add, eq
+from typing import NamedTuple
 
 from .algebra import (
     INVERSE,
@@ -79,8 +79,7 @@ def _box_monomial_exponents(shape: ModuleShape, box: TruncationBox):
     return product(*(range(low, high + 1) for low, high in zip(lo, hi)))
 
 
-@dataclass
-class PairingReport:
+class PairingReport(NamedTuple):
     """Outcome of pairing the two box-monomial bases against each other."""
 
     n: int
@@ -173,15 +172,13 @@ def gamma_of_shape(shape: ModuleShape, gens: tuple[int, ...]) -> str:
     return GAMMA_FULL if all(shape.role(g) == INVERSE for g in gens) else GAMMA_ZERO
 
 
-@dataclass
-class RegularityStep:
+class RegularityStep(NamedTuple):
     variable: int
     domain_dim: int
     kernel_dim: int
 
 
-@dataclass
-class RegularityReport:
+class RegularityReport(NamedTuple):
     n: int
     i: int
     bound: int

@@ -57,6 +57,7 @@ SCHEMA = "cohdual/1"
 _INT_RE = re.compile(r"\d+")
 _SIGNED_INT_RE = re.compile(r"[+-]?\d+")
 _LEAVES = {str: _ascii, int: int.__repr__}  # json.dumps writes any other leaf
+_INT_ONLY = {int}
 
 
 class ParseError(ValueError):
@@ -252,7 +253,10 @@ def _laid_out(value, pad: str) -> str:
     if isinstance(value, dict) and value:
         items = [_ascii(key) + ": " + _laid_out(value[key], inner) for key in sorted(value)]
     elif isinstance(value, (list, tuple)) and value:
-        items = [_laid_out(item, inner) for item in value]
+        if type(value[0]) is int and set(map(type, value)) == _INT_ONLY:  # no call per int
+            items = map(int.__repr__, value)
+        else:
+            items = [_laid_out(item, inner) for item in value]
     else:
         return _LEAVES.get(type(value), json.dumps)(value)
     brackets = "{}" if isinstance(value, dict) else "[]"

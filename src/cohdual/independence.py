@@ -36,11 +36,11 @@ consumes: profiles of distinct powers admit no shift witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, countOf, eq, gt, itemgetter, neg
+from typing import NamedTuple
 
 from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _lowered
 from .fields import Fp
@@ -82,8 +82,7 @@ class CertificateError(RuntimeError):
     form; it stays part of the interface, and the CLI maps it."""
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
+class DeltaSequence(NamedTuple):
     """Minimal Y-exponent per X-degree over a window of degrees.
 
     ``entries[k]`` belongs to X-degree ``start + k`` and is either an
@@ -105,8 +104,7 @@ class DeltaSequence:
         return self.entries[l - self.start]
 
 
-@dataclass(frozen=True)
-class ShiftWitness:
+class ShiftWitness(NamedTuple):
     """Certifies first[shift_left + l] = second[shift_right + l] + offset for l >= 1."""
 
     shift_left: int
@@ -114,8 +112,7 @@ class ShiftWitness:
     offset: int
 
 
-@dataclass(frozen=True)
-class ShiftSearch:
+class ShiftSearch(NamedTuple):
     """Outcome of a bounded search for a shift witness.
 
     ``status`` is "witness" (with the lexicographically least witness),
@@ -128,8 +125,7 @@ class ShiftSearch:
     witness: ShiftWitness | None = None
 
 
-@dataclass(frozen=True)
-class RDecomposition:
+class RDecomposition(NamedTuple):
     """r = X^(a+1) * h + X^a * g with g nonzero in Y alone, b = ord_Y(g)."""
 
     a: int
@@ -138,8 +134,7 @@ class RDecomposition:
     b: int
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(NamedTuple):
     """A verified dominance tail for one combination of the d-family.
 
     Records the top nonzero index m0, the shifts (a, b) read off the top
@@ -181,8 +176,19 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None) -> Element:
 @lru_cache(maxsize=4)
 def _negated_powers(power: int, lmax: int) -> tuple[int, ...]:
     """-l^power for l = 0..lmax: d_power's Y-exponents by X-degree, from the
-    closed form.  Four entries hold every power of a certificate with m0 <= 4."""
+    closed form.  Only a certificate's top index m0 needs them up to lmax, so
+    a certificate holds one entry: at most 4 * (largest lmax + 1) exponents."""
     return tuple(map(neg, map(pow, range(lmax + 1), repeat(power))))
+
+
+@lru_cache(maxsize=32)
+def _prefixes(powers: tuple[int, ...], cut: int) -> tuple[tuple[int, ...], ...]:
+    """-l^j for l < cut, one tuple per j in powers: the lower indices' columns
+    stop before the tail, so a certificate holds one entry keyed by (its lower
+    indices, tail_start), of len(powers) * tail_start exponents.  tail_start
+    is at most a + max(a + 1, 2^(m0-1) + b + 1), set by the top coefficient
+    and not by lmax, so 32 entries stay small."""
+    return tuple(tuple(map(neg, map(pow, range(cut), repeat(j)))) for j in powers)
 
 
 def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
@@ -439,8 +445,10 @@ def _least_exponents(live, p: int | None, a: int, b: int, tail_start: int,
     coefficients are re-summed, and if they cancel every candidate at that
     degree is."""
     columns, candidates = [], []
-    for j, _, terms in live:
-        ys, column_x = _negated_powers(j, lmax), -1
+    top = _negated_powers(live[-1][0], lmax)
+    lower = _prefixes(tuple(j for j, _, _ in live[:-1]), tail_start)
+    for (_, _, terms), ys in zip(live, lower + (top,)):
+        column_x = -1
         for (x, y), c in terms:  # ascending, so the first term per x has its least y
             if x < tail_start:
                 if x != column_x:
@@ -464,5 +472,5 @@ def _least_exponents(live, p: int | None, a: int, b: int, tail_start: int,
             if x <= l and y + ys[l - x] <= 0:
                 sums[y + ys[l - x]] = sums.get(y + ys[l - x], 0) + c
         entries[l] = min((w for w, total in sums.items() if nonzero(total)), default=None)
-    tail = _negated_powers(live[-1][0], lmax)[tail_start - a:lmax + 1 - a]
+    tail = top[tail_start - a:lmax + 1 - a]
     return tuple(entries) + (tuple(map(add, tail, repeat(b))) if b else tail)

@@ -3,14 +3,17 @@
 The oracle functions here are deliberately independent reimplementations,
 written the slow and obvious way on plain dicts and Fractions, so the
 package's sparse paths can be checked against something with no shared
-code.  The exception is :func:`oracle_certificate`, which keeps the
+code.  The exceptions are :func:`oracle_certificate`, which keeps the
 certificate's older element path (itself checked against
-:func:`oracle_product`) as the reference for its integer fast path.
+:func:`oracle_product`) as the reference for its integer fast path, and
+:func:`oracle_realization`, which keeps the realization sweep's older
+degree-by-degree loop as the reference for its sign-class sweep.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
+import cohdual.cech as cech
 from cohdual.algebra import (
     Element,
     ModuleShape,
@@ -188,6 +191,26 @@ def oracle_required_lmax(r_list, start=2):
         if run >= 3 and l >= start:
             return l
     return None
+
+
+def oracle_realization(n, i, window):
+    """(entries, nonzero_count, passed, mismatches) of the realization sweep,
+    looked up and compared one degree at a time."""
+    entries = []
+    mismatches = []
+    nonzero = 0
+    for a in product(range(-window, window + 1), repeat=n):
+        dims = cech.cech_dims_at_degree(n, i, a)
+        entries.append((a, dims))
+        expected = tuple(
+            (1 if (l == i and cech.realization_support(n, i, a)) else 0)
+            for l in range(i + 1)
+        )
+        if dims != expected:
+            mismatches.append((a, dims))
+        if dims[i] == 1:
+            nonzero += 1
+    return tuple(entries), nonzero, not mismatches, tuple(mismatches)
 
 
 def oracle_rank(rows):

@@ -1,6 +1,7 @@
 """Core algebra: shapes, boxes, elements, the ring action, derivations."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -51,7 +52,7 @@ def test_shape_roles_and_dual():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown role: 'sideways'$"):
         ModuleShape(("series", "sideways"))
     with pytest.raises(ValueError):
         ModuleShape.cohomology_shape(2, 0)
@@ -60,8 +61,10 @@ def test_shape_validation():
 
 
 def test_box_validation_and_admits():
-    with pytest.raises(ValueError):
-        TruncationBox((-1, 2))
+    for bounds in ((-1, 2), (2, 2.0)):
+        message = "^box bounds must be nonnegative integers: " + re.escape(str(bounds)) + "$"
+        with pytest.raises(ValueError, match=message):
+            TruncationBox(bounds)
     box = TruncationBox((2, 3))
     assert box.admits(D2, (2, -3))
     assert not box.admits(D2, (3, 0))

@@ -14,7 +14,7 @@ from cohdual.cech import (
     verify_realization,
 )
 from cohdual.linalg import integer_rank
-from conftest import oracle_rank, oracle_rank_mod
+from conftest import oracle_rank, oracle_rank_mod, oracle_realization
 
 
 def test_dims_frozen_values():
@@ -141,6 +141,54 @@ def test_realization_check_fails_when_ranks_are_undercounted(monkeypatch, cold_d
     line = realization_sweep()
     assert not line.passed
     assert line.detail.startswith("n=3 i=3: dims ")
+
+
+def _sweep(n, i, window):
+    report = verify_realization(n, i, window)
+    return report.table.entries, report.nonzero_count, report.passed, report.mismatches
+
+
+@pytest.mark.parametrize("n, i, window", [
+    *((n, i, window) for n in range(1, 5) for i in range(1, n + 1) for window in range(1, 5)),
+    (6, 4, 2), (7, 3, 1), (8, 8, 1)])
+def test_sign_class_sweep_matches_the_per_degree_oracle(n, i, window):
+    """Entries, nonzero count, verdict and mismatches of the sign-class
+    sweep equal those of the degree-by-degree loop it replaced."""
+    assert _sweep(n, i, window) == oracle_realization(n, i, window)
+
+
+def test_dims_that_ignore_the_tail_sign_fail_the_cech_suite(monkeypatch):
+    """A dimension cache that reads every tail as nonnegative puts top
+    cohomology on degrees with a negative tail: the check must FAIL."""
+    import cohdual.cech as cech
+    from cohdual.checks import run_suite
+
+    real = cech._dims_by_signs
+    monkeypatch.setattr(cech, "_dims_by_signs",
+                        lambda i, head_negative, tail_ok: real(i, head_negative, True))
+    report = run_suite("cech")
+    assert not report.passed
+    (line,) = report.lines
+    assert not line.passed and line.detail.startswith("n=2 i=1: dims (0, 1) at degree (-4, -4)")
+
+
+def test_one_wrong_class_gives_the_oracles_mismatches(monkeypatch):
+    """One sign class with wrong dimensions: the sweep lists exactly the
+    degrees of that class, in degree order, as the oracle does."""
+    import cohdual.cech as cech
+
+    real = cech._dims_by_signs
+
+    def one_wrong(i, head_negative, tail_ok):
+        dims = real(i, head_negative, tail_ok)
+        return (1,) + dims[1:] if head_negative == (True, False) and tail_ok else dims
+
+    monkeypatch.setattr(cech, "_dims_by_signs", one_wrong)
+    entries, nonzero, passed, mismatches = _sweep(3, 2, 2)
+    assert (entries, nonzero, passed, mismatches) == oracle_realization(3, 2, 2)
+    assert not passed and len(mismatches) == 2 * 3 * 3
+    assert all(a[0] < 0 <= a[1] and a[2] >= 0 and dims == (1, 0, 0)
+               for a, dims in mismatches)
 
 
 def test_boundary_ranks_do_not_depend_on_the_field():

@@ -33,9 +33,11 @@ BOX = TruncationBox((3, 3))
 
 def test_attributes_cannot_be_assigned():
     e = Element.from_terms(S2, BOX, {(1, -1): 2})
-    for name, value in (("exact", False), ("terms", ()), ("shape", S2), ("other", 1)):
+    for obj, name, value in ((e, "exact", False), (e, "terms", ()), (e, "shape", S2),
+                             (e, "other", 1), (S2, "roles", ()), (S2, "other", 1),
+                             (BOX, "bounds", ()), (BOX, "other", 1)):
         with pytest.raises(AttributeError):
-            setattr(e, name, value)
+            setattr(obj, name, value)
     assert e.exact and e.terms == (((1, -1), 2),)
 
 
@@ -130,14 +132,22 @@ def test_sums_refuse_a_frame_mismatch():
 
 
 def test_tuple_operations_are_refused():
-    """An element is a tuple underneath, but it neither repeats nor
-    concatenates: ``*`` and a tuple on the left of ``+`` raise as they
-    would on any record, and the element operations are unchanged."""
+    """An element, a shape and a box are tuples underneath, but none of
+    them repeats or concatenates: ``*``, a tuple on the left of ``+`` and
+    ``+`` on shapes raise as they would on any record, and the element
+    operations are unchanged."""
     e = Element.from_terms(S2, BOX, {(1, -1): 2, (0, 0): Fraction(1, 3)})
     for op, message in ((lambda: e * 2, "'Element' and 'int'"),
                         (lambda: 2 * e, "'int' and 'Element'"),
                         (lambda: e * e, "'Element' and 'Element'"),
-                        (lambda: (1,) + e, "'tuple' and 'Element'")):
+                        (lambda: (1,) + e, "'tuple' and 'Element'"),
+                        (lambda: S2 * 2, "'ModuleShape' and 'int'"),
+                        (lambda: 2 * S2, "'int' and 'ModuleShape'"),
+                        (lambda: S2 + S2, "'ModuleShape' and 'ModuleShape'"),
+                        (lambda: (1,) + S2, "'tuple' and 'ModuleShape'"),
+                        (lambda: BOX * 2, "'TruncationBox' and 'int'"),
+                        (lambda: 2 * BOX, "'int' and 'TruncationBox'"),
+                        (lambda: (1,) + BOX, "'tuple' and 'TruncationBox'")):
         with pytest.raises(TypeError, match=f"^unsupported operand type\\(s\\) for .: {message}$"):
             op()
     assert (e + e).term_map() == {(1, -1): 4, (0, 0): Fraction(2, 3)}

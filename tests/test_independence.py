@@ -373,26 +373,25 @@ FAMILY_DRAWS = {
     *((kind, lmax) for lmax in (1000, 3000) for kind in ("fraction", "gf32003"))])
 def test_cached_family_certificates_match_oracle(kind, lmax):
     """Certificates read from the memo of the d-family's closed form equal
-    the element-path oracle, first with the memo emptied (each (power,
-    lmax) computed on its first use) and then with every member held."""
+    the element-path oracle, first with the memo emptied (each top index's
+    (power, lmax) computed on its first use) and then with every one held."""
     rng = random.Random(f"family/{kind}/{lmax}")
     combinations = [tuple(poly({(rng.randint(0, 3), rng.randint(0, 3)): FAMILY_DRAWS[kind](rng)
                                 for _ in range(rng.randint(1, 2))})
                           for _ in range(rng.randint(1, 3)))
                     for _ in range(12)]
-    powers = {j for r_list in combinations for j in range(1, len(r_list) + 1)}
     independence._negated_powers.cache_clear()
     for warmth in ("cold", "warm"):
-        certified = 0
+        tops = []
         for r_list in combinations:
             try:
                 _assert_certificate_matches_oracle(r_list, lmax)
             except InconclusiveWindowError:
                 continue
-            certified += 1
-        assert certified >= 6, warmth
-        # each d_j is computed once, on its first use
-        assert independence._negated_powers.cache_info().misses == len(powers), warmth
+            tops.append(independence_certificate(r_list, lmax).m0)
+        assert len(tops) >= 6, warmth
+        # each top index's d_m0 is computed once, on its first use
+        assert independence._negated_powers.cache_info().misses == len(set(tops)), warmth
 
 
 @pytest.mark.parametrize("terms, required", [
@@ -680,20 +679,34 @@ def test_a_column_starting_inside_the_tail_is_compared_from_its_start(monkeypatc
     assert (cert.delta.value(10), profile.value(10)) == (-100, -125)
 
 
-def test_the_family_cache_keeps_no_entry_past_its_bound():
+def test_the_family_cache_keeps_no_entry_past_its_bound(monkeypatch):
     """The memo of the d-family's closed form holds at most four (power,
-    lmax) entries, every member of a certificate with m0 <= 4: at lmax
-    20,000 a repeated certificate computes nothing again."""
-    memo = independence._negated_powers
-    assert memo.cache_info().maxsize == 4
+    lmax) entries, one per certificate's top index, and the lower indices'
+    prefixes before the tail are kept apart: at lmax 20,000 a repeated
+    certificate computes nothing again, with m0 = 4 and with m0 = 5."""
+    memo, prefixes = independence._negated_powers, independence._prefixes
+    assert (memo.cache_info().maxsize, prefixes.cache_info().maxsize) == (4, 32)
     memo.cache_clear()
+    prefixes.cache_clear()
     assert memo(2, 10) == tuple(-(l * l) for l in range(11))
+    assert prefixes((1, 3), 4) == ((0, -1, -2, -3), (0, -1, -8, -27))
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
     cert = independence_certificate(r_list, 20_000)
-    assert memo.cache_info()[1:] == (5, 4, 4)  # misses, maxsize, currsize
+    assert memo.cache_info()[1:] == (2, 4, 2)  # misses, maxsize, currsize
     assert independence_certificate(r_list, 20_000) == cert
-    assert memo.cache_info()[1:] == (5, 4, 4)
+    assert memo.cache_info()[1:] == (2, 4, 2)
+    assert prefixes.cache_info()[1:] == (2, 32, 2)
+    calls = []
+    monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
+                        raising=False)
+    five = r_list + (poly({(0, 0): 1}),)
+    cert = independence_certificate(five, 20_000)
+    assert cert.m0 == 5 and len(calls) == 20_001 + 4 * cert.tail_start
+    calls.clear()
+    for _ in range(3):
+        assert independence_certificate(five, 20_000) == cert
+    assert calls == []
     _certify_past_2_to_the_64()
     assert memo.cache_info().currsize == 4
 
@@ -771,16 +784,18 @@ def test_a_family_reaching_below_the_automatic_box_fails_the_check(monkeypatch):
 
 
 def test_each_entry_is_checked_against_its_closed_form_once(monkeypatch):
-    """Each memo entry is d_power's closed form, computed with ``pow`` once:
-    a cold certificate pays one pass per member, a warm one none."""
+    """Each memo entry is a closed form, computed with ``pow`` once: a cold
+    certificate pays one pass over 0..lmax for its top index and one over
+    the prefix before the tail for each lower index, a warm one none."""
     calls = []
     monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
                         raising=False)
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
     independence._negated_powers.cache_clear()
+    independence._prefixes.cache_clear()
     cert = independence_certificate(r_list, 50)
-    assert (cert.m0, cert.tail_start, len(calls)) == (4, 2, 4 * 51)
+    assert (cert.m0, cert.tail_start, len(calls)) == (4, 2, 51 + 3 * 2)
     calls.clear()
     assert independence_certificate(r_list, 50) == cert
     assert calls == []
@@ -822,6 +837,15 @@ def test_a_family_cache_keyed_without_the_power_fails_the_check(monkeypatch):
         return by_lmax[lmax]
 
     monkeypatch.setattr(independence, "_negated_powers", keyed_without_power)
+    _assert_the_check_fails()
+
+
+def test_prefixes_keyed_without_the_power_fail_the_check(monkeypatch):
+    """A prefix memo that hands every lower index the lowest one's closed
+    form must make the independence check FAIL."""
+    real = independence._prefixes
+    monkeypatch.setattr(independence, "_prefixes", lambda powers, cut:
+                        real(powers[:1], cut) * len(powers))
     _assert_the_check_fails()
 
 

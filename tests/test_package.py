@@ -119,3 +119,16 @@ def test_requests_load_only_the_modules_they_use(code, expected):
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == expected
+
+
+def test_the_package_imports_no_generated_code():
+    """Every value and report class is a NamedTuple, so importing the CLI
+    and the checks loads neither ``dataclasses`` nor the ``inspect`` it
+    brings (``-S``: no site module loads them first)."""
+    src = str(Path(cohdual.__file__).resolve().parents[1])
+    code = ("import sys, cohdual.cli, cohdual.checks; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
