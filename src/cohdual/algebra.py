@@ -24,25 +24,26 @@ elements stay finite objects.  Any operation that pushes a genuinely nonzero
 term through a series-side wall records the loss by clearing the element's
 ``exact`` flag.  Contraction kills on the inverse side keep ``exact`` set.
 
-Terms are made in two places.  Products go through one kernel shared by
-:func:`ring_act` and :func:`duality.matlis_pair` (a product both contracted
-and outside the box is a kill, never a loss): :func:`_accumulate` sums the
-products of one operand pair as plain ints (numerators over one common
-denominator, residues mod p), in one loop over exponent tuples, and
+Terms are made in two places.  Products go through :func:`_product`, the
+kernel entry of :func:`ring_act` and :func:`duality.matlis_pair` (a product
+both contracted and outside the box is a kill, never a loss): with a
+one-term operand c*X^a, :func:`_shifted` shifts the other's terms by a and
+scales them by c; otherwise :func:`_accumulate` sums the products as plain
+ints (numerators over one common denominator, residues mod p) and
 :func:`_canonical` raises each sum to a ``Fraction`` or ``Fp`` once, so
 stored types are unchanged.  The independence certificate lowers its
-coefficients with :func:`_lowered` but forms no product.  Sums of terms
-go through :func:`_summed`: :meth:`Element.from_terms` and
+coefficients with :func:`_lowered` but forms no product.  Sums of terms go
+through :func:`_summed`: :meth:`Element.from_terms` and
 :func:`linear_combine` call it, and so does ``+``, directly on the two term
 tuples (``a - b`` is ``a + -b``).  A map that keeps terms distinct and in
-lexicographic order (a derivation, a quotient, a negation, a layer split)
-builds its term tuple directly.
+lexicographic order (a shift, a derivation, a quotient, a negation, a layer
+split) builds its term tuple directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import inf, lcm
 from operator import add, le
 from collections.abc import Iterable, Mapping
@@ -196,13 +197,14 @@ class Element(NamedTuple):
         exact: bool = True,
     ) -> "Element":
         """Validating constructor: checks arity, roles and box membership."""
-        if shape.nvars != box.nvars:
+        if len(shape.roles) != len(box.bounds):
             raise ValueError("shape and box disagree on the variable count")
         lo, hi, _ = _window(shape.roles, box.bounds)
+        nvars = len(lo)
         items = [(tuple(e), c) for e, c in (
             terms.items() if isinstance(terms, Mapping) else terms)]
         for exps, _ in items:
-            if len(exps) != shape.nvars:
+            if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length")
             if not (all(map(le, lo, exps)) and all(map(le, exps, hi))):
                 raise ValueError(f"exponent vector {exps} violates the shape or box")
@@ -228,8 +230,8 @@ class Element(NamedTuple):
 
     def __add__(self, other: "Element") -> "Element":
         _check_frame(self, other)
-        return Element(self.shape, self.box, _summed(self.terms + other.terms),
-                       self.exact and other.exact)
+        return _element((self.shape, self.box, _summed(self.terms + other.terms),
+                          self.exact and other.exact))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + -other
@@ -286,6 +288,10 @@ def _summed(items) -> tuple:
     return tuple(sorted([item for item in acc.items() if item[1]]))
 
 
+_RATIONAL_TYPES, _PRIME_TYPES = frozenset((int, Fraction)), frozenset((int, Fp))
+_element = partial(tuple.__new__, Element)  # Element(...) minus its Python __new__
+
+
 def _lowered(pairs):
     """Int stand-ins ``(pairs, p, den)`` for the operands, or None to multiply as is.
 
@@ -309,7 +315,7 @@ def _lowered(pairs):
             types.update(a_types, b_types)
     if not live:
         return None
-    if types <= {int, Fraction}:
+    if types <= _RATIONAL_TYPES:
         if as_is:
             return None
         dens = [(lcm(*(c.denominator for _, c in a_terms)),
@@ -320,7 +326,7 @@ def _lowered(pairs):
                  [(e, c.numerator * (db // c.denominator)) for e, c in b_terms])
                 for (a_terms, b_terms), (_, db) in zip(live, dens)], None, den
     primes = {c.p for pair in live for terms in pair for _, c in terms if type(c) is Fp}
-    if not types <= {int, Fp} or len(primes) != 1:
+    if not types <= _PRIME_TYPES or len(primes) != 1:
         names = {"rational" if t is Fraction else t.__name__ for t in types - {int, Fp}}
         names = sorted(names | {f"prime:{q}" for q in primes})
         raise ValueError(f"mixed coefficient fields: {' and '.join(names)}")
@@ -382,6 +388,45 @@ def _canonical(acc, p, den):
     return tuple(items)
 
 
+def _product(a_terms, b_terms, lo, hi, kill):
+    """Finished ``(terms, dropped)`` of a*b in lo..hi, the walls of :func:`_accumulate`."""
+    if not (a_terms and b_terms):
+        return (), False
+    if len(b_terms) == 1:
+        a_terms, b_terms = b_terms, a_terms
+    if len(a_terms) == 1:
+        return _shifted(a_terms, b_terms, lo, hi, kill)
+    acc, p, den, dropped = _accumulate(a_terms, b_terms, lo, hi, kill)
+    return _canonical(acc, p, den), dropped
+
+
+def _shifted(one, terms, lo, hi, kill):
+    """One term c*X^a times canonical ``terms``: each shifted by a and scaled by c.
+    The shift keeps them distinct and in order, and c times a coefficient of its
+    field has the type :func:`_canonical` would give, so nothing is summed or sorted."""
+    ((shift, c),) = one
+    types = {type(x) for _, x in terms}
+    types.add(type(c))
+    if not types <= _RATIONAL_TYPES and (not types <= _PRIME_TYPES or len(
+            {x.p for _, x in (*one, *terms) if type(x) is Fp}) != 1):
+        _lowered(((one, terms),))  # two fields: raises as the merge path does
+    out = []
+    dropped = False
+    for e, x in terms:
+        x = c * x
+        if not x:
+            continue
+        e = tuple(map(add, shift, e))
+        if not all(map(le, e, hi)):
+            if all(map(le, e, kill)):
+                dropped = True
+        elif lo is None or all(map(le, lo, e)):
+            out.append((e, x))
+        else:
+            dropped = True
+    return tuple(out), dropped
+
+
 def ring_act(r: Element, m: Element) -> Element:
     """Act by a polynomial r (all exponents >= 0) on a shaped element m.
 
@@ -393,17 +438,18 @@ def ring_act(r: Element, m: Element) -> Element:
     The result lives in m's shape and box.  r may be declared over any
     shape; what matters is that its stored exponents are nonnegative.
     """
-    if len(r.shape.roles) != len(m.shape.roles):
+    r_shape, _, r_terms, r_exact = r
+    shape, box, m_terms, m_exact = m
+    if len(r_shape.roles) != len(shape.roles):
         raise ValueError("operands disagree on the variable count")
     # a series-shaped r holds nonnegative exponents by its box; other shapes are scanned
-    if INVERSE in r.shape.roles and any(x < 0 for e, _ in r.terms for x in e):
-        e = next(e for e, _ in r.terms if min(e) < 0)
+    if INVERSE in r_shape.roles and any(x < 0 for e, _ in r_terms for x in e):
+        e = next(e for e, _ in r_terms if min(e) < 0)
         raise ValueError(f"ring element has a negative exponent: {e}")
-    _, hi, kill = _window(m.shape.roles, m.box.bounds)
+    _, hi, kill = _window(shape.roles, box.bounds)
     # r's exponents are nonnegative and m lies in the box: nothing falls below it
-    acc, p, den, dropped = _accumulate(r.terms, m.terms, None, hi, kill)
-    return Element(m.shape, m.box, _canonical(acc, p, den),
-                   r.exact and m.exact and not dropped)
+    terms, dropped = _product(r_terms, m_terms, None, hi, kill)
+    return _element((shape, box, terms, r_exact and m_exact and not dropped))
 
 
 def derivation_act(j: int, m: Element) -> Element:
@@ -437,7 +483,7 @@ def derivation_act(j: int, m: Element) -> Element:
             continue
         terms.append((e[:j] + (e[j] - 1,) + e[j + 1:], coeff))
     # lowering one coordinate is injective and keeps the lexicographic order
-    return Element(m.shape, m.box, tuple(terms), m.exact and not dropped)
+    return _element((m.shape, m.box, tuple(terms), m.exact and not dropped))
 
 
 def quotient_by_series_var(j: int, m: Element) -> Element:

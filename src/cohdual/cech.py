@@ -115,8 +115,13 @@ class CohomologyTable(NamedTuple):
     entries: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def dims_at(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if (dims := dict(self.entries).get(tuple(a))) is None:
-            raise KeyError(f"degree {tuple(a)} not in the table window")
+        """A degree's index in ``product`` order is base-(2 window + 1); else a search."""
+        a, w = tuple(a), self.window
+        index = sum((x + w) * (2 * w + 1) ** k for k, x in enumerate(reversed(a)))
+        if 0 <= index < len(self.entries) and self.entries[index][0] == a:
+            return self.entries[index][1]
+        if (dims := dict(self.entries).get(a)) is None:
+            raise KeyError(f"degree {a} not in the table window")
         return dims
 
 

@@ -26,8 +26,8 @@ from .algebra import (
     Element,
     ModuleShape,
     TruncationBox,
-    _accumulate,
-    _canonical,
+    _element,
+    _product,
     _window,
     monomial,
     ring_act,
@@ -63,9 +63,8 @@ def matlis_pair(d: Element, m: Element,
     if len(d.shape.roles) != len(m.shape.roles) or any(map(eq, d.shape.roles, m.shape.roles)):
         raise ValueError("pairing requires mutually dual shapes")
     shape, box, (lo, hi, kill) = _pairing_frame(d.box.bounds, m.box.bounds, out_box)
-    acc, p, den, dropped = _accumulate(d.terms, m.terms, lo, hi, kill)
-    return Element(shape, box, _canonical(acc, p, den),
-                   d.exact and m.exact and not dropped)
+    terms, dropped = _product(d.terms, m.terms, lo, hi, kill)
+    return _element((shape, box, terms, d.exact and m.exact and not dropped))
 
 
 def socle_functional(d: Element, m: Element):

@@ -56,8 +56,8 @@ SCHEMA = "cohdual/1"
 
 _INT_RE = re.compile(r"\d+")
 _SIGNED_INT_RE = re.compile(r"[+-]?\d+")
-_LEAVES = {str: _ascii, int: int.__repr__}  # json.dumps writes any other leaf
-_INT_ONLY = {int}
+# the layout of each JSON leaf type that needs no encoder; json.dumps writes the rest
+_LEAVES = {str: _ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get}
 
 
 class ParseError(ValueError):
@@ -188,37 +188,28 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
     return Element.from_terms(shape, box, terms)
 
 
+@lru_cache(maxsize=64)
+def _print_order(roles: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
+    """(position, name) of each variable, inverse factors first."""
+    names = default_variable_names(len(roles))
+    return tuple((j, names[j]) for j in sorted(
+        range(len(roles)), key=lambda j: (roles[j] != INVERSE, j)))
+
+
 def serialize_element(element: Element) -> str:
     """Canonical expression text for an element; the zero element is "0"."""
     if element.is_zero:
         return "0"
-    shape = element.shape
-    names = default_variable_names(shape.nvars)
-    factor_order = sorted(
-        range(shape.nvars),
-        key=lambda j: (0 if shape.role(j) == INVERSE else 1, j))
-    rendered = []
+    order = _print_order(element.shape.roles)
+    out = ""
     for exps, coeff in element.terms:
-        if isinstance(coeff, Fp):
-            negative = False
-            magnitude = coeff
-        else:
-            negative = coeff < 0
-            magnitude = -coeff if negative else coeff
-        factors = []
-        for j in factor_order:
-            e = exps[j]
-            if e == 0:
-                continue
-            factors.append(names[j] if e == 1 else f"{names[j]}^{e}")
+        negative = not isinstance(coeff, Fp) and coeff < 0
+        magnitude = -coeff if negative else coeff
+        factors = [name if exps[j] == 1 else f"{name}^{exps[j]}" for j, name in order if exps[j]]
         if not factors or magnitude != 1:
             factors.insert(0, str(magnitude))
-        rendered.append((negative, "*".join(factors)))
-    negative, body = rendered[0]
-    out = ("-" if negative else "") + body
-    for negative, body in rendered[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+        out += (" - " if negative else " + ") + "*".join(factors)
+    return ("-" if out[1] == "-" else "") + out[3:]
 
 
 def new_document(kind: str, payload: dict) -> dict:
@@ -249,18 +240,20 @@ def write_document(doc: dict, path=None) -> bytes:
 def _laid_out(value, pad: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for string keys, placed after
     ``pad`` (json indents only in pure Python, at three times the cost)."""
+    if (leaf := _LEAVES.get(type(value))) is not None:
+        return leaf(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
     inner = pad + "  "
-    if isinstance(value, dict) and value:
+    if isinstance(value, dict):
         items = [_ascii(key) + ": " + _laid_out(value[key], inner) for key in sorted(value)]
-    elif isinstance(value, (list, tuple)) and value:
-        if type(value[0]) is int and set(map(type, value)) == _INT_ONLY:  # no call per int
-            items = map(int.__repr__, value)
-        else:
-            items = [_laid_out(item, inner) for item in value]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    first = type(value[0])
+    if first in _LEAVES and set(map(type, value)) == {first}:  # no call per leaf
+        items = map(_LEAVES[first], value)
     else:
-        return _LEAVES.get(type(value), json.dumps)(value)
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+        items = [_laid_out(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def read_document(path) -> dict:
@@ -370,7 +363,7 @@ def _embedded(kind: str) -> _Codec:
 def element_to_document(element: Element, field: Field = RATIONAL) -> dict:
     """JSON form of an element; coefficients become field-parseable strings."""
     for _, coeff in element.terms:
-        if field.parse_scalar(str(coeff)) != coeff:
+        if coeff not in field:
             raise ValueError(
                 f"coefficient {coeff!r} does not belong to the field {field!r}")
     return new_document("element", {

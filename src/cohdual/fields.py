@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 import re
 
-_SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
+_SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?")  # used with fullmatch
 
 
 def _is_prime(p: int) -> bool:
@@ -60,29 +60,21 @@ class Fp:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Fp(self.value + o.value, self.p)
+        return NotImplemented if o is None else Fp(self.value + o.value, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Fp(self.value - o.value, self.p)
+        return NotImplemented if o is None else Fp(self.value - o.value, self.p)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Fp(o.value - self.value, self.p)
+        return NotImplemented if o is None else Fp(o.value - self.value, self.p)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Fp(self.value * o.value, self.p)
+        return NotImplemented if o is None else Fp(self.value * o.value, self.p)
 
     __rmul__ = __mul__
 
@@ -96,15 +88,11 @@ class Fp:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -144,12 +132,17 @@ class RationalField:
 
     @staticmethod
     def parse_scalar(text: str) -> Fraction:
-        if not _SCALAR_RE.match(text):
+        if (match := _SCALAR_RE.fullmatch(text)) is None:
             raise ValueError(f"not an integer or integer fraction: {text!r}")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
+        num, den = match.groups()
+        if den is None:
+            return Fraction(int(num))
+        if not int(den):
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(num), int(den))
+
+    def __contains__(self, value) -> bool:  # by exact type: no bool, no subclass
+        return type(value) is int or type(value) is Fraction
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -185,15 +178,18 @@ class PrimeField:
         return Fp(value, self.p)
 
     def parse_scalar(self, text: str) -> Fp:
-        if not _SCALAR_RE.match(text):
+        if (match := _SCALAR_RE.fullmatch(text)) is None:
             raise ValueError(f"not an integer or integer fraction: {text!r}")
-        if "/" in text:
-            num, den = text.split("/")
+        num, den = match.groups()
+        if den is not None:
             d = Fp(int(den), self.p)
             if not d:
                 raise ValueError(f"denominator {den} vanishes mod {self.p}")
             return Fp(int(num), self.p) * d.inverse()
-        return Fp(int(text), self.p)
+        return Fp(int(num), self.p)
+
+    def __contains__(self, value) -> bool:  # by exact type: no bool, no subclass
+        return type(value) is int or type(value) is Fp and value.p == self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -214,6 +210,7 @@ def field_from_descriptor(text: str) -> Field:
     """Rebuild a field from its descriptor string ("rational" or "prime:p")."""
     if text == "rational":
         return RATIONAL
-    if text.startswith("prime:"):
-        return PrimeField(int(text.split(":", 1)[1]))
+    digits = text[len("prime:"):]
+    if text.startswith("prime:") and digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
     raise ValueError(f"unknown field descriptor: {text!r}")

@@ -459,26 +459,178 @@ def test_algebra_suite_fails_on_halved_rational_products(monkeypatch):
     assert not _algebra_line().passed
 
 
+def _field_of(*operands):
+    types = {type(c) for terms in operands for _, c in terms}
+    return "GF(p)" if Fp in types else "Q" if Fraction in types else "int"
+
+
 def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
-    """The algebra line multiplies bare ints as they are, lowered Q and
-    lowered GF(p)."""
-    accumulate = algebra._accumulate
+    """The algebra line takes the shift path over bare ints, Q and GF(p),
+    and the merge path over lowered Q and lowered GF(p).  Its products of
+    bare ints have a one-term operand, so the merge path multiplies bare
+    ints as they are in the duality suite's balance line."""
+    shifted, accumulate = algebra._shifted, algebra._accumulate
     seen = set()
 
-    def counted(a_terms, b_terms, lo, hi, kill):
+    def shift_counted(one, terms, lo, hi, kill):
+        seen.add(("shift", _field_of(one, terms)))
+        return shifted(one, terms, lo, hi, kill)
+
+    def merge_counted(a_terms, b_terms, lo, hi, kill):
         out = accumulate(a_terms, b_terms, lo, hi, kill)
         _, p, den, _ = out
         if den is not None:
-            seen.add("Q")
+            seen.add(("merge", "Q"))
         elif p is not None:
-            seen.add("GF(p)")
+            seen.add(("merge", "GF(p)"))
         elif all(type(c) is int for terms in (a_terms, b_terms) for _, c in terms):
-            seen.add("int")
+            seen.add(("merge", "int"))
         return out
 
-    monkeypatch.setattr(algebra, "_accumulate", counted)
+    monkeypatch.setattr(algebra, "_shifted", shift_counted)
+    monkeypatch.setattr(algebra, "_accumulate", merge_counted)
     assert _algebra_line().passed
-    assert {"int", "Q", "GF(p)"} <= seen
+    assert seen == {("shift", "int"), ("shift", "Q"), ("shift", "GF(p)"),
+                    ("merge", "Q"), ("merge", "GF(p)")}
+    assert run_suite("duality", DEFAULT_SEED).passed
+    assert ("merge", "int") in seen
+
+
+def _merged(a_terms, b_terms, lo, hi, kill):
+    """The merge path on any operands: the oracle of the shift path."""
+    acc, p, den, dropped = algebra._accumulate(a_terms, b_terms, lo, hi, kill)
+    return algebra._canonical(acc, p, den), dropped
+
+
+def _typed(terms):
+    return [(e, type(c), c) for e, c in terms]
+
+
+# per field, a draw of one coefficient: bare ints include multiples of p
+_SHIFT_DRAWS = {
+    "int": lambda rng: rng.choice((1, -1, 2, -3, 7)),
+    "Q": lambda rng: rng.choice((rng.choice((1, -2, 3)), Fraction(rng.choice((1, -1, 3)),
+                                                                   rng.randint(2, 5)))),
+    "GF(7)": lambda rng: rng.choice((Fp(rng.randint(0, 6), 7), rng.choice((7, -14, 3)))),
+    "GF(32003)": lambda rng: rng.choice((Fp(rng.randint(0, 32002), 32003),
+                                         rng.choice((32003, -64006, 5)))),
+}
+
+
+def _raw_terms(rng, count, n, reach, draw):
+    """count canonical terms (distinct exponents, in order) of any signs."""
+    exps = set()
+    while len(exps) < count:
+        exps.add(tuple(rng.randint(-reach, reach) for _ in range(n)))
+    return tuple((e, draw(rng)) for e in sorted(exps))
+
+
+def _placed(terms, shape, box):
+    """The terms with each exponent folded into the shape's window of the box."""
+    return Element.from_terms(shape, box, [
+        (tuple((abs(x) % (b + 1)) * (1 if role == SERIES else -1)
+               for x, role, b in zip(e, shape.roles, box.bounds)), c) for e, c in terms])
+
+
+def _assert_as_merged(out, a, b, lo=None):
+    _, hi, kill = algebra._window(out.shape.roles, out.box.bounds)
+    terms, dropped = _merged(a.terms, b.terms, lo, hi, kill)
+    assert (_typed(out.terms), out.exact) == (_typed(terms), not dropped)
+
+
+@pytest.mark.parametrize("field", sorted(_SHIFT_DRAWS))
+def test_shift_path_matches_the_merge_path(field):
+    """One-term times k-term products (k = 0..6, on either side) agree with
+    the merge path in terms, coefficient types and drop flag: with no lower
+    wall (ring_act's box), inside a mixed box where kills and losses meet,
+    and into a narrow pairing box; ring_act and matlis_pair agree with it."""
+    rng = random.Random(f"shift/{field}")
+    draw = _SHIFT_DRAWS[field]
+    dropped_seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        roles = tuple(rng.choice((SERIES, INVERSE)) for _ in range(n))
+        bounds = tuple(rng.randint(0, 3) for _ in range(n))
+        one = _raw_terms(rng, 1, n, 4, draw)
+        other = _raw_terms(rng, rng.randint(0, 6), n, 4, draw)
+        operands = (one, other) if rng.random() < 0.5 else (other, one)
+        lo, hi, kill = algebra._window(roles, bounds)
+        narrow = TruncationBox(tuple(rng.randint(0, 1) for _ in range(n)))
+        for window in ((None, hi, kill), (lo, hi, kill),
+                       algebra._window((INVERSE,) * n, narrow.bounds)):
+            got = algebra._product(*operands, *window)
+            want = _merged(*operands, *window)
+            assert (_typed(got[0]), got[1]) == (_typed(want[0]), want[1])
+            dropped_seen.add(got[1])
+
+        shape, box = ModuleShape(roles), TruncationBox(bounds)
+        ring = ModuleShape.series_shape(n), TruncationBox.uniform(n, 4)
+        for r_terms, m_terms in ((one, other), (other, one)):
+            r, m = _placed(r_terms, *ring), _placed(m_terms, shape, box)
+            _assert_as_merged(ring_act(r, m), r, m)
+            d = _placed(r_terms, shape.dual(), box)
+            for out_box in (None, narrow):
+                out = matlis_pair(d, m, out_box)
+                _assert_as_merged(out, d, m, algebra._window(out.shape.roles,
+                                                             out.box.bounds)[0])
+    assert dropped_seen == {False, True}
+
+
+@pytest.mark.parametrize("one, other", [
+    (Fraction(1, 2), (Fp(3, 7),)),
+    (Fp(1, 7), (Fp(2, 5),)),
+    (Fp(1, 7), (3, Fraction(1, 3))),
+    (2, (Fraction(1, 2), Fp(3, 7))),
+    (2, (Fp(1, 5), 4, Fp(3, 7))),
+    (True, (1,)),
+    (1.5, (2, 3)),
+    (Fraction(1, 2), (2, 2.0)),
+], ids=["Q-GF7", "GF7-GF5", "GF7-Q", "int-mixed", "int-two-primes", "bool", "float",
+        "Q-float"])
+def test_mixed_fields_raise_the_same_error_on_both_paths(one, other):
+    """A one-term operand against terms of another field, or of no field,
+    raises the merge path's ValueError, on whichever side it stands."""
+    one = (((1, 0), one),)
+    other = tuple(((0, -k), c) for k, c in enumerate(other))
+    window = algebra._window((INVERSE, INVERSE), (3, 3))
+    for operands in ((one, other), (other, one)):
+        with pytest.raises(ValueError) as merged:
+            _merged(*operands, *window)
+        with pytest.raises(ValueError, match="^mixed coefficient fields: ") as shifted:
+            algebra._product(*operands, *window)
+        assert str(shifted.value) == str(merged.value)
+
+
+def _post(fault):
+    """A shift path whose finished terms pass through ``fault``."""
+    def faulty(real):
+        def shifted(*args):
+            terms, dropped = real(*args)
+            return fault(terms), dropped
+        return shifted
+    return faulty
+
+
+# each fault of the shift path, and the suite that must fail on it
+_SHIFT_FAULTS = {
+    "lower-wall-ignored": ("duality", lambda real: lambda one, terms, lo, hi, kill:
+                           real(one, terms, None, hi, kill)),
+    "on-the-wall-dropped": ("duality", lambda real: lambda one, terms, lo, hi, kill:
+                            real(one, terms, lo and tuple(x + 1 for x in lo), hi, kill)),
+    "rational-doubled": ("algebra", _post(lambda terms: tuple(
+        (e, 2 * c if type(c) is Fraction else c) for e, c in terms))),
+    "prime-squared": ("algebra", _post(lambda terms: tuple(
+        (e, c * c if type(c) is Fp else c) for e, c in terms))),
+}
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5, 701])
+@pytest.mark.parametrize("fault", sorted(_SHIFT_FAULTS))
+def test_suites_fail_on_a_faulty_shift_path(monkeypatch, seed, fault):
+    """Each fault of the shift path alone FAILs its suite."""
+    suite, wrap = _SHIFT_FAULTS[fault]
+    monkeypatch.setattr(algebra, "_shifted", wrap(algebra._shifted))
+    assert not run_suite(suite, seed).passed
 
 
 @pytest.mark.parametrize("per_config", [0, 2])

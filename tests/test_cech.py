@@ -92,6 +92,34 @@ def test_table_lookup_misses():
         table.dims_at((5,))
 
 
+def test_table_lookup_finds_every_degree_by_its_index():
+    """Each degree of a swept table is found at its index, without a scan, in
+    2 and in 6 variables; degrees outside the window (or of another arity)
+    are not found."""
+    class Unscanned(tuple):
+        def __iter__(self):
+            raise AssertionError("the entries were scanned")
+
+    for n, i, window in ((2, 1, 3), (6, 4, 2)):
+        table = verify_realization(n, i, window).table
+        indexed = table._replace(entries=Unscanned(table.entries))
+        for degree, dims in table.entries[::7]:
+            assert indexed.dims_at(list(degree)) == dims
+        for missing in ((window + 1,) * n, (-window - 1,) * n, (0,) * (n - 1), (0,) * (n + 1)):
+            with pytest.raises(KeyError):
+                table.dims_at(missing)
+
+
+def test_table_lookup_scans_a_hand_built_table():
+    """A partial or reordered entry list falls back to the scan."""
+    entries = (((1,), (0, 0)), ((-1,), (0, 1)), ((0,), (0, 0)))
+    table = CohomologyTable(1, 1, 1, entries)
+    for degree, dims in entries:
+        assert table.dims_at(degree) == dims
+    with pytest.raises(KeyError):
+        table.dims_at((2,))
+
+
 def test_identify_basis_label_shift():
     """Slice labels shift the first block of coordinates by one unit."""
     e = identify_basis(2, 1, (-1, 0))

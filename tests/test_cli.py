@@ -257,6 +257,28 @@ def test_non_integer_json_is_a_usage_error(capsys, tmp_path, box, exponents):
     assert "JSON integers" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("coefficient", "3\n"), ("field", "prime: 7"), ("field", "prime:+7"), ("field", "prime:1_1"),
+])
+def test_loose_scalars_and_field_descriptors_are_usage_errors(capsys, tmp_path, key, value):
+    """A coefficient with a trailing newline, or a prime written with a
+    space, a sign or an underscore, is refused in one line."""
+    doc = element_to_document(make_d(1, 2))
+    if key == "field":  # the rest of the request is over the prime int() reads
+        doc["field"] = value
+        field = ("--field", f"prime:{int(value[len('prime:'):])}")
+    else:
+        doc["terms"][0]["coefficient"] = value
+        field = ()
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "act", "1", "@" + str(path), *field)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if key == "field":
+        assert run_cli(capsys, "act", "1", "X^-1", "--field", value)[:2] == (64, "")
+
+
 @pytest.mark.parametrize("argv", [
     ("act", "-n", "2", "--shape", "D:1", "1/2*X", "@{d7}"),
     ("pair", "-n", "2", "--shape", "D:1", "1/2*X^-1", "@{d7}"),

@@ -183,11 +183,12 @@ def test_balance_check_fails_when_the_pairing_drops_its_last_term(monkeypatch):
 
 
 def _patch_lower_wall(monkeypatch, wall):
-    """Hand the product kernel ``wall(lo)`` for its lower wall in every pairing."""
+    """Hand the product kernel ``wall(lo)`` for its lower wall in every pairing,
+    on the shift path and the merge path alike."""
     import cohdual.duality as duality
 
-    real = duality._accumulate
-    monkeypatch.setattr(duality, "_accumulate", lambda a, b, lo, hi, kill:
+    real = duality._product
+    monkeypatch.setattr(duality, "_product", lambda a, b, lo, hi, kill:
                         real(a, b, wall(lo), hi, kill))
 
 
@@ -216,8 +217,8 @@ def test_balance_check_fails_when_a_narrow_pairing_claims_exactness(monkeypatch)
     import cohdual.duality as duality
     from cohdual.checks import balance_trials
 
-    real = duality._accumulate
-    monkeypatch.setattr(duality, "_accumulate", lambda *args: real(*args)[:3] + (False,))
+    real = duality._product
+    monkeypatch.setattr(duality, "_product", lambda *args: (real(*args)[0], False))
     line = balance_trials()
     assert not line.passed
     assert line.detail.startswith("trial ")

@@ -24,7 +24,7 @@ from cohdual.exprio import (
     to_document,
     write_document,
 )
-from cohdual.fields import Fp, PrimeField, RATIONAL
+from cohdual.fields import Fp, PrimeField, RATIONAL, field_from_descriptor
 from cohdual.independence import (
     DeltaSequence,
     decompose_r,
@@ -183,6 +183,71 @@ def test_element_document_field_mismatch():
         element_to_document(e, RATIONAL)
 
 
+def _text_membership(field, coeff):
+    """The membership test the writer once made: a round trip through text."""
+    try:
+        return field.parse_scalar(str(coeff)) == coeff
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(7), PrimeField(32003)],
+                         ids=["Q", "GF7", "GF32003"])
+def test_element_documents_accept_what_the_text_round_trip_accepted(field):
+    """Membership by exact type admits the coefficients that the text round
+    trip admitted; what it refuses, bool and float included, is refused
+    with a ValueError that names membership."""
+    values = (0, 3, -3, 7, -14, 2 ** 70, Fraction(3, 2), Fraction(-5), Fraction(4, 1),
+              Fp(3, 7), Fp(0, 7), Fp(3, 5), Fp(5, 32003), True, False, 1.0, 2.5, "3")
+    for coeff in values:
+        member = _text_membership(field, coeff)
+        assert (coeff in field) == member, coeff
+        e = Element(S2, BOX, (((1, 0), coeff),))
+        if member:
+            assert element_to_document(e, field)["terms"][0]["coefficient"] == str(coeff)
+        else:
+            with pytest.raises(ValueError, match="does not belong to the field"):
+                element_to_document(e, field)
+
+
+@pytest.mark.parametrize("text", ["3\n", "3/2\n", "\n3", " 3", "3 ", "+3", "3/-2"])
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(7)], ids=["Q", "GF7"])
+def test_scalars_are_read_whole(field, text):
+    """A scalar is the whole text: a trailing newline is refused as well."""
+    with pytest.raises(ValueError, match="not an integer or integer fraction"):
+        field.parse_scalar(text)
+    doc = element_to_document(monomial(S2, BOX, (1, 0)), field)
+    doc["terms"][0]["coefficient"] = text
+    with pytest.raises(ValueError):
+        element_from_document(doc)
+
+
+@pytest.mark.parametrize("text", ["-6/15", "007", "-0", "12/4", "5/3"])
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(7)], ids=["Q", "GF7"])
+def test_scalars_keep_their_values(field, text):
+    num, _, den = text.partition("/")
+    assert field.parse_scalar(text) == field.from_int(int(num)) / field.from_int(int(den or 1))
+    assert type(field.parse_scalar(text)) is type(field.one)
+
+
+@pytest.mark.parametrize("text", ["prime: 7", "prime:+7", "prime:1_1", "prime:7 ",
+                                  "prime:\u0667", "prime:", "prime:-7"])
+def test_field_descriptors_take_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="^unknown field descriptor: "):
+        field_from_descriptor(text)
+    doc = dict(element_to_document(monomial(S2, BOX, (1, 0))), field=text)
+    with pytest.raises(ValueError):
+        element_from_document(doc)
+
+
+def test_field_descriptors_still_read():
+    assert field_from_descriptor("rational") is RATIONAL
+    assert field_from_descriptor("prime:7") == PrimeField(7)
+    assert field_from_descriptor("prime:0032003") == PrimeField(32003)
+    with pytest.raises(ValueError, match="^not a prime: 9$"):
+        field_from_descriptor("prime:9")
+
+
 def test_document_schema_validation():
     e = monomial(S2, BOX, (1, 0))
     doc = element_to_document(e)
@@ -262,6 +327,21 @@ def test_documents_are_written_as_json_lays_them_out():
         doc = {"schema": "cohdual/1", "body": _json_value(rng, 4)}
         expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
         assert write_document(doc) == expected.encode("ascii")
+
+
+def test_subclasses_are_laid_out_as_their_base():
+    """Named tuples and other tuple or list subclasses are written as lists,
+    dict subclasses as objects, as json lays them out."""
+    from collections import OrderedDict, namedtuple
+
+    class Row(list):
+        pass
+
+    Pair = namedtuple("Pair", "left right")
+    doc = {"pair": Pair(1, "a"), "nested": [Pair((), {}), OrderedDict(b=2, a=[True, None])],
+           "rows": [Row(), Row([3, Pair(-1, 2)])], "tuple": (2.5, -1), "empty": OrderedDict()}
+    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert write_document(doc) == expected.encode("ascii")
 
 
 def test_report_documents_carry_their_fields():
