@@ -41,11 +41,10 @@ _EXPORTS = {
     ),
     "fields": ("Fp", "PrimeField", "RATIONAL", "RationalField", "field_from_descriptor"),
     "independence": (
-        "CertificateError", "DegenerateInputError", "DeltaSequence",
-        "InconclusiveWindowError", "IndependenceCertificate", "InexactElementError",
-        "RDecomposition", "ShiftSearch", "ShiftWitness", "auto_truncation",
-        "decompose_r", "delta", "fit_shift_form", "independence_certificate",
-        "make_d", "shift_equiv_window",
+        "DegenerateInputError", "DeltaSequence", "InconclusiveWindowError",
+        "IndependenceCertificate", "InexactElementError", "RDecomposition",
+        "ShiftSearch", "ShiftWitness", "auto_truncation", "decompose_r", "delta",
+        "fit_shift_form", "independence_certificate", "make_d", "shift_equiv_window",
     ),
 }
 

@@ -26,14 +26,13 @@ term through a series-side wall records the loss by clearing the element's
 
 Terms are made in two places.  Products go through :func:`_product`, the
 kernel entry of :func:`ring_act` and :func:`duality.matlis_pair` (a product
-both contracted and outside the box is a kill, never a loss): with a
-one-term operand c*X^a, :func:`_shifted` shifts the other's terms by a and
-scales them by c; otherwise :func:`_accumulate` sums the products as plain
-ints (numerators over one common denominator, residues mod p) and
-:func:`_canonical` raises each sum to a ``Fraction`` or ``Fp`` once, so
-stored types are unchanged.  The independence certificate lowers its
-coefficients with :func:`_lowered` but forms no product.  Sums of terms go
-through :func:`_summed`: :meth:`Element.from_terms` and
+both contracted and outside the box is a kill, never a loss), with the
+prime p of the frame's field (None for Q): with a one-term operand c*X^a,
+:func:`_shifted` shifts the other's terms by a and scales them by c;
+otherwise :func:`_accumulate` sums the products as plain ints (residues
+mod p, or numerators over one common denominator unless that is 1) and
+:func:`_canonical` raises each sum to an ``Fp`` or a ``Fraction`` once.
+Sums of terms go through :func:`_summed`: :meth:`Element.from_terms` and
 :func:`linear_combine` call it, and so does ``+``, directly on the two term
 tuples (``a - b`` is ``a + -b``).  A map that keeps terms distinct and in
 lexicographic order (a shift, a derivation, a quotient, a negation, a layer
@@ -49,7 +48,7 @@ from operator import add, le
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
-from .fields import Fp
+from .fields import RATIONAL, Field, Fp, field_of, mixed_fields
 
 SERIES = "series"
 INVERSE = "inverse"
@@ -165,28 +164,30 @@ class TruncationBox(_Record, NamedTuple("TruncationBox", [("bounds", tuple)])):
 
 
 class Element(NamedTuple):
-    """A finite sum of scaled monomials inside one shape and box.
+    """A finite sum of scaled monomials in one frame: a shape, a box and a field.
 
     ``terms`` is kept sorted lexicographically by exponent vector and never
-    contains zero coefficients; two elements are equal exactly when their
-    shapes, boxes and term lists agree.  The ``exact`` flag is bookkeeping,
-    not part of the value: it is true while no operation has discarded an
-    out-of-box term.  ``e._replace(exact=False)`` is a copy with the flag cleared.
+    contains zero coefficients, each one of ``field``; two elements are equal
+    exactly when their frames and term lists agree.  The ``exact`` flag is
+    bookkeeping, not part of the value: it is true while no operation has
+    discarded an out-of-box term.  ``e._replace(exact=False)`` is a copy
+    with the flag cleared.
     """
 
     shape: ModuleShape
     box: TruncationBox
+    field: Field
     terms: tuple[tuple[Exponents, object], ...]
     exact: bool = True
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self[:3] == other[:3]
+        return isinstance(other, Element) and self[:4] == other[:4]
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self):
-        return hash(self[:3])
+        return hash(self[:4])
 
     @classmethod
     def from_terms(
@@ -195,24 +196,32 @@ class Element(NamedTuple):
         box: TruncationBox,
         terms: Mapping[Exponents, object] | Iterable[tuple[Exponents, object]],
         exact: bool = True,
+        field: Field | None = None,
     ) -> "Element":
-        """Validating constructor: checks arity, roles and box membership."""
+        """Validating constructor: checks arity, roles and box membership, and
+        brings each coefficient into the field (None: that of the coefficients,
+        Q if all are ints) once; over GF(p) an int becomes its residue."""
         if len(shape.roles) != len(box.bounds):
             raise ValueError("shape and box disagree on the variable count")
         lo, hi, _ = _window(shape.roles, box.bounds)
         nvars = len(lo)
         items = [(tuple(e), c) for e, c in (
             terms.items() if isinstance(terms, Mapping) else terms)]
-        for exps, _ in items:
+        for exps, c in items:
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length")
             if not (all(map(le, lo, exps)) and all(map(le, exps, hi))):
                 raise ValueError(f"exponent vector {exps} violates the shape or box")
-        return cls(shape, box, _summed(items), exact)
+            if field is None and type(c) is not int:
+                field = field_of(c)
+        if field is None:  # every coefficient is an int, or there are none
+            field = RATIONAL
+        coerce = field.coerce
+        return cls(shape, box, field, _summed([(e, coerce(c)) for e, c in items]), exact)
 
     @classmethod
-    def zero(cls, shape: ModuleShape, box: TruncationBox) -> "Element":
-        return cls(shape, box, ())
+    def zero(cls, shape: ModuleShape, box: TruncationBox, field: Field) -> "Element":
+        return cls(shape, box, field, ())
 
     @property
     def is_zero(self) -> bool:
@@ -230,14 +239,15 @@ class Element(NamedTuple):
 
     def __add__(self, other: "Element") -> "Element":
         _check_frame(self, other)
-        return _element((self.shape, self.box, _summed(self.terms + other.terms),
-                          self.exact and other.exact))
+        return _element((self.shape, self.box, self.field,
+                          _summed(self.terms + other.terms), self.exact and other.exact))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + -other
 
     def __neg__(self) -> "Element":  # negating keeps the terms nonzero and in order
-        return Element(self.shape, self.box, tuple([(e, -c) for e, c in self.terms]), self.exact)
+        return Element(self.shape, self.box, self.field,
+                       tuple([(e, -c) for e, c in self.terms]), self.exact)
 
     __mul__, __rmul__, __radd__ = _Record.__mul__, _Record.__rmul__, _Record.__radd__
 
@@ -253,29 +263,41 @@ def monomial(shape: ModuleShape, box: TruncationBox, exponents: Exponents,
 
 
 def linear_combine(pairs: Iterable[tuple[object, Element]]) -> Element:
-    """Sum of scalar multiples of elements sharing one shape and box.
+    """Sum of scalar multiples of elements sharing one frame.
 
+    Each scalar is brought into the elements' field as a coefficient is.
     The result is exact only when every input is exact.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty linear combination (shape unknown)")
     first = pairs[0][1]
+    coerce = first.field.coerce
     items = []
     for scalar, elem in pairs:
         _check_frame(first, elem)
-        if type(scalar) is int and scalar == 1:  # then 1 * c is c, same type
+        if type(scalar) is int and scalar == 1:  # then 1 * c is c
             items += elem.terms
         elif scalar:
+            scalar = coerce(scalar)
             items += [(e, scalar * c) for e, c in elem.terms]
-    return Element(first.shape, first.box, _summed(items), all(e.exact for _, e in pairs))
+    return Element(first.shape, first.box, first.field, _summed(items),
+                   all(e.exact for _, e in pairs))
 
 
 def _check_frame(a: Element, b: Element) -> None:
-    """Refuse two elements of different shapes or boxes, testing identity first."""
+    """Refuse two elements of different frames, testing identity first."""
     if (a.shape is not b.shape and a.shape != b.shape
             or a.box is not b.box and a.box != b.box):
         raise ValueError("linear_combine requires a common shape and box")
+    _check_field(a, b)
+
+
+def _check_field(a: Element, b: Element) -> None:
+    """Refuse two elements over different fields; a product, whose operands'
+    shapes differ, tests only this."""
+    if a.field is not b.field and a.field != b.field:
+        raise mixed_fields(a.field, b.field)
 
 
 def _summed(items) -> tuple:
@@ -288,53 +310,25 @@ def _summed(items) -> tuple:
     return tuple(sorted([item for item in acc.items() if item[1]]))
 
 
-_RATIONAL_TYPES, _PRIME_TYPES = frozenset((int, Fraction)), frozenset((int, Fp))
 _element = partial(tuple.__new__, Element)  # Element(...) minus its Python __new__
 
 
-def _lowered(pairs):
-    """Int stand-ins ``(pairs, p, den)`` for the operands, or None to multiply as is.
+def _lowered(a_terms, b_terms, p: int | None):
+    """Int stand-ins ``(a_terms, b_terms, den)`` for two operands over one field.
 
-    Residues mod p (den None), or numerators over one common denominator
-    for all pairs (p None); a pair with an empty operand forms no product
-    and is left out.  None when no pair is left, or when some pair holds a
-    bare ``int`` in both operands (an int times an int stays an int).
-    Operands over two fields (``Fraction`` and ``Fp``, or two primes) raise
-    ``ValueError`` whichever path the call takes: the coefficient types of
-    every operand are scanned, once each."""
-    types = set()
-    as_is = False
-    live = []  # the pairs that form products: an empty operand forms none
-    for pair in pairs:
-        a_terms, b_terms = pair
-        if a_terms and b_terms:
-            live.append(pair)
-            a_types = {type(c) for _, c in a_terms}
-            b_types = {type(c) for _, c in b_terms}
-            as_is = as_is or int in a_types and int in b_types
-            types.update(a_types, b_types)
-    if not live:
-        return None
-    if types <= _RATIONAL_TYPES:
-        if as_is:
-            return None
-        dens = [(lcm(*(c.denominator for _, c in a_terms)),
-                 lcm(*(c.denominator for _, c in b_terms))) for a_terms, b_terms in live]
-        den = lcm(*(da * db for da, db in dens))
-        # a's numerators carry den // (da * db), so every product is over den
-        return [([(e, c.numerator * (den // (db * c.denominator))) for e, c in a_terms],
-                 [(e, c.numerator * (db // c.denominator)) for e, c in b_terms])
-                for (a_terms, b_terms), (_, db) in zip(live, dens)], None, den
-    primes = {c.p for pair in live for terms in pair for _, c in terms if type(c) is Fp}
-    if not types <= _PRIME_TYPES or len(primes) != 1:
-        names = {"rational" if t is Fraction else t.__name__ for t in types - {int, Fp}}
-        names = sorted(names | {f"prime:{q}" for q in primes})
-        raise ValueError(f"mixed coefficient fields: {' and '.join(names)}")
-    if as_is:
-        return None
-    (p,) = primes
-    return [tuple([(e, c.value if type(c) is Fp else c % p) for e, c in terms]
-                  for terms in pair) for pair in live], p, None
+    Over GF(p) their residues (den None).  Over Q (p None) numerators over
+    den, the common denominator of every product; or, when den would be 1,
+    the coefficients as they are (den None), so an int times an int stays
+    an int."""
+    if p is not None:
+        return [(e, c.value) for e, c in a_terms], [(e, c.value) for e, c in b_terms], None
+    da = lcm(*(c.denominator for _, c in a_terms))
+    db = lcm(*(c.denominator for _, c in b_terms))
+    if da == db == 1:
+        return a_terms, b_terms, None
+    # a term of a carries da, one of b carries db: every product is over da * db
+    return ([(e, c.numerator * (da // c.denominator)) for e, c in a_terms],
+            [(e, c.numerator * (db // c.denominator)) for e, c in b_terms], da * db)
 
 
 @lru_cache(maxsize=256)
@@ -345,83 +339,72 @@ def _window(roles: tuple[str, ...], bounds: tuple[int, ...]):
     return lo, hi, tuple(inf if r == SERIES else 0 for r in roles)
 
 
-def _accumulate(a_terms, b_terms, lo: Exponents | None, hi: Exponents, kill):
-    """Sum the products of the terms of a and b inside lo..hi.
+def _accumulate(a_terms, b_terms, p: int | None, lo: Exponents | None, hi: Exponents,
+                kill):
+    """Sum the products of the terms of a and b, over GF(p) or Q, inside lo..hi.
 
     Above hi is a contraction kill (exact) if it exceeds ``kill`` somewhere,
     else a loss: kills take precedence.  Below lo (None: cannot happen) is a
-    loss; a vanishing product is neither.  Returns ``(acc, p, den, dropped)``:
-    acc maps exponent tuples to int sums (residues mod p, or numerators over
-    den) or, when :func:`_lowered` refuses, to the sums of the coefficients
-    as they are (p and den None); zero sums stay in acc."""
-    lowered = _lowered(((a_terms, b_terms),))
-    p = den = None
-    if lowered is not None:
-        ((a_terms, b_terms),), p, den = lowered
+    loss.  The coefficients are nonzero in one field, so no product of two
+    vanishes.  Returns ``(acc, den, dropped)``: acc maps exponent tuples to
+    the sums of the :func:`_lowered` stand-ins (residues mod p, numerators
+    over den, or coefficients as they are); zero sums stay in acc."""
+    a_terms, b_terms, den = _lowered(a_terms, b_terms, p)
     acc: dict = {}
     dropped = False
     for ea, ca in a_terms:
         for eb, cb in b_terms:
-            c = ca * cb
-            if not c:
-                continue
             out = tuple(map(add, ea, eb))
             if not all(map(le, out, hi)):
                 if all(map(le, out, kill)):
                     dropped = True
             elif lo is None or all(map(le, lo, out)):
-                acc[out] = acc[out] + c if out in acc else c
+                acc[out] = acc[out] + ca * cb if out in acc else ca * cb
             else:
                 dropped = True
-    return acc, p, den, dropped
+    return acc, den, dropped
 
 
 def _canonical(acc, p, den):
-    """The nonzero sums of :func:`_accumulate` as sorted ``Fraction``/``Fp`` terms."""
-    if den is not None:
-        items = [(e, Fraction(v, den)) for e, v in acc.items() if v]
-    elif p is not None:
+    """The nonzero sums of :func:`_accumulate` as sorted ``Fp``/``Fraction`` terms."""
+    if p is not None:
         items = [(e, Fp(v, p)) for e, v in acc.items() if v % p]
+    elif den is not None:
+        items = [(e, Fraction(v, den)) for e, v in acc.items() if v]
     else:
         items = [item for item in acc.items() if item[1]]
     items.sort()
     return tuple(items)
 
 
-def _product(a_terms, b_terms, lo, hi, kill):
-    """Finished ``(terms, dropped)`` of a*b in lo..hi, the walls of :func:`_accumulate`."""
+def _product(a_terms, b_terms, p, lo, hi, kill):
+    """Finished ``(terms, dropped)`` of a*b over GF(p) (Q when p is None) in
+    lo..hi, the walls of :func:`_accumulate`."""
     if not (a_terms and b_terms):
         return (), False
     if len(b_terms) == 1:
         a_terms, b_terms = b_terms, a_terms
     if len(a_terms) == 1:
         return _shifted(a_terms, b_terms, lo, hi, kill)
-    acc, p, den, dropped = _accumulate(a_terms, b_terms, lo, hi, kill)
+    acc, den, dropped = _accumulate(a_terms, b_terms, p, lo, hi, kill)
     return _canonical(acc, p, den), dropped
 
 
 def _shifted(one, terms, lo, hi, kill):
     """One term c*X^a times canonical ``terms``: each shifted by a and scaled by c.
-    The shift keeps them distinct and in order, and c times a coefficient of its
-    field has the type :func:`_canonical` would give, so nothing is summed or sorted."""
+    The shift keeps them distinct and in order, and c times a nonzero
+    coefficient of their common field is a nonzero one of it, so nothing is
+    summed, dropped or sorted."""
     ((shift, c),) = one
-    types = {type(x) for _, x in terms}
-    types.add(type(c))
-    if not types <= _RATIONAL_TYPES and (not types <= _PRIME_TYPES or len(
-            {x.p for _, x in (*one, *terms) if type(x) is Fp}) != 1):
-        _lowered(((one, terms),))  # two fields: raises as the merge path does
     out = []
     dropped = False
     for e, x in terms:
-        x = c * x
-        if not x:
-            continue
         e = tuple(map(add, shift, e))
         if not all(map(le, e, hi)):
             if all(map(le, e, kill)):
                 dropped = True
         elif lo is None or all(map(le, lo, e)):
-            out.append((e, x))
+            out.append((e, c * x))
         else:
             dropped = True
     return tuple(out), dropped
@@ -435,21 +418,23 @@ def ring_act(r: Element, m: Element) -> Element:
     exact module arithmetic.  On a series-role coordinate a result beyond the
     box is discarded and clears the ``exact`` flag of the output.
 
-    The result lives in m's shape and box.  r may be declared over any
-    shape; what matters is that its stored exponents are nonnegative.
+    The result lives in m's frame.  r must share m's field but may be
+    declared over any shape; what matters is that its stored exponents are
+    nonnegative.
     """
-    r_shape, _, r_terms, r_exact = r
-    shape, box, m_terms, m_exact = m
+    r_shape, _, _, r_terms, r_exact = r
+    shape, box, field, m_terms, m_exact = m
     if len(r_shape.roles) != len(shape.roles):
         raise ValueError("operands disagree on the variable count")
+    _check_field(r, m)
     # a series-shaped r holds nonnegative exponents by its box; other shapes are scanned
     if INVERSE in r_shape.roles and any(x < 0 for e, _ in r_terms for x in e):
         e = next(e for e, _ in r_terms if min(e) < 0)
         raise ValueError(f"ring element has a negative exponent: {e}")
     _, hi, kill = _window(shape.roles, box.bounds)
     # r's exponents are nonnegative and m lies in the box: nothing falls below it
-    terms, dropped = _product(r_terms, m_terms, None, hi, kill)
-    return _element((shape, box, terms, r_exact and m_exact and not dropped))
+    terms, dropped = _product(r_terms, m_terms, field.p, None, hi, kill)
+    return _element((shape, box, field, terms, r_exact and m_exact and not dropped))
 
 
 def derivation_act(j: int, m: Element) -> Element:
@@ -483,7 +468,7 @@ def derivation_act(j: int, m: Element) -> Element:
             continue
         terms.append((e[:j] + (e[j] - 1,) + e[j + 1:], coeff))
     # lowering one coordinate is injective and keeps the lexicographic order
-    return _element((m.shape, m.box, tuple(terms), m.exact and not dropped))
+    return _element((m.shape, m.box, m.field, tuple(terms), m.exact and not dropped))
 
 
 def quotient_by_series_var(j: int, m: Element) -> Element:
@@ -501,4 +486,4 @@ def quotient_by_series_var(j: int, m: Element) -> Element:
     box = m.box.drop(j)
     # the kept terms agree at j, so deleting it keeps them distinct and in order
     terms = tuple((e[:j] + e[j + 1:], c) for e, c in m.terms if e[j] == 0)
-    return Element(shape, box, terms, m.exact)
+    return Element(shape, box, m.field, terms, m.exact)

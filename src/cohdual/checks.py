@@ -142,7 +142,7 @@ def _random_combination(rng) -> tuple[Element, ...]:
         slots = []
         for _ in range(3):
             if rng.random() < 0.15:
-                slots.append(Element.zero(shape, box))
+                slots.append(Element.zero(shape, box, RATIONAL))
                 continue
             terms = [((rng.randint(0, 3), rng.randint(0, 3)), rng.choice((1, -1, 2, -2)))
                      for _ in range(rng.randint(1, 3))]
@@ -275,8 +275,10 @@ def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 2) -> CheckL
     instances = 0
     for n in range(1, 4):
         ring_shape, ring_box = ModuleShape.series_shape(n), TruncationBox.uniform(n, 2)
-        variables = [monomial(ring_shape, TruncationBox.uniform(n, 1),
-                              tuple(1 if k == j else 0 for k in range(n))) for j in range(n)]
+        variables = {field: [monomial(ring_shape, TruncationBox.uniform(n, 1),
+                                      tuple(1 if k == j else 0 for k in range(n)),
+                                      field.coerce(1)) for j in range(n)]
+                     for field in (RATIONAL, PrimeField(7), PrimeField(32003))}
         r_exps = list(product(range(3), repeat=n))
         rs = [(r, [derivation_act(j, r) for j in range(n)])
               for r in (monomial(ring_shape, ring_box, e) for e in r_exps)]
@@ -291,23 +293,25 @@ def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 2) -> CheckL
             def failed(what):
                 return CheckLine("leibniz-and-weyl", instances, False, f"roles {roles}, {what}")
 
-            for field in (RATIONAL, PrimeField(7), PrimeField(32003)):
+            for field, xs in variables.items():
+                one = field.coerce(1)
                 for k in range(per_config + (roles == full)):
                     instances += 1
                     r = _field_draw(rng, field, ring_shape, ring_box, r_exps, k == per_config)
                     m = _field_draw(rng, field, shape, box, m_exps, k == per_config)
                     rm = ring_act(r, m)
                     summed = linear_combine(
-                        (c, ring_act(r, Element(shape, box, ((e, 1),)))) for e, c in m.terms)
+                        (c, ring_act(r, Element(shape, box, field, ((e, one),))))
+                        for e, c in m.terms)
                     if rm != summed or rm.exact != summed.exact:
                         return failed(f"ring action not linear in m over {field.descriptor}")
                     pair = (r, [derivation_act(j, r) for j in range(n)])
-                    j = _broken_variable(m, variables, [pair])
+                    j = _broken_variable(m, xs, [pair])
                     if j is not None:
                         return failed(f"variable {j} over {field.descriptor}")
             for e in m_exps:  # the Weyl pairs of m, then its Leibniz triples
                 instances += n * (1 + len(rs))
-                j = _broken_variable(monomial(shape, box, e), variables, rs)
+                j = _broken_variable(monomial(shape, box, e), variables[RATIONAL], rs)
                 if j is not None:
                     return failed(f"variable {j}")
     return CheckLine("leibniz-and-weyl", instances, True)
@@ -350,19 +354,19 @@ def roundtrip_trials(seed: int = DEFAULT_SEED, trials: int = 1000) -> CheckLine:
         else:
             coeffs = [gf7.from_int(rng.randint(0, 6)) for _ in range(4)]
         if rng.random() < 0.05:
-            e = Element.zero(shape, box)
+            e = Element.zero(shape, box, field)
         else:
             e = _random_element(rng, shape, box, coeffs=coeffs)
         if rng.random() < 0.2:
             e = e._replace(exact=False)
         text = serialize_element(e)
         reparsed = parse_element(text, shape, box, field)
-        doc = element_to_document(e, field)
+        doc = element_to_document(e)
         restored = element_from_document(doc)
         stable = write_document(doc)
         good = (reparsed == e and restored == e
                 and restored.exact == e.exact
-                and write_document(element_to_document(restored, field)) == stable)
+                and write_document(element_to_document(restored)) == stable)
         if not good:
             return CheckLine("expression-document-roundtrip", trial + 1, False,
                              f"trial {trial}: {text!r}")

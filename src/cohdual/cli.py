@@ -4,7 +4,8 @@ Every subcommand prints a JSON document on stdout by default (mode
 "document"), or a short plain-text rendering with ``--mode human``.
 Element arguments are either expression text (parsed against the chosen
 shape, box, and field) or ``@path`` pointing at an element document.
-Every element document written, nested ones included, records that field.
+Every element written, nested ones included, is over that field; one read
+from a document over another field is refused as it meets or is written.
 
 Shapes are spelled ``R`` (all series), ``E`` (all inverse), ``H:i``
 (inverse on the first i variables), ``D:i`` (its dual), or an explicit
@@ -45,7 +46,7 @@ from .exprio import (
     to_document,
     write_document,
 )
-from .fields import field_from_descriptor
+from .fields import field_from_descriptor, mixed_fields
 
 USAGE_EXIT = 64
 SOFTWARE_EXIT = 70
@@ -172,8 +173,14 @@ class _Session:
                 Path(self.args.out).write_text(text)
             sys.stdout.write(text)
 
+    def check_field(self, element) -> None:
+        """Refuse an element, to be written, over another field than the request's."""
+        if element.field != self.field:
+            raise mixed_fields(element.field, self.field)
+
     def emit_element(self, element) -> None:
-        self.emit(to_document(element, self.field), [serialize_element(element)])
+        self.check_field(element)
+        self.emit(to_document(element), [serialize_element(element)])
 
 
 def _cmd_cohomology(session: _Session) -> int:
@@ -197,7 +204,7 @@ def _cmd_dfam(session: _Session) -> int:
 
     args = session.args
     box = _parse_box_spec(args.box) if args.box else None
-    session.emit_element(make_d(args.power, args.lmax, box))
+    session.emit_element(make_d(args.power, args.lmax, box, session.field))
     return 0
 
 
@@ -325,8 +332,7 @@ def _cmd_check(session: _Session) -> int:
 
 
 def _cmd_indep(session: _Session) -> int:
-    from .independence import (CertificateError, InconclusiveWindowError,
-                               independence_certificate)
+    from .independence import InconclusiveWindowError, independence_certificate
 
     args = session.args
     shape = ModuleShape.series_shape(2)
@@ -341,10 +347,8 @@ def _cmd_indep(session: _Session) -> int:
         })
         session.emit(doc, [f"inconclusive: {exc}"])
         return 2
-    except CertificateError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    doc = to_document(cert, session.field)
+    session.check_field(cert.decomposition.g)
+    doc = to_document(cert)
     lines = [
         f"top index: {cert.m0}",
         f"shifts: a={cert.a}, b={cert.b}",

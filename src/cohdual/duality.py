@@ -26,12 +26,14 @@ from .algebra import (
     Element,
     ModuleShape,
     TruncationBox,
+    _check_field,
     _element,
     _product,
     _window,
     monomial,
     ring_act,
 )
+from .fields import RATIONAL
 
 GAMMA_FULL = "full"
 GAMMA_ZERO = "zero"
@@ -54,17 +56,18 @@ def matlis_pair(d: Element, m: Element,
     """Multiply an element of the dual shape against one of the shape.
 
     Exponent vectors add; a term with any positive coordinate is annihilated
-    (exactly).  The result is all-inverse.  By default the output box is the
-    componentwise sum of the input boxes, which holds every surviving
-    product, so exact inputs give an exact output; a narrower ``out_box``
-    may drop terms and then clears the flag.
+    (exactly).  The result is all-inverse, over the operands' common field.
+    By default the output box is the componentwise sum of the input boxes,
+    which holds every surviving product, so exact inputs give an exact
+    output; a narrower ``out_box`` may drop terms and then clears the flag.
     """
     # roles are SERIES or INVERSE, so dual shapes are those that differ in every role
     if len(d.shape.roles) != len(m.shape.roles) or any(map(eq, d.shape.roles, m.shape.roles)):
         raise ValueError("pairing requires mutually dual shapes")
+    _check_field(d, m)
     shape, box, (lo, hi, kill) = _pairing_frame(d.box.bounds, m.box.bounds, out_box)
-    terms, dropped = _product(d.terms, m.terms, lo, hi, kill)
-    return _element((shape, box, terms, d.exact and m.exact and not dropped))
+    terms, dropped = _product(d.terms, m.terms, m.field.p, lo, hi, kill)
+    return _element((shape, box, m.field, terms, d.exact and m.exact and not dropped))
 
 
 def socle_functional(d: Element, m: Element):
@@ -222,7 +225,7 @@ def regular_on_dual_check(n: int, i: int, bound: int) -> RegularityReport:
                       (1,) + (0,) * (nvars - 1))
         units = [{k: 1} for k, exps in enumerate(targets) if exps[0] == 0]
         # box monomials by construction, so Element skips the validation
-        images = (ring_act(xj, Element(shape, box, ((exps, 1),)))
+        images = (ring_act(xj, Element(shape, box, RATIONAL, ((exps, 1),)))
                   for exps in targets if exps[0] < bound)
         columns = [{target_index[e]: c for e, c in im.terms} for im in images]
         domain = len(columns)

@@ -31,8 +31,7 @@ reading an element imports no report module.  They are composed from a
 few codecs: a JSON leaf of one exact type, a list, an optional value
 (null for None), an object keyed by attribute names (reports write ``n``
 and ``i`` as ``nvars`` and ``index``), a pair written as two named keys,
-a box as its list of bounds, and a whole document nested as a value;
-each encoder takes the value and the field, the one codec context.
+a box as its list of bounds, and a whole document nested as a value.
 Elements keep their hand-written codec, :func:`element_to_document` and
 :func:`element_from_document`, registered like the other kinds.  A reader
 accepts only the JSON type its writer emits, so ``true``, ``"3"`` and
@@ -185,7 +184,7 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
                     term_pos)
         terms.append((tuple(exps), -coeff if sign < 0 else coeff))
         pos = skip(pos)
-    return Element.from_terms(shape, box, terms)
+    return Element.from_terms(shape, box, terms, field=field)
 
 
 @lru_cache(maxsize=64)
@@ -268,13 +267,13 @@ def read_document(path) -> dict:
 
 
 class _Codec(NamedTuple):
-    """encode(value, field) -> JSON, and decode(JSON) -> value."""
+    """encode(value) -> JSON, and decode(JSON) -> value."""
 
     encode: Callable
     decode: Callable
 
 
-def _same(value, field):
+def _same(value):
     return value
 
 
@@ -300,14 +299,14 @@ def _list(item: _Codec) -> _Codec:
             raise SchemaError(f"expected a JSON list, got {type(value).__name__}")
         return tuple(map(decode_item, value))
     if encode_item is _same:
-        return _Codec(lambda v, field: list(v), decode)
-    return _Codec(lambda v, field: [encode_item(x, field) for x in v], decode)
+        return _Codec(list, decode)
+    return _Codec(lambda v: [encode_item(x) for x in v], decode)
 
 
 def _optional(item: _Codec) -> _Codec:
     """The item, or JSON null for None."""
     encode_item, decode_item = item
-    return _Codec(lambda v, field: None if v is None else encode_item(v, field),
+    return _Codec(lambda v: None if v is None else encode_item(v),
                   lambda v: None if v is None else decode_item(v))
 
 
@@ -331,8 +330,8 @@ def _object(cls, **codecs: _Codec) -> _Codec:
     """An object whose keys are the named attributes of cls."""
     fields = [(attr, _KEYS.get(attr, attr), *codec) for attr, codec in codecs.items()]
 
-    def encode(obj, field):
-        return {key: enc(getattr(obj, attr), field) for attr, key, enc, _ in fields}
+    def encode(obj):
+        return {key: enc(getattr(obj, attr)) for attr, key, enc, _ in fields}
 
     def decode(doc):
         return cls(**{attr: _at(doc, key, dec) for attr, key, _, dec in fields})
@@ -344,30 +343,26 @@ def _pair(first: str, first_codec: _Codec, second: str, second_codec: _Codec) ->
     enc1, dec1 = first_codec
     enc2, dec2 = second_codec
     return _Codec(
-        lambda v, field: {first: enc1(v[0], field), second: enc2(v[1], field)},
+        lambda v: {first: enc1(v[0]), second: enc2(v[1])},
         lambda doc: (_at(doc, first, dec1), _at(doc, second, dec2)))
 
 
 _INTS, _STRS = _list(_INT), _list(_STR)
-_BOX = _Codec(lambda box, field: list(box.bounds),
+_BOX = _Codec(lambda box: list(box.bounds),
               lambda v: TruncationBox(_INTS.decode(v)))
 _TERMS = _list(_pair("exponents", _INTS, "coefficient", _STR))
 
 
 def _embedded(kind: str) -> _Codec:
     """A whole document of the given kind nested as a value."""
-    return _Codec(lambda v, field: _kind(kind).write(v, field),
+    return _Codec(lambda v: _kind(kind).write(v),
                   lambda doc: _kind(kind).read(doc))
 
 
-def element_to_document(element: Element, field: Field = RATIONAL) -> dict:
-    """JSON form of an element; coefficients become field-parseable strings."""
-    for _, coeff in element.terms:
-        if coeff not in field:
-            raise ValueError(
-                f"coefficient {coeff!r} does not belong to the field {field!r}")
+def element_to_document(element: Element) -> dict:
+    """JSON form of an element; coefficients become strings its field parses."""
     return new_document("element", {
-        "field": field.descriptor,
+        "field": element.field.descriptor,
         "shape": list(element.shape.roles),
         "box": list(element.box.bounds),
         "names": list(default_variable_names(element.shape.nvars)),
@@ -390,14 +385,14 @@ def element_from_document(doc) -> Element:
     box = _at(doc, "box", _BOX.decode)
     exact = _at(doc, "exact", _BOOL.decode)
     terms = [(e, field.parse_scalar(c)) for e, c in _at(doc, "terms", _TERMS.decode)]
-    return Element.from_terms(ModuleShape(roles), box, terms, exact)
+    return Element.from_terms(ModuleShape(roles), box, terms, exact, field)
 
 
 class _Kind(NamedTuple):
-    """A kind's class, its writer (the field is the codec context), its reader."""
+    """A kind's class, its writer, its reader."""
 
     cls: type
-    write: Callable  # (obj, field) -> document
+    write: Callable  # obj -> document
     read: Callable   # document -> obj
 
 
@@ -413,12 +408,12 @@ def _report(kind: str, cls, **codecs: _Codec) -> tuple[str, _Kind]:
             raise
         except ValueError as exc:
             raise SchemaError(f"malformed {kind} document: {exc}") from None
-    return kind, _Kind(cls, lambda obj, field: new_document(kind, encode(obj, field)), read)
+    return kind, _Kind(cls, lambda obj: new_document(kind, encode(obj)), read)
 
 
 def _algebra_kinds():
     # looked up at call time, so a wrapper set on the module attribute is used
-    return [("element", _Kind(Element, lambda e, field: element_to_document(e, field),
+    return [("element", _Kind(Element, lambda e: element_to_document(e),
                               lambda doc: element_from_document(doc)))]
 
 
@@ -515,14 +510,14 @@ def _kind(name: str) -> _Kind:
     return _module_kinds(_OWNERS[name])[name]
 
 
-def to_document(obj, field: Field = RATIONAL) -> dict:
-    """The document for an element or report; the field reaches the element
-    documents, nested ones included."""
+def to_document(obj) -> dict:
+    """The document for an element or report; each element document, nested
+    ones included, names the element's own field."""
     package, _, module = type(obj).__module__.rpartition(".")
     if package == __package__ and module in _BUILDERS:
         for kind in _module_kinds(module).values():
             if type(obj) is kind.cls:
-                return kind.write(obj, field)
+                return kind.write(obj)
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 

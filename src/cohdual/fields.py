@@ -1,11 +1,11 @@
 """Exact coefficient scalars: arbitrary-precision rationals and prime fields.
 
-Rational coefficients are plain ``fractions.Fraction`` values (a bare ``int``
-is accepted anywhere a rational is, and compares and hashes consistently with
-the equal Fraction).  Prime-field coefficients are ``Fp`` residues.  The two
-kinds never mix inside one element; the field is chosen once per computation
-and carried by the scalars themselves, so the element layer stays
-field-agnostic.
+Rational coefficients are plain ``fractions.Fraction`` values or ``int``s
+(an int compares and hashes consistently with the equal Fraction).
+Prime-field coefficients are ``Fp`` residues.  The field descriptor is part
+of every element's frame: its ``coerce`` brings each scalar into the field
+once, as the element is built, and refuses one of another field, so the
+kernels read the field off the frame, never off the scalars.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class RationalField:
     """Descriptor for exact rational coefficients."""
 
     descriptor = "rational"
-    zero = Fraction(0)
+    p = None  # no prime: products are formed over a common denominator
     one = Fraction(1)
 
     @staticmethod
@@ -141,8 +141,11 @@ class RationalField:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
 
-    def __contains__(self, value) -> bool:  # by exact type: no bool, no subclass
-        return type(value) is int or type(value) is Fraction
+    def coerce(self, value):
+        """An int or a Fraction as it is (by exact type: no bool, no subclass)."""
+        if type(value) is int or type(value) is Fraction:
+            return value
+        raise mixed_fields(self, field_of(value))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -167,10 +170,6 @@ class PrimeField:
         return f"prime:{self.p}"
 
     @property
-    def zero(self) -> Fp:
-        return Fp(0, self.p)
-
-    @property
     def one(self) -> Fp:
         return Fp(1, self.p)
 
@@ -188,8 +187,13 @@ class PrimeField:
             return Fp(int(num), self.p) * d.inverse()
         return Fp(int(num), self.p)
 
-    def __contains__(self, value) -> bool:  # by exact type: no bool, no subclass
-        return type(value) is int or type(value) is Fp and value.p == self.p
+    def coerce(self, value) -> Fp:
+        """An int as its residue, an Fp of this p as it is."""
+        if type(value) is Fp and value.p == self.p:
+            return value
+        if type(value) is int:
+            return Fp(value, self.p)
+        raise mixed_fields(self, field_of(value))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -204,6 +208,21 @@ class PrimeField:
 RATIONAL = RationalField()
 
 Field = RationalField | PrimeField
+
+
+def field_of(value) -> Field:
+    """The field of a scalar: Q for an int or a Fraction, GF(p) for an Fp."""
+    if type(value) is Fp:
+        return PrimeField(value.p)
+    if type(value) is int or type(value) is Fraction:
+        return RATIONAL
+    raise ValueError(f"not an exact scalar: {value!r}")
+
+
+def mixed_fields(a: Field, b: Field) -> ValueError:
+    """The error for two fields meeting in one computation."""
+    first, second = sorted((a.descriptor, b.descriptor))
+    return ValueError(f"mixed coefficient fields: {first} and {second}")
 
 
 def field_from_descriptor(text: str) -> Field:

@@ -36,14 +36,13 @@ consumes: profiles of distinct powers admit no shift witness.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, countOf, eq, gt, itemgetter, neg
+from operator import add, countOf, eq, gt, neg
 from typing import NamedTuple
 
-from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _lowered
-from .fields import Fp
+from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _check_field
+from .fields import RATIONAL, Field
 
 D_SHAPE = ModuleShape((SERIES, INVERSE))
 R_SHAPE = ModuleShape((SERIES, SERIES))  # the coefficients r_j
@@ -73,13 +72,6 @@ class InconclusiveWindowError(Exception):
         else:
             msg = f"window too short; an X-window of {required_lmax} would do"
         super().__init__(msg)
-
-
-class CertificateError(RuntimeError):
-    """Internal inconsistency: a certificate contradicts its analysis.
-
-    Nothing in this module raises it since the tail is read from the closed
-    form; it stays part of the interface, and the CLI maps it."""
 
 
 class DeltaSequence(NamedTuple):
@@ -153,8 +145,9 @@ class IndependenceCertificate(NamedTuple):
     box: TruncationBox
 
 
-def make_d(power: int, lmax: int, box: TruncationBox | None = None) -> Element:
-    """Truncation of sum_l Y^(-l^power) X^l at X-degree lmax.
+def make_d(power: int, lmax: int, box: TruncationBox | None = None,
+           field: Field = RATIONAL) -> Element:
+    """Truncation of sum_l Y^(-l^power) X^l at X-degree lmax, over the field.
 
     The default box is exactly wide enough; an explicit box must contain
     every term (X-bound at least lmax, Y-bound at least lmax^power).
@@ -170,7 +163,9 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None) -> Element:
     if box.bounds[0] < lmax or box.bounds[1] < lmax ** power:
         raise ValueError(f"box {box.bounds} too small for power={power}, lmax={lmax}")
     # ascending X-degree is the canonical order, and the check above admits every term
-    return Element(D_SHAPE, box, tuple(((l, -(l ** power)), 1) for l in range(lmax + 1)))
+    one = field.coerce(1)
+    return Element(D_SHAPE, box, field,
+                   tuple(((l, -(l ** power)), one) for l in range(lmax + 1)))
 
 
 @lru_cache(maxsize=4)
@@ -227,8 +222,9 @@ def decompose_r(r: Element) -> RDecomposition:
         raise InexactElementError("refusing to decompose a lossy polynomial")
     a = r.terms[0][0][0]
     # each part shifts X by a constant: its terms stay in the box, distinct and in order
-    g = Element(r.shape, r.box, tuple(((0, y), c) for (x, y), c in r.terms if x == a))
-    h = Element(r.shape, r.box,
+    g = Element(r.shape, r.box, r.field,
+                tuple(((0, y), c) for (x, y), c in r.terms if x == a))
+    h = Element(r.shape, r.box, r.field,
                 tuple(((x - a - 1, y), c) for (x, y), c in r.terms if x != a))
     b = g.terms[0][0][1]
     return RDecomposition(a, h, g, b)
@@ -337,9 +333,8 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
 
     Reads (a, b) off the top nonzero coefficient and, from the intervals on
     which the dominance conditions fail, the first degree from which every
-    competing contribution is strictly dominated; only terms that survive
-    in the coefficients' field count (over GF(p), a bare int divisible by p
-    is no term).  At least 3 tail points are demanded; fewer raises
+    competing contribution is strictly dominated.  The coefficients share
+    one field.  At least 3 tail points are demanded; fewer raises
     :class:`InconclusiveWindowError` with the least window that would do,
     before the profile is read.  The profile (see :func:`_least_exponents`)
     is b - (l-a)^m0 on the whole tail.  All-zero input raises
@@ -353,19 +348,13 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
             raise ValueError("coefficients must be polynomials over two series variables")
         if not r.exact:
             raise InexactElementError("coefficient polynomials must be exact")
+        _check_field(r_list[0], r)
     if all(r.is_zero for r in r_list):
         raise DegenerateInputError("every coefficient polynomial is zero")
     box = auto_truncation(r_list, lmax)
     if lmax < 0:  # make_d's own check, made before the dominance analysis
         raise ValueError(f"lmax must be nonnegative, got {lmax}")
     live = [(j, r) for j, r in enumerate(r_list, start=1) if not r.is_zero]
-    # lowered against a unit of the operands' field: mixed fields raise here
-    one = next((Fp(1, c.p) for _, r in live for _, c in r.terms if type(c) is Fp), Fraction(1))
-    lowered, p, _ = _lowered([(r.terms, (((0, 0), one),)) for _, r in live])
-    # a term whose coefficient lowers to 0 (a bare int divisible by p) is no term
-    live = [(j, Element(R_SHAPE, r.box, tuple(compress(r.terms, map(itemgetter(1), terms)))),
-             [t for t in terms if t[1]]) for (j, r), (terms, _) in zip(live, lowered)]
-    live = [(j, r, terms) for j, r, terms in live if terms]  # nonempty: no Fp term lowers to 0
     m0 = live[-1][0]
 
     dec = decompose_r(live[-1][1])
@@ -374,7 +363,7 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     if m0 == 1 and h_margin is not None and b - h_margin >= 1:
         raise InconclusiveWindowError(None)  # t - (t - 1) = 1 for every l
     fails = _failing_intervals(m0, a, b, h_margin,
-                               [(j, _min_y_degree(r)) for j, r, _ in live[:-1]])
+                               [(j, _min_y_degree(r)) for j, r in live[:-1]])
     # l <= a always fails; past the last failure up to lmax every degree is dominated
     tail_start = a + 1 + max((min(hi, lmax - a) for lo, hi in fails if lo <= lmax - a),
                              default=0)
@@ -388,7 +377,7 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
 
     return IndependenceCertificate(
         m0=m0, a=a, b=b, lmax=lmax, tail_start=tail_start,
-        delta=DeltaSequence(0, _least_exponents(live, p, a, b, tail_start, lmax)),
+        delta=DeltaSequence(0, _least_exponents(live, a, b, tail_start, lmax)),
         decomposition=dec, nonzero=True, box=box,
     )
 
@@ -432,24 +421,23 @@ def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
     return [(lo, hi) for lo, hi in fails if lo <= hi]
 
 
-def _least_exponents(live, p: int | None, a: int, b: int, tail_start: int,
+def _least_exponents(live, a: int, b: int, tail_start: int,
                      lmax: int) -> tuple[int | None, ...]:
     """Least Y-exponent of each X^0..X^lmax coefficient of sum r_j . d_j.
 
-    ``live`` holds (j, r_j, r_j's terms lowered to nonzero ints, mod p if p),
-    the top index m0 last.  From tail_start on the dominance analysis forces
-    the profile to be b - (l - a)^m0.  Before it, a term c X^x Y^y of r_j
-    gives at each l >= x the candidate y - (l - x)^j, killed if positive;
-    the least y per (j, x) gives a column, and the profile is the least
-    entry per degree of the columns.  Where two or more reach it their
-    coefficients are re-summed, and if they cancel every candidate at that
-    degree is."""
+    ``live`` holds (j, r_j) for the nonzero r_j, the top index m0 last.
+    From tail_start on the dominance analysis forces the profile to be
+    b - (l - a)^m0.  Before it, a term c X^x Y^y of r_j gives at each l >= x
+    the candidate y - (l - x)^j, killed if positive; the least y per (j, x)
+    gives a column, and the profile is the least entry per degree of the
+    columns.  Where two or more reach it their coefficients are re-summed,
+    and if they cancel every candidate at that degree is."""
     columns, candidates = [], []
     top = _negated_powers(live[-1][0], lmax)
-    lower = _prefixes(tuple(j for j, _, _ in live[:-1]), tail_start)
-    for (_, _, terms), ys in zip(live, lower + (top,)):
+    lower = _prefixes(tuple(j for j, _ in live[:-1]), tail_start)
+    for (_, r), ys in zip(live, lower + (top,)):
         column_x = -1
-        for (x, y), c in terms:  # ascending, so the first term per x has its least y
+        for (x, y), c in r.terms:  # ascending, so the first term per x has its least y
             if x < tail_start:
                 if x != column_x:
                     column_x = x
@@ -462,15 +450,14 @@ def _least_exponents(live, p: int | None, a: int, b: int, tail_start: int,
     least = list(map(min, rows))
     entries = [v if v <= 0 else None for v in least]
     coefficients = [c for _, _, _, c in columns]
-    nonzero = (lambda total: total % p) if p else bool
     for l in compress(range(cut), map(gt, map(countOf, rows, least), repeat(1))):
         row, v = rows[l], least[l]
-        if v > 0 or nonzero(sum(compress(coefficients, map(eq, row, repeat(v))))):
+        if v > 0 or sum(compress(coefficients, map(eq, row, repeat(v)))):
             continue
-        sums: dict[int, int] = {}
+        sums: dict = {}
         for ys, x, y, c in candidates:
             if x <= l and y + ys[l - x] <= 0:
                 sums[y + ys[l - x]] = sums.get(y + ys[l - x], 0) + c
-        entries[l] = min((w for w, total in sums.items() if nonzero(total)), default=None)
+        entries[l] = min((w for w, total in sums.items() if total), default=None)
     tail = top[tail_start - a:lmax + 1 - a]
     return tuple(entries) + (tuple(map(add, tail, repeat(b))) if b else tail)

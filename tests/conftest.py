@@ -5,7 +5,7 @@ written the slow and obvious way on plain dicts and Fractions, so the
 package's sparse paths can be checked against something with no shared
 code.  The exceptions are :func:`oracle_certificate`, which keeps the
 certificate's older element path (itself checked against
-:func:`oracle_product`) as the reference for its integer fast path, and
+:func:`oracle_product`) as the reference for its column path, and
 :func:`oracle_realization`, which keeps the realization sweep's older
 degree-by-degree loop as the reference for its sign-class sweep.
 """
@@ -23,7 +23,7 @@ from cohdual.algebra import (
     monomial,
     ring_act,
 )
-from cohdual.fields import Fp
+from cohdual.fields import RATIONAL, Fp, PrimeField
 from cohdual.independence import auto_truncation, delta, make_d
 
 
@@ -34,7 +34,7 @@ def oracle_product(poly_terms, elem_terms, roles, bounds):
     annihilated without loss, and that kill wins over any box wall another
     coordinate crosses; otherwise exponents escaping the box on the far side
     are dropped and recorded as a loss of exactness.  A product whose
-    coefficient vanishes (as over a prime field) loses nothing.
+    coefficient vanishes loses nothing.
     """
     out = {}
     exact = True
@@ -72,7 +72,8 @@ def _gf7_coefficient(rng):
 
 
 def _gf7_or_int_coefficient(rng):
-    """Mostly residues mod 7, sometimes a bare int, which may vanish mod 7."""
+    """Mostly residues mod 7, sometimes an int, which a GF(7) frame reads
+    mod 7: 7 and 14 vanish there."""
     return _gf7_coefficient(rng) if rng.random() < 0.7 else rng.choice((7, 14, 3, -1))
 
 
@@ -81,6 +82,7 @@ COEFFICIENT_KINDS = {
     "rational": (int_coefficient, _fraction_coefficient, _mixed_coefficient),
     "prime:7": (_gf7_coefficient, _gf7_or_int_coefficient),
 }
+FIELDS = {"rational": RATIONAL, "prime:7": PrimeField(7)}
 
 
 def coefficient_strings(terms):
@@ -97,15 +99,6 @@ def oracle_min_profile(terms, lo, hi):
     return tuple(entries)
 
 
-def surviving_terms(r_list):
-    """Each r_j's term map without the bare ints that vanish in the
-    combination's field: over GF(p) (some coefficient is an ``Fp``), an int
-    divisible by p is no term."""
-    p = next((c.p for r in r_list for _, c in r.terms if type(c) is Fp), None)
-    return [{e: c for e, c in r.terms if p is None or type(c) is not int or c % p}
-            for r in r_list]
-
-
 def oracle_certificate(r_list, lmax):
     """(m0, a, b, profile, tail) of sum r_j . d_j by the element path.
 
@@ -114,23 +107,15 @@ def oracle_certificate(r_list, lmax):
     every sum is a coefficient object; both kernels are checked against
     :func:`oracle_product` elsewhere.  m0, a and b are read off the top
     coefficient, and tail is the least degree from which the profile
-    follows b - (l - a)^m0 up to lmax.  Over GF(p) each d_j carries the
-    unit of GF(p), so a bare int in r_j is read mod p, as the certificate
-    reads it (an int times an int would stay an int), and m0, a and b are
-    read off the :func:`surviving_terms`.
+    follows b - (l - a)^m0 up to lmax.  Each d_j is over the field of the
+    r_j.
     """
     box = auto_truncation(r_list, lmax)
-    one = next((c ** 0 for r in r_list for _, c in r.terms if type(c) is Fp), 1)
-
-    def d(j):
-        plain = make_d(j, lmax, box)
-        return Element(plain.shape, box, tuple((e, one) for e, _ in plain.terms))
-
-    s = linear_combine([(1, ring_act(r, d(j)))
+    s = linear_combine([(1, ring_act(r, make_d(j, lmax, box, r.field)))
                         for j, r in enumerate(r_list, start=1) if not r.is_zero])
     assert s.exact
     profile = delta(s, (0, lmax))
-    maps = surviving_terms(r_list)
+    maps = [r.term_map() for r in r_list]
     m0 = max(j for j, terms in enumerate(maps, start=1) if terms)
     a = min(x for x, _ in maps[m0 - 1])
     b = min(y for x, y in maps[m0 - 1] if x == a)
@@ -147,11 +132,10 @@ def oracle_dominance(r_list):
     degree: with t = l - a >= 1, the witness term X^a Y^b of the top
     coefficient survives (t^m0 >= b), its higher X-layers stay above it
     (t^m0 - (t-1)^m0 > b - their least Y-degree), and so does every lower
-    r_j (t^m0 - l^j > b - its least Y-degree), all read off the
-    :func:`surviving_terms`.  Every degree from ``settled`` on is
-    dominated, unless m0 = 1 and the higher layers reach below b, when none
-    is."""
-    maps = surviving_terms(r_list)
+    r_j (t^m0 - l^j > b - its least Y-degree).  Every degree from
+    ``settled`` on is dominated, unless m0 = 1 and the higher layers reach
+    below b, when none is."""
+    maps = [r.term_map() for r in r_list]
     m0 = max(j for j, terms in enumerate(maps, start=1) if terms)
     top = maps[m0 - 1]
     a = min(x for x, _ in top)
@@ -260,10 +244,11 @@ def oracle_rank_mod(rows, p):
 
 def random_sample(rng, shape: ModuleShape, box: TruncationBox,
                   margin: int = 0, max_terms: int = 4,
-                  coefficient=int_coefficient) -> Element:
+                  coefficient=int_coefficient, field=None) -> Element:
     """A small random element staying margin steps inside the box.
 
     ``coefficient(rng)`` draws each coefficient; by default a small int.
+    The element is over ``field``, by default the field of the draws.
     """
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -273,7 +258,7 @@ def random_sample(rng, shape: ModuleShape, box: TruncationBox,
             e = rng.randint(0, reach)
             exps.append(e if shape.role(j) == SERIES else -e)
         terms[tuple(exps)] = terms.get(tuple(exps), 0) + coefficient(rng)
-    return Element.from_terms(shape, box, terms)
+    return Element.from_terms(shape, box, terms, field=field)
 
 
 def oracle_is_torsion(e: Element, gens) -> bool:

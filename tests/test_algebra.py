@@ -22,10 +22,11 @@ from cohdual.algebra import (
 )
 from cohdual.checks import DEFAULT_SEED, leibniz_weyl_trials, run_suite
 from cohdual.duality import matlis_pair
-from cohdual.fields import Fp
+from cohdual.fields import RATIONAL, Fp, PrimeField
 from cohdual.independence import decompose_r, make_d
 from conftest import (
     COEFFICIENT_KINDS,
+    FIELDS,
     coefficient_strings,
     int_coefficient,
     oracle_product,
@@ -108,7 +109,7 @@ def test_equality_ignores_exactness():
 
 def test_zero_scale_arithmetic():
     box = TruncationBox((3, 3))
-    z = Element.zero(D2, box)
+    z = Element.zero(D2, box, RATIONAL)
     assert z.is_zero and z.exact
     e = monomial(D2, box, (1, -2), 3)
     assert e.scale(2).coefficient((1, -2)) == 6
@@ -183,13 +184,16 @@ def test_ring_act_kill_beats_box_wall():
 
 
 def test_ring_act_vanishing_product_loses_nothing():
-    """Over GF(7) an int 7 times a residue is 0, so its overflow is no loss."""
-    box = TruncationBox((2,))
-    m = monomial(ModuleShape((SERIES,)), box, (2,), Fp(3, 7))
-    out = ring_act(monomial(ModuleShape((SERIES,)), box, (1,), 7), m)
+    """In a GF(7) frame an int 7 is 0, so it forms no product past the wall:
+    no loss."""
+    box, line, gf7 = TruncationBox((2,)), ModuleShape((SERIES,)), PrimeField(7)
+    m = monomial(line, box, (2,), Fp(3, 7))
+    seven = Element.from_terms(line, box, {(1,): 7}, field=gf7)
+    assert seven.is_zero
+    out = ring_act(seven, m)
     assert out.is_zero
     assert out.exact
-    lossy = ring_act(monomial(ModuleShape((SERIES,)), box, (1,), 8), m)
+    lossy = ring_act(Element.from_terms(line, box, {(1,): 8}, field=gf7), m)
     assert lossy.is_zero
     assert not lossy.exact
 
@@ -203,10 +207,11 @@ def test_ring_act_matches_oracle():
             roles = tuple(rng.choice((SERIES, INVERSE)) for _ in range(n))
             shape = ModuleShape(roles)
             box = TruncationBox(tuple(rng.randint(1, 4) for _ in range(n)))
-            m = random_sample(rng, shape, box, coefficient=rng.choice(kinds))
+            m = random_sample(rng, shape, box, coefficient=rng.choice(kinds),
+                              field=FIELDS[field])
             r = random_sample(rng, ModuleShape.series_shape(n),
                               TruncationBox.uniform(n, 3),
-                              coefficient=rng.choice(kinds))
+                              coefficient=rng.choice(kinds), field=FIELDS[field])
             out = ring_act(r, m)
             want_terms, want_exact = oracle_product(
                 r.term_map(), m.term_map(), roles, box.bounds)
@@ -314,7 +319,7 @@ def test_bare_int_first_terms_do_not_hide_a_field_mix():
         matlis_pair(d, m)
 
 
-def _walled_sample(rng, shape, box, count, draw):
+def _walled_sample(rng, shape, box, count, draw, field):
     """``count`` random terms whose exponents favour 0, 1 and the box walls."""
     items = []
     for _ in range(count):
@@ -322,7 +327,7 @@ def _walled_sample(rng, shape, box, count, draw):
                      * rng.choice((0, min(1, b), max(b - 1, 0), b, rng.randint(0, b)))
                      for role, b in zip(shape.roles, box.bounds))
         items.append((exps, draw(rng)))
-    return Element.from_terms(shape, box, items)
+    return Element.from_terms(shape, box, items, field=field)
 
 
 def _assert_kernel_matches_oracle(out, a, b, roles, bounds, size=None):
@@ -338,7 +343,7 @@ def _assert_kernel_matches_oracle(out, a, b, roles, bounds, size=None):
 @pytest.mark.parametrize("base", [0, 2 ** 64], ids=["small-box", "box-past-2^64"])
 def test_kernel_matches_oracle_on_both_sides_of_the_threshold(base):
     """ring_act and matlis_pair (into the default and into narrow boxes)
-    agree with the oracle over Q and GF(7), bare ints that vanish mod 7
+    agree with the oracle over Q and GF(7), ints that vanish mod 7
     included, on calls of fewer and of at least 64 products, in boxes
     small and past 2**64."""
     rng = random.Random(f"kernel/{base}")
@@ -350,14 +355,15 @@ def test_kernel_matches_oracle_on_both_sides_of_the_threshold(base):
             box = TruncationBox(tuple(base + rng.randint(1, 4) for _ in range(n)))
             big = rng.random() < 0.5
             count = (lambda: rng.randint(8, 16)) if big else (lambda: rng.randint(1, 4))
-            m = _walled_sample(rng, shape, box, count(), rng.choice(kinds))
+            m = _walled_sample(rng, shape, box, count(), rng.choice(kinds), FIELDS[field])
             r = _walled_sample(rng, ModuleShape.series_shape(n),
                                TruncationBox(tuple(base + rng.randint(0, 3) for _ in range(n))),
-                               count(), rng.choice(kinds))
+                               count(), rng.choice(kinds), FIELDS[field])
             _assert_kernel_matches_oracle(ring_act(r, m), r, m, shape.roles, box.bounds)
             large["ring"].add(len(r.terms) * len(m.terms) >= 64)
 
-            d = _walled_sample(rng, shape.dual(), box, count(), rng.choice(kinds))
+            d = _walled_sample(rng, shape.dual(), box, count(), rng.choice(kinds),
+                               FIELDS[field])
             out_box = rng.choice((None, TruncationBox(
                 tuple(rng.choice((0, b // 2, b, 2 * b)) for b in box.bounds))))
             out = matlis_pair(d, m, out_box)
@@ -375,8 +381,8 @@ def test_kernel_walls_kills_and_vanishing_products(base, size):
     them: an exact zero.  Pairing into a box that holds only the upper half
     of m's X-exponents drops nonzero products below the wall, but a
     product with a positive coordinate is a kill even when the other one
-    is below.  Over GF(7) a
-    bare 7 vanishes, so its products past the wall lose nothing."""
+    is below.  In a GF(7) frame
+    an int 7 vanishes, so it forms no products past the wall to lose."""
     box = TruncationBox((base + size, base + 1))
     m = Element.from_terms(D2, box, {(base + size - x, 0): Fraction(1, x + 1)
                                      for x in range(size)})
@@ -402,10 +408,12 @@ def test_kernel_walls_kills_and_vanishing_products(base, size):
     walled = Element.from_terms(D2, box, {(base + size - x, -1): Fp(x % 6 + 1, 7)
                                           for x in range(size)})
     sevens = Element.from_terms(S2, box, {(0, 0): 1, **{(x + 1, 0): 7 * (x + 1)
-                                                       for x in range(size - 1)}})
+                                                       for x in range(size - 1)}},
+                                field=PrimeField(7))
+    assert sevens.terms == (((0, 0), Fp(1, 7)),)
     out = ring_act(sevens, walled)
     assert out == walled and out.exact
-    _assert_kernel_matches_oracle(out, sevens, walled, D2.roles, box.bounds, size)
+    _assert_kernel_matches_oracle(out, sevens, walled, D2.roles, box.bounds)
 
 
 def test_leibniz_check_fails_on_a_wrong_inverse_rule(monkeypatch):
@@ -433,16 +441,12 @@ def test_algebra_suite_fails_on_squared_residues(monkeypatch):
     """A GF(p) kernel that squares each lowered residue must FAIL the suite."""
     lowered = algebra._lowered
 
-    def squared(pairs):
-        out = lowered(pairs)
-        if out is None or out[1] is None:
-            return out
-        new_pairs, p, den = out
-        live = [pair for pair in pairs if pair[0] and pair[1]]
-        return [tuple([(e, v * v % p if type(c) is Fp else v)
-                       for (e, v), (_, c) in zip(low, terms)]
-                      for low, terms in zip(new_pair, pair))
-                for new_pair, pair in zip(new_pairs, live)], p, den
+    def squared(a_terms, b_terms, p):
+        a_terms, b_terms, den = lowered(a_terms, b_terms, p)
+        if p is None:
+            return a_terms, b_terms, den
+        return ([(e, v * v % p) for e, v in a_terms],
+                [(e, v * v % p) for e, v in b_terms], den)
 
     monkeypatch.setattr(algebra, "_lowered", squared)
     assert not _algebra_line().passed
@@ -476,13 +480,13 @@ def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
         seen.add(("shift", _field_of(one, terms)))
         return shifted(one, terms, lo, hi, kill)
 
-    def merge_counted(a_terms, b_terms, lo, hi, kill):
-        out = accumulate(a_terms, b_terms, lo, hi, kill)
-        _, p, den, _ = out
-        if den is not None:
-            seen.add(("merge", "Q"))
-        elif p is not None:
+    def merge_counted(a_terms, b_terms, p, lo, hi, kill):
+        out = accumulate(a_terms, b_terms, p, lo, hi, kill)
+        _, den, _ = out
+        if p is not None:
             seen.add(("merge", "GF(p)"))
+        elif den is not None:
+            seen.add(("merge", "Q"))
         elif all(type(c) is int for terms in (a_terms, b_terms) for _, c in terms):
             seen.add(("merge", "int"))
         return out
@@ -496,24 +500,25 @@ def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
     assert ("merge", "int") in seen
 
 
-def _merged(a_terms, b_terms, lo, hi, kill):
+def _merged(a_terms, b_terms, p, lo, hi, kill):
     """The merge path on any operands: the oracle of the shift path."""
-    acc, p, den, dropped = algebra._accumulate(a_terms, b_terms, lo, hi, kill)
+    acc, den, dropped = algebra._accumulate(a_terms, b_terms, p, lo, hi, kill)
     return algebra._canonical(acc, p, den), dropped
 
 
-def _typed(terms):
-    return [(e, type(c), c) for e, c in terms]
+def _printed(terms):
+    """Terms with their values and printed coefficients: within Q an int and
+    the equal Fraction are one coefficient."""
+    return [(e, c, str(c)) for e, c in terms]
 
 
-# per field, a draw of one coefficient: bare ints include multiples of p
+# per field, its prime (None for Q) and a draw of one nonzero coefficient
 _SHIFT_DRAWS = {
-    "int": lambda rng: rng.choice((1, -1, 2, -3, 7)),
-    "Q": lambda rng: rng.choice((rng.choice((1, -2, 3)), Fraction(rng.choice((1, -1, 3)),
-                                                                   rng.randint(2, 5)))),
-    "GF(7)": lambda rng: rng.choice((Fp(rng.randint(0, 6), 7), rng.choice((7, -14, 3)))),
-    "GF(32003)": lambda rng: rng.choice((Fp(rng.randint(0, 32002), 32003),
-                                         rng.choice((32003, -64006, 5)))),
+    "int": (None, lambda rng: rng.choice((1, -1, 2, -3, 7))),
+    "Q": (None, lambda rng: rng.choice((rng.choice((1, -2, 3)), Fraction(
+        rng.choice((1, -1, 3)), rng.randint(2, 5))))),
+    "GF(7)": (7, lambda rng: Fp(rng.randint(1, 6), 7)),
+    "GF(32003)": (32003, lambda rng: Fp(rng.randint(1, 32002), 32003)),
 }
 
 
@@ -525,27 +530,30 @@ def _raw_terms(rng, count, n, reach, draw):
     return tuple((e, draw(rng)) for e in sorted(exps))
 
 
-def _placed(terms, shape, box):
+def _placed(terms, shape, box, field):
     """The terms with each exponent folded into the shape's window of the box."""
     return Element.from_terms(shape, box, [
         (tuple((abs(x) % (b + 1)) * (1 if role == SERIES else -1)
-               for x, role, b in zip(e, shape.roles, box.bounds)), c) for e, c in terms])
+               for x, role, b in zip(e, shape.roles, box.bounds)), c) for e, c in terms],
+        field=field)
 
 
 def _assert_as_merged(out, a, b, lo=None):
     _, hi, kill = algebra._window(out.shape.roles, out.box.bounds)
-    terms, dropped = _merged(a.terms, b.terms, lo, hi, kill)
-    assert (_typed(out.terms), out.exact) == (_typed(terms), not dropped)
+    terms, dropped = _merged(a.terms, b.terms, out.field.p, lo, hi, kill)
+    assert (_printed(out.terms), out.exact) == (_printed(terms), not dropped)
 
 
 @pytest.mark.parametrize("field", sorted(_SHIFT_DRAWS))
 def test_shift_path_matches_the_merge_path(field):
     """One-term times k-term products (k = 0..6, on either side) agree with
-    the merge path in terms, coefficient types and drop flag: with no lower
-    wall (ring_act's box), inside a mixed box where kills and losses meet,
-    and into a narrow pairing box; ring_act and matlis_pair agree with it."""
+    the merge path in terms, printed coefficients and drop flag: with no
+    lower wall (ring_act's box), inside a mixed box where kills and losses
+    meet, and into a narrow pairing box; ring_act and matlis_pair agree
+    with it."""
     rng = random.Random(f"shift/{field}")
-    draw = _SHIFT_DRAWS[field]
+    p, draw = _SHIFT_DRAWS[field]
+    field = RATIONAL if p is None else PrimeField(p)
     dropped_seen = set()
     for _ in range(400):
         n = rng.randint(1, 3)
@@ -558,17 +566,17 @@ def test_shift_path_matches_the_merge_path(field):
         narrow = TruncationBox(tuple(rng.randint(0, 1) for _ in range(n)))
         for window in ((None, hi, kill), (lo, hi, kill),
                        algebra._window((INVERSE,) * n, narrow.bounds)):
-            got = algebra._product(*operands, *window)
-            want = _merged(*operands, *window)
-            assert (_typed(got[0]), got[1]) == (_typed(want[0]), want[1])
+            got = algebra._product(*operands, p, *window)
+            want = _merged(*operands, p, *window)
+            assert (_printed(got[0]), got[1]) == (_printed(want[0]), want[1])
             dropped_seen.add(got[1])
 
         shape, box = ModuleShape(roles), TruncationBox(bounds)
         ring = ModuleShape.series_shape(n), TruncationBox.uniform(n, 4)
         for r_terms, m_terms in ((one, other), (other, one)):
-            r, m = _placed(r_terms, *ring), _placed(m_terms, shape, box)
+            r, m = _placed(r_terms, *ring, field), _placed(m_terms, shape, box, field)
             _assert_as_merged(ring_act(r, m), r, m)
-            d = _placed(r_terms, shape.dual(), box)
+            d = _placed(r_terms, shape.dual(), box, field)
             for out_box in (None, narrow):
                 out = matlis_pair(d, m, out_box)
                 _assert_as_merged(out, d, m, algebra._window(out.shape.roles,
@@ -576,29 +584,35 @@ def test_shift_path_matches_the_merge_path(field):
     assert dropped_seen == {False, True}
 
 
-@pytest.mark.parametrize("one, other", [
-    (Fraction(1, 2), (Fp(3, 7),)),
-    (Fp(1, 7), (Fp(2, 5),)),
-    (Fp(1, 7), (3, Fraction(1, 3))),
-    (2, (Fraction(1, 2), Fp(3, 7))),
-    (2, (Fp(1, 5), 4, Fp(3, 7))),
-    (True, (1,)),
-    (1.5, (2, 3)),
-    (Fraction(1, 2), (2, 2.0)),
+@pytest.mark.parametrize("one, other, error", [
+    (Fraction(1, 2), (Fp(3, 7),), "mixed coefficient fields: prime:7 and rational"),
+    (Fp(1, 7), (Fp(2, 5),), "mixed coefficient fields: prime:5 and prime:7"),
+    (Fp(1, 7), (3, Fraction(1, 3)), "mixed coefficient fields: prime:7 and rational"),
+    (2, (Fraction(1, 2), Fp(3, 7)), "mixed coefficient fields: prime:7 and rational"),
+    (2, (Fp(1, 5), 4, Fp(3, 7)), "mixed coefficient fields: prime:5 and prime:7"),
+    (True, (1,), "not an exact scalar: True"),
+    (1.5, (2, 3), "not an exact scalar: 1.5"),
+    (Fraction(1, 2), (2, 2.0), "not an exact scalar: 2.0"),
 ], ids=["Q-GF7", "GF7-GF5", "GF7-Q", "int-mixed", "int-two-primes", "bool", "float",
         "Q-float"])
-def test_mixed_fields_raise_the_same_error_on_both_paths(one, other):
-    """A one-term operand against terms of another field, or of no field,
-    raises the merge path's ValueError, on whichever side it stands."""
-    one = (((1, 0), one),)
-    other = tuple(((0, -k), c) for k, c in enumerate(other))
-    window = algebra._window((INVERSE, INVERSE), (3, 3))
-    for operands in ((one, other), (other, one)):
-        with pytest.raises(ValueError) as merged:
-            _merged(*operands, *window)
-        with pytest.raises(ValueError, match="^mixed coefficient fields: ") as shifted:
-            algebra._product(*operands, *window)
-        assert str(shifted.value) == str(merged.value)
+def test_mixed_fields_raise_the_same_error_on_both_paths(one, other, error):
+    """A one-term operand (or two terms of it) against terms of another
+    field, or of no field, on whichever side it stands, is refused with one
+    ValueError before either kernel path: by the frame check of ring_act
+    and matlis_pair, or by from_terms when the terms share no field."""
+    box = TruncationBox((3, 3))
+
+    def series(coefficients):
+        return Element.from_terms(S2, box, [((k, 0), c) for k, c in enumerate(coefficients)])
+
+    def inverse(coefficients):
+        return Element.from_terms(E2, box, [((0, -k), c) for k, c in enumerate(coefficients)])
+
+    for left, right in (((one,), other), (other, (one,)), ((one, one), other)):
+        for act in (ring_act, matlis_pair):
+            with pytest.raises(ValueError) as refused:
+                act(series(left), inverse(right))
+            assert str(refused.value) == error
 
 
 def _post(fault):

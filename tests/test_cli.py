@@ -279,23 +279,50 @@ def test_loose_scalars_and_field_descriptors_are_usage_errors(capsys, tmp_path, 
         assert run_cli(capsys, "act", "1", "X^-1", "--field", value)[:2] == (64, "")
 
 
+@pytest.fixture
+def gf7_documents(tmp_path):
+    """Paths of two GF(7) element documents: d7, a d-family member, and p7,
+    a polynomial in two series variables."""
+    paths = {}
+    for name, element in (("d7", make_d(1, 2, field=PrimeField(7))),
+                          ("p7", Element.from_terms(ModuleShape.series_shape(2),
+                                                    TruncationBox.uniform(2, 8),
+                                                    {(1, 0): 3}, field=PrimeField(7)))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(write_document(element_to_document(element)))
+    return paths
+
+
 @pytest.mark.parametrize("argv", [
     ("act", "-n", "2", "--shape", "D:1", "1/2*X", "@{d7}"),
     ("pair", "-n", "2", "--shape", "D:1", "1/2*X^-1", "@{d7}"),
     ("indep", "@{p7}", "1/2*X"),
 ])
-def test_mixed_fields_are_a_usage_error(capsys, tmp_path, argv):
+def test_mixed_fields_are_a_usage_error(capsys, gf7_documents, argv):
     """Rational expressions against GF(7) documents are refused in one line."""
-    paths = {}
-    for name, element in (("d7", make_d(1, 2)),
-                          ("p7", Element.from_terms(ModuleShape.series_shape(2),
-                                                    TruncationBox.uniform(2, 8),
-                                                    {(1, 0): 3}))):
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_bytes(write_document(element_to_document(element, PrimeField(7))))
-    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    code, out, err = run_cli(capsys, *(arg.format(**gf7_documents) for arg in argv))
     assert (code, out) == (64, "")
     assert err == "error: mixed coefficient fields: prime:7 and rational\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("derive", "-j", "0", "@{d7}"), 64),
+    (("derive", "-j", "0", "@{d7}", "--mode", "human"), 64),
+    (("act", "@{p7}", "@{d7}"), 64),
+    (("indep", "@{p7}", "--lmax", "20"), 64),
+    (("indep", "@{p7}", "--lmax", "2"), 2),
+    (("delta", "@{d7}"), 0),
+])
+def test_a_document_over_another_field_is_refused_where_it_is_written(
+        capsys, gf7_documents, argv, code):
+    """An element of a GF(7) document in a rational request is refused with
+    the frame error when it meets the request's elements or is to be
+    written; a request that writes no element of it (a profile, an
+    inconclusive window) answers as over any field."""
+    got, out, err = run_cli(capsys, *(arg.format(**gf7_documents) for arg in argv))
+    assert got == code
+    if code == 64:
+        assert (out, err) == ("", "error: mixed coefficient fields: prime:7 and rational\n")
 
 
 def test_help_exits_zero(capsys):
@@ -390,18 +417,6 @@ def test_all_zero_coefficients_exit_64(capsys):
     code, out, err = run_cli(capsys, "indep", "0", "0")
     assert (code, out) == (64, "")
     assert err == "error: every coefficient polynomial is zero\n"
-
-
-def test_certificate_error_exits_1(capsys, monkeypatch):
-    import cohdual.independence as independence
-
-    def broken(r_list, lmax):
-        raise independence.CertificateError("profile disagrees at degree 3")
-
-    monkeypatch.setattr(independence, "independence_certificate", broken)
-    code, out, err = run_cli(capsys, "indep", "1", "Y")
-    assert (code, out) == (1, "")
-    assert err == "verification failed: profile disagrees at degree 3\n"
 
 
 def test_unknown_suite_is_a_usage_error(capsys):

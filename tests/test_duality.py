@@ -23,9 +23,10 @@ from cohdual.duality import (
     tensor_surjectivity_witness,
 )
 from cohdual.algebra import INVERSE, SERIES
-from cohdual.fields import Fp
+from cohdual.fields import RATIONAL, Fp, PrimeField
 from conftest import (
     COEFFICIENT_KINDS,
+    FIELDS,
     coefficient_strings,
     oracle_is_torsion,
     oracle_product,
@@ -81,14 +82,18 @@ def test_pair_narrow_out_box_is_lossy():
 
 
 def test_pair_vanishing_product_loses_nothing():
-    """Over GF(7) an int 14 times a residue is 0, so its wall crossing is no loss."""
-    d = monomial(H21.dual(), BOX3, (0, -3), 14)
+    """In a GF(7) frame an int 14 is 0, so it forms no product to cross the
+    wall: no loss."""
+    gf7 = PrimeField(7)
+    d = Element.from_terms(H21.dual(), BOX3, {(0, -3): 14}, field=gf7)
+    assert d.is_zero
     m = monomial(H21, BOX3, (-2, 0), Fp(5, 7))
     narrow = TruncationBox((1, 3))
     out = matlis_pair(d, m, narrow)
     assert out.is_zero
     assert out.exact
-    lossy = matlis_pair(monomial(H21.dual(), BOX3, (0, -3), 15), m, narrow)
+    lossy = matlis_pair(Element.from_terms(H21.dual(), BOX3, {(0, -3): 15}, field=gf7),
+                        m, narrow)
     assert lossy.is_zero
     assert not lossy.exact
 
@@ -106,8 +111,10 @@ def test_pair_matches_oracle():
             shape = ModuleShape(tuple(rng.choice((SERIES, INVERSE))
                                       for _ in range(n)))
             box = TruncationBox(tuple(rng.randint(1, 4) for _ in range(n)))
-            d = random_sample(rng, shape.dual(), box, coefficient=rng.choice(kinds))
-            m = random_sample(rng, shape, box, coefficient=rng.choice(kinds))
+            d = random_sample(rng, shape.dual(), box, coefficient=rng.choice(kinds),
+                              field=FIELDS[field])
+            m = random_sample(rng, shape, box, coefficient=rng.choice(kinds),
+                              field=FIELDS[field])
             out_box = None
             if rng.random() < 0.5:
                 out_box = TruncationBox(tuple(rng.randint(0, 2 * b)
@@ -188,8 +195,8 @@ def _patch_lower_wall(monkeypatch, wall):
     import cohdual.duality as duality
 
     real = duality._product
-    monkeypatch.setattr(duality, "_product", lambda a, b, lo, hi, kill:
-                        real(a, b, wall(lo), hi, kill))
+    monkeypatch.setattr(duality, "_product", lambda a, b, p, lo, hi, kill:
+                        real(a, b, p, wall(lo), hi, kill))
 
 
 @pytest.mark.parametrize("seed", [1729, 5, 701])
@@ -243,7 +250,7 @@ def test_is_torsion_inverse_monomial():
     e = monomial(ModuleShape.inverse_shape(2), BOX3, (-1, -2))
     assert is_torsion(e, (0,))
     assert is_torsion(e, (0, 1))
-    assert is_torsion(Element.zero(ModuleShape.inverse_shape(2), BOX3), (0,))
+    assert is_torsion(Element.zero(ModuleShape.inverse_shape(2), BOX3, RATIONAL), (0,))
 
 
 def test_is_torsion_series_direction_is_not():
@@ -267,7 +274,7 @@ def test_is_torsion_matches_search():
         shape = ModuleShape(tuple(rng.choice((SERIES, INVERSE)) for _ in range(n)))
         box = TruncationBox(tuple(rng.randint(0, 3) for _ in range(n)))
         if rng.random() < 0.1:
-            e = Element.zero(shape, box)
+            e = Element.zero(shape, box, RATIONAL)
         else:
             e = random_sample(rng, shape, box)
         gens = tuple(rng.sample(range(n), rng.randint(1, n)))

@@ -1,10 +1,10 @@
-"""The element record, two-element sums and the coefficient lowering.
+"""The element record, two-element sums and the field of the frame.
 
-Elements are immutable records whose equality ignores ``exact``; ``+``,
-``-``, ``scale`` and ``linear_combine`` are checked against a plain-dict
-oracle; and ``_lowered`` is held to a table of outcomes, one per
-combination of operand coefficient types, recorded from the two-pass
-implementation it replaced.
+Elements are immutable records whose equality ignores ``exact`` but not
+the field; ``+``, ``-``, ``scale`` and ``linear_combine`` are checked
+against a plain-dict oracle; and the field each kind of operand gets at
+construction, and whether two kinds meet in one computation, are held to
+a table of outcomes, one per pair of kinds.
 """
 
 import copy
@@ -21,11 +21,12 @@ from cohdual.algebra import (
     Element,
     ModuleShape,
     TruncationBox,
-    _lowered,
     linear_combine,
+    ring_act,
 )
-from cohdual.fields import Fp
-from conftest import coefficient_strings
+from cohdual.duality import matlis_pair
+from cohdual.fields import RATIONAL, Fp, PrimeField
+from conftest import coefficient_strings, oracle_product
 
 S2 = ModuleShape((SERIES, INVERSE))
 BOX = TruncationBox((3, 3))
@@ -71,18 +72,20 @@ def test_copies_and_pickles_keep_value_and_flag():
     assert e._replace(exact=True).exact is True
 
 
-# coefficient draws per field: an int draw may vanish, a field draw may not
+# (frame field, coefficient draw) per kind of draw; any draw may vanish
 FIELDS = {
-    "int": lambda rng: rng.choice((1, -1, 2, -3, 0)),
-    "rational": lambda rng: Fraction(rng.choice((1, -1, 2, -3, 0)), rng.randint(1, 4)),
-    "prime:7": lambda rng: Fp(rng.randint(0, 6), 7),
+    "int": (RATIONAL, lambda rng: rng.choice((1, -1, 2, -3, 0))),
+    "rational": (RATIONAL, lambda rng: Fraction(rng.choice((1, -1, 2, -3, 0)),
+                                                rng.randint(1, 4))),
+    "prime:7": (PrimeField(7), lambda rng: Fp(rng.randint(0, 6), 7)),
 }
 EXPONENTS = [(x, y) for x in range(3) for y in range(0, -3, -1)]
 
 
 def _draw(rng, field):
-    terms = {e: FIELDS[field](rng) for e in rng.sample(EXPONENTS, rng.randint(0, 4))}
-    return Element.from_terms(S2, BOX, terms, exact=rng.random() < 0.7)
+    frame, draw = FIELDS[field]
+    terms = {e: draw(rng) for e in rng.sample(EXPONENTS, rng.randint(0, 4))}
+    return Element.from_terms(S2, BOX, terms, exact=rng.random() < 0.7, field=frame)
 
 
 def _oracle(pairs):
@@ -155,7 +158,81 @@ def test_tuple_operations_are_refused():
     assert (-e).term_map() == {(1, -1): -2, (0, 0): Fraction(-1, 3)}
 
 
-# Operands of the lowering contract, two terms each (one for none): the key
+def test_elements_over_different_fields_differ():
+    """Equal values in two frames are two elements: the field is part of
+    ``==`` and of the hash."""
+    rational = Element.from_terms(S2, BOX, {(0, 0): 3})
+    residue = Element.from_terms(S2, BOX, {(0, 0): Fp(3, 7)})
+    assert (rational.field, residue.field) == (RATIONAL, PrimeField(7))
+    assert rational != residue and not rational == residue
+    assert hash(rational) != hash(residue)
+    assert len({rational, residue}) == 2
+    assert Element.zero(S2, BOX, RATIONAL) != Element.zero(S2, BOX, PrimeField(7))
+    assert residue == Element.from_terms(S2, BOX, {(0, 0): 3}, field=PrimeField(7))
+
+
+def test_a_frame_brings_ints_into_its_field():
+    """Over GF(p) an int becomes its residue and a multiple of p no term;
+    over Q an int stays an int; a coefficient of another field is refused."""
+    gf7 = PrimeField(7)
+    e = Element.from_terms(S2, BOX, {(0, 0): 12, (1, 0): 14, (2, 0): Fp(3, 7)}, field=gf7)
+    assert e.terms == (((0, 0), Fp(5, 7)), ((2, 0), Fp(3, 7)))
+    assert all(type(c) is Fp for _, c in e.terms)
+    q = Element.from_terms(S2, BOX, {(0, 0): 12, (1, 0): Fraction(1, 2)})
+    assert [type(c) for _, c in q.terms] == [int, Fraction]
+    for field, coefficient in ((gf7, Fraction(1, 2)), (gf7, Fp(3, 11)), (RATIONAL, Fp(3, 7))):
+        with pytest.raises(ValueError, match="^mixed coefficient fields: "):
+            Element.from_terms(S2, BOX, {(0, 0): coefficient}, field=field)
+    assert Element.from_terms(S2, BOX, {}).field == RATIONAL
+    assert e.scale(3).terms == (((0, 0), Fp(1, 7)), ((2, 0), Fp(2, 7)))
+
+
+R2 = ModuleShape((SERIES, SERIES))
+DUAL = ModuleShape((INVERSE, SERIES))
+FIELD_PAIRS = {
+    "Q/GF7": (Fraction(1, 2), Fp(2, 7), "mixed coefficient fields: prime:7 and rational"),
+    "GF7/GF11": (Fp(2, 7), Fp(3, 11), "mixed coefficient fields: prime:11 and prime:7"),
+}
+
+
+def _in(shape, terms):
+    return Element.from_terms(shape, BOX, terms)
+
+
+# each operation on a coefficient x of one field and y of another, with
+# equal exponents (colliding) or not; a product collides when two of its
+# products land on one exponent
+MIXING = {
+    "from_terms": lambda x, y, hit: Element.from_terms(
+        S2, BOX, [((1, -1), x), ((1, -1) if hit else (0, 0), y)]),
+    "+": lambda x, y, hit: _in(S2, {(1, -1): x}) + _in(S2, {(1, -1) if hit else (0, 0): y}),
+    "-": lambda x, y, hit: _in(S2, {(1, -1): x}) - _in(S2, {(1, -1) if hit else (0, 0): y}),
+    "linear_combine": lambda x, y, hit: linear_combine(
+        [(1, _in(S2, {(1, -1): x})), (1, _in(S2, {(1, -1) if hit else (0, 0): y}))]),
+    "ring_act": lambda x, y, hit: ring_act(
+        _in(R2, {(0, 0): x, (1, 0): x} if hit else {(0, 0): x}),
+        _in(S2, {(1, -1): y, (0, -1): y})),
+    "matlis_pair": lambda x, y, hit: matlis_pair(
+        _in(DUAL, {(-1, 1): x, (-2, 1): x} if hit else {(-1, 1): x}),
+        _in(S2, {(1, -2): y, (2, -2): y} if hit else {(1, -2): y})),
+}
+
+
+@pytest.mark.parametrize("hit", [True, False], ids=["colliding", "disjoint"])
+@pytest.mark.parametrize("pair", sorted(FIELD_PAIRS))
+@pytest.mark.parametrize("operation", sorted(MIXING))
+def test_mixed_fields_are_refused_in_every_frame(operation, pair, hit):
+    """Coefficients of two fields never share an element: every operation
+    that brings two together raises the frame ValueError, in either order,
+    whether or not their exponents collide."""
+    x, y, message = FIELD_PAIRS[pair]
+    for first, second in ((x, y), (y, x)):
+        with pytest.raises(ValueError) as refused:
+            MIXING[operation](first, second, hit)
+        assert str(refused.value) == message
+
+
+# Operands of the frame table, two terms each (one for none): the key
 # names the coefficient types, "T" holds residues mod two primes and "e" is
 # an empty operand.
 OPERANDS = {
@@ -169,151 +246,65 @@ OPERANDS = {
     "e": [],
 }
 OUTCOMES = {
-    "=": None,  # multiply as is
-    "a": ("Q", 6), "b": ("Q", 24), "c": ("Q", 36), "d": ("Q", 72),  # over one denominator
-    "7": ("p", 7),  # residues mod 7
+    "Q": "rational",  # a product over Q
+    "7": "prime:7",  # a product over GF(7)
     "x": "mixed coefficient fields: prime:7 and rational",
     "y": "mixed coefficient fields: prime:11 and prime:7",
-    "z": "mixed coefficient fields: prime:11 and prime:7 and rational",
 }
-# one pair: row a, column b
-ONE_PAIR = """
+# row a, column b: the field of a*b, or the error of building a, then b,
+# then of bringing them together
+FRAMES = """
    iqpIPFTe
-i  =a7==xy=
-q  acxbxxz=
-p  7x7x7xy=
-I  =bx=xxz=
-P  =x7x=xy=
-F  xxxxxxz=
-T  yzyzyzy=
-e  ========
-"""
-# two pairs: row (a1, b1), columns (a2, b2) in blocks of a2
-TWO_PAIRS = """
-     iiiiiiii qqqqqqqq pppppppp IIIIIIII PPPPPPPP FFFFFFFF TTTTTTTT eeeeeeee
-     iqpIPFTe iqpIPFTe iqpIPFTe iqpIPFTe iqpIPFTe iqpIPFTe iqpIPFTe iqpIPFTe
-ii   =====xy= ==x=xxz= =x=x=xy= ==x=xxz= =x=x=xy= xxxxxxz= yzyzyzy= ========
-iq   =ax=xxza acxbxxza xxxxxxza =bx=xxza xxxxxxza xxxxxxza zzzzzzza aaaaaaaa
-ip   =x7x=xy7 xxxxxxz7 7x7x7xy7 xxxxxxz7 =x7x=xy7 xxxxxxz7 yzyzyzy7 77777777
-iI   ==x=xxz= ==x=xxz= xxxxxxz= ==x=xxz= xxxxxxz= xxxxxxz= zzzzzzz= ========
-iP   =x=x=xy= xxxxxxz= =x=x=xy= xxxxxxz= =x=x=xy= xxxxxxz= yzyzyzy= ========
-iF   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-iT   yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy yyyyyyyy
-ie   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-qi   =ax=xxza acxbxxza xxxxxxza =bx=xxza xxxxxxza xxxxxxza zzzzzzza aaaaaaaa
-qq   =cx=xxzc ccxdxxzc xxxxxxzc =dx=xxzc xxxxxxzc xxxxxxzc zzzzzzzc cccccccc
-qp   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-qI   =bx=xxzb bdxbxxzb xxxxxxzb =bx=xxzb xxxxxxzb xxxxxxzb zzzzzzzb bbbbbbbb
-qP   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-qF   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-qT   zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz
-qe   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-pi   =x7x=xy7 xxxxxxz7 7x7x7xy7 xxxxxxz7 =x7x=xy7 xxxxxxz7 yzyzyzy7 77777777
-pq   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-pp   =x7x=xy7 xxxxxxz7 7x7x7xy7 xxxxxxz7 =x7x=xy7 xxxxxxz7 yzyzyzy7 77777777
-pI   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-pP   =x7x=xy7 xxxxxxz7 7x7x7xy7 xxxxxxz7 =x7x=xy7 xxxxxxz7 yzyzyzy7 77777777
-pF   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-pT   yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy yyyyyyyy
-pe   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-Ii   ==x=xxz= ==x=xxz= xxxxxxz= ==x=xxz= xxxxxxz= xxxxxxz= zzzzzzz= ========
-Iq   =bx=xxzb bdxbxxzb xxxxxxzb =bx=xxzb xxxxxxzb xxxxxxzb zzzzzzzb bbbbbbbb
-Ip   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-II   ==x=xxz= ==x=xxz= xxxxxxz= ==x=xxz= xxxxxxz= xxxxxxz= zzzzzzz= ========
-IP   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-IF   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-IT   zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz
-Ie   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-Pi   =x=x=xy= xxxxxxz= =x=x=xy= xxxxxxz= =x=x=xy= xxxxxxz= yzyzyzy= ========
-Pq   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-Pp   =x7x=xy7 xxxxxxz7 7x7x7xy7 xxxxxxz7 =x7x=xy7 xxxxxxz7 yzyzyzy7 77777777
-PI   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-PP   =x=x=xy= xxxxxxz= =x=x=xy= xxxxxxz= =x=x=xy= xxxxxxz= yzyzyzy= ========
-PF   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-PT   yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy yyyyyyyy
-Pe   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-Fi   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-Fq   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-Fp   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-FI   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-FP   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-FF   xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx xxxxxxzx zzzzzzzx xxxxxxxx
-FT   zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz
-Fe   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-Ti   yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy yyyyyyyy
-Tq   zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz
-Tp   yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy yyyyyyyy
-TI   zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz
-TP   yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy yyyyyyyy
-TF   zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz zzzzzzzz
-TT   yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy zzzzzzzy yzyzyzyy yyyyyyyy
-Te   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-ei   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-eq   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-ep   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-eI   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-eP   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-eF   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-eT   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
-ee   =a7==xy= acxbxxz= 7x7x7xy= =bx=xxz= =x7x=xy= xxxxxxz= yzyzyzy= ========
+i  QQxQxxyQ
+q  QQxQxxyQ
+p  xx7x7xyx
+I  QQxQxxyQ
+P  xx7x7xyx
+F  xxxxxxxx
+T  yyyyyyyy
+e  QQxQxxyQ
 """
 
 
-def _table(grid, header_rows):
-    """{row key + column key: outcome code}; a column's key is read down the
-    header lines."""
-    lines = grid.strip("\n").splitlines()
-    columns = ["".join(chars) for chars in zip(
-        *(line.replace(" ", "") for line in lines[:header_rows]))]
+def _table(grid):
+    """{row key + column key: outcome code}."""
+    header, *rows = grid.strip("\n").splitlines()
     table = {}
-    for line in lines[header_rows:]:
-        key, *cells = line.split()
+    for row in rows:
+        key, cells = row.split()
         table.update({key + column: code
-                      for column, code in zip(columns, "".join(cells), strict=True)})
+                      for column, code in zip(header.strip(), cells, strict=True)})
     return table
 
 
-def _operand(kind):
-    return [((k, -k), c) for k, c in enumerate(OPERANDS[kind])]
-
-
-CASES = {**_table(ONE_PAIR, 1), **_table(TWO_PAIRS, 2)}
+CASES = _table(FRAMES)
 
 
 def test_the_tables_cover_every_combination():
-    assert set(CASES) == {"".join(k) for r in (2, 4) for k in product(OPERANDS, repeat=r)}
+    assert set(CASES) == {"".join(k) for k in product(OPERANDS, repeat=2)}
     assert set(CASES.values()) == set(OUTCOMES)
 
 
-@pytest.mark.parametrize("pairs", [2, 4], ids=["one-pair", "two-pairs"])
-def test_lowering_matches_the_recorded_table(pairs):
+def _operand(shape, kind, sign):
+    return Element.from_terms(shape, BOX, [((k, sign * k), c)
+                                           for k, c in enumerate(OPERANDS[kind])])
+
+
+def test_frames_match_the_recorded_table():
+    """Each kind gets its field at construction (ints join the other terms'
+    field, an empty operand is rational), or raises there; two operands of
+    one field multiply as the oracle does, and of two fields raise before
+    any product is formed."""
     for key, code in CASES.items():
-        if len(key) != pairs:
-            continue
-        args = [(_operand(key[k]), _operand(key[k + 1])) for k in range(0, pairs, 2)]
         expected = OUTCOMES[code]
-        if isinstance(expected, str):
-            with pytest.raises(ValueError) as err:
-                _lowered(args)
-            assert str(err.value) == expected, key
+        try:
+            a = _operand(R2, key[0], 1)
+            b = _operand(S2, key[1], -1)
+            out = ring_act(a, b)
+        except ValueError as exc:
+            assert str(exc) == expected, key
             continue
-        got = _lowered(args)
-        if expected is None:
-            assert got is None, key
-            continue
-        lowered, p, den = got
-        assert (("Q", den) if p is None else ("p", p)) == expected and (p is None) != (
-            den is None), key
-        live = [pair for pair in args if pair[0] and pair[1]]
-        assert len(lowered) == len(live), key
-        for (a_low, b_low), (a, b) in zip(lowered, live):
-            assert [e for e, _ in a_low] == [e for e, _ in a], key
-            assert [e for e, _ in b_low] == [e for e, _ in b], key
-            a_coeffs = [(n, c) for (_, n), (_, c) in zip(a_low, a)]
-            b_coeffs = [(n, c) for (_, n), (_, c) in zip(b_low, b)]
-            for (na, ca), (nb, cb) in product(a_coeffs, b_coeffs):
-                assert type(na) is int and type(nb) is int, key
-                if p is None:
-                    assert Fraction(na * nb, den) == ca * cb, key
-                else:
-                    assert Fp(na * nb, p) == ca * cb, key
+        assert out.field.descriptor == expected, key
+        want, exact = oracle_product(a.term_map(), b.term_map(), S2.roles, BOX.bounds)
+        assert coefficient_strings(out.term_map()) == coefficient_strings(want), key
+        assert out.exact == exact, key

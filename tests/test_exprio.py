@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cohdual.algebra import Element, ModuleShape, TruncationBox, monomial
+from cohdual.algebra import Element, ModuleShape, TruncationBox, monomial, ring_act
 from cohdual.cech import verify_realization
 from cohdual.checks import DEFAULT_SEED, CheckReport, independence_trials, run_suite
 from cohdual.duality import pairing_perfection_check, regular_on_dual_check
@@ -114,7 +114,7 @@ def test_parse_prime_field_bad_denominator():
 def test_serialize_canonical_form():
     d = make_d(2, 1, TruncationBox((5, 25)))
     assert serialize_element(d) == "1 + Y^-1*X"
-    assert serialize_element(Element.zero(S2, BOX)) == "0"
+    assert serialize_element(Element.zero(S2, BOX, RATIONAL)) == "0"
     e = Element.from_terms(S2, BOX, {(1, 0): -1, (0, 0): Fraction(3, 2)})
     assert serialize_element(e) == "3/2 - X"
     lead = Element.from_terms(S2, BOX, {(1, 0): -2})
@@ -140,9 +140,7 @@ def test_text_roundtrip_sampled():
                                   for _ in range(n)))
         box = TruncationBox(tuple(rng.randint(0, 5) for _ in range(n)))
         field = rng.choice((RATIONAL, f7))
-        e = random_sample(rng, shape, box)
-        if field is not RATIONAL:
-            e = e.scale(f7.one)
+        e = random_sample(rng, shape, box, field=field)
         text = serialize_element(e)
         assert parse_element(text, shape, box, field) == e
 
@@ -166,21 +164,30 @@ def test_element_documents_name_the_variables_by_count(n, field):
     box = TruncationBox.uniform(n, 2)
     exps = tuple(-1 if role == "inverse" else 1 for role in shape.roles)
     e = Element.from_terms(shape, box, {exps: field.from_int(3), (0,) * n: field.from_int(-1)})
-    doc = element_to_document(e, field)
+    doc = element_to_document(e)
+    assert doc["field"] == field.descriptor
     assert doc["names"] == list(default_variable_names(n))
     assert all(name in doc["text"] for name in doc["names"])
     assert parse_element(doc["text"], shape, box, field) == e
     payload = write_document(doc)
     restored = element_from_document(json.loads(payload))
-    assert write_document(element_to_document(restored, field)) == payload
+    assert write_document(element_to_document(restored)) == payload
 
 
 def test_element_document_field_mismatch():
+    """A document names its element's field; a coefficient of another
+    field cannot enter the element in the first place."""
     f7 = PrimeField(7)
     e = Element.from_terms(S2, BOX, {(1, 0): Fp(3, 7)})
-    assert element_from_document(element_to_document(e, f7)) == e
-    with pytest.raises(ValueError):
-        element_to_document(e, RATIONAL)
+    doc = element_to_document(e)
+    assert doc["field"] == "prime:7"
+    assert element_from_document(doc) == e
+    rational = dict(doc, field="rational")
+    assert element_from_document(rational) != e
+    assert element_from_document(rational).field == RATIONAL
+    with pytest.raises(ValueError, match="^mixed coefficient fields: prime:7 and rational$"):
+        Element.from_terms(S2, BOX, {(1, 0): Fp(3, 7)}, field=RATIONAL)
+    assert element_to_document(e._replace(exact=False))["field"] == f7.descriptor
 
 
 def _text_membership(field, coeff):
@@ -194,20 +201,37 @@ def _text_membership(field, coeff):
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField(7), PrimeField(32003)],
                          ids=["Q", "GF7", "GF32003"])
 def test_element_documents_accept_what_the_text_round_trip_accepted(field):
-    """Membership by exact type admits the coefficients that the text round
-    trip admitted; what it refuses, bool and float included, is refused
-    with a ValueError that names membership."""
+    """A frame admits, by exact type, the coefficients that the text round
+    trip admitted, and its document writes them as the field reads them
+    back; what it refuses, bool and float included, is refused with a
+    ValueError when the element is built."""
     values = (0, 3, -3, 7, -14, 2 ** 70, Fraction(3, 2), Fraction(-5), Fraction(4, 1),
               Fp(3, 7), Fp(0, 7), Fp(3, 5), Fp(5, 32003), True, False, 1.0, 2.5, "3")
     for coeff in values:
-        member = _text_membership(field, coeff)
-        assert (coeff in field) == member, coeff
-        e = Element(S2, BOX, (((1, 0), coeff),))
-        if member:
-            assert element_to_document(e, field)["terms"][0]["coefficient"] == str(coeff)
-        else:
-            with pytest.raises(ValueError, match="does not belong to the field"):
-                element_to_document(e, field)
+        if not _text_membership(field, coeff):
+            with pytest.raises(ValueError):
+                Element.from_terms(S2, BOX, {(1, 0): coeff}, field=field)
+            continue
+        e = Element.from_terms(S2, BOX, {(1, 0): coeff}, field=field)
+        doc = element_to_document(e)
+        value = field.parse_scalar(str(coeff))
+        assert [t["coefficient"] for t in doc["terms"]] == ([str(value)] if value else []), coeff
+        assert element_from_document(doc) == e
+
+
+def test_prime_field_documents_are_canonical():
+    """An element built in a GF(7) frame from ints writes reduced residues,
+    and element -> document -> element -> document is byte-identical."""
+    line = ModuleShape.series_shape(1)
+    box = TruncationBox.uniform(1, 4)
+    e = Element.from_terms(line, box, {(0,): 5, (1,): 4}, field=PrimeField(7))
+    square = ring_act(e, e)
+    doc = element_to_document(square)
+    assert [t["coefficient"] for t in doc["terms"]] == ["4", "5", "2"]
+    assert doc["text"] == "4 + 5*X + 2*X^2"
+    payload = write_document(doc)
+    assert write_document(element_to_document(element_from_document(json.loads(payload)))
+                          ) == payload
 
 
 @pytest.mark.parametrize("text", ["3\n", "3/2\n", "\n3", " 3", "3 ", "+3", "3/-2"])
@@ -216,7 +240,7 @@ def test_scalars_are_read_whole(field, text):
     """A scalar is the whole text: a trailing newline is refused as well."""
     with pytest.raises(ValueError, match="not an integer or integer fraction"):
         field.parse_scalar(text)
-    doc = element_to_document(monomial(S2, BOX, (1, 0)), field)
+    doc = element_to_document(monomial(S2, BOX, (1, 0), field.one))
     doc["terms"][0]["coefficient"] = text
     with pytest.raises(ValueError):
         element_from_document(doc)
@@ -405,55 +429,55 @@ def test_nested_element_documents_use_the_module_attribute(monkeypatch):
     seen = []
     original = exprio.element_to_document
 
-    def counting(element, field):
+    def counting(element):
         seen.append(element)
-        return original(element, field)
+        return original(element)
 
     monkeypatch.setattr(exprio, "element_to_document", counting)
     assert write_document(to_document(cert)) == payload
     assert seen == [cert.decomposition.h, cert.decomposition.g]
 
 
-# (kind, object builder, field, sha256 of write_document(to_document(...)));
-# the digests were taken from the per-kind writers this codec replaced
+# (kind, object builder, sha256 of write_document(to_document(...))); the
+# digests were taken from the per-kind writers this codec replaced
 PINNED = [
-    ("cohomology_table", lambda: verify_realization(2, 1, 2).table, RATIONAL,
+    ("cohomology_table", lambda: verify_realization(2, 1, 2).table,
      "a734f11acc75c07f446bfc8acddbd9e5e23f783bb2be0b485268dba0818f0361"),
-    ("realization_check", lambda: verify_realization(2, 2, 2), RATIONAL,
+    ("realization_check", lambda: verify_realization(2, 2, 2),
      "9f809e322825c6c9b9338ad2e8625001441944befd87aadaa357b9bfd818af37"),
-    ("pairing_check", lambda: pairing_perfection_check(1, 1, 2), RATIONAL,
+    ("pairing_check", lambda: pairing_perfection_check(1, 1, 2),
      "f69d9fd538eb93865875e7458ec3bb8fc788e7c3513ffef1099bff737e8ccaea"),
-    ("regularity_check", lambda: regular_on_dual_check(3, 3, 2), RATIONAL,
+    ("regularity_check", lambda: regular_on_dual_check(3, 3, 2),
      "326f125d1f2868e74bb1d3755111118d7d80088a560166d0c39be48b7c5dc9bc"),
-    ("delta_profile", lambda: DeltaSequence(1, (0, None, -4)), RATIONAL,
+    ("delta_profile", lambda: DeltaSequence(1, (0, None, -4)),
      "ba845a99c252d50a98653b3a5ea89cbe321384fb76cd270f20d41d115334a1d3"),
     ("shift_search", lambda: shift_equiv_window(
-        delta(make_d(2, 10)), delta(make_d(2, 10)), 2), RATIONAL,
+        delta(make_d(2, 10)), delta(make_d(2, 10)), 2),
      "30b0c4c6b98fc9f56cf89f16731a5add2048c3d7af06ecb37270ffa4b7cede8b"),
     ("shift_search", lambda: shift_equiv_window(
-        delta(make_d(2, 10)), delta(make_d(3, 10)), 2), RATIONAL,
+        delta(make_d(2, 10)), delta(make_d(3, 10)), 2),
      "078f5dcf3de501ed417c797073ad2f39c18dbbac65a393737b0b47d13cfb8bb8"),
     ("independence_certificate", lambda: independence_certificate(
-        (_unit((1, 0)), _unit((0, 0), 3)), 14), PrimeField(32003),
+        (_unit((1, 0), Fp(1, 32003)), _unit((0, 0), Fp(3, 32003))), 14),
      "2f784b9982f71fb1152eb3c04ae31c300fad5afc3a4e978d29a9bcc4b6f8d88b"),
     ("check_report", lambda: CheckReport(
         "probe", 5, (independence_trials(seed=5, trials=10, lmax=12),), True),
-     RATIONAL, "e72d7ef1360df74efbbda7d2f6cd6d9bcbb2688c07b44970e14d74053cedf851"),
-    ("element", lambda: make_d(2, 4).scale(PrimeField(7).from_int(3)), PrimeField(7),
+     "e72d7ef1360df74efbbda7d2f6cd6d9bcbb2688c07b44970e14d74053cedf851"),
+    ("element", lambda: make_d(2, 4, field=PrimeField(7)).scale(3),
      "895adc731b99c12ae00809bed6fc0de370aa3ab8d35a349bab2e037443da9baa"),
 ]
 PINNED_IDS = [f"{case[0]}-{k}" for k, case in enumerate(PINNED)]
 
 
-@pytest.mark.parametrize("kind, build, field, digest", PINNED, ids=PINNED_IDS)
-def test_documents_are_pinned_and_reload(kind, build, field, digest):
+@pytest.mark.parametrize("kind, build, digest", PINNED, ids=PINNED_IDS)
+def test_documents_are_pinned_and_reload(kind, build, digest):
     obj = build()
-    payload = write_document(to_document(obj, field))
+    payload = write_document(to_document(obj))
     assert json.loads(payload)["kind"] == kind
     assert hashlib.sha256(payload).hexdigest() == digest
     restored = from_document(json.loads(payload))
     assert type(restored) is type(obj)
-    assert write_document(to_document(restored, field)) == payload
+    assert write_document(to_document(restored)) == payload
 
 
 def test_each_kind_is_built_by_the_module_named_for_it():
@@ -537,10 +561,10 @@ def _edited(doc, path, value=None):
 FIRST_OF_KIND = list({case[0]: case for case in reversed(PINNED)}.values())[::-1]
 
 
-@pytest.mark.parametrize("kind, build, field, digest", FIRST_OF_KIND,
+@pytest.mark.parametrize("kind, build, digest", FIRST_OF_KIND,
                          ids=[case[0] for case in FIRST_OF_KIND])
-def test_readers_refuse_malformed_documents(kind, build, field, digest):
-    doc = to_document(build(), field)
+def test_readers_refuse_malformed_documents(kind, build, digest):
+    doc = to_document(build())
     readers = [from_document] + ([element_from_document] if kind == "element" else [])
     other = "delta_profile" if kind == "element" else "element"
     for read in readers:

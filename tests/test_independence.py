@@ -27,7 +27,7 @@ from cohdual.independence import (
     make_d,
     shift_equiv_window,
 )
-from cohdual.fields import Fp
+from cohdual.fields import RATIONAL, Fp, PrimeField, field_of
 from conftest import (
     COEFFICIENT_KINDS,
     int_coefficient,
@@ -37,7 +37,6 @@ from conftest import (
     oracle_product,
     oracle_required_lmax,
     oracle_tail_start,
-    surviving_terms,
 )
 
 S2 = ModuleShape.series_shape(2)
@@ -46,6 +45,14 @@ RBOX = TruncationBox.uniform(2, 3)
 
 def poly(terms):
     return Element.from_terms(S2, RBOX, terms)
+
+
+def _over_one_field(term_maps, box=RBOX):
+    """Polynomials of the term maps in one frame, over the field of their
+    coefficients: an int joins it, and every one an int is rational."""
+    field = next((field_of(c) for terms in term_maps for c in terms.values()
+                  if type(c) is not int), RATIONAL)
+    return tuple(Element.from_terms(S2, box, terms, field=field) for terms in term_maps)
 
 
 def test_make_d_terms_and_default_box():
@@ -153,7 +160,7 @@ def test_decompose_reconstructs_randomly():
 
 def test_decompose_validation():
     with pytest.raises(ValueError):
-        decompose_r(Element.zero(S2, RBOX))
+        decompose_r(Element.zero(S2, RBOX, RATIONAL))
     with pytest.raises(InexactElementError):
         decompose_r(poly({(1, 0): 1})._replace(exact=False))
     with pytest.raises(ValueError):
@@ -213,7 +220,7 @@ def test_shift_search_short_windows_are_inconclusive():
 
 
 def test_auto_truncation_frozen():
-    zero = Element.zero(S2, RBOX)
+    zero = Element.zero(S2, RBOX, RATIONAL)
     one = poly({(0, 0): 1})
     y = poly({(0, 1): 1})
     assert auto_truncation((zero, one), 10).bounds == (10, 101)
@@ -222,7 +229,7 @@ def test_auto_truncation_frozen():
 
 
 def test_certificate_frozen_examples():
-    zero = Element.zero(S2, RBOX)
+    zero = Element.zero(S2, RBOX, RATIONAL)
     one = poly({(0, 0): 1})
     cert = independence_certificate((zero, one), 10)
     assert (cert.m0, cert.a, cert.b, cert.tail_start) == (2, 0, 0, 1)
@@ -286,8 +293,8 @@ def _random_r_list(rng, coefficient):
             for _ in range(rng.randint(1, 4)):
                 e = (rng.randint(0, 3), rng.randint(0, 3))
                 terms[e] = terms.get(e, 0) + coefficient(rng)
-        r_list.append(poly(terms))
-    return tuple(r_list)
+        r_list.append(terms)
+    return _over_one_field(r_list)
 
 
 def _assert_certificate_matches_oracle(r_list, lmax):
@@ -450,7 +457,7 @@ def test_required_lmax_for_a_huge_x_order():
     the 10^8 degrees before it: the least t = l - a with t^3 > l^2."""
     a = 10 ** 12
     box = TruncationBox((a, 0))
-    r_list = (Element.zero(S2, box), Element.from_terms(S2, box, {(0, 0): 1}),
+    r_list = (Element.zero(S2, box, RATIONAL), Element.from_terms(S2, box, {(0, 0): 1}),
               Element.from_terms(S2, box, {(a, 0): 1}))
     with pytest.raises(InconclusiveWindowError) as info:
         independence_certificate(r_list, 10)
@@ -474,7 +481,7 @@ def test_the_scan_oracle_agrees_on_the_pinned_windows():
     a = 10 ** 12
     box = TruncationBox((a, 5))
     for margin in (0, 5):
-        r_list = (Element.zero(S2, box), Element.from_terms(S2, box, {(0, margin): 1}),
+        r_list = (Element.zero(S2, box, RATIONAL), Element.from_terms(S2, box, {(0, margin): 1}),
                   Element.from_terms(S2, box, {(a, 0): 1}))
         with pytest.raises(InconclusiveWindowError) as info:
             independence_certificate(r_list, 10)
@@ -537,7 +544,7 @@ def test_tail_start_matches_the_scan_oracle():
     assert min(outcomes.values()) >= 4, outcomes
 
 
-# one coefficient draw per field: the prime fields mix in bare ints, some
+# one coefficient draw per field: the prime fields mix in ints, some
 # divisible by p, in every coefficient, the top one included
 ORACLE_DRAWS = {
     "int": int_coefficient,
@@ -564,7 +571,7 @@ def _oracle_r_list(rng, draw):
         r_list[rng.randrange(count - 1)] = {(rng.randint(0, 3), rng.randint(20, 40)): draw(rng)}
     r_list.append({(rng.randint(0, 3), rng.randint(0, 3)): draw(rng)
                    for _ in range(rng.randint(1, 4))})
-    return tuple(Element.from_terms(S2, TruncationBox((3, 40)), r) for r in r_list)
+    return _over_one_field(r_list, TruncationBox((3, 40)))
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_DRAWS))
@@ -591,17 +598,22 @@ def test_certificates_match_the_oracles(kind):
 
 
 def test_a_bare_int_that_vanishes_mod_p_is_no_term():
-    """Over GF(7) a bare 14 is 0: (a, b) come from X^2 Y^3, the term of the
-    top coefficient that survives, and an r_j of such ints counts as zero."""
-    box = TruncationBox((3, 40))
+    """In a GF(7) frame an int 14 is 0: (a, b) come from X^2 Y^3, the term
+    of the top coefficient that survives, and an r_j of such ints is zero.
+    The same ints in a rational frame are another field's and are refused."""
+    box, gf7 = TruncationBox((3, 40)), PrimeField(7)
     r_list = (Element.from_terms(S2, box, {(0, 23): Fp(4, 7)}),
-              Element.from_terms(S2, box, {(0, 1): 14, (2, 3): 1}))
+              Element.from_terms(S2, box, {(0, 1): 14, (2, 3): 1}, field=gf7))
     cert = independence_certificate(r_list, 40)
     assert (cert.m0, cert.a, cert.b) == (2, 2, 3)
-    assert cert.decomposition == decompose_r(Element.from_terms(S2, box, {(2, 3): 1}))
+    assert cert.decomposition == decompose_r(Element.from_terms(S2, box, {(2, 3): 1},
+                                                                field=gf7))
     assert cert.delta == oracle_certificate(r_list, 40)[3]
-    cert = independence_certificate(r_list + (Element.from_terms(S2, box, {(1, 0): 7}),), 40)
+    sevens = Element.from_terms(S2, box, {(1, 0): 7}, field=gf7)
+    cert = independence_certificate(r_list + (sevens,), 40)
     assert (cert.m0, cert.a, cert.b) == (2, 2, 3)
+    with pytest.raises(ValueError, match="^mixed coefficient fields: prime:7 and rational$"):
+        independence_certificate(r_list + (Element.from_terms(S2, box, {(1, 0): 7}),), 40)
 
 
 def _claim_the_tail_from(monkeypatch, t):
@@ -635,7 +647,7 @@ def test_a_tail_claimed_too_early_fails_the_check(monkeypatch):
     for _ in range(200):
         r_list = _oracle_r_list(rng, ORACLE_DRAWS[rng.choice(sorted(ORACLE_DRAWS))])
         m0, a, b, profile, _ = oracle_certificate(r_list, 40)
-        if m0 == 1 and any(x != a and y < b for x, y in surviving_terms(r_list)[0]):
+        if m0 == 1 and any(x != a and y < b for x, y in r_list[0].term_map()):
             continue  # never concludes, before any analysis
         cert = independence_certificate(r_list, 40)
         follows = all(profile.value(l) == b - (l - a) ** m0 for l in range(a + 1, 41))
@@ -672,8 +684,8 @@ def test_a_column_starting_inside_the_tail_is_compared_from_its_start(monkeypatc
               Element.from_terms(S2, box, {(0, 0): 1, (1, 2000): 1}))
     cert = independence_certificate(r_list, 12)
     assert (cert.tail_start, cert.delta) == (2, oracle_certificate(r_list, 12)[3])
-    monkeypatch.setattr(conftest, "make_d", lambda power, lmax, box=None:
-                        make_d(power + 2 * (power == 1), lmax, box))
+    monkeypatch.setattr(conftest, "make_d", lambda power, lmax, box=None, field=RATIONAL:
+                        make_d(power + 2 * (power == 1), lmax, box, field))
     profile = oracle_certificate(r_list, 12)[3]
     assert [l for l in range(13) if cert.delta.value(l) != profile.value(l)] == [10, 11, 12]
     assert (cert.delta.value(10), profile.value(10)) == (-100, -125)
@@ -712,8 +724,8 @@ def test_the_family_cache_keeps_no_entry_past_its_bound(monkeypatch):
 
 
 def _certify_past_2_to_the_64():
-    r_list = (poly({(0, 1): Fraction(1, 3)}), Element.zero(S2, RBOX),
-              Element.zero(S2, RBOX), poly({(0, 0): Fraction(-2, 5)}))
+    r_list = (poly({(0, 1): Fraction(1, 3)}), Element.zero(S2, RBOX, RATIONAL),
+              Element.zero(S2, RBOX, RATIONAL), poly({(0, 0): Fraction(-2, 5)}))
     return r_list, independence_certificate(r_list, 65_600)
 
 
@@ -732,7 +744,7 @@ def test_certificate_past_2_to_the_64():
 
 
 def test_certificate_degenerate_inputs():
-    zero = Element.zero(S2, RBOX)
+    zero = Element.zero(S2, RBOX, RATIONAL)
     with pytest.raises(DegenerateInputError):
         independence_certificate((), 10)
     with pytest.raises(DegenerateInputError):
@@ -746,7 +758,7 @@ def test_certificate_degenerate_inputs():
 def test_certificate_short_window_reports_requirement():
     one = poly({(0, 0): 1})
     with pytest.raises(InconclusiveWindowError) as info:
-        independence_certificate((Element.zero(S2, RBOX), one), 2)
+        independence_certificate((Element.zero(S2, RBOX, RATIONAL), one), 2)
     assert info.value.required_lmax == 3
 
 

@@ -18,7 +18,7 @@ from cohdual.algebra import (  # noqa: E402
     ring_act,
 )
 from cohdual.duality import matlis_pair  # noqa: E402
-from cohdual.fields import Fp  # noqa: E402
+from cohdual.fields import RATIONAL, Fp, PrimeField  # noqa: E402
 from conftest import coefficient_strings, oracle_product  # noqa: E402
 
 # derandomized, so every run draws the same examples; no shrinking, because
@@ -26,17 +26,18 @@ from conftest import coefficient_strings, oracle_product  # noqa: E402
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     phases=(Phase.explicit, Phase.generate))
 
+# per field, the field and a strategy for its coefficients (ints join the field)
 COEFFICIENTS = {
-    "rational": st.fractions(min_value=-9, max_value=9, max_denominator=6)
-    .filter(bool),
-    "prime:7": st.one_of(st.integers(1, 6).map(lambda v: Fp(v, 7)),
-                         st.sampled_from((7, 14, 3, -1))),
+    "rational": (RATIONAL, st.fractions(min_value=-9, max_value=9, max_denominator=6)
+                 .filter(bool)),
+    "prime:7": (PrimeField(7), st.one_of(st.integers(1, 6).map(lambda v: Fp(v, 7)),
+                                         st.sampled_from((7, 14, 3, -1)))),
 }
 
 
 @st.composite
 def frames(draw):
-    """(shape, box, coefficient strategy) with bounds small or past 2**64."""
+    """(shape, box, (field, coefficient strategy)) with bounds small or past 2**64."""
     n = draw(st.integers(1, 3))
     roles = tuple(draw(st.sampled_from((SERIES, INVERSE))) for _ in range(n))
     base = draw(st.sampled_from((0, 2 ** 64)))
@@ -48,13 +49,14 @@ def frames(draw):
 @st.composite
 def elements(draw, shape, box, coefficients):
     """Up to 12 terms, exponents at 0, 1, the wall or anywhere in between."""
+    field, coefficients = coefficients
     terms = []
     for _ in range(draw(st.integers(0, 12))):
         exps = tuple((1 if role == SERIES else -1) * draw(st.one_of(
             st.sampled_from((0, 1, b)), st.integers(0, b)))
             for role, b in zip(shape.roles, box.bounds))
         terms.append((exps, draw(coefficients)))
-    return Element.from_terms(shape, box, terms)
+    return Element.from_terms(shape, box, terms, field=field)
 
 
 def _matches(out, a, b, roles, bounds):

@@ -25,7 +25,7 @@ EAGER_EXPORTS = (
     "from_document", "parse_element", "read_document", "serialize_element",
     "to_document", "write_document",
     "Fp", "PrimeField", "RATIONAL", "RationalField", "field_from_descriptor",
-    "CertificateError", "DegenerateInputError", "DeltaSequence",
+    "DegenerateInputError", "DeltaSequence",
     "InconclusiveWindowError", "IndependenceCertificate", "InexactElementError",
     "RDecomposition", "ShiftSearch", "ShiftWitness", "auto_truncation",
     "decompose_r", "delta", "fit_shift_form", "independence_certificate",
