@@ -11,6 +11,7 @@ kernels read the field off the frame, never off the scalars.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 import re
 
 _SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?")  # used with fullmatch
@@ -210,10 +211,14 @@ RATIONAL = RationalField()
 Field = RationalField | PrimeField
 
 
+# one descriptor per p: tested for primality once, and matched on identity
+_prime_field = lru_cache(maxsize=64)(PrimeField)
+
+
 def field_of(value) -> Field:
     """The field of a scalar: Q for an int or a Fraction, GF(p) for an Fp."""
     if type(value) is Fp:
-        return PrimeField(value.p)
+        return _prime_field(value.p)
     if type(value) is int or type(value) is Fraction:
         return RATIONAL
     raise ValueError(f"not an exact scalar: {value!r}")
@@ -231,5 +236,5 @@ def field_from_descriptor(text: str) -> Field:
         return RATIONAL
     digits = text[len("prime:"):]
     if text.startswith("prime:") and digits.isascii() and digits.isdigit():
-        return PrimeField(int(digits))
+        return _prime_field(int(digits))
     raise ValueError(f"unknown field descriptor: {text!r}")

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, countOf, eq, gt, neg
+from operator import add, countOf, eq, gt, neg, sub
 from typing import NamedTuple
 
 from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _check_field
@@ -168,21 +168,22 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None,
                    tuple(((l, -(l ** power)), one) for l in range(lmax + 1)))
 
 
-@lru_cache(maxsize=4)
-def _negated_powers(power: int, lmax: int) -> tuple[int, ...]:
-    """-l^power for l = 0..lmax: d_power's Y-exponents by X-degree, from the
-    closed form.  Only a certificate's top index m0 needs them up to lmax, so
-    a certificate holds one entry: at most 4 * (largest lmax + 1) exponents."""
-    return tuple(map(neg, map(pow, range(lmax + 1), repeat(power))))
+@lru_cache(maxsize=32)
+def _tails(power: int, lmax: int, b: int) -> tuple[int, ...]:
+    """b - k^power for k = 0..lmax, with ``pow``: a tail's closed form, its
+    degree l at k = l - a, so a certificate slices its tail and adds nothing.
+    One entry per (m0, lmax, b); m0 <= 4 and b <= 4 at one lmax need 20, and
+    the 32 held are at most 32 * (largest lmax + 1) exponents."""
+    return tuple(map(sub, repeat(b), map(pow, range(lmax + 1), repeat(power))))
 
 
 @lru_cache(maxsize=32)
 def _prefixes(powers: tuple[int, ...], cut: int) -> tuple[tuple[int, ...], ...]:
-    """-l^j for l < cut, one tuple per j in powers: the lower indices' columns
-    stop before the tail, so a certificate holds one entry keyed by (its lower
-    indices, tail_start), of len(powers) * tail_start exponents.  tail_start
-    is at most a + max(a + 1, 2^(m0-1) + b + 1), set by the top coefficient
-    and not by lmax, so 32 entries stay small."""
+    """-l^j for l < cut, one tuple per j in powers: every column, the top
+    index's too, stops before the tail, so a certificate holds one entry keyed
+    by (its nonzero indices, tail_start), of len(powers) * tail_start
+    exponents.  tail_start is at most a + max(a + 1, 2^(m0-1) + b + 1), set
+    by the top coefficient and not by lmax, so 32 entries stay small."""
     return tuple(tuple(map(neg, map(pow, range(cut), repeat(j)))) for j in powers)
 
 
@@ -309,17 +310,11 @@ def auto_truncation(r_list: tuple[Element, ...], lmax: int) -> TruncationBox:
     lmax^m0 plus the largest Y-degree plus one, with m0 the top nonzero
     index (an empty or all-zero list gets the minimal box for m0 = 1).
     """
-    m0 = 0
-    max_x = 0
-    max_y = 0
-    for j, r in enumerate(r_list, start=1):
-        if r.is_zero:
-            continue
-        m0 = j
-        max_x = max(max_x, max(e[0] for e, _ in r.terms))
-        max_y = max(max_y, max(e[1] for e, _ in r.terms))
-    if m0 == 0:
-        m0 = 1
+    live = [(j, r.terms) for j, r in enumerate(r_list, start=1) if r.terms]
+    m0 = live[-1][0] if live else 1
+    # terms ascend lexicographically, so the last has the largest X-degree
+    max_x = max([0, *[terms[-1][0][0] for _, terms in live]])
+    max_y = max([0, *[e[1] for _, terms in live for e, _ in terms]])
     return TruncationBox((lmax + max_x, lmax ** m0 + max_y + 1))
 
 
@@ -349,12 +344,12 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
         if not r.exact:
             raise InexactElementError("coefficient polynomials must be exact")
         _check_field(r_list[0], r)
-    if all(r.is_zero for r in r_list):
+    live = [(j, r) for j, r in enumerate(r_list, start=1) if r.terms]
+    if not live:
         raise DegenerateInputError("every coefficient polynomial is zero")
     box = auto_truncation(r_list, lmax)
     if lmax < 0:  # make_d's own check, made before the dominance analysis
         raise ValueError(f"lmax must be nonnegative, got {lmax}")
-    live = [(j, r) for j, r in enumerate(r_list, start=1) if not r.is_zero]
     m0 = live[-1][0]
 
     dec = decompose_r(live[-1][1])
@@ -427,15 +422,14 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
 
     ``live`` holds (j, r_j) for the nonzero r_j, the top index m0 last.
     From tail_start on the dominance analysis forces the profile to be
-    b - (l - a)^m0.  Before it, a term c X^x Y^y of r_j gives at each l >= x
-    the candidate y - (l - x)^j, killed if positive; the least y per (j, x)
-    gives a column, and the profile is the least entry per degree of the
-    columns.  Where two or more reach it their coefficients are re-summed,
-    and if they cancel every candidate at that degree is."""
+    b - (l - a)^m0, sliced from its memo.  Before it, a term c X^x Y^y of
+    r_j gives at each l >= x the candidate y - (l - x)^j, killed if
+    positive; the least y per (j, x) gives a column, and the profile is the
+    least entry per degree of the columns.  Where two or more reach it their
+    coefficients are re-summed, and if they cancel every candidate at that
+    degree is."""
     columns, candidates = [], []
-    top = _negated_powers(live[-1][0], lmax)
-    lower = _prefixes(tuple(j for j, _ in live[:-1]), tail_start)
-    for (_, r), ys in zip(live, lower + (top,)):
+    for (_, r), ys in zip(live, _prefixes(tuple(j for j, _ in live), tail_start)):
         column_x = -1
         for (x, y), c in r.terms:  # ascending, so the first term per x has its least y
             if x < tail_start:
@@ -459,5 +453,4 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
             if x <= l and y + ys[l - x] <= 0:
                 sums[y + ys[l - x]] = sums.get(y + ys[l - x], 0) + c
         entries[l] = min((w for w, total in sums.items() if total), default=None)
-    tail = top[tail_start - a:lmax + 1 - a]
-    return tuple(entries) + (tuple(map(add, tail, repeat(b))) if b else tail)
+    return tuple(entries) + _tails(live[-1][0], lmax, b)[tail_start - a:lmax + 1 - a]

@@ -25,7 +25,7 @@ from cohdual.algebra import (
     ring_act,
 )
 from cohdual.duality import matlis_pair
-from cohdual.fields import RATIONAL, Fp, PrimeField
+from cohdual.fields import RATIONAL, Fp, PrimeField, field_from_descriptor, field_of
 from conftest import coefficient_strings, oracle_product
 
 S2 = ModuleShape((SERIES, INVERSE))
@@ -169,6 +169,22 @@ def test_elements_over_different_fields_differ():
     assert len({rational, residue}) == 2
     assert Element.zero(S2, BOX, RATIONAL) != Element.zero(S2, BOX, PrimeField(7))
     assert residue == Element.from_terms(S2, BOX, {(0, 0): 3}, field=PrimeField(7))
+
+
+def test_fields_inferred_or_read_for_one_p_are_one_object():
+    """Each p gets one descriptor: two fields inferred from coefficients, or
+    read from a descriptor, are the same object, and it compares, hashes
+    and describes itself as a freshly built one does."""
+    inferred = [Element.from_terms(S2, BOX, {(0, 0): Fp(c, 32003)}).field for c in (3, 5)]
+    read = field_from_descriptor("prime:32003")
+    assert inferred[0] is inferred[1] is field_of(Fp(1, 32003)) is read
+    fresh = PrimeField(32003)
+    assert fresh is not read
+    assert (read == fresh, hash(read), read.descriptor) == (True, hash(fresh), "prime:32003")
+    assert field_of(Fp(1, 7)) is not read and field_of(Fp(1, 7)) != read
+    a = Element.from_terms(S2, BOX, {(0, 0): Fp(2, 32003)})
+    b = Element.from_terms(S2, BOX, {(1, 0): 4}, field=read)
+    assert (a + b).field is read
 
 
 def test_a_frame_brings_ints_into_its_field():

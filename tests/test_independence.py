@@ -379,15 +379,15 @@ FAMILY_DRAWS = {
     *((kind, lmax) for lmax in (8, 100) for kind in sorted(FAMILY_DRAWS)),
     *((kind, lmax) for lmax in (1000, 3000) for kind in ("fraction", "gf32003"))])
 def test_cached_family_certificates_match_oracle(kind, lmax):
-    """Certificates read from the memo of the d-family's closed form equal
-    the element-path oracle, first with the memo emptied (each top index's
-    (power, lmax) computed on its first use) and then with every one held."""
+    """Certificates whose tails are sliced from the memo of b - k^m0 equal
+    the element-path oracle, first with the memo emptied (each (m0, lmax, b)
+    computed on its first use) and then with every one held."""
     rng = random.Random(f"family/{kind}/{lmax}")
     combinations = [tuple(poly({(rng.randint(0, 3), rng.randint(0, 3)): FAMILY_DRAWS[kind](rng)
                                 for _ in range(rng.randint(1, 2))})
                           for _ in range(rng.randint(1, 3)))
                     for _ in range(12)]
-    independence._negated_powers.cache_clear()
+    independence._tails.cache_clear()
     for warmth in ("cold", "warm"):
         tops = []
         for r_list in combinations:
@@ -395,10 +395,11 @@ def test_cached_family_certificates_match_oracle(kind, lmax):
                 _assert_certificate_matches_oracle(r_list, lmax)
             except InconclusiveWindowError:
                 continue
-            tops.append(independence_certificate(r_list, lmax).m0)
+            cert = independence_certificate(r_list, lmax)
+            tops.append((cert.m0, cert.b))
         assert len(tops) >= 6, warmth
-        # each top index's d_m0 is computed once, on its first use
-        assert independence._negated_powers.cache_info().misses == len(set(tops)), warmth
+        # each (m0, b) has its tail computed once, on its first use
+        assert independence._tails.cache_info().misses == len(set(tops)), warmth
 
 
 @pytest.mark.parametrize("terms, required", [
@@ -622,16 +623,19 @@ def _claim_the_tail_from(monkeypatch, t):
                         lambda *args: [(1, t - 1)] if t > 1 else [])
 
 
-def _independence_line():
+PINNED_SEEDS = (1729, 5, 701)  # the seeds whose suite digests are pinned
+
+
+def _independence_line(seed=None):
     from cohdual.checks import DEFAULT_SEED, run_suite
 
-    report = run_suite("independence", DEFAULT_SEED)
+    report = run_suite("independence", DEFAULT_SEED if seed is None else seed)
     return next(line for line in report.lines
                 if line.name == "independence-random-combinations"), report.passed
 
 
-def _assert_the_check_fails():
-    line, passed = _independence_line()
+def _assert_the_check_fails(seed=None):
+    line, passed = _independence_line(seed)
     assert not line.passed and not passed
     assert "cross-checks failed on trials [" in line.detail
 
@@ -692,35 +696,42 @@ def test_a_column_starting_inside_the_tail_is_compared_from_its_start(monkeypatc
 
 
 def test_the_family_cache_keeps_no_entry_past_its_bound(monkeypatch):
-    """The memo of the d-family's closed form holds at most four (power,
-    lmax) entries, one per certificate's top index, and the lower indices'
-    prefixes before the tail are kept apart: at lmax 20,000 a repeated
-    certificate computes nothing again, with m0 = 4 and with m0 = 5."""
-    memo, prefixes = independence._negated_powers, independence._prefixes
-    assert (memo.cache_info().maxsize, prefixes.cache_info().maxsize) == (4, 32)
+    """The memo of the tails' closed form b - k^m0 holds at most 32 (m0,
+    lmax, b) entries, one per certificate, the least recently used going
+    first, and the prefixes before the tail are kept apart: at lmax 20,000
+    a repeated certificate computes nothing again, with m0 = 4 and with
+    m0 = 5, and b = 0 or not."""
+    memo, prefixes = independence._tails, independence._prefixes
+    assert (memo.cache_info().maxsize, prefixes.cache_info().maxsize) == (32, 32)
     memo.cache_clear()
     prefixes.cache_clear()
-    assert memo(2, 10) == tuple(-(l * l) for l in range(11))
+    assert memo(2, 10, 3) == tuple(3 - l * l for l in range(11))
     assert prefixes((1, 3), 4) == ((0, -1, -2, -3), (0, -1, -8, -27))
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
     cert = independence_certificate(r_list, 20_000)
-    assert memo.cache_info()[1:] == (2, 4, 2)  # misses, maxsize, currsize
+    assert memo.cache_info()[1:] == (2, 32, 2)  # misses, maxsize, currsize
     assert independence_certificate(r_list, 20_000) == cert
-    assert memo.cache_info()[1:] == (2, 4, 2)
+    assert memo.cache_info()[1:] == (2, 32, 2)
     assert prefixes.cache_info()[1:] == (2, 32, 2)
     calls = []
     monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
                         raising=False)
-    five = r_list + (poly({(0, 0): 1}),)
-    cert = independence_certificate(five, 20_000)
-    assert cert.m0 == 5 and len(calls) == 20_001 + 4 * cert.tail_start
-    calls.clear()
-    for _ in range(3):
-        assert independence_certificate(five, 20_000) == cert
-    assert calls == []
-    _certify_past_2_to_the_64()
-    assert memo.cache_info().currsize == 4
+    # both have tail_start 2, so the second finds its prefixes held
+    for top, cold in (({(0, 0): 1}, 20_001 + 5 * 2), ({(0, 2): 1, (1, 0): 1}, 20_001)):
+        five = r_list + (poly(top),)
+        cert = independence_certificate(five, 20_000)
+        assert (cert.m0, cert.tail_start, len(calls)) == (5, 2, cold)
+        calls.clear()
+        for _ in range(3):
+            assert independence_certificate(five, 20_000) == cert
+        assert calls == []
+    monkeypatch.undo()
+    for b in range(32):
+        memo(1, 3, b)
+    assert memo.cache_info().currsize == 32
+    assert memo(2, 10, 3) == tuple(3 - l * l for l in range(11))
+    assert memo.cache_info()[1:] == (37, 32, 32)  # (2, 10, 3) had been dropped
 
 
 def _certify_past_2_to_the_64():
@@ -797,17 +808,17 @@ def test_a_family_reaching_below_the_automatic_box_fails_the_check(monkeypatch):
 
 def test_each_entry_is_checked_against_its_closed_form_once(monkeypatch):
     """Each memo entry is a closed form, computed with ``pow`` once: a cold
-    certificate pays one pass over 0..lmax for its top index and one over
-    the prefix before the tail for each lower index, a warm one none."""
+    certificate pays one pass over 0..lmax for its tail and one over the
+    prefix before the tail for each nonzero index, a warm one none."""
     calls = []
     monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
                         raising=False)
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
-    independence._negated_powers.cache_clear()
+    independence._tails.cache_clear()
     independence._prefixes.cache_clear()
     cert = independence_certificate(r_list, 50)
-    assert (cert.m0, cert.tail_start, len(calls)) == (4, 2, 51 + 3 * 2)
+    assert (cert.m0, cert.tail_start, len(calls)) == (4, 2, 51 + 4 * 2)
     calls.clear()
     assert independence_certificate(r_list, 50) == cert
     assert calls == []
@@ -832,24 +843,71 @@ def test_independence_check_fails_on_a_broken_family(monkeypatch):
 def test_a_broken_family_fails_the_check_with_a_warm_cache(monkeypatch):
     """The memo filled by a passing run does not hide a broken make_d."""
     assert _independence_line()[0].passed
-    assert independence._negated_powers.cache_info().currsize > 0
+    assert independence._tails.cache_info().currsize > 0
     _break_the_family(monkeypatch)
     _assert_the_check_fails()
 
 
+def _tails_keyed_by(monkeypatch, key):
+    """Make the tail memo hand out the first tail computed under ``key``."""
+    real = independence._tails
+    held = {}
+
+    def keyed(power, lmax, b):
+        return held.setdefault(key(power, lmax, b), real(power, lmax, b))
+
+    monkeypatch.setattr(independence, "_tails", keyed)
+
+
 def test_a_family_cache_keyed_without_the_power_fails_the_check(monkeypatch):
-    """A memo that hands every j the first d_j computed at that lmax must
-    make the independence check FAIL."""
-    real = independence._negated_powers
-    by_lmax = {}
+    """A tail memo that hands every m0 the first tail computed at that
+    (lmax, b) must make the independence check FAIL at every pinned seed."""
+    _tails_keyed_by(monkeypatch, lambda power, lmax, b: (lmax, b))
+    for seed in PINNED_SEEDS:
+        _assert_the_check_fails(seed)
 
-    def keyed_without_power(power, lmax):
-        if lmax not in by_lmax:
-            by_lmax[lmax] = real(power, lmax)
-        return by_lmax[lmax]
 
-    monkeypatch.setattr(independence, "_negated_powers", keyed_without_power)
-    _assert_the_check_fails()
+def test_a_tail_cache_keyed_without_b_fails_the_check(monkeypatch):
+    """A tail memo that hands every b the first tail computed at that
+    (m0, lmax) must make the independence check FAIL at every pinned seed."""
+    _tails_keyed_by(monkeypatch, lambda power, lmax, b: (power, lmax))
+    for seed in PINNED_SEEDS:
+        _assert_the_check_fails(seed)
+
+
+def test_a_warm_tail_is_a_slice_of_the_memo(monkeypatch):
+    """A certificate with b != 0 at lmax 20,000 does no arithmetic on its
+    tail: each tail entry is the memo's own int object, and a warm
+    certificate calls ``pow`` nowhere."""
+    r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(0, 3): 2, (1, 1): 1}))
+    cert = independence_certificate(r_list, 20_000)
+    assert (cert.m0, cert.a, cert.b) == (2, 0, 3)
+    calls = []
+    monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
+                        raising=False)
+    warm = independence_certificate(r_list, 20_000)
+    assert warm == cert and calls == []
+    memo = independence._tails(2, 20_000, 3)
+    assert all(warm.delta.entries[l] is memo[l - warm.a]
+               for l in range(warm.tail_start, 20_001))
+    assert warm.delta.entries[-1] == 3 - 20_000 ** 2
+
+
+@pytest.mark.parametrize("m0", [1, 2, 3, 4])
+def test_every_top_index_and_shift_matches_the_oracle_cold_and_warm(m0):
+    """For each b in 0..4 at lmax 1,000, the profile read with the memos
+    emptied and the one read from them warm both equal the element path."""
+    box = TruncationBox.uniform(2, 4)
+    for b in range(5):
+        top = Element.from_terms(S2, box, {(0, b): Fraction(2, 3), (1, b): 5})
+        r_list = tuple(Element.from_terms(S2, box, {(0, 0): j + 1, (1, 2): Fraction(-1, j)})
+                       for j in range(1, m0)) + (top,)
+        profile = oracle_certificate(r_list, 1000)[3]
+        independence._tails.cache_clear()
+        independence._prefixes.cache_clear()
+        for warmth in ("cold", "warm"):
+            cert = independence_certificate(r_list, 1000)
+            assert (cert.m0, cert.b, cert.delta) == (m0, b, profile), (b, warmth)
 
 
 def test_prefixes_keyed_without_the_power_fail_the_check(monkeypatch):

@@ -59,6 +59,25 @@ def test_exports_are_read_through_on_every_access(monkeypatch):
     assert "ring_act" not in vars(cohdual)
 
 
+def test_a_wrapper_set_after_the_first_access_is_returned(monkeypatch):
+    """The submodule is read from ``sys.modules`` once imported, and its
+    attribute is looked up on every access: a wrapper set on the submodule
+    after the package has already served the name is what it serves next."""
+    import cohdual.independence as independence
+
+    first = cohdual.independence_certificate
+    assert first is independence.independence_certificate
+
+    def wrapper(r_list, lmax):
+        return first(r_list, lmax)
+
+    monkeypatch.setattr(independence, "independence_certificate", wrapper)
+    assert cohdual.independence_certificate is wrapper
+    assert "independence_certificate" not in vars(cohdual)
+    monkeypatch.undo()
+    assert cohdual.independence_certificate is first
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         cohdual.nope
