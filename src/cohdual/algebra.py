@@ -27,16 +27,16 @@ term through a series-side wall records the loss by clearing the element's
 Terms are made in two places.  Products go through :func:`_product`, the
 kernel entry of :func:`ring_act` and :func:`duality.matlis_pair` (a product
 both contracted and outside the box is a kill, never a loss), with the
-prime p of the frame's field (None for Q): with a one-term operand c*X^a,
-:func:`_shifted` shifts the other's terms by a and scales them by c;
-otherwise :func:`_accumulate` sums the products as plain ints (residues
-mod p, or numerators over one common denominator unless that is 1) and
-:func:`_canonical` raises each sum to an ``Fp`` or a ``Fraction`` once.
-Sums of terms go through :func:`_summed`: :meth:`Element.from_terms` and
-:func:`linear_combine` call it, and so does ``+``, directly on the two term
-tuples (``a - b`` is ``a + -b``).  A map that keeps terms distinct and in
-lexicographic order (a shift, a derivation, a quotient, a negation, a layer
-split) builds its term tuple directly.
+prime p of the frame's field (None for Q).  :func:`_shifted`, the one loop
+with walls, shifts terms by a one-term operand c*X^a and scales them by c;
+with two or more terms on each side, each term of the shorter operand
+shifts the other's plain-int stand-ins (:func:`_lowered`), and each
+nonzero sum of the pieces is raised to an ``Fp`` or a ``Fraction`` once.
+Every sum of terms goes through :func:`_summed`: products,
+:meth:`Element.from_terms` and :func:`linear_combine` call it, and so does
+``+``, directly on the two term tuples (``a - b`` is ``a + -b``).  A map
+that keeps terms distinct and in lexicographic order (a shift, a derivation,
+a quotient, a negation, a layer split) builds its term tuple directly.
 """
 
 from __future__ import annotations
@@ -339,74 +339,42 @@ def _window(roles: tuple[str, ...], bounds: tuple[int, ...]):
     return lo, hi, tuple(inf if r == SERIES else 0 for r in roles)
 
 
-def _accumulate(a_terms, b_terms, p: int | None, lo: Exponents | None, hi: Exponents,
-                kill):
-    """Sum the products of the terms of a and b, over GF(p) or Q, inside lo..hi.
-
-    Above hi is a contraction kill (exact) if it exceeds ``kill`` somewhere,
-    else a loss: kills take precedence.  Below lo (None: cannot happen) is a
-    loss.  The coefficients are nonzero in one field, so no product of two
-    vanishes.  Returns ``(acc, den, dropped)``: acc maps exponent tuples to
-    the sums of the :func:`_lowered` stand-ins (residues mod p, numerators
-    over den, or coefficients as they are); zero sums stay in acc."""
-    a_terms, b_terms, den = _lowered(a_terms, b_terms, p)
-    acc: dict = {}
-    dropped = False
-    for ea, ca in a_terms:
-        for eb, cb in b_terms:
-            out = tuple(map(add, ea, eb))
-            if not all(map(le, out, hi)):
-                if all(map(le, out, kill)):
-                    dropped = True
-            elif lo is None or all(map(le, lo, out)):
-                acc[out] = acc[out] + ca * cb if out in acc else ca * cb
-            else:
-                dropped = True
-    return acc, den, dropped
-
-
-def _canonical(acc, p, den):
-    """The nonzero sums of :func:`_accumulate` as sorted ``Fp``/``Fraction`` terms."""
-    if p is not None:
-        items = [(e, Fp(v, p)) for e, v in acc.items() if v % p]
-    elif den is not None:
-        items = [(e, Fraction(v, den)) for e, v in acc.items() if v]
-    else:
-        items = [item for item in acc.items() if item[1]]
-    items.sort()
-    return tuple(items)
-
-
 def _product(a_terms, b_terms, p, lo, hi, kill):
     """Finished ``(terms, dropped)`` of a*b over GF(p) (Q when p is None) in
-    lo..hi, the walls of :func:`_accumulate`."""
+    lo..hi, the walls of :func:`_shifted`."""
     if not (a_terms and b_terms):
         return (), False
-    if len(b_terms) == 1:
+    if len(b_terms) < len(a_terms):
         a_terms, b_terms = b_terms, a_terms
     if len(a_terms) == 1:
         return _shifted(a_terms, b_terms, lo, hi, kill)
-    acc, den, dropped = _accumulate(a_terms, b_terms, p, lo, hi, kill)
-    return _canonical(acc, p, den), dropped
+    a_terms, b_terms, den = _lowered(a_terms, b_terms, p)
+    pieces, dropped = _shifted(a_terms, b_terms, lo, hi, kill)
+    sums = _summed(pieces)
+    if p is not None:
+        sums = tuple([(e, Fp(v, p)) for e, v in sums if v % p])
+    elif den is not None:
+        sums = tuple([(e, Fraction(v, den)) for e, v in sums])
+    return sums, dropped
 
 
-def _shifted(one, terms, lo, hi, kill):
-    """One term c*X^a times canonical ``terms``: each shifted by a and scaled by c.
-    The shift keeps them distinct and in order, and c times a nonzero
-    coefficient of their common field is a nonzero one of it, so nothing is
-    summed, dropped or sorted."""
-    ((shift, c),) = one
+def _shifted(ones, terms, lo, hi, kill):
+    """Canonical ``terms`` times each term c*X^a of ``ones``: shifted by a, scaled by c.
+    Past hi is a kill (exact) if past ``kill`` somewhere, else a loss; below lo
+    (None: cannot happen) is a loss.  No product vanishes, and one term keeps
+    ``terms`` distinct and in order: only the pieces of several need summing."""
     out = []
     dropped = False
-    for e, x in terms:
-        e = tuple(map(add, shift, e))
-        if not all(map(le, e, hi)):
-            if all(map(le, e, kill)):
+    for shift, c in ones:
+        for e, x in terms:
+            e = tuple(map(add, shift, e))
+            if not all(map(le, e, hi)):
+                if all(map(le, e, kill)):
+                    dropped = True
+            elif lo is None or all(map(le, lo, e)):
+                out.append((e, c * x))
+            else:
                 dropped = True
-        elif lo is None or all(map(le, lo, e)):
-            out.append((e, c * x))
-        else:
-            dropped = True
     return tuple(out), dropped
 
 

@@ -123,6 +123,7 @@ class Fp:
 class RationalField:
     """Descriptor for exact rational coefficients."""
 
+    __slots__ = ()  # no instance attributes, so every assignment is refused
     descriptor = "rational"
     p = None  # no prime: products are formed over a common denominator
     one = Fraction(1)
@@ -161,10 +162,18 @@ class RationalField:
 class PrimeField:
     """Descriptor for coefficients in the prime field of ``p`` elements."""
 
+    __slots__ = ("p",)
+
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"not a prime: {p}")
-        self.p = p
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, val):  # immutable: one descriptor per p is shared
+        raise AttributeError("PrimeField descriptors are immutable")
+
+    def __reduce__(self):  # copies and pickles rebuild rather than set slots
+        return PrimeField, (self.p,)
 
     @property
     def descriptor(self) -> str:

@@ -41,7 +41,7 @@ from itertools import compress, repeat
 from operator import add, countOf, eq, gt, neg, sub
 from typing import NamedTuple
 
-from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _check_field
+from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _check_field, _summed
 from .fields import RATIONAL, Field
 
 D_SHAPE = ModuleShape((SERIES, INVERSE))
@@ -448,9 +448,7 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
         row, v = rows[l], least[l]
         if v > 0 or sum(compress(coefficients, map(eq, row, repeat(v)))):
             continue
-        sums: dict = {}
-        for ys, x, y, c in candidates:
-            if x <= l and y + ys[l - x] <= 0:
-                sums[y + ys[l - x]] = sums.get(y + ys[l - x], 0) + c
-        entries[l] = min((w for w, total in sums.items() if total), default=None)
+        sums = _summed([(y + ys[l - x], c) for ys, x, y, c in candidates
+                        if x <= l and y + ys[l - x] <= 0])
+        entries[l] = sums[0][0] if sums else None
     return tuple(entries) + _tails(live[-1][0], lmax, b)[tail_start - a:lmax + 1 - a]

@@ -4,6 +4,8 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from math import inf
+from operator import add, sub
 
 import pytest
 
@@ -454,12 +456,13 @@ def test_algebra_suite_fails_on_squared_residues(monkeypatch):
 
 def test_algebra_suite_fails_on_halved_rational_products(monkeypatch):
     """A Q kernel whose common denominator is doubled in the output must FAIL."""
-    canonical = algebra._canonical
+    lowered = algebra._lowered
 
-    def halved(acc, p, den):
-        return canonical(acc, p, None if den is None else 2 * den)
+    def halved(a_terms, b_terms, p):
+        a_terms, b_terms, den = lowered(a_terms, b_terms, p)
+        return a_terms, b_terms, None if den is None else 2 * den
 
-    monkeypatch.setattr(algebra, "_canonical", halved)
+    monkeypatch.setattr(algebra, "_lowered", halved)
     assert not _algebra_line().passed
 
 
@@ -469,41 +472,35 @@ def _field_of(*operands):
 
 
 def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
-    """The algebra line takes the shift path over bare ints, Q and GF(p),
-    and the merge path over lowered Q and lowered GF(p).  Its products of
-    bare ints have a one-term operand, so the merge path multiplies bare
-    ints as they are in the duality suite's balance line."""
-    shifted, accumulate = algebra._shifted, algebra._accumulate
+    """The algebra line forms one-term products over bare ints, Q and GF(p),
+    and products of two or more terms on each side over lowered Q and
+    lowered GF(p).  Its products of bare ints have a one-term operand, so
+    bare ints are multiplied as they are in the duality suite's balance
+    line."""
+    import cohdual.duality as duality
+
+    real = algebra._product
     seen = set()
 
-    def shift_counted(one, terms, lo, hi, kill):
-        seen.add(("shift", _field_of(one, terms)))
-        return shifted(one, terms, lo, hi, kill)
+    def counted(a_terms, b_terms, p, lo, hi, kill):
+        if min(len(a_terms), len(b_terms)) == 1:
+            seen.add(("one-term", _field_of(a_terms, b_terms)))
+        elif a_terms and b_terms:
+            if p is not None:
+                seen.add(("lowered", "GF(p)"))
+            elif algebra._lowered(a_terms, b_terms, p)[2] is not None:
+                seen.add(("lowered", "Q"))
+            else:
+                seen.add(("as-is", _field_of(a_terms, b_terms)))
+        return real(a_terms, b_terms, p, lo, hi, kill)
 
-    def merge_counted(a_terms, b_terms, p, lo, hi, kill):
-        out = accumulate(a_terms, b_terms, p, lo, hi, kill)
-        _, den, _ = out
-        if p is not None:
-            seen.add(("merge", "GF(p)"))
-        elif den is not None:
-            seen.add(("merge", "Q"))
-        elif all(type(c) is int for terms in (a_terms, b_terms) for _, c in terms):
-            seen.add(("merge", "int"))
-        return out
-
-    monkeypatch.setattr(algebra, "_shifted", shift_counted)
-    monkeypatch.setattr(algebra, "_accumulate", merge_counted)
+    monkeypatch.setattr(algebra, "_product", counted)
+    monkeypatch.setattr(duality, "_product", counted)
     assert _algebra_line().passed
-    assert seen == {("shift", "int"), ("shift", "Q"), ("shift", "GF(p)"),
-                    ("merge", "Q"), ("merge", "GF(p)")}
+    assert seen == {("one-term", "int"), ("one-term", "Q"), ("one-term", "GF(p)"),
+                    ("lowered", "Q"), ("lowered", "GF(p)")}
     assert run_suite("duality", DEFAULT_SEED).passed
-    assert ("merge", "int") in seen
-
-
-def _merged(a_terms, b_terms, p, lo, hi, kill):
-    """The merge path on any operands: the oracle of the shift path."""
-    acc, den, dropped = algebra._accumulate(a_terms, b_terms, p, lo, hi, kill)
-    return algebra._canonical(acc, p, den), dropped
+    assert ("as-is", "int") in seen
 
 
 def _printed(terms):
@@ -538,19 +535,25 @@ def _placed(terms, shape, box, field):
         field=field)
 
 
-def _assert_as_merged(out, a, b, lo=None):
-    _, hi, kill = algebra._window(out.shape.roles, out.box.bounds)
-    terms, dropped = _merged(a.terms, b.terms, out.field.p, lo, hi, kill)
-    assert (_printed(out.terms), out.exact) == (_printed(terms), not dropped)
+def _oracle(a_terms, b_terms, roles, bounds, walled):
+    """:func:`oracle_product` of raw terms (exponents in -4..4) as sorted
+    terms and a drop flag.  Without a lower wall, a's series exponents are
+    lifted by 16 and every bound widened by 16, which puts the lower walls
+    out of the products' reach, and the lift is taken off the result."""
+    lift = tuple(16 if role == SERIES and not walled else 0 for role in roles)
+    a_terms = {tuple(map(add, e, lift)): c for e, c in a_terms}
+    bounds = bounds if walled else tuple(b + 16 for b in bounds)
+    terms, exact = oracle_product(a_terms, dict(b_terms), roles, bounds)
+    return sorted((tuple(map(sub, e, lift)), c) for e, c in terms.items()), not exact
 
 
 @pytest.mark.parametrize("field", sorted(_SHIFT_DRAWS))
 def test_shift_path_matches_the_merge_path(field):
-    """One-term times k-term products (k = 0..6, on either side) agree with
-    the merge path in terms, printed coefficients and drop flag: with no
-    lower wall (ring_act's box), inside a mixed box where kills and losses
-    meet, and into a narrow pairing box; ring_act and matlis_pair agree
-    with it."""
+    """One-term times k-term products (k = 0..6, on either side) and
+    products of 2..5 terms on each side agree with the oracle in terms,
+    printed coefficients and drop flag: with no lower wall (ring_act's
+    box), inside a mixed box where kills and losses meet, and into a narrow
+    pairing box; so do ring_act and matlis_pair."""
     rng = random.Random(f"shift/{field}")
     p, draw = _SHIFT_DRAWS[field]
     field = RATIONAL if p is None else PrimeField(p)
@@ -559,28 +562,29 @@ def test_shift_path_matches_the_merge_path(field):
         n = rng.randint(1, 3)
         roles = tuple(rng.choice((SERIES, INVERSE)) for _ in range(n))
         bounds = tuple(rng.randint(0, 3) for _ in range(n))
-        one = _raw_terms(rng, 1, n, 4, draw)
-        other = _raw_terms(rng, rng.randint(0, 6), n, 4, draw)
-        operands = (one, other) if rng.random() < 0.5 else (other, one)
+        k = rng.randint(0, 6)
+        sizes = rng.choice(((1, k), (k, 1), (rng.randint(2, 5), rng.randint(2, 5))))
+        operands = tuple(_raw_terms(rng, size, n, 4, draw) for size in sizes)
         lo, hi, kill = algebra._window(roles, bounds)
         narrow = TruncationBox(tuple(rng.randint(0, 1) for _ in range(n)))
-        for window in ((None, hi, kill), (lo, hi, kill),
-                       algebra._window((INVERSE,) * n, narrow.bounds)):
+        for window, oracle_frame in (((None, hi, kill), (roles, bounds, False)),
+                                     ((lo, hi, kill), (roles, bounds, True)),
+                                     (algebra._window((INVERSE,) * n, narrow.bounds),
+                                      ((INVERSE,) * n, narrow.bounds, True))):
             got = algebra._product(*operands, p, *window)
-            want = _merged(*operands, p, *window)
+            want = _oracle(*operands, *oracle_frame)
             assert (_printed(got[0]), got[1]) == (_printed(want[0]), want[1])
             dropped_seen.add(got[1])
 
         shape, box = ModuleShape(roles), TruncationBox(bounds)
         ring = ModuleShape.series_shape(n), TruncationBox.uniform(n, 4)
-        for r_terms, m_terms in ((one, other), (other, one)):
+        for r_terms, m_terms in (operands, operands[::-1]):
             r, m = _placed(r_terms, *ring, field), _placed(m_terms, shape, box, field)
-            _assert_as_merged(ring_act(r, m), r, m)
+            _assert_kernel_matches_oracle(ring_act(r, m), r, m, roles, bounds)
             d = _placed(r_terms, shape.dual(), box, field)
             for out_box in (None, narrow):
                 out = matlis_pair(d, m, out_box)
-                _assert_as_merged(out, d, m, algebra._window(out.shape.roles,
-                                                             out.box.bounds)[0])
+                _assert_kernel_matches_oracle(out, d, m, (INVERSE,) * n, out.box.bounds)
     assert dropped_seen == {False, True}
 
 
@@ -645,6 +649,44 @@ def test_suites_fail_on_a_faulty_shift_path(monkeypatch, seed, fault):
     suite, wrap = _SHIFT_FAULTS[fault]
     monkeypatch.setattr(algebra, "_shifted", wrap(algebra._shifted))
     assert not run_suite(suite, seed).passed
+
+
+def _dropped_last(real, *args):
+    terms, dropped = real(*args)
+    return terms[:-1], dropped
+
+
+# each fault of products with two or more terms on each side, and the
+# suites that must fail on it
+_K_BY_K_FAULTS = {
+    "lower-wall-ignored": (("duality",), lambda real, a, b, p, lo, hi, kill:
+                           real(a, b, p, None, hi, kill)),
+    "drop-flag-lost": (("duality",), lambda real, *args: (real(*args)[0], False)),
+    "kill-read-as-loss": (("algebra", "duality"), lambda real, a, b, p, lo, hi, kill:
+                          real(a, b, p, lo, hi, (inf,) * len(hi))),
+    "last-term-skipped": (("algebra", "duality"), _dropped_last),
+}
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5, 701])
+@pytest.mark.parametrize("fault", sorted(_K_BY_K_FAULTS))
+def test_suites_fail_on_a_faulty_k_by_k_product(monkeypatch, seed, fault):
+    """Each fault confined to products with two or more terms on each side
+    FAILs its suites."""
+    import cohdual.duality as duality
+
+    suites, faulty = _K_BY_K_FAULTS[fault]
+    real = algebra._product
+
+    def product(a_terms, b_terms, p, lo, hi, kill):
+        if min(len(a_terms), len(b_terms)) < 2:
+            return real(a_terms, b_terms, p, lo, hi, kill)
+        return faulty(real, a_terms, b_terms, p, lo, hi, kill)
+
+    monkeypatch.setattr(algebra, "_product", product)
+    monkeypatch.setattr(duality, "_product", product)
+    for suite in suites:
+        assert not run_suite(suite, seed).passed, suite
 
 
 @pytest.mark.parametrize("per_config", [0, 2])

@@ -187,6 +187,26 @@ def test_fields_inferred_or_read_for_one_p_are_one_object():
     assert (a + b).field is read
 
 
+def test_field_descriptors_are_immutable():
+    """A field shared by every element of its p refuses assignment, so no
+    assignment can make GF(7) elements describe themselves as GF(11); copies
+    and pickles still give equal fields."""
+    gf7 = field_of(Fp(1, 7))
+    with pytest.raises(AttributeError):
+        gf7.p = 11
+    assert field_of(Fp(3, 7)).descriptor == "prime:7"
+    for name in ("p", "descriptor"):
+        with pytest.raises(AttributeError):
+            setattr(RATIONAL, name, 11)
+    assert (RATIONAL.p, RATIONAL.descriptor) == (None, "rational")
+    for field in (gf7, RATIONAL):
+        for clone in (pickle.loads(pickle.dumps(field)), copy.copy(field),
+                      copy.deepcopy(field)):
+            assert type(clone) is type(field)
+            assert (clone, hash(clone), clone.descriptor) == (
+                field, hash(field), field.descriptor)
+
+
 def test_a_frame_brings_ints_into_its_field():
     """Over GF(p) an int becomes its residue and a multiple of p no term;
     over Q an int stays an int; a coefficient of another field is refused."""
