@@ -26,12 +26,11 @@ term through a series-side wall records the loss by clearing the element's
 
 Terms are made in two places.  Products go through :func:`_product`, the
 kernel entry of :func:`ring_act` and :func:`duality.matlis_pair` (a product
-both contracted and outside the box is a kill, never a loss), with the
-prime p of the frame's field (None for Q).  :func:`_shifted`, the one loop
-with walls, shifts terms by a one-term operand c*X^a and scales them by c;
-with two or more terms on each side, each term of the shorter operand
-shifts the other's plain-int stand-ins (:func:`_lowered`), and each
-nonzero sum of the pieces is raised to an ``Fp`` or a ``Fraction`` once.
+both contracted and outside the box is a kill, never a loss).
+:func:`_shifted`, the one loop with walls, shifts the longer operand by
+each term c*X^a of the shorter one and scales it by c, multiplying the
+field's own scalars (an int times an int stays an int); with two or more
+terms on each side the pieces are added.
 Every sum of terms goes through :func:`_summed`: products,
 :meth:`Element.from_terms` and :func:`linear_combine` call it, and so does
 ``+``, directly on the two term tuples (``a - b`` is ``a + -b``).  A map
@@ -41,14 +40,13 @@ a quotient, a negation, a layer split) builds its term tuple directly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
-from math import inf, lcm
+from math import inf
 from operator import add, le
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
-from .fields import RATIONAL, Field, Fp, field_of, mixed_fields
+from .fields import RATIONAL, Field, field_of, mixed_fields
 
 SERIES = "series"
 INVERSE = "inverse"
@@ -313,24 +311,6 @@ def _summed(items) -> tuple:
 _element = partial(tuple.__new__, Element)  # Element(...) minus its Python __new__
 
 
-def _lowered(a_terms, b_terms, p: int | None):
-    """Int stand-ins ``(a_terms, b_terms, den)`` for two operands over one field.
-
-    Over GF(p) their residues (den None).  Over Q (p None) numerators over
-    den, the common denominator of every product; or, when den would be 1,
-    the coefficients as they are (den None), so an int times an int stays
-    an int."""
-    if p is not None:
-        return [(e, c.value) for e, c in a_terms], [(e, c.value) for e, c in b_terms], None
-    da = lcm(*(c.denominator for _, c in a_terms))
-    db = lcm(*(c.denominator for _, c in b_terms))
-    if da == db == 1:
-        return a_terms, b_terms, None
-    # a term of a carries da, one of b carries db: every product is over da * db
-    return ([(e, c.numerator * (da // c.denominator)) for e, c in a_terms],
-            [(e, c.numerator * (db // c.denominator)) for e, c in b_terms], da * db)
-
-
 @lru_cache(maxsize=256)
 def _window(roles: tuple[str, ...], bounds: tuple[int, ...]):
     """(lo, hi, kill) of a shape in a box; kill is 0 on inverse coordinates."""
@@ -339,23 +319,14 @@ def _window(roles: tuple[str, ...], bounds: tuple[int, ...]):
     return lo, hi, tuple(inf if r == SERIES else 0 for r in roles)
 
 
-def _product(a_terms, b_terms, p, lo, hi, kill):
-    """Finished ``(terms, dropped)`` of a*b over GF(p) (Q when p is None) in
-    lo..hi, the walls of :func:`_shifted`."""
+def _product(a_terms, b_terms, lo, hi, kill):
+    """Finished ``(terms, dropped)`` of a*b in lo..hi, the walls of :func:`_shifted`."""
     if not (a_terms and b_terms):
         return (), False
     if len(b_terms) < len(a_terms):
         a_terms, b_terms = b_terms, a_terms
-    if len(a_terms) == 1:
-        return _shifted(a_terms, b_terms, lo, hi, kill)
-    a_terms, b_terms, den = _lowered(a_terms, b_terms, p)
-    pieces, dropped = _shifted(a_terms, b_terms, lo, hi, kill)
-    sums = _summed(pieces)
-    if p is not None:
-        sums = tuple([(e, Fp(v, p)) for e, v in sums if v % p])
-    elif den is not None:
-        sums = tuple([(e, Fraction(v, den)) for e, v in sums])
-    return sums, dropped
+    terms, dropped = _shifted(a_terms, b_terms, lo, hi, kill)
+    return (terms if len(a_terms) == 1 else _summed(terms)), dropped
 
 
 def _shifted(ones, terms, lo, hi, kill):
@@ -401,7 +372,7 @@ def ring_act(r: Element, m: Element) -> Element:
         raise ValueError(f"ring element has a negative exponent: {e}")
     _, hi, kill = _window(shape.roles, box.bounds)
     # r's exponents are nonnegative and m lies in the box: nothing falls below it
-    terms, dropped = _product(r_terms, m_terms, field.p, None, hi, kill)
+    terms, dropped = _product(r_terms, m_terms, None, hi, kill)
     return _element((shape, box, field, terms, r_exact and m_exact and not dropped))
 
 

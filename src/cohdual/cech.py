@@ -80,13 +80,11 @@ def build_degree_piece(n: int, i: int, a: tuple[int, ...]) -> CechDegreePiece:
 
 
 @lru_cache(maxsize=None)
-def _dims_by_signs(i: int, head_negative: tuple[bool, ...], tail_ok: bool) -> tuple[int, ...]:
-    # dimensions depend only on which of the first i coordinates are negative
-    # and on whether some later coordinate is negative
-    n = i + 1
-    head = tuple(-1 if neg else 0 for neg in head_negative)
-    rep = head + ((0,) if tail_ok else (-1,))
-    return build_degree_piece(n, i, rep).cohomology()
+def _dims_by_signs(n: int, i: int, negative: tuple[bool, ...]) -> tuple[int, ...]:
+    """Dimensions of every slice whose coordinates are negative where ``negative``
+    says: :func:`build_degree_piece` reads only these signs, so -1 and 0 stand
+    for every degree of the class."""
+    return build_degree_piece(n, i, tuple(-1 if neg else 0 for neg in negative)).cohomology()
 
 
 def cech_dims_at_degree(n: int, i: int, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -96,9 +94,7 @@ def cech_dims_at_degree(n: int, i: int, a: tuple[int, ...]) -> tuple[int, ...]:
     a = tuple(a)
     if len(a) != n:
         raise ValueError(f"degree {a} has wrong length for n={n}")
-    head = tuple(a[j] < 0 for j in range(i))
-    tail_ok = all(a[j] >= 0 for j in range(i, n))
-    return _dims_by_signs(i, head, tail_ok)
+    return _dims_by_signs(n, i, tuple(x < 0 for x in a))
 
 
 def realization_support(n: int, i: int, a: tuple[int, ...]) -> bool:
@@ -147,7 +143,7 @@ def verify_realization(n: int, i: int, window: int) -> RealizationReport:
     classes = list(product((True, False), repeat=n))  # True: the coordinate is negative
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    dims = {s: _dims_by_signs(i, s[:i], not any(s[i:])) for s in classes}
+    dims = {s: _dims_by_signs(n, i, s) for s in classes}
     failing = {s for s in classes
                if dims[s] != (0,) * i + (int(all(s[:i]) and not any(s[i:])),)}
     signs = (True,) * window + (False,) * (window + 1)

@@ -66,7 +66,7 @@ def matlis_pair(d: Element, m: Element,
         raise ValueError("pairing requires mutually dual shapes")
     _check_field(d, m)
     shape, box, (lo, hi, kill) = _pairing_frame(d.box.bounds, m.box.bounds, out_box)
-    terms, dropped = _product(d.terms, m.terms, m.field.p, lo, hi, kill)
+    terms, dropped = _product(d.terms, m.terms, lo, hi, kill)
     return _element((shape, box, m.field, terms, d.exact and m.exact and not dropped))
 
 

@@ -53,8 +53,8 @@ from .fields import Fp, RATIONAL, Field, field_from_descriptor
 
 SCHEMA = "cohdual/1"
 
-_INT_RE = re.compile(r"\d+")
-_SIGNED_INT_RE = re.compile(r"[+-]?\d+")
+_INT_RE = re.compile(r"[0-9]+")  # ASCII digits only, as in the scalar reader
+_SIGNED_INT_RE = re.compile(r"[+-]?[0-9]+")
 # the layout of each JSON leaf type that needs no encoder; json.dumps writes the rest
 _LEAVES = {str: _ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get}
 
@@ -110,7 +110,7 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
             sign = -1
             pos = skip(pos + 1)
         elif not first:
-            if text[pos].isdigit():
+            if "0" <= text[pos] <= "9":
                 raise ParseError("a coefficient may only open a term", pos)
             raise ParseError("expected '+' or '-' between terms", pos)
         first = False

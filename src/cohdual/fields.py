@@ -4,8 +4,10 @@ Rational coefficients are plain ``fractions.Fraction`` values or ``int``s
 (an int compares and hashes consistently with the equal Fraction).
 Prime-field coefficients are ``Fp`` residues.  The field descriptor is part
 of every element's frame: its ``coerce`` brings each scalar into the field
-once, as the element is built, and refuses one of another field, so the
-kernels read the field off the frame, never off the scalars.
+once, as the element is built, and refuses one of another field.  The
+kernels then multiply and add these scalars as they are (an ``Fp`` by an
+``Fp``, a ``Fraction`` by an ``int``), with no integer stand-ins, so no
+kernel needs the prime.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 import re
 
-_SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?")  # used with fullmatch
+_SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # used with fullmatch; ASCII digits only
 
 
 def _is_prime(p: int) -> bool:
@@ -125,7 +127,6 @@ class RationalField:
 
     __slots__ = ()  # no instance attributes, so every assignment is refused
     descriptor = "rational"
-    p = None  # no prime: products are formed over a common denominator
     one = Fraction(1)
 
     @staticmethod

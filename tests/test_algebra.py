@@ -439,33 +439,6 @@ def _algebra_line():
     return line
 
 
-def test_algebra_suite_fails_on_squared_residues(monkeypatch):
-    """A GF(p) kernel that squares each lowered residue must FAIL the suite."""
-    lowered = algebra._lowered
-
-    def squared(a_terms, b_terms, p):
-        a_terms, b_terms, den = lowered(a_terms, b_terms, p)
-        if p is None:
-            return a_terms, b_terms, den
-        return ([(e, v * v % p) for e, v in a_terms],
-                [(e, v * v % p) for e, v in b_terms], den)
-
-    monkeypatch.setattr(algebra, "_lowered", squared)
-    assert not _algebra_line().passed
-
-
-def test_algebra_suite_fails_on_halved_rational_products(monkeypatch):
-    """A Q kernel whose common denominator is doubled in the output must FAIL."""
-    lowered = algebra._lowered
-
-    def halved(a_terms, b_terms, p):
-        a_terms, b_terms, den = lowered(a_terms, b_terms, p)
-        return a_terms, b_terms, None if den is None else 2 * den
-
-    monkeypatch.setattr(algebra, "_lowered", halved)
-    assert not _algebra_line().passed
-
-
 def _field_of(*operands):
     types = {type(c) for terms in operands for _, c in terms}
     return "GF(p)" if Fp in types else "Q" if Fraction in types else "int"
@@ -473,34 +446,49 @@ def _field_of(*operands):
 
 def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
     """The algebra line forms one-term products over bare ints, Q and GF(p),
-    and products of two or more terms on each side over lowered Q and
-    lowered GF(p).  Its products of bare ints have a one-term operand, so
-    bare ints are multiplied as they are in the duality suite's balance
-    line."""
+    and k-by-k products (two or more terms on each side) over Q and GF(p).
+    Its products of bare ints have a one-term operand, so bare ints are
+    multiplied k by k in the duality suite's balance line."""
     import cohdual.duality as duality
 
     real = algebra._product
     seen = set()
 
-    def counted(a_terms, b_terms, p, lo, hi, kill):
-        if min(len(a_terms), len(b_terms)) == 1:
-            seen.add(("one-term", _field_of(a_terms, b_terms)))
-        elif a_terms and b_terms:
-            if p is not None:
-                seen.add(("lowered", "GF(p)"))
-            elif algebra._lowered(a_terms, b_terms, p)[2] is not None:
-                seen.add(("lowered", "Q"))
-            else:
-                seen.add(("as-is", _field_of(a_terms, b_terms)))
-        return real(a_terms, b_terms, p, lo, hi, kill)
+    def counted(a_terms, b_terms, lo, hi, kill):
+        if a_terms and b_terms:
+            size = "one-term" if min(len(a_terms), len(b_terms)) == 1 else "k-by-k"
+            seen.add((size, _field_of(a_terms, b_terms)))
+        return real(a_terms, b_terms, lo, hi, kill)
 
     monkeypatch.setattr(algebra, "_product", counted)
     monkeypatch.setattr(duality, "_product", counted)
     assert _algebra_line().passed
     assert seen == {("one-term", "int"), ("one-term", "Q"), ("one-term", "GF(p)"),
-                    ("lowered", "Q"), ("lowered", "GF(p)")}
+                    ("k-by-k", "Q"), ("k-by-k", "GF(p)")}
     assert run_suite("duality", DEFAULT_SEED).passed
-    assert ("as-is", "int") in seen
+    assert ("k-by-k", "int") in seen
+
+
+def _int_product_types():
+    """Coefficient types of k-by-k products of all-int operands over Q, by
+    ring_act and matlis_pair, with sums of several products among them."""
+    box = TruncationBox((3, 3))
+    r = Element.from_terms(S2, box, {(0, 0): 2, (1, 0): 3, (0, 1): -1})
+    m = Element.from_terms(E2, box, {(0, 0): 1, (-1, 0): 4, (0, -1): 5, (-1, -2): -7})
+    products = (ring_act(r, m), matlis_pair(r, m))
+    assert [len(out.terms) for out in products] == [6, 6]
+    return {type(c) for out in products for _, c in out.terms}
+
+
+def test_int_k_by_k_products_keep_int_coefficients(monkeypatch):
+    """Over Q an int times an int stays an int on the k-by-k path, as on the
+    one-term path: the cheap arithmetic, and no Fraction(v, 1) in the terms.
+    A kernel that makes every product a Fraction gives the same values, and
+    only the type test sees it."""
+    assert _int_product_types() == {int}
+    as_fractions = _post(lambda terms: tuple((e, Fraction(c)) for e, c in terms))
+    monkeypatch.setattr(algebra, "_shifted", as_fractions(algebra._shifted))
+    assert _int_product_types() == {Fraction}
 
 
 def _printed(terms):
@@ -571,7 +559,7 @@ def test_shift_path_matches_the_merge_path(field):
                                      ((lo, hi, kill), (roles, bounds, True)),
                                      (algebra._window((INVERSE,) * n, narrow.bounds),
                                       ((INVERSE,) * n, narrow.bounds, True))):
-            got = algebra._product(*operands, p, *window)
+            got = algebra._product(*operands, *window)
             want = _oracle(*operands, *oracle_frame)
             assert (_printed(got[0]), got[1]) == (_printed(want[0]), want[1])
             dropped_seen.add(got[1])
@@ -656,15 +644,27 @@ def _dropped_last(real, *args):
     return terms[:-1], dropped
 
 
+def _recoefficient(fault):
+    """A k-by-k product whose finished terms pass ``fault`` over each coefficient."""
+    def faulty(real, *args):
+        terms, dropped = real(*args)
+        return tuple((e, fault(c)) for e, c in terms), dropped
+    return faulty
+
+
 # each fault of products with two or more terms on each side, and the
 # suites that must fail on it
 _K_BY_K_FAULTS = {
-    "lower-wall-ignored": (("duality",), lambda real, a, b, p, lo, hi, kill:
-                           real(a, b, p, None, hi, kill)),
+    "lower-wall-ignored": (("duality",), lambda real, a, b, lo, hi, kill:
+                           real(a, b, None, hi, kill)),
     "drop-flag-lost": (("duality",), lambda real, *args: (real(*args)[0], False)),
-    "kill-read-as-loss": (("algebra", "duality"), lambda real, a, b, p, lo, hi, kill:
-                          real(a, b, p, lo, hi, (inf,) * len(hi))),
+    "kill-read-as-loss": (("algebra", "duality"), lambda real, a, b, lo, hi, kill:
+                          real(a, b, lo, hi, (inf,) * len(hi))),
     "last-term-skipped": (("algebra", "duality"), _dropped_last),
+    "prime-squared": (("algebra",), _recoefficient(
+        lambda c: c * c if type(c) is Fp else c)),
+    "rational-halved": (("algebra",), _recoefficient(
+        lambda c: c if type(c) is Fp else Fraction(c, 2))),
 }
 
 
@@ -678,10 +678,10 @@ def test_suites_fail_on_a_faulty_k_by_k_product(monkeypatch, seed, fault):
     suites, faulty = _K_BY_K_FAULTS[fault]
     real = algebra._product
 
-    def product(a_terms, b_terms, p, lo, hi, kill):
+    def product(a_terms, b_terms, lo, hi, kill):
         if min(len(a_terms), len(b_terms)) < 2:
-            return real(a_terms, b_terms, p, lo, hi, kill)
-        return faulty(real, a_terms, b_terms, p, lo, hi, kill)
+            return real(a_terms, b_terms, lo, hi, kill)
+        return faulty(real, a_terms, b_terms, lo, hi, kill)
 
     monkeypatch.setattr(algebra, "_product", product)
     monkeypatch.setattr(duality, "_product", product)

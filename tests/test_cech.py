@@ -193,7 +193,7 @@ def test_dims_that_ignore_the_tail_sign_fail_the_cech_suite(monkeypatch):
 
     real = cech._dims_by_signs
     monkeypatch.setattr(cech, "_dims_by_signs",
-                        lambda i, head_negative, tail_ok: real(i, head_negative, True))
+                        lambda n, i, negative: real(n, i, negative[:i] + (False,) * (n - i)))
     report = run_suite("cech")
     assert not report.passed
     (line,) = report.lines
@@ -207,9 +207,9 @@ def test_one_wrong_class_gives_the_oracles_mismatches(monkeypatch):
 
     real = cech._dims_by_signs
 
-    def one_wrong(i, head_negative, tail_ok):
-        dims = real(i, head_negative, tail_ok)
-        return (1,) + dims[1:] if head_negative == (True, False) and tail_ok else dims
+    def one_wrong(n, i, negative):
+        dims = real(n, i, negative)
+        return (1,) + dims[1:] if negative == (True, False, False) else dims
 
     monkeypatch.setattr(cech, "_dims_by_signs", one_wrong)
     entries, nonzero, passed, mismatches = _sweep(3, 2, 2)
@@ -217,6 +217,25 @@ def test_one_wrong_class_gives_the_oracles_mismatches(monkeypatch):
     assert not passed and len(mismatches) == 2 * 3 * 3
     assert all(a[0] < 0 <= a[1] and a[2] >= 0 and dims == (1, 0, 0)
                for a, dims in mismatches)
+
+
+def test_every_sign_class_matches_the_closed_form(cold_dims_cache):
+    """The alive subsets hold the negative head set N, so a slice is a full
+    simplex on the other head variables, acyclic unless N is the whole head;
+    a negative tail kills every subset.  So every dimension is zero except
+    position i of the class whose first i signs are negative and the rest not.
+    Every sign class for n <= 5, each built at full n."""
+    import cohdual.cech as cech
+
+    classes = 0
+    for n in range(1, 6):
+        for i in range(1, n + 1):
+            for negative in product((True, False), repeat=n):
+                top = all(negative[:i]) and not any(negative[i:])
+                assert cech._dims_by_signs(n, i, negative) == (0,) * i + (int(top),)
+                classes += 1
+    assert classes == sum(n * 2 ** n for n in range(1, 6))
+    assert cech._dims_by_signs.cache_info().misses == classes
 
 
 def test_boundary_ranks_do_not_depend_on_the_field():

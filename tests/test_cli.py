@@ -230,6 +230,13 @@ def test_usage_errors_exit_64(capsys):
     assert run_cli(capsys)[0] == 64
 
 
+@pytest.mark.parametrize("expression", ["\u0663*Y^-1", "Y^-\u0661", "2/\u0663*Y^-1"])
+def test_digits_of_other_scripts_are_a_usage_error(capsys, expression):
+    code, out, err = run_cli(capsys, "act", "X", expression)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_zero_denominator_is_a_usage_error(capsys):
     for argv in (("act", "Y", "1/0*X"), ("delta", "3/0")):
         code, out, err = run_cli(capsys, *argv, "--field", "rational")
@@ -258,11 +265,13 @@ def test_non_integer_json_is_a_usage_error(capsys, tmp_path, box, exponents):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("coefficient", "3\n"), ("field", "prime: 7"), ("field", "prime:+7"), ("field", "prime:1_1"),
+    ("coefficient", "3\n"), ("coefficient", "\u0663"), ("field", "prime: 7"),
+    ("field", "prime:+7"), ("field", "prime:1_1"),
 ])
 def test_loose_scalars_and_field_descriptors_are_usage_errors(capsys, tmp_path, key, value):
-    """A coefficient with a trailing newline, or a prime written with a
-    space, a sign or an underscore, is refused in one line."""
+    """A coefficient with a trailing newline or a digit of another script, or
+    a prime written with a space, a sign or an underscore, is refused in one
+    line."""
     doc = element_to_document(make_d(1, 2))
     if key == "field":  # the rest of the request is over the prime int() reads
         doc["field"] = value

@@ -191,12 +191,12 @@ def test_balance_check_fails_when_the_pairing_drops_its_last_term(monkeypatch):
 
 def _patch_lower_wall(monkeypatch, wall):
     """Hand the product kernel ``wall(lo)`` for its lower wall in every pairing,
-    on the shift path and the merge path alike."""
+    one-term and k-by-k products alike."""
     import cohdual.duality as duality
 
     real = duality._product
-    monkeypatch.setattr(duality, "_product", lambda a, b, p, lo, hi, kill:
-                        real(a, b, p, wall(lo), hi, kill))
+    monkeypatch.setattr(duality, "_product", lambda a, b, lo, hi, kill:
+                        real(a, b, wall(lo), hi, kill))
 
 
 @pytest.mark.parametrize("seed", [1729, 5, 701])

@@ -198,7 +198,7 @@ def test_field_descriptors_are_immutable():
     for name in ("p", "descriptor"):
         with pytest.raises(AttributeError):
             setattr(RATIONAL, name, 11)
-    assert (RATIONAL.p, RATIONAL.descriptor) == (None, "rational")
+    assert RATIONAL.descriptor == "rational" and not hasattr(RATIONAL, "p")
     for field in (gf7, RATIONAL):
         for clone in (pickle.loads(pickle.dumps(field)), copy.copy(field),
                       copy.deepcopy(field)):

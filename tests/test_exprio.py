@@ -246,6 +246,38 @@ def test_scalars_are_read_whole(field, text):
         element_from_document(doc)
 
 
+# Arabic-Indic three and one, and a fullwidth three
+@pytest.mark.parametrize("text", ["\u0663", "-\u0663", "1/\u0663", "1\u0661", "\uff13"])
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(7)], ids=["Q", "GF7"])
+def test_scalars_take_ascii_digits_only(field, text):
+    """A digit of another script is refused by the scalar reader and in an
+    element document, as it is in a field descriptor."""
+    with pytest.raises(ValueError, match="not an integer or integer fraction"):
+        field.parse_scalar(text)
+    doc = element_to_document(monomial(S2, BOX, (1, 0), field.one))
+    doc["terms"][0]["coefficient"] = text
+    with pytest.raises(ValueError, match="not an integer or integer fraction"):
+        element_from_document(doc)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("\u0663*X", "expected a term", 0),
+    ("X^\u0663", "expected an integer exponent after '^'", 2),
+    ("X^1\u0661", "expected '+' or '-' between terms", 3),
+    ("2/\u0663*X", "expected a denominator after '/'", 2),
+    ("3\u0663*X", "expected '+' or '-' between terms", 1),
+    ("X \u0663", "expected '+' or '-' between terms", 2),
+    ("X + \uff13", "expected a term", 4),
+])
+def test_expressions_take_ascii_digits_only(text, message, position):
+    """Coefficients, denominators and exponents are ASCII digits: another
+    script's digit is no digit, so it is where the expression stops parsing."""
+    with pytest.raises(ParseError) as refused:
+        parse_element(text, S2, BOX)
+    assert str(refused.value) == f"{message} (at position {position})"
+    assert refused.value.position == position
+
+
 @pytest.mark.parametrize("text", ["-6/15", "007", "-0", "12/4", "5/3"])
 @pytest.mark.parametrize("field", [RATIONAL, PrimeField(7)], ids=["Q", "GF7"])
 def test_scalars_keep_their_values(field, text):
