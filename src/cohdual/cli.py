@@ -38,6 +38,7 @@ from .algebra import (
     ring_act,
 )
 from .exprio import (
+    _SIGNED_INT_RE,
     element_from_document,
     new_document,
     parse_element,
@@ -54,6 +55,18 @@ SOFTWARE_EXIT = 70
 # the names of checks.suite_names(), spelled out so that building the parser
 # does not import the checks and everything they test
 SUITE_NAMES = ("algebra", "cech", "duality", "independence", "io", "all")
+
+
+def _integer(text: str) -> int:
+    """Read a command-line integer in ASCII digits, as the expression reader
+    does; ``int`` alone would take digits of any script and underscores."""
+    text = text.strip()
+    if not _SIGNED_INT_RE.fullmatch(text):
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
 class _UsageError(Exception):
@@ -87,7 +100,7 @@ def parse_shape_spec(spec: str, n: int | None = None) -> ModuleShape:
         return ModuleShape.inverse_shape(n)
     if spec.startswith(("H:", "D:")):
         try:
-            i = int(spec[2:])
+            i = _integer(spec[2:])
         except ValueError:
             raise ValueError(f"cannot read the position in {spec!r}") from None
         shape = ModuleShape.cohomology_shape(n, i)
@@ -97,7 +110,7 @@ def parse_shape_spec(spec: str, n: int | None = None) -> ModuleShape:
 
 def _parse_box_spec(spec: str) -> TruncationBox:
     try:
-        bounds = tuple(int(part) for part in spec.split(","))
+        bounds = tuple(_integer(part) for part in spec.split(","))
     except ValueError:
         raise ValueError(f"cannot read box bounds from {spec!r}") from None
     return TruncationBox(bounds)
@@ -217,7 +230,7 @@ def _cmd_delta(session: _Session) -> int:
     window = None
     if args.window:
         try:
-            lo, hi = map(int, args.window.split(":"))
+            lo, hi = map(_integer, args.window.split(":"))
         except ValueError:
             raise ValueError(f"cannot read the window LO:HI from {args.window!r}") from None
         window = (lo, hi)
@@ -282,7 +295,7 @@ def _cmd_gamma(session: _Session) -> int:
     shape, _ = session.shape_and_box()
     spec = session.args.gens
     try:
-        gens = tuple(int(part) for part in spec.split(","))
+        gens = tuple(_integer(part) for part in spec.split(","))
     except ValueError:
         raise ValueError(f"cannot read the variable indices I,J,... from --gens {spec!r}"
                          ) from None
@@ -361,7 +374,7 @@ def _cmd_indep(session: _Session) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--field", help="coefficient field: rational or prime:p")
-    sub.add_argument("--trunc", type=int,
+    sub.add_argument("--trunc", type=_integer,
                      help="uniform truncation bound for parsed expressions")
     sub.add_argument("--out", help="also write the output to this file")
     sub.add_argument("--mode", choices=("document", "human"),
@@ -369,7 +382,7 @@ def _add_common(sub) -> None:
 
 
 def _add_element_options(sub) -> None:
-    sub.add_argument("-n", "--nvars", type=int, help="number of variables")
+    sub.add_argument("-n", "--nvars", type=_integer, help="number of variables")
     sub.add_argument("--shape", help="element shape (default D:1)")
     sub.add_argument("--box", help="comma-separated box bounds")
 
@@ -380,15 +393,15 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("cohomology",
                               help="sweep a degree window and verify the support")
-    sub.add_argument("-n", "--nvars", type=int, required=True)
-    sub.add_argument("-i", "--index", type=int, required=True)
-    sub.add_argument("--window", type=int, default=3)
+    sub.add_argument("-n", "--nvars", type=_integer, required=True)
+    sub.add_argument("-i", "--index", type=_integer, required=True)
+    sub.add_argument("--window", type=_integer, default=3)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_cohomology)
 
     sub = commands.add_parser("dfam", help="emit a truncation of the d-family")
-    sub.add_argument("--power", type=int, required=True)
-    sub.add_argument("--lmax", type=int, required=True)
+    sub.add_argument("--power", type=_integer, required=True)
+    sub.add_argument("--lmax", type=_integer, required=True)
     sub.add_argument("--box", help="comma-separated box bounds")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_dfam)
@@ -397,9 +410,9 @@ def build_parser() -> _Parser:
                               help="minimal-exponent profile of an element")
     sub.add_argument("element", help="expression or @document")
     sub.add_argument("--window", help="degree window LO:HI")
-    sub.add_argument("--fit", type=int,
+    sub.add_argument("--fit", type=_integer,
                      help="fit the tail against this power")
-    sub.add_argument("--tail-start", type=int)
+    sub.add_argument("--tail-start", type=_integer)
     _add_element_options(sub)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_delta)
@@ -413,7 +426,7 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("derive",
                               help="apply the derivation along one variable")
-    sub.add_argument("-j", "--variable", type=int, required=True)
+    sub.add_argument("-j", "--variable", type=_integer, required=True)
     sub.add_argument("element", help="expression or @document")
     _add_element_options(sub)
     _add_common(sub)
@@ -431,7 +444,7 @@ def build_parser() -> _Parser:
     sub = commands.add_parser("gamma",
                               help="torsion support of a shape under chosen variables")
     sub.add_argument("--shape", required=True)
-    sub.add_argument("-n", "--nvars", type=int)
+    sub.add_argument("-n", "--nvars", type=_integer)
     sub.add_argument("--gens", required=True,
                      help="comma-separated variable indices")
     _add_common(sub)
@@ -439,15 +452,15 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("regular",
                               help="check the variables form a regular sequence on the dual")
-    sub.add_argument("-n", "--nvars", type=int, required=True)
-    sub.add_argument("-i", "--index", type=int, required=True)
-    sub.add_argument("--bound", type=int, default=4)
+    sub.add_argument("-n", "--nvars", type=_integer, required=True)
+    sub.add_argument("-i", "--index", type=_integer, required=True)
+    sub.add_argument("--bound", type=_integer, default=4)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_regular)
 
     sub = commands.add_parser("check", help="run a named verification suite")
     sub.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=_integer)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_check)
 
@@ -455,7 +468,7 @@ def build_parser() -> _Parser:
                               help="certify a combination of the d-family is nonzero")
     sub.add_argument("polys", nargs="+",
                      help="coefficient polynomials, lowest power first")
-    sub.add_argument("--lmax", type=int, default=12)
+    sub.add_argument("--lmax", type=_integer, default=12)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_indep)
 

@@ -43,8 +43,8 @@ class Fp:
     __slots__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
-        object.__setattr__(self, "value", value % p)
-        object.__setattr__(self, "p", p)
+        _set_value(self, value % p)
+        _set_p(self, p)
 
     def __setattr__(self, name, val):  # immutable
         raise AttributeError("Fp values are immutable")
@@ -62,12 +62,16 @@ class Fp:
         return None
 
     def __add__(self, other):
+        if type(other) is Fp and other.p == self.p:  # the common case skips _coerce
+            return Fp(self.value + other.value, self.p)
         o = self._coerce(other)
         return NotImplemented if o is None else Fp(self.value + o.value, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is Fp and other.p == self.p:  # the common case skips _coerce
+            return Fp(self.value - other.value, self.p)
         o = self._coerce(other)
         return NotImplemented if o is None else Fp(self.value - o.value, self.p)
 
@@ -76,6 +80,8 @@ class Fp:
         return NotImplemented if o is None else Fp(o.value - self.value, self.p)
 
     def __mul__(self, other):
+        if type(other) is Fp and other.p == self.p:  # the common case skips _coerce
+            return Fp(self.value * other.value, self.p)
         o = self._coerce(other)
         return NotImplemented if o is None else Fp(self.value * o.value, self.p)
 
@@ -120,6 +126,9 @@ class Fp:
 
     def __repr__(self):
         return f"Fp({self.value}, {self.p})"
+
+
+_set_value, _set_p = Fp.value.__set__, Fp.p.__set__  # the slots, past the immutability guard
 
 
 class RationalField:

@@ -20,14 +20,14 @@ makes this quantitative for a finite truncation window:
   on the tail is forced to be exactly that polynomial in l.  The threshold
   accounts for the h-part of the top coefficient, for every lower-index
   d_j, and for the contraction kill on positive Y-exponents; each of its
-  conditions fails on one interval of degrees, found by bisection.  s is
-  never formed: the tail is read from the closed form, and before it each
-  term of r_j gives one column of Y-exponents, y - (l - x)^j, whose least
-  entry per degree is the profile, with coefficients summed only where two
-  columns tie.  A window too short to conclude names the least one that
-  would do, or None where none can.  The check line
-  ``independence-random-combinations`` forms s as elements and compares
-  the whole profile.
+  conditions fails on one interval of degrees, found by bisection in
+  O(m0 log t) steps.  s is never formed: the tail is read from the closed
+  form, and before it the profile is read degree by degree, as the least
+  entry there of the columns y - (l - x)^j, one per term of r_j, with the
+  coefficients re-summed only where the tied columns cancel.  A window too
+  short to conclude names the least one that would do, or None where none
+  can.  The check line ``independence-random-combinations`` forms s as
+  elements and compares the whole profile.
 
 A verified tail plus the pigeonhole on distinct growth rates is what the
 equivalence search over shifted windows (:func:`shift_equiv_window`)
@@ -37,8 +37,8 @@ consumes: profiles of distinct powers admit no shift witness.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, countOf, eq, gt, neg, sub
+from itertools import repeat
+from operator import neg, sub
 from typing import NamedTuple
 
 from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _check_field, _summed
@@ -318,10 +318,6 @@ def auto_truncation(r_list: tuple[Element, ...], lmax: int) -> TruncationBox:
     return TruncationBox((lmax + max_x, lmax ** m0 + max_y + 1))
 
 
-def _min_y_degree(r: Element) -> int:
-    return min(e[1] for e, _ in r.terms)
-
-
 def independence_certificate(r_list: tuple[Element, ...], lmax: int
                              ) -> IndependenceCertificate:
     """Certify that sum r_j . d_j is nonzero with the forced tail profile.
@@ -338,27 +334,31 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     r_list = tuple(r_list)
     if not r_list:
         raise DegenerateInputError("no coefficient polynomials given")
-    for r in r_list:
-        if r.shape != R_SHAPE:
+    live, margins, max_x, max_y = [], [], 0, 0  # one pass: checks, box and least Y-degrees
+    for j, r in enumerate(r_list, start=1):
+        if r.shape is not R_SHAPE and r.shape != R_SHAPE:
             raise ValueError("coefficients must be polynomials over two series variables")
         if not r.exact:
             raise InexactElementError("coefficient polynomials must be exact")
         _check_field(r_list[0], r)
-    live = [(j, r) for j, r in enumerate(r_list, start=1) if r.terms]
+        if r.terms:
+            ys = [e[1] for e, _ in r.terms]
+            live.append((j, r))
+            margins.append((j, min(ys)))
+            max_x, max_y = max(max_x, r.terms[-1][0][0]), max(max_y, *ys)
     if not live:
         raise DegenerateInputError("every coefficient polynomial is zero")
-    box = auto_truncation(r_list, lmax)
+    m0 = live[-1][0]
+    box = TruncationBox((lmax + max_x, lmax ** m0 + max_y + 1))  # as auto_truncation
     if lmax < 0:  # make_d's own check, made before the dominance analysis
         raise ValueError(f"lmax must be nonnegative, got {lmax}")
-    m0 = live[-1][0]
 
     dec = decompose_r(live[-1][1])
     a, b = dec.a, dec.b
-    h_margin = None if dec.h.is_zero else _min_y_degree(dec.h)
+    h_margin = min((e[1] for e, _ in dec.h.terms), default=None)
     if m0 == 1 and h_margin is not None and b - h_margin >= 1:
         raise InconclusiveWindowError(None)  # t - (t - 1) = 1 for every l
-    fails = _failing_intervals(m0, a, b, h_margin,
-                               [(j, _min_y_degree(r)) for j, r in live[:-1]])
+    fails = _failing_intervals(m0, a, b, h_margin, margins[:-1])
     # l <= a always fails; past the last failure up to lmax every degree is dominated
     tail_start = a + 1 + max((min(hi, lmax - a) for lo, hi in fails if lo <= lmax - a),
                              default=0)
@@ -377,15 +377,6 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     )
 
 
-def _least(holds, lo: int, hi: int) -> int:
-    """Least t in lo..hi where ``holds``, false then true, turns true; hi if
-    it never does before hi."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
-    return lo
-
-
 def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
                        lower: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The t = l - a >= 1 at which dominance fails, as nonempty intervals.
@@ -401,18 +392,42 @@ def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
     end is found by bisection: O(m0 log last).  The case m0 = 1 with
     b - h_margin >= 1, where the h-part never holds, is the caller's."""
     last = max(a + 1, 2 ** (m0 - 1) + b + 1)
-
-    def leading(t: int) -> bool:  # the witness term survives, the h-part stays above it
-        return t ** m0 >= b and (h_margin is None or t ** m0 - (t - 1) ** m0 > b - h_margin)
-
-    fails = [(1, _least(leading, 1, last) - 1)]
+    lo, hi = 1, last
+    while lo < hi:  # the witness term survives, the h-part stays above it
+        t = (lo + hi) // 2
+        top = t ** m0
+        if top >= b and (h_margin is None or top - (t - 1) ** m0 > b - h_margin):
+            hi = t
+        else:
+            lo = t + 1
+    fails = [(1, lo - 1)]
     for j, margin in lower:
-        def p(t, j=j, c=b - margin):
-            return t ** m0 - (a + t) ** j - c
-        low = _least(lambda t: p(t + 1) > p(t), 1, last)
-        if p(low) <= 0:
-            fails.append((_least(lambda t: p(t) <= 0, 1, low),
-                          _least(lambda t: p(t) > 0, low, last) - 1))
+        c = b - margin  # p_j(t) > 0 is t^m0 - (a + t)^j > c
+        lo, hi = 1, last
+        while lo < hi:  # the least t with p_j(t + 1) > p_j(t)
+            t = (lo + hi) // 2
+            if (t + 1) ** m0 - (a + t + 1) ** j > t ** m0 - (a + t) ** j:
+                hi = t
+            else:
+                lo = t + 1
+        low = lo
+        if low ** m0 - (a + low) ** j > c:
+            continue
+        lo, hi = 1, low
+        while lo < hi:  # p_j fails from here ...
+            t = (lo + hi) // 2
+            if t ** m0 - (a + t) ** j <= c:
+                hi = t
+            else:
+                lo = t + 1
+        first, lo, hi = lo, low, last
+        while lo < hi:  # ... until it holds again
+            t = (lo + hi) // 2
+            if t ** m0 - (a + t) ** j > c:
+                hi = t
+            else:
+                lo = t + 1
+        fails.append((first, lo - 1))
     return [(lo, hi) for lo, hi in fails if lo <= hi]
 
 
@@ -424,31 +439,36 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
     From tail_start on the dominance analysis forces the profile to be
     b - (l - a)^m0, sliced from its memo.  Before it, a term c X^x Y^y of
     r_j gives at each l >= x the candidate y - (l - x)^j, killed if
-    positive; the least y per (j, x) gives a column, and the profile is the
-    least entry per degree of the columns.  Where two or more reach it their
-    coefficients are re-summed, and if they cancel every candidate at that
-    degree is."""
+    positive; the least y per (j, x) gives a column.  Degree by degree, the
+    profile is the least entry of the columns with x <= l; where two or more
+    reach it their coefficients are added, and only if they cancel is every
+    candidate at that degree re-summed."""
     columns, candidates = [], []
     for (_, r), ys in zip(live, _prefixes(tuple(j for j, _ in live), tail_start)):
         column_x = -1
         for (x, y), c in r.terms:  # ascending, so the first term per x has its least y
-            if x < tail_start:
-                if x != column_x:
-                    column_x = x
-                    columns.append((ys, x, y, c))
-                candidates.append((ys, x, y, c))
-    cut = tail_start
-    rows = list(zip(*[(1,) * x + (tuple(map(add, ys[:cut - x], repeat(y))) if y
-                                  else ys[:cut - x])
-                      for ys, x, y, _ in columns])) or [(1,)] * cut
-    least = list(map(min, rows))
-    entries = [v if v <= 0 else None for v in least]
-    coefficients = [c for _, _, _, c in columns]
-    for l in compress(range(cut), map(gt, map(countOf, rows, least), repeat(1))):
-        row, v = rows[l], least[l]
-        if v > 0 or sum(compress(coefficients, map(eq, row, repeat(v)))):
-            continue
-        sums = _summed([(y + ys[l - x], c) for ys, x, y, c in candidates
-                        if x <= l and y + ys[l - x] <= 0])
-        entries[l] = sums[0][0] if sums else None
+            if x >= tail_start:
+                break
+            if x != column_x:
+                column_x = x
+                columns.append((x, y, ys, c))
+            candidates.append((ys, x, y, c))
+    entries = []
+    for l in range(tail_start):
+        least, total, many = 1, 0, False
+        for x, y, ys, c in columns:
+            if x <= l:
+                v = y + ys[l - x]
+                if v < least:
+                    least, total, many = v, c, False
+                elif v == least:
+                    total, many = total + c, True
+        if least > 0:
+            entries.append(None)
+        elif not many or total:
+            entries.append(least)
+        else:  # the tied columns cancel: every candidate at l is re-summed
+            sums = _summed([(y + ys[l - x], c) for ys, x, y, c in candidates
+                            if x <= l and y + ys[l - x] <= 0])
+            entries.append(sums[0][0] if sums else None)
     return tuple(entries) + _tails(live[-1][0], lmax, b)[tail_start - a:lmax + 1 - a]

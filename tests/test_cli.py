@@ -8,7 +8,7 @@ import time
 import pytest
 
 from cohdual.algebra import Element, ModuleShape, TruncationBox
-from cohdual.cli import main, parse_shape_spec
+from cohdual.cli import build_parser, main, parse_shape_spec
 from cohdual.duality import GAMMA_FULL
 from cohdual.exprio import element_to_document, from_document, write_document
 from cohdual.fields import PrimeField
@@ -235,6 +235,56 @@ def test_digits_of_other_scripts_are_a_usage_error(capsys, expression):
     code, out, err = run_cli(capsys, "act", "X", expression)
     assert (code, out) == (64, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NON_ASCII_INTEGERS = ("\u0663", "1_0")  # int() reads both, as 3 and 10
+
+
+def _integer_options():
+    """(subcommand, option strings) of every option whose type reads an integer."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    return [(name, action.option_strings)
+            for name, sub in commands.choices.items()
+            for action in sub._actions if getattr(action.type, "__name__", "") == "int"]
+
+
+def test_every_integer_option_is_covered():
+    """--trunc on all ten subcommands, -n on the four that take elements, 14 more."""
+    assert len(_integer_options()) == 10 + 4 + 14
+    assert ("indep", ["--lmax"]) in _integer_options()
+
+
+@pytest.mark.parametrize("text", NON_ASCII_INTEGERS)
+@pytest.mark.parametrize("command, options", _integer_options())
+def test_integer_options_take_ascii_digits_only(capsys, command, options, text):
+    code, out, err = run_cli(capsys, command, options[-1], text)
+    assert (code, out) == (64, "")
+    assert err == f"usage error: argument {'/'.join(options)}: invalid int value: {text!r}\n"
+
+
+def test_integer_options_still_read_signs_and_spaces(capsys):
+    code, doc = run_doc(capsys, "dfam", "--power", "+1", "--lmax", " 3 ")
+    assert code == 0 and doc["box"] == [3, 3]
+
+
+@pytest.mark.parametrize("text", NON_ASCII_INTEGERS)
+@pytest.mark.parametrize("argv, message", [
+    (("act", "X", "Y^-1", "--shape", "H:{}"), "cannot read the position in 'H:{}'"),
+    (("act", "X", "Y^-1", "--shape", "D:{}", "-n", "3"), "cannot read the position in 'D:{}'"),
+    (("act", "X", "Y^-1", "--box", "{},4"), "cannot read box bounds from '{},4'"),
+    (("dfam", "--power", "1", "--lmax", "2", "--box", "2,{}"),
+     "cannot read box bounds from '2,{}'"),
+    (("pair", "X^2*Y^-1", "X^-1*Y^2", "--shape", "H:1", "--out-box", "0,{}"),
+     "cannot read box bounds from '0,{}'"),
+    (("gamma", "--shape", "series,inverse", "--gens", "{}"),
+     "cannot read the variable indices I,J,... from --gens '{}'"),
+    (("delta", "Y^-1", "--window", "0:{}"), "cannot read the window LO:HI from '0:{}'"),
+])
+def test_integer_fields_take_ascii_digits_only(capsys, argv, message, text):
+    code, out, err = run_cli(capsys, *(arg.format(text) for arg in argv))
+    assert (code, out) == (64, "")
+    assert err == f"error: {message.format(text)}\n"
 
 
 def test_zero_denominator_is_a_usage_error(capsys):

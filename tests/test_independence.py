@@ -910,6 +910,56 @@ def test_every_top_index_and_shift_matches_the_oracle_cold_and_warm(m0):
             assert (cert.m0, cert.b, cert.delta) == (m0, b, profile), (b, warmth)
 
 
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(7)], ids=str)
+def test_long_prefixes_match_the_element_path(field):
+    """Before a tail from l = 1,108, over 104 columns: the profile read
+    degree by degree is the element path's.  3 d_1 + 4 Y^2 d_2 tie at
+    X^2 Y^-2, below every other column there; over GF(7) the two cancel and
+    the candidates are re-summed, so that entry is not -2."""
+    rng = random.Random("long prefix")
+    lower = [{(0, 0): 3}, {(0, 2): 4}]
+    for terms, least_y in zip(lower, (0, 2)):
+        for x in rng.sample(range(1, 1100), 50):
+            terms[(x, rng.randint(least_y, 40))] = rng.choice((1, 2, 3, 5))
+    box = TruncationBox((1100, 40))
+    r_list = tuple(Element.from_terms(S2, box, terms, field=field)
+                   for terms in (*lower, {(1000, 0): 1, (1001, 3): 2}))
+    m0, a, b, profile, _ = oracle_certificate(r_list, 1110)
+    cert = independence_certificate(r_list, 1110)
+    assert (cert.m0, cert.a, cert.b, cert.tail_start) == (m0, a, b, 1108) == (3, 1000, 0, 1108)
+    live = tuple(enumerate(r_list, start=1))
+    assert len({(j, e[0]) for j, r in live for e, _ in r.terms if e[0] < 1108}) == 104
+    assert independence._least_exponents(live, a, b, 1108, 1110) == profile.entries
+    assert cert.delta == profile
+    assert (profile.value(2) == -2) == (field is RATIONAL)
+
+
+def test_failing_intervals_are_the_degrees_the_oracle_finds_undominated():
+    """Over m0 1-4, a and b 0-5, an h-margin of None or 0..b+1 and up to
+    three lower margins, the intervals cover exactly the t in 1..last at
+    which :func:`conftest.oracle_dominance` fails (past last it never does).
+    m0 = 1 with the h-part below b is the caller's case and is left out."""
+    box = TruncationBox((6, 7))
+    cases = 0
+    for m0, a, b in product(range(1, 5), range(6), range(6)):
+        last = max(a + 1, 2 ** (m0 - 1) + b + 1)
+        for h_margin in (None, *range(b + 2)):
+            if m0 == 1 and h_margin is not None and b - h_margin >= 1:
+                continue
+            top = {(a, b): 1} if h_margin is None else {(a, b): 1, (a + 1, h_margin): 1}
+            for margins in product(sorted({-1, 0, b, b + 1}), repeat=m0 - 1):
+                lower = [(j, m) for j, m in enumerate(margins, start=1) if m >= 0]
+                r_list = tuple(Element.from_terms(S2, box, {(0, m): 1} if m >= 0 else {})
+                               for m in margins) + (Element.from_terms(S2, box, top),)
+                dominated, _ = oracle_dominance(r_list)
+                got = {t for lo, hi in independence._failing_intervals(m0, a, b, h_margin, lower)
+                       for t in range(lo, hi + 1)}
+                assert got == {t for t in range(1, last + 1) if not dominated(a + t)}, \
+                    (m0, a, b, h_margin, lower)
+                cases += 1
+    assert cases > 10_000
+
+
 def test_prefixes_keyed_without_the_power_fail_the_check(monkeypatch):
     """A prefix memo that hands every lower index the lowest one's closed
     form must make the independence check FAIL."""
