@@ -158,8 +158,9 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
     Each certificate's whole profile must equal that of sum r_j . d_j formed
     as elements (``ring_act`` on ``make_d`` in the certificate's box, then
     ``linear_combine``), which must be exact; its shifts must agree with an
-    independent reading of the top coefficient, and refitting the tail must
-    recover them (for a top index of 1 only their sum is identifiable).  The
+    independent reading of the top coefficient, which X^(a+1) h + X^a g must
+    rebuild with g in Y alone, and refitting the tail must recover them (for
+    a top index of 1 only their sum is identifiable).  The
     expected certification rate is well above 95 percent; windows too short
     to conclude are counted but are not failures.
     """
@@ -178,8 +179,13 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
         top = r_list[cert.m0 - 1]
         a = min(e[0] for e, _ in top.terms)
         b = min(e[1] for e, _ in top.terms if e[0] == a)
+        dec = cert.decomposition  # rational, as every combination drawn here
+        rebuilt = linear_combine(
+            (1, ring_act(monomial(top.shape, TruncationBox((k, 0)), (k, 0)), part))
+            for k, part in ((a + 1, dec.h), (a, dec.g)))
         ok = s.exact and delta(s, (0, lmax)) == cert.delta
-        ok = ok and (cert.a, cert.b, cert.nonzero) == (a, b, True)
+        ok = ok and (cert.a, cert.b, cert.nonzero, dec.a, dec.b) == (a, b, True, a, b)
+        ok = ok and rebuilt.exact and rebuilt == top and all(e[0] == 0 for e, _ in dec.g.terms)
         ok = ok and cert.m0 == max(
             j for j, r in enumerate(r_list, start=1) if not r.is_zero)
         fit = fit_shift_form(cert.delta, cert.m0, cert.tail_start)

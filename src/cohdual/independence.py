@@ -23,11 +23,13 @@ makes this quantitative for a finite truncation window:
   conditions fails on one interval of degrees, found by bisection in
   O(m0 log t) steps.  s is never formed: the tail is read from the closed
   form, and before it the profile is read degree by degree, as the least
-  entry there of the columns y - (l - x)^j, one per term of r_j, with the
-  coefficients re-summed only where the tied columns cancel.  A window too
-  short to conclude names the least one that would do, or None where none
-  can.  The check line ``independence-random-combinations`` forms s as
-  elements and compares the whole profile.
+  y - (l - x)^j over the terms X^x Y^y of the r_j, with the terms
+  re-summed only where the least ones cancel.  One pass checks the
+  coefficients, and the top one is split once, as ``decompose_r`` does
+  after its own checks.  A window too short to conclude names the least
+  one that would do, or None where none can.  The check line
+  ``independence-random-combinations`` forms s as elements, compares the
+  whole profile and rebuilds the top coefficient from its split.
 
 A verified tail plus the pigeonhole on distinct growth rates is what the
 equivalence search over shifted windows (:func:`shift_equiv_window`)
@@ -38,11 +40,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from operator import neg, sub
+from operator import sub
 from typing import NamedTuple
 
-from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _check_field, _summed
-from .fields import RATIONAL, Field
+from .algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, _element, _summed
+from .fields import RATIONAL, Field, mixed_fields
 
 D_SHAPE = ModuleShape((SERIES, INVERSE))
 R_SHAPE = ModuleShape((SERIES, SERIES))  # the coefficients r_j
@@ -177,16 +179,6 @@ def _tails(power: int, lmax: int, b: int) -> tuple[int, ...]:
     return tuple(map(sub, repeat(b), map(pow, range(lmax + 1), repeat(power))))
 
 
-@lru_cache(maxsize=32)
-def _prefixes(powers: tuple[int, ...], cut: int) -> tuple[tuple[int, ...], ...]:
-    """-l^j for l < cut, one tuple per j in powers: every column, the top
-    index's too, stops before the tail, so a certificate holds one entry keyed
-    by (its nonzero indices, tail_start), of len(powers) * tail_start
-    exponents.  tail_start is at most a + max(a + 1, 2^(m0-1) + b + 1), set
-    by the top coefficient and not by lmax, so 32 entries stay small."""
-    return tuple(tuple(map(neg, map(pow, range(cut), repeat(j)))) for j in powers)
-
-
 def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
     """Minimal Y-exponent profile of a dual-shape element over two variables.
 
@@ -221,14 +213,22 @@ def decompose_r(r: Element) -> RDecomposition:
         raise ValueError("cannot decompose the zero polynomial")
     if not r.exact:
         raise InexactElementError("refusing to decompose a lossy polynomial")
-    a = r.terms[0][0][0]
-    # each part shifts X by a constant: its terms stay in the box, distinct and in order
-    g = Element(r.shape, r.box, r.field,
-                tuple(((0, y), c) for (x, y), c in r.terms if x == a))
-    h = Element(r.shape, r.box, r.field,
-                tuple(((x - a - 1, y), c) for (x, y), c in r.terms if x != a))
-    b = g.terms[0][0][1]
-    return RDecomposition(a, h, g, b)
+    return _split(r)
+
+
+def _split(r: Element) -> RDecomposition:
+    """:func:`decompose_r` of a checked, nonzero, exact polynomial.  Each part
+    shifts X by a constant, so its terms stay in the box, distinct and in order."""
+    shape, box, field, terms, _ = r
+    (a, b), _ = terms[0]
+    g, h = [], []
+    for (x, y), c in terms:
+        if x == a:
+            g.append(((0, y), c))
+        else:
+            h.append(((x - a - 1, y), c))
+    return RDecomposition(a, _element((shape, box, field, tuple(h), True)),
+                          _element((shape, box, field, tuple(g), True)), b)
 
 
 def fit_shift_form(seq: DeltaSequence, power: int, tail_start: int
@@ -282,24 +282,16 @@ def shift_equiv_window(s1: DeltaSequence, s2: DeltaSequence, search_bound: int
                 saw_short = True
                 continue
             offset = None
-            ok = True
             for l in range(l_lo, l_hi + 1):
-                av = s1.value(left + l)
-                bv = s2.value(right + l)
+                av, bv = s1.value(left + l), s2.value(right + l)
                 if (av is None) != (bv is None):
-                    ok = False
                     break
-                if av is None:
-                    continue
-                diff = av - bv
-                if offset is None:
-                    offset = diff
-                elif offset != diff:
-                    ok = False
-                    break
-            if ok:
-                return ShiftSearch("witness",
-                                   ShiftWitness(left, right, offset or 0))
+                if av is not None:
+                    if offset is not None and av - bv != offset:
+                        break
+                    offset = av - bv
+            else:
+                return ShiftSearch("witness", ShiftWitness(left, right, offset or 0))
     return ShiftSearch("inconclusive" if saw_short else "none")
 
 
@@ -334,34 +326,39 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     r_list = tuple(r_list)
     if not r_list:
         raise DegenerateInputError("no coefficient polynomials given")
+    first = r_list[0].field
     live, margins, max_x, max_y = [], [], 0, 0  # one pass: checks, box and least Y-degrees
     for j, r in enumerate(r_list, start=1):
-        if r.shape is not R_SHAPE and r.shape != R_SHAPE:
+        shape, _, field, terms, exact = r
+        if shape is not R_SHAPE and shape != R_SHAPE:
             raise ValueError("coefficients must be polynomials over two series variables")
-        if not r.exact:
+        if not exact:
             raise InexactElementError("coefficient polynomials must be exact")
-        _check_field(r_list[0], r)
-        if r.terms:
-            ys = [e[1] for e, _ in r.terms]
+        if field is not first and field != first:
+            raise mixed_fields(first, field)
+        if terms:
+            ys = [e[1] for e, _ in terms]
             live.append((j, r))
             margins.append((j, min(ys)))
-            max_x, max_y = max(max_x, r.terms[-1][0][0]), max(max_y, *ys)
+            max_x, max_y = max(max_x, terms[-1][0][0]), max(max_y, *ys)
     if not live:
         raise DegenerateInputError("every coefficient polynomial is zero")
+    if lmax < 0:  # make_d's own check, made before the box and the dominance analysis
+        raise ValueError(f"lmax must be nonnegative, got {lmax}")
     m0 = live[-1][0]
     box = TruncationBox((lmax + max_x, lmax ** m0 + max_y + 1))  # as auto_truncation
-    if lmax < 0:  # make_d's own check, made before the dominance analysis
-        raise ValueError(f"lmax must be nonnegative, got {lmax}")
 
-    dec = decompose_r(live[-1][1])
-    a, b = dec.a, dec.b
-    h_margin = min((e[1] for e, _ in dec.h.terms), default=None)
+    dec = _split(live[-1][1])
+    a, _, g, b = dec
+    h_margin = min(ys[len(g.terms):], default=None)  # ys is the top's; its X^a layer leads
     if m0 == 1 and h_margin is not None and b - h_margin >= 1:
         raise InconclusiveWindowError(None)  # t - (t - 1) = 1 for every l
     fails = _failing_intervals(m0, a, b, h_margin, margins[:-1])
-    # l <= a always fails; past the last failure up to lmax every degree is dominated
-    tail_start = a + 1 + max((min(hi, lmax - a) for lo, hi in fails if lo <= lmax - a),
-                             default=0)
+    reach, t = lmax - a, 0  # l <= a always fails; past the last failure up to lmax all holds
+    for lo, hi in fails:
+        if lo <= reach and hi > t:
+            t = hi if hi < reach else reach
+    tail_start = a + 1 + t
     if lmax - tail_start < 2:
         t = 1  # the least t with t, t + 1 and t + 2 outside every interval
         for lo, hi in sorted(fails):
@@ -370,11 +367,9 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
             t = max(t, hi + 1)
         raise InconclusiveWindowError(a + t + 2)
 
-    return IndependenceCertificate(
-        m0=m0, a=a, b=b, lmax=lmax, tail_start=tail_start,
-        delta=DeltaSequence(0, _least_exponents(live, a, b, tail_start, lmax)),
-        decomposition=dec, nonzero=True, box=box,
-    )
+    profile = _least_exponents(live, a, b, tail_start, lmax)
+    return IndependenceCertificate(m0, a, b, lmax, tail_start, DeltaSequence(0, profile),
+                                   dec, True, box)
 
 
 def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
@@ -385,11 +380,12 @@ def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
     index j needs p_j(t) = t^m0 - (a + t)^j - (b - margin_j) > 0; p_j'
     changes sign once on t > 0, from - to +, as t^(m0-1) / (a + t)^(j-1)
     grows for j < m0, so p_j(t + 1) - p_j(t) does too and p_j fails on one
-    interval around its least point.  Every condition holds from t = last
-    on (b and the margins are >= 0): t >= b + 1 settles the witness and,
-    for m0 >= 2, the h-part, as t^m0 - (t-1)^m0 >= t; t > a gives l < 2t,
-    so for j < m0 t^m0 - l^j > t^(m0-1) * (t - 2^(m0-1)) >= b + 1.  Each
-    end is found by bisection: O(m0 log last).  The case m0 = 1 with
+    interval around its least point; if p_j fails at t = 1, the interval
+    starts there and its least point need not be found.  Every condition
+    holds from t = last on (b and the margins are >= 0): t >= b + 1 settles
+    the witness and, for m0 >= 2, the h-part, as t^m0 - (t-1)^m0 >= t;
+    t > a gives l < 2t, so for j < m0 t^m0 - l^j > t^(m0-1) * (t - 2^(m0-1))
+    >= b + 1.  Each end is found by bisection: O(m0 log last).  The case m0 = 1 with
     b - h_margin >= 1, where the h-part never holds, is the caller's."""
     last = max(a + 1, 2 ** (m0 - 1) + b + 1)
     lo, hi = 1, last
@@ -403,24 +399,26 @@ def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
     fails = [(1, lo - 1)]
     for j, margin in lower:
         c = b - margin  # p_j(t) > 0 is t^m0 - (a + t)^j > c
-        lo, hi = 1, last
-        while lo < hi:  # the least t with p_j(t + 1) > p_j(t)
-            t = (lo + hi) // 2
-            if (t + 1) ** m0 - (a + t + 1) ** j > t ** m0 - (a + t) ** j:
-                hi = t
-            else:
-                lo = t + 1
-        low = lo
-        if low ** m0 - (a + low) ** j > c:
-            continue
-        lo, hi = 1, low
-        while lo < hi:  # p_j fails from here ...
-            t = (lo + hi) // 2
-            if t ** m0 - (a + t) ** j <= c:
-                hi = t
-            else:
-                lo = t + 1
-        first, lo, hi = lo, low, last
+        first = lo = 1
+        if 1 - (a + 1) ** j > c:  # p_j holds at t = 1, so fails only around its least point
+            hi = last
+            while lo < hi:  # the least t with p_j(t + 1) > p_j(t)
+                t = (lo + hi) // 2
+                if (t + 1) ** m0 - (a + t + 1) ** j > t ** m0 - (a + t) ** j:
+                    hi = t
+                else:
+                    lo = t + 1
+            if lo ** m0 - (a + lo) ** j > c:
+                continue
+            low, lo, hi = lo, 1, lo
+            while lo < hi:  # p_j fails from here ...
+                t = (lo + hi) // 2
+                if t ** m0 - (a + t) ** j <= c:
+                    hi = t
+                else:
+                    lo = t + 1
+            first, lo = lo, low
+        hi = last
         while lo < hi:  # ... until it holds again
             t = (lo + hi) // 2
             if t ** m0 - (a + t) ** j > c:
@@ -438,27 +436,19 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
     ``live`` holds (j, r_j) for the nonzero r_j, the top index m0 last.
     From tail_start on the dominance analysis forces the profile to be
     b - (l - a)^m0, sliced from its memo.  Before it, a term c X^x Y^y of
-    r_j gives at each l >= x the candidate y - (l - x)^j, killed if
-    positive; the least y per (j, x) gives a column.  Degree by degree, the
-    profile is the least entry of the columns with x <= l; where two or more
-    reach it their coefficients are added, and only if they cancel is every
-    candidate at that degree re-summed."""
-    columns, candidates = [], []
-    for (_, r), ys in zip(live, _prefixes(tuple(j for j, _ in live), tail_start)):
-        column_x = -1
-        for (x, y), c in r.terms:  # ascending, so the first term per x has its least y
-            if x >= tail_start:
-                break
-            if x != column_x:
-                column_x = x
-                columns.append((x, y, ys, c))
-            candidates.append((ys, x, y, c))
+    r_j gives at each l >= x the candidate y - (l - x)^j, computed as it is
+    read and killed if positive.  Degree by degree, the profile is the least
+    candidate; where two or more terms reach it their coefficients are
+    added, and only if they cancel are the candidates at that degree re-read
+    and re-summed."""
     entries = []
     for l in range(tail_start):
         least, total, many = 1, 0, False
-        for x, y, ys, c in columns:
-            if x <= l:
-                v = y + ys[l - x]
+        for j, r in live:
+            for (x, y), c in r.terms:  # x ascends, so the rest start past l
+                if x > l:
+                    break
+                v = y - (l - x) ** j
                 if v < least:
                     least, total, many = v, c, False
                 elif v == least:
@@ -467,8 +457,8 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
             entries.append(None)
         elif not many or total:
             entries.append(least)
-        else:  # the tied columns cancel: every candidate at l is re-summed
-            sums = _summed([(y + ys[l - x], c) for ys, x, y, c in candidates
-                            if x <= l and y + ys[l - x] <= 0])
+        else:  # the tied terms cancel: every candidate at l is re-summed
+            sums = _summed([(v, c) for j, r in live for (x, y), c in r.terms
+                            if x <= l and (v := y - (l - x) ** j) <= 0])
             entries.append(sums[0][0] if sums else None)
     return tuple(entries) + _tails(live[-1][0], lmax, b)[tail_start - a:lmax + 1 - a]

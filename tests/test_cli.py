@@ -478,6 +478,15 @@ def test_all_zero_coefficients_exit_64(capsys):
     assert err == "error: every coefficient polynomial is zero\n"
 
 
+@pytest.mark.parametrize("poly", ["1", "X"])
+def test_a_negative_lmax_is_named_whatever_the_box(capsys, poly):
+    """A constant coefficient would make the box's X-bound -1: the lmax
+    check comes first, so both give its message."""
+    code, out, err = run_cli(capsys, "indep", poly, "--lmax", "-1")
+    assert (code, out) == (64, "")
+    assert err == "error: lmax must be nonnegative, got -1\n"
+
+
 def test_unknown_suite_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "check", "--suite", "nope")
     assert (code, out) == (64, "")

@@ -698,30 +698,27 @@ def test_a_column_starting_inside_the_tail_is_compared_from_its_start(monkeypatc
 def test_the_family_cache_keeps_no_entry_past_its_bound(monkeypatch):
     """The memo of the tails' closed form b - k^m0 holds at most 32 (m0,
     lmax, b) entries, one per certificate, the least recently used going
-    first, and the prefixes before the tail are kept apart: at lmax 20,000
-    a repeated certificate computes nothing again, with m0 = 4 and with
-    m0 = 5, and b = 0 or not."""
-    memo, prefixes = independence._tails, independence._prefixes
-    assert (memo.cache_info().maxsize, prefixes.cache_info().maxsize) == (32, 32)
+    first: at lmax 20,000 a repeated certificate computes nothing again,
+    with m0 = 4 and with m0 = 5, and b = 0 or not, and a cold one calls
+    ``pow`` only for its tail, as the prefix before it is read without a
+    memo."""
+    memo = independence._tails
+    assert memo.cache_info().maxsize == 32
     memo.cache_clear()
-    prefixes.cache_clear()
     assert memo(2, 10, 3) == tuple(3 - l * l for l in range(11))
-    assert prefixes((1, 3), 4) == ((0, -1, -2, -3), (0, -1, -8, -27))
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
     cert = independence_certificate(r_list, 20_000)
     assert memo.cache_info()[1:] == (2, 32, 2)  # misses, maxsize, currsize
     assert independence_certificate(r_list, 20_000) == cert
     assert memo.cache_info()[1:] == (2, 32, 2)
-    assert prefixes.cache_info()[1:] == (2, 32, 2)
     calls = []
     monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
                         raising=False)
-    # both have tail_start 2, so the second finds its prefixes held
-    for top, cold in (({(0, 0): 1}, 20_001 + 5 * 2), ({(0, 2): 1, (1, 0): 1}, 20_001)):
+    for top, b in (({(0, 0): 1}, 0), ({(0, 2): 1, (1, 0): 1}, 2)):
         five = r_list + (poly(top),)
         cert = independence_certificate(five, 20_000)
-        assert (cert.m0, cert.tail_start, len(calls)) == (5, 2, cold)
+        assert (cert.m0, cert.b, cert.tail_start, len(calls)) == (5, b, 2, 20_001)
         calls.clear()
         for _ in range(3):
             assert independence_certificate(five, 20_000) == cert
@@ -808,17 +805,18 @@ def test_a_family_reaching_below_the_automatic_box_fails_the_check(monkeypatch):
 
 def test_each_entry_is_checked_against_its_closed_form_once(monkeypatch):
     """Each memo entry is a closed form, computed with ``pow`` once: a cold
-    certificate pays one pass over 0..lmax for its tail and one over the
-    prefix before the tail for each nonzero index, a warm one none."""
+    certificate pays one pass over 0..lmax for its tail and none for the
+    candidates before it, which are computed as they are read; a warm one
+    pays nothing."""
     calls = []
     monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
                         raising=False)
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
     independence._tails.cache_clear()
-    independence._prefixes.cache_clear()
     cert = independence_certificate(r_list, 50)
-    assert (cert.m0, cert.tail_start, len(calls)) == (4, 2, 51 + 4 * 2)
+    assert (cert.m0, cert.tail_start, len(calls)) == (4, 2, 51)
+    assert calls == [(k, 4) for k in range(51)]
     calls.clear()
     assert independence_certificate(r_list, 50) == cert
     assert calls == []
@@ -904,7 +902,6 @@ def test_every_top_index_and_shift_matches_the_oracle_cold_and_warm(m0):
                        for j in range(1, m0)) + (top,)
         profile = oracle_certificate(r_list, 1000)[3]
         independence._tails.cache_clear()
-        independence._prefixes.cache_clear()
         for warmth in ("cold", "warm"):
             cert = independence_certificate(r_list, 1000)
             assert (cert.m0, cert.b, cert.delta) == (m0, b, profile), (b, warmth)
@@ -960,13 +957,31 @@ def test_failing_intervals_are_the_degrees_the_oracle_finds_undominated():
     assert cases > 10_000
 
 
-def test_prefixes_keyed_without_the_power_fail_the_check(monkeypatch):
-    """A prefix memo that hands every lower index the lowest one's closed
-    form must make the independence check FAIL."""
-    real = independence._prefixes
-    monkeypatch.setattr(independence, "_prefixes", lambda powers, cut:
-                        real(powers[:1], cut) * len(powers))
-    _assert_the_check_fails()
+def test_a_prefix_computed_with_the_wrong_power_fails_the_check(monkeypatch):
+    """Candidates before the tail computed with the top index's power m0 in
+    place of their own j must make the independence check FAIL at every
+    pinned seed."""
+    real = independence._least_exponents
+    monkeypatch.setattr(independence, "_least_exponents", lambda live, a, b, tail_start, lmax:
+                        real([(live[-1][0], r) for _, r in live], a, b, tail_start, lmax))
+    for seed in PINNED_SEEDS:
+        _assert_the_check_fails(seed)
+
+
+def test_a_misplaced_h_fails_the_check(monkeypatch):
+    """A split of the top coefficient whose h sits one X-degree too far
+    leaves the profile as it was, since the certificate reads only a, b and
+    g's length off it; the check must still FAIL at every pinned seed."""
+    real = independence._split
+
+    def misplaced(r):
+        dec = real(r)
+        return dec._replace(h=dec.h._replace(
+            terms=tuple(((x + 1, y), c) for (x, y), c in dec.h.terms)))
+
+    monkeypatch.setattr(independence, "_split", misplaced)
+    for seed in PINNED_SEEDS:
+        _assert_the_check_fails(seed)
 
 
 def _family_with_power(monkeypatch, asked, built):
