@@ -10,7 +10,8 @@ dual elements are nonzero and linearly independent.
 
 ``import cohdual`` loads no submodule.  Each exported name is looked up
 in its submodule when it is used (PEP 562), so a script or a CLI request
-compiles and runs only the modules it needs.  The lookup is made on every
+compiles and runs only the modules it needs.  Only the submodule's
+qualified name is worked out in advance; the attribute is read on every
 access and never cached here, so ``cohdual.ring_act`` is always the
 submodule's current attribute.
 """
@@ -49,7 +50,8 @@ _EXPORTS = {
     ),
 }
 
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+# exported name -> the qualified name of its submodule, built once
+_SOURCE = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_SOURCE)
 
@@ -57,10 +59,10 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    module = _SOURCE.get(name)
-    if module is None:
+    qualified = _SOURCE.get(name)
+    if qualified is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    qualified = f"{__name__}.{module}"  # sys.modules.get is ~15x cheaper than import_module
+    # sys.modules.get is ~15x cheaper than import_module
     return getattr(sys.modules.get(qualified) or import_module(qualified), name)
 
 

@@ -55,6 +55,7 @@ SCHEMA = "cohdual/1"
 
 _INT_RE = re.compile(r"[0-9]+")  # ASCII digits only, as in the scalar reader
 _SIGNED_INT_RE = re.compile(r"[+-]?[0-9]+")
+_SPACE_RE = re.compile(r"\s*")  # \s is exactly str.isspace on str patterns
 # the layout of each JSON leaf type that needs no encoder; json.dumps writes the rest
 _LEAVES = {str: _ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get}
 
@@ -85,30 +86,25 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
     """Parse an expression into an exact element of the given shape and box."""
     if shape.nvars != box.nvars:
         raise ValueError("shape and box disagree on the variable count")
-    names = default_variable_names(shape.nvars)
-    index = {name: j for j, name in enumerate(names)}
-    by_length = sorted(names, key=len, reverse=True)
     n = shape.nvars
+    names = default_variable_names(n)
+    name_at = _name_pattern(names)
     lo, hi, _ = _window(shape.roles, box.bounds)
     size = len(text)
-
-    def skip(p: int) -> int:
-        while p < size and text[p].isspace():
-            p += 1
-        return p
+    space = _SPACE_RE.match
 
     terms: list[tuple[tuple[int, ...], object]] = []
-    pos = skip(0)
+    pos = space(text).end()
     if pos == size:
         raise ParseError("empty expression", pos)
     first = True
     while pos < size:
         sign = 1
         if text[pos] == "+":
-            pos = skip(pos + 1)
+            pos = space(text, pos + 1).end()
         elif text[pos] == "-":
             sign = -1
-            pos = skip(pos + 1)
+            pos = space(text, pos + 1).end()
         elif not first:
             if "0" <= text[pos] <= "9":
                 raise ParseError("a coefficient may only open a term", pos)
@@ -121,9 +117,9 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
         if m:
             scalar_text = m.group()
             pos = m.end()
-            p = skip(pos)
+            p = space(text, pos).end()
             if p < size and text[p] == "/":
-                p = skip(p + 1)
+                p = space(text, p + 1).end()
                 m2 = _INT_RE.match(text, p)
                 if not m2:
                     raise ParseError("expected a denominator after '/'", p)
@@ -137,30 +133,31 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
         exps = [0] * n
         saw_factor = False
         while True:
-            p = skip(pos)
+            p = space(text, pos).end()
             starred = False
             if p < size and text[p] == "*":
                 starred = True
-                p = skip(p + 1)
-            matched = next((nm for nm in by_length if text.startswith(nm, p)), None)
-            if matched is None:
+                p = space(text, p + 1).end()
+            m = name_at(text, p)
+            if m is None:
                 if starred:
                     raise ParseError("expected a variable after '*'", p)
                 pos = p
                 break
-            j = index[matched]
+            matched = m.group()
+            j = names.index(matched)
             factor_pos = p
-            p += len(matched)
+            p = m.end()
             exponent = 1
-            q = skip(p)
+            q = space(text, p).end()
             if q < size and text[q] == "^":
-                q = skip(q + 1)
+                q = space(text, q + 1).end()
                 m3 = _SIGNED_INT_RE.match(text, q)
                 if not m3:
                     raise ParseError("expected an integer exponent after '^'", q)
                 exponent = int(m3.group())
                 p = m3.end()
-            role = shape.role(j)
+            role = shape.roles[j]
             if role == SERIES and exponent < 0:
                 raise ParseError(
                     f"series variable {matched} cannot carry a negative exponent",
@@ -183,8 +180,14 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
                     f"exponent {exps[j]} of {names[j]} falls outside the truncation box",
                     term_pos)
         terms.append((tuple(exps), -coeff if sign < 0 else coeff))
-        pos = skip(pos)
+        pos = space(text, pos).end()
     return Element.from_terms(shape, box, terms, field=field)
+
+
+@lru_cache(maxsize=64)
+def _name_pattern(names: tuple[str, ...]):
+    """``match`` of the names, longest first, so X10 is never read as X1 and 0."""
+    return re.compile("|".join(sorted(names, key=len, reverse=True))).match
 
 
 @lru_cache(maxsize=64)

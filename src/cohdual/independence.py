@@ -21,13 +21,14 @@ makes this quantitative for a finite truncation window:
   accounts for the h-part of the top coefficient, for every lower-index
   d_j, and for the contraction kill on positive Y-exponents; each of its
   conditions fails on one interval of degrees, found by bisection in
-  O(m0 log t) steps.  s is never formed: the tail is read from the closed
-  form, and before it the profile is read degree by degree, as the least
-  y - (l - x)^j over the terms X^x Y^y of the r_j, with the terms
-  re-summed only where the least ones cancel.  One pass checks the
-  coefficients, and the top one is split once, as ``decompose_r`` does
-  after its own checks.  A window too short to conclude names the least
-  one that would do, or None where none can.  The check line
+  O(m0 log t) steps.  s is never formed: the tail is a kept slice of the
+  closed form, copied once, onto the prefix, which is read degree by
+  degree, as the least y - (l - x)^j over the terms X^x Y^y of the r_j,
+  with the terms re-summed only where the least ones cancel.  One pass
+  checks the coefficients, the top one is split once, as ``decompose_r``
+  does after its own checks, and the records are built from the checked
+  values unchecked.  A window too short to conclude names the least one
+  that would do, or None where none can.  The check line
   ``independence-random-combinations`` forms s as elements, compares the
   whole profile and rebuilds the top coefficient from its split.
 
@@ -38,7 +39,7 @@ consumes: profiles of distinct powers admit no shift witness.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from operator import sub
 from typing import NamedTuple
@@ -147,6 +148,13 @@ class IndependenceCertificate(NamedTuple):
     box: TruncationBox
 
 
+# the records a certificate builds from values its one pass has checked, minus their __new__
+_box = partial(tuple.__new__, TruncationBox)
+_profile = partial(tuple.__new__, DeltaSequence)
+_decomposition = partial(tuple.__new__, RDecomposition)
+_certificate = partial(tuple.__new__, IndependenceCertificate)
+
+
 def make_d(power: int, lmax: int, box: TruncationBox | None = None,
            field: Field = RATIONAL) -> Element:
     """Truncation of sum_l Y^(-l^power) X^l at X-degree lmax, over the field.
@@ -177,6 +185,13 @@ def _tails(power: int, lmax: int, b: int) -> tuple[int, ...]:
     One entry per (m0, lmax, b); m0 <= 4 and b <= 4 at one lmax need 20, and
     the 32 held are at most 32 * (largest lmax + 1) exponents."""
     return tuple(map(sub, repeat(b), map(pow, range(lmax + 1), repeat(power))))
+
+
+@lru_cache(maxsize=64)
+def _tail(power: int, lmax: int, b: int, start: int, stop: int) -> tuple[int, ...]:
+    """``_tails(power, lmax, b)[start:stop]``, kept so a repeated tail is copied
+    once, onto its prefix: at most 64 * (largest lmax + 1) pointers to its ints."""
+    return _tails(power, lmax, b)[start:stop]
 
 
 def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
@@ -227,8 +242,8 @@ def _split(r: Element) -> RDecomposition:
             g.append(((0, y), c))
         else:
             h.append(((x - a - 1, y), c))
-    return RDecomposition(a, _element((shape, box, field, tuple(h), True)),
-                          _element((shape, box, field, tuple(g), True)), b)
+    return _decomposition((a, _element((shape, box, field, tuple(h), True)),
+                           _element((shape, box, field, tuple(g), True)), b))
 
 
 def fit_shift_form(seq: DeltaSequence, power: int, tail_start: int
@@ -346,7 +361,8 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     if lmax < 0:  # make_d's own check, made before the box and the dominance analysis
         raise ValueError(f"lmax must be nonnegative, got {lmax}")
     m0 = live[-1][0]
-    box = TruncationBox((lmax + max_x, lmax ** m0 + max_y + 1))  # as auto_truncation
+    bounds = (lmax + max_x, lmax ** m0 + max_y + 1)  # as auto_truncation
+    box = _box((bounds,)) if type(lmax) is int else TruncationBox(bounds)  # refuses non-ints
 
     dec = _split(live[-1][1])
     a, _, g, b = dec
@@ -368,8 +384,7 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
         raise InconclusiveWindowError(a + t + 2)
 
     profile = _least_exponents(live, a, b, tail_start, lmax)
-    return IndependenceCertificate(m0, a, b, lmax, tail_start, DeltaSequence(0, profile),
-                                   dec, True, box)
+    return _certificate((m0, a, b, lmax, tail_start, _profile((0, profile)), dec, True, box))
 
 
 def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
@@ -435,12 +450,12 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
 
     ``live`` holds (j, r_j) for the nonzero r_j, the top index m0 last.
     From tail_start on the dominance analysis forces the profile to be
-    b - (l - a)^m0, sliced from its memo.  Before it, a term c X^x Y^y of
-    r_j gives at each l >= x the candidate y - (l - x)^j, computed as it is
-    read and killed if positive.  Degree by degree, the profile is the least
-    candidate; where two or more terms reach it their coefficients are
-    added, and only if they cancel are the candidates at that degree re-read
-    and re-summed."""
+    b - (l - a)^m0, a memo's slice that is copied once, onto the prefix.
+    Before it, a term c X^x Y^y of r_j gives at each l >= x the candidate
+    y - (l - x)^j, computed as it is read and killed if positive.  Degree by
+    degree, the profile is the least candidate; where two or more terms
+    reach it their coefficients are added, and only if they cancel are the
+    candidates at that degree re-read and re-summed."""
     entries = []
     for l in range(tail_start):
         least, total, many = 1, 0, False
@@ -461,4 +476,4 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
             sums = _summed([(v, c) for j, r in live for (x, y), c in r.terms
                             if x <= l and (v := y - (l - x) ** j) <= 0])
             entries.append(sums[0][0] if sums else None)
-    return tuple(entries) + _tails(live[-1][0], lmax, b)[tail_start - a:lmax + 1 - a]
+    return tuple(entries) + _tail(live[-1][0], lmax, b, tail_start - a, lmax + 1 - a)

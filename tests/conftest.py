@@ -5,9 +5,11 @@ written the slow and obvious way on plain dicts and Fractions, so the
 package's sparse paths can be checked against something with no shared
 code.  The exceptions are :func:`oracle_certificate`, which keeps the
 certificate's older element path (itself checked against
-:func:`oracle_product`) as the reference for its column path, and
+:func:`oracle_product`) as the reference for its column path,
 :func:`oracle_realization`, which keeps the realization sweep's older
-degree-by-degree loop as the reference for its sign-class sweep.
+degree-by-degree loop as the reference for its sign-class sweep, and
+:func:`oracle_parse_element`, which keeps the expression parser's first
+state machine as the reference for its pattern-matching one.
 """
 
 from fractions import Fraction
@@ -15,15 +17,18 @@ from itertools import combinations_with_replacement, product
 
 import cohdual.cech as cech
 from cohdual.algebra import (
+    INVERSE,
     Element,
     ModuleShape,
     SERIES,
     TruncationBox,
+    _window,
     linear_combine,
     monomial,
     ring_act,
 )
-from cohdual.fields import RATIONAL, Fp, PrimeField
+from cohdual.exprio import _INT_RE, _SIGNED_INT_RE, ParseError, default_variable_names
+from cohdual.fields import RATIONAL, Field, Fp, PrimeField
 from cohdual.independence import auto_truncation, delta, make_d
 
 
@@ -286,3 +291,113 @@ def oracle_is_torsion(e: Element, gens) -> bool:
         else:
             return True
     return False
+
+
+def oracle_parse_element(text: str, shape: ModuleShape, box: TruncationBox,
+                  field: Field = RATIONAL) -> Element:
+    """The expression parser as it was written first, a closure skipping
+    whitespace at every position and a generator matching each factor's
+    name: the reference that ``exprio.parse_element`` must agree with on
+    the element, and on every error's message and position."""
+    if shape.nvars != box.nvars:
+        raise ValueError("shape and box disagree on the variable count")
+    names = default_variable_names(shape.nvars)
+    index = {name: j for j, name in enumerate(names)}
+    by_length = sorted(names, key=len, reverse=True)
+    n = shape.nvars
+    lo, hi, _ = _window(shape.roles, box.bounds)
+    size = len(text)
+
+    def skip(p: int) -> int:
+        while p < size and text[p].isspace():
+            p += 1
+        return p
+
+    terms: list[tuple[tuple[int, ...], object]] = []
+    pos = skip(0)
+    if pos == size:
+        raise ParseError("empty expression", pos)
+    first = True
+    while pos < size:
+        sign = 1
+        if text[pos] == "+":
+            pos = skip(pos + 1)
+        elif text[pos] == "-":
+            sign = -1
+            pos = skip(pos + 1)
+        elif not first:
+            if "0" <= text[pos] <= "9":
+                raise ParseError("a coefficient may only open a term", pos)
+            raise ParseError("expected '+' or '-' between terms", pos)
+        first = False
+        term_pos = pos
+
+        coeff = None
+        m = _INT_RE.match(text, pos)
+        if m:
+            scalar_text = m.group()
+            pos = m.end()
+            p = skip(pos)
+            if p < size and text[p] == "/":
+                p = skip(p + 1)
+                m2 = _INT_RE.match(text, p)
+                if not m2:
+                    raise ParseError("expected a denominator after '/'", p)
+                scalar_text += "/" + m2.group()
+                pos = m2.end()
+            try:
+                coeff = field.parse_scalar(scalar_text)
+            except ValueError as exc:
+                raise ParseError(str(exc), term_pos) from None
+
+        exps = [0] * n
+        saw_factor = False
+        while True:
+            p = skip(pos)
+            starred = False
+            if p < size and text[p] == "*":
+                starred = True
+                p = skip(p + 1)
+            matched = next((nm for nm in by_length if text.startswith(nm, p)), None)
+            if matched is None:
+                if starred:
+                    raise ParseError("expected a variable after '*'", p)
+                pos = p
+                break
+            j = index[matched]
+            factor_pos = p
+            p += len(matched)
+            exponent = 1
+            q = skip(p)
+            if q < size and text[q] == "^":
+                q = skip(q + 1)
+                m3 = _SIGNED_INT_RE.match(text, q)
+                if not m3:
+                    raise ParseError("expected an integer exponent after '^'", q)
+                exponent = int(m3.group())
+                p = m3.end()
+            role = shape.role(j)
+            if role == SERIES and exponent < 0:
+                raise ParseError(
+                    f"series variable {matched} cannot carry a negative exponent",
+                    factor_pos)
+            if role == INVERSE and exponent > 0:
+                raise ParseError(
+                    f"inverse variable {matched} cannot carry a positive exponent",
+                    factor_pos)
+            exps[j] += exponent
+            saw_factor = True
+            pos = p
+
+        if coeff is None and not saw_factor:
+            raise ParseError("expected a term", term_pos)
+        if coeff is None:
+            coeff = field.one
+        for j in range(n):
+            if not lo[j] <= exps[j] <= hi[j]:
+                raise ParseError(
+                    f"exponent {exps[j]} of {names[j]} falls outside the truncation box",
+                    term_pos)
+        terms.append((tuple(exps), -coeff if sign < 0 else coeff))
+        pos = skip(pos)
+    return Element.from_terms(shape, box, terms, field=field)

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cohdual.algebra import Element, ModuleShape, TruncationBox, monomial, ring_act
+from cohdual.algebra import INVERSE, SERIES, Element, ModuleShape, TruncationBox, monomial, ring_act
 from cohdual.cech import verify_realization
 from cohdual.checks import DEFAULT_SEED, CheckReport, independence_trials, run_suite
 from cohdual.duality import pairing_perfection_check, regular_on_dual_check
@@ -33,7 +34,7 @@ from cohdual.independence import (
     make_d,
     shift_equiv_window,
 )
-from conftest import random_sample
+from conftest import oracle_parse_element, random_sample
 
 S2 = ModuleShape.series_shape(2)
 D2 = ModuleShape(("series", "inverse"))
@@ -276,6 +277,85 @@ def test_expressions_take_ascii_digits_only(text, message, position):
         parse_element(text, S2, BOX)
     assert str(refused.value) == f"{message} (at position {position})"
     assert refused.value.position == position
+
+
+SPACES = ("", "", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000")
+EDITS = ("+", "-", "*", "/", "^", "7", "0", "X", "X1", "Y", " ", "\u2003", "Q", "\u0663", "")
+# every error class the grammar has, named by a piece of its message
+PARSE_OUTCOMES = (
+    "empty expression", "a coefficient may only open a term",
+    "expected '+' or '-' between terms", "expected a denominator after '/'",
+    "zero denominator in", "vanishes mod", "expected a variable after '*'",
+    "expected an integer exponent after '^'", "cannot carry a negative exponent",
+    "cannot carry a positive exponent", "expected a term",
+    "falls outside the truncation box",
+)
+
+
+def _expression_text(rng, shape):
+    """A random expression, its spacing drawn from ASCII and Unicode
+    whitespace and its exponents mostly of the right sign for their
+    variable; most get up to three single-character edits."""
+    names = default_variable_names(shape.nvars)
+    if rng.random() < 0.01:
+        return rng.choice(SPACES) * rng.randint(0, 2)
+    out = [rng.choice(SPACES)]
+    for k in range(rng.randint(1, 4)):
+        if k or rng.random() < 0.3:
+            out += [rng.choice("+-"), rng.choice(SPACES)]
+        if rng.random() < 0.5:
+            out.append(str(rng.randint(0, 30)))
+            if rng.random() < 0.3:
+                out += [rng.choice(SPACES), "/", rng.choice(SPACES), str(rng.randint(0, 9))]
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                out += [rng.choice(SPACES), "*", rng.choice(SPACES)]
+            j = rng.randrange(shape.nvars)
+            out.append(names[j])
+            if shape.roles[j] == INVERSE or rng.random() < 0.6:  # a bare name is ^1
+                sign = "-" if shape.roles[j] == INVERSE else rng.choice(("", "+"))
+                out += [rng.choice(SPACES), "^", rng.choice(SPACES),
+                        (sign if rng.random() < 0.9 else "-+"[sign == "-"])
+                        + str(rng.randint(0, 3))]
+        out.append(rng.choice(SPACES))
+    text = "".join(out)
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        k, edit, piece = rng.randint(0, len(text)), rng.random(), rng.choice(EDITS)
+        if edit < 0.4:
+            text = text[:k] + piece + text[k:]
+        elif edit < 0.7:
+            text = text[:k] + text[k + 1:]
+        else:
+            text = text[:k] + piece + text[k + 1:]
+    return text
+
+
+def _parsed(parse, text, shape, box, field):
+    try:
+        return "ok", tuple(parse(text, shape, box, field))
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+
+
+def test_the_parser_matches_its_first_state_machine():
+    """On 6,000 seeded strings over 1 to 4 and 11 variables (where X10 and
+    X11 meet X1), both fields and Unicode whitespace, the parser gives the
+    oracle's element, or a ParseError with its message and position; the
+    strings reach every error class and well-formed input."""
+    rng = random.Random("parser oracle")
+    reached = Counter()
+    for _ in range(6000):
+        n = rng.choice((1, 2, 3, 4, 11))
+        shape = ModuleShape(tuple(rng.choice((SERIES, INVERSE)) for _ in range(n)))
+        box = TruncationBox(tuple(rng.randint(1, 6) for _ in range(n)))
+        field = rng.choice((RATIONAL, PrimeField(7)))
+        text = _expression_text(rng, shape)
+        got = _parsed(parse_element, text, shape, box, field)
+        assert got == _parsed(oracle_parse_element, text, shape, box, field), text
+        reached[next((o for o in PARSE_OUTCOMES if got[0] == "error" and o in got[1]),
+                     got[0])] += 1
+    assert set(reached) == {"ok", *PARSE_OUTCOMES}, reached
+    assert reached["ok"] >= 1000 and min(reached.values()) >= 50, reached
 
 
 @pytest.mark.parametrize("text", ["-6/15", "007", "-0", "12/4", "5/3"])

@@ -375,21 +375,28 @@ FAMILY_DRAWS = {
 }
 
 
+def _clear_tail_memos():
+    """Empty both memos a tail comes from: its closed form and its slices."""
+    independence._tails.cache_clear()
+    independence._tail.cache_clear()
+
+
 @pytest.mark.parametrize("kind, lmax", [
     *((kind, lmax) for lmax in (8, 100) for kind in sorted(FAMILY_DRAWS)),
     *((kind, lmax) for lmax in (1000, 3000) for kind in ("fraction", "gf32003"))])
 def test_cached_family_certificates_match_oracle(kind, lmax):
     """Certificates whose tails are sliced from the memo of b - k^m0 equal
-    the element-path oracle, first with the memo emptied (each (m0, lmax, b)
-    computed on its first use) and then with every one held."""
+    the element-path oracle, first with the memos emptied (each (m0, lmax, b)
+    computed and each slice taken on its first use) and then with every one
+    held."""
     rng = random.Random(f"family/{kind}/{lmax}")
     combinations = [tuple(poly({(rng.randint(0, 3), rng.randint(0, 3)): FAMILY_DRAWS[kind](rng)
                                 for _ in range(rng.randint(1, 2))})
                           for _ in range(rng.randint(1, 3)))
                     for _ in range(12)]
-    independence._tails.cache_clear()
+    _clear_tail_memos()
     for warmth in ("cold", "warm"):
-        tops = []
+        tops, slices = [], []
         for r_list in combinations:
             try:
                 _assert_certificate_matches_oracle(r_list, lmax)
@@ -397,9 +404,11 @@ def test_cached_family_certificates_match_oracle(kind, lmax):
                 continue
             cert = independence_certificate(r_list, lmax)
             tops.append((cert.m0, cert.b))
+            slices.append((cert.m0, cert.b, cert.a, cert.tail_start))
         assert len(tops) >= 6, warmth
-        # each (m0, b) has its tail computed once, on its first use
+        # each (m0, b) has its tail computed once and each slice taken once, on first use
         assert independence._tails.cache_info().misses == len(set(tops)), warmth
+        assert independence._tail.cache_info().misses == len(set(slices)), warmth
 
 
 @pytest.mark.parametrize("terms, required", [
@@ -695,23 +704,25 @@ def test_a_column_starting_inside_the_tail_is_compared_from_its_start(monkeypatc
     assert (cert.delta.value(10), profile.value(10)) == (-100, -125)
 
 
-def test_the_family_cache_keeps_no_entry_past_its_bound(monkeypatch):
+def test_the_tail_memos_keep_no_entry_past_their_bounds(monkeypatch):
     """The memo of the tails' closed form b - k^m0 holds at most 32 (m0,
-    lmax, b) entries, one per certificate, the least recently used going
-    first: at lmax 20,000 a repeated certificate computes nothing again,
-    with m0 = 4 and with m0 = 5, and b = 0 or not, and a cold one calls
-    ``pow`` only for its tail, as the prefix before it is read without a
-    memo."""
-    memo = independence._tails
-    assert memo.cache_info().maxsize == 32
-    memo.cache_clear()
+    lmax, b) entries and the memo of their slices at most 64, the least
+    recently used going first: at lmax 20,000 a repeated certificate
+    computes nothing again and takes no new slice, with m0 = 4 and with
+    m0 = 5, and b = 0 or not, and a cold one calls ``pow`` only for its
+    tail, as the prefix before it is read without a memo."""
+    memo, slices = independence._tails, independence._tail
+    assert (memo.cache_info().maxsize, slices.cache_info().maxsize) == (32, 64)
+    _clear_tail_memos()
     assert memo(2, 10, 3) == tuple(3 - l * l for l in range(11))
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
     cert = independence_certificate(r_list, 20_000)
     assert memo.cache_info()[1:] == (2, 32, 2)  # misses, maxsize, currsize
+    assert slices.cache_info()[1:] == (1, 64, 1)
     assert independence_certificate(r_list, 20_000) == cert
     assert memo.cache_info()[1:] == (2, 32, 2)
+    assert slices.cache_info()[1:] == (1, 64, 1)
     calls = []
     monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
                         raising=False)
@@ -720,15 +731,21 @@ def test_the_family_cache_keeps_no_entry_past_its_bound(monkeypatch):
         cert = independence_certificate(five, 20_000)
         assert (cert.m0, cert.b, cert.tail_start, len(calls)) == (5, b, 2, 20_001)
         calls.clear()
+        taken = slices.cache_info().misses
         for _ in range(3):
             assert independence_certificate(five, 20_000) == cert
-        assert calls == []
+        assert calls == [] and slices.cache_info().misses == taken
     monkeypatch.undo()
     for b in range(32):
         memo(1, 3, b)
     assert memo.cache_info().currsize == 32
     assert memo(2, 10, 3) == tuple(3 - l * l for l in range(11))
     assert memo.cache_info()[1:] == (37, 32, 32)  # (2, 10, 3) had been dropped
+    for stop in range(100):
+        assert slices(2, 10, 3, 0, stop) == memo(2, 10, 3)[:stop]
+        assert slices.cache_info().currsize == min(stop + 4, 64)
+    assert slices(2, 10, 3, 0, 0) == ()  # dropped too
+    assert slices.cache_info()[1:] == (104, 64, 64)
 
 
 def _certify_past_2_to_the_64():
@@ -813,7 +830,7 @@ def test_each_entry_is_checked_against_its_closed_form_once(monkeypatch):
                         raising=False)
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
-    independence._tails.cache_clear()
+    _clear_tail_memos()
     cert = independence_certificate(r_list, 50)
     assert (cert.m0, cert.tail_start, len(calls)) == (4, 2, 51)
     assert calls == [(k, 4) for k in range(51)]
@@ -842,33 +859,57 @@ def test_a_broken_family_fails_the_check_with_a_warm_cache(monkeypatch):
     """The memo filled by a passing run does not hide a broken make_d."""
     assert _independence_line()[0].passed
     assert independence._tails.cache_info().currsize > 0
+    assert independence._tail.cache_info().currsize > 0
     _break_the_family(monkeypatch)
     _assert_the_check_fails()
 
 
 def _tails_keyed_by(monkeypatch, key):
-    """Make the tail memo hand out the first tail computed under ``key``."""
-    real = independence._tails
+    """Make the memo that hands out tails give every certificate the first
+    tail taken under its ``key(m0, lmax, b, a, tail_start)``."""
+    real = independence._tail
     held = {}
 
-    def keyed(power, lmax, b):
-        return held.setdefault(key(power, lmax, b), real(power, lmax, b))
+    def keyed(power, lmax, b, start, stop):
+        a = lmax + 1 - stop
+        return held.setdefault(key(power, lmax, b, a, start + a),
+                               real(power, lmax, b, start, stop))
 
-    monkeypatch.setattr(independence, "_tails", keyed)
+    monkeypatch.setattr(independence, "_tail", keyed)
 
 
-def test_a_family_cache_keyed_without_the_power_fails_the_check(monkeypatch):
-    """A tail memo that hands every m0 the first tail computed at that
-    (lmax, b) must make the independence check FAIL at every pinned seed."""
-    _tails_keyed_by(monkeypatch, lambda power, lmax, b: (lmax, b))
+def test_a_tail_memo_keyed_without_the_power_fails_the_check(monkeypatch):
+    """A tail memo that hands every m0 the first tail taken at that (lmax,
+    b, a, tail_start) must make the independence check FAIL at every pinned
+    seed."""
+    _tails_keyed_by(monkeypatch, lambda m0, lmax, b, a, tail_start: (lmax, b, a, tail_start))
     for seed in PINNED_SEEDS:
         _assert_the_check_fails(seed)
 
 
 def test_a_tail_cache_keyed_without_b_fails_the_check(monkeypatch):
-    """A tail memo that hands every b the first tail computed at that
-    (m0, lmax) must make the independence check FAIL at every pinned seed."""
-    _tails_keyed_by(monkeypatch, lambda power, lmax, b: (power, lmax))
+    """A tail memo that hands every b the first tail taken at that (m0,
+    lmax, a, tail_start) must make the independence check FAIL at every
+    pinned seed."""
+    _tails_keyed_by(monkeypatch, lambda m0, lmax, b, a, tail_start: (m0, lmax, a, tail_start))
+    for seed in PINNED_SEEDS:
+        _assert_the_check_fails(seed)
+
+
+def test_a_tail_memo_keyed_without_a_fails_the_check(monkeypatch):
+    """A tail memo that hands every a the first tail taken at that (m0,
+    lmax, b, tail_start) must make the independence check FAIL at every
+    pinned seed."""
+    _tails_keyed_by(monkeypatch, lambda m0, lmax, b, a, tail_start: (m0, lmax, b, tail_start))
+    for seed in PINNED_SEEDS:
+        _assert_the_check_fails(seed)
+
+
+def test_a_tail_memo_keyed_without_tail_start_fails_the_check(monkeypatch):
+    """A tail memo that hands every tail_start the first tail taken at that
+    (m0, lmax, b, a) must make the independence check FAIL at every pinned
+    seed."""
+    _tails_keyed_by(monkeypatch, lambda m0, lmax, b, a, tail_start: (m0, lmax, b, a))
     for seed in PINNED_SEEDS:
         _assert_the_check_fails(seed)
 
@@ -901,7 +942,7 @@ def test_every_top_index_and_shift_matches_the_oracle_cold_and_warm(m0):
         r_list = tuple(Element.from_terms(S2, box, {(0, 0): j + 1, (1, 2): Fraction(-1, j)})
                        for j in range(1, m0)) + (top,)
         profile = oracle_certificate(r_list, 1000)[3]
-        independence._tails.cache_clear()
+        _clear_tail_memos()
         for warmth in ("cold", "warm"):
             cert = independence_certificate(r_list, 1000)
             assert (cert.m0, cert.b, cert.delta) == (m0, b, profile), (b, warmth)

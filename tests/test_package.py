@@ -42,7 +42,7 @@ def test_every_export_resolves_to_its_submodule_object():
     listed = dir(cohdual)
     for name in cohdual.__all__:
         value = getattr(cohdual, name)
-        module = sys.modules[f"cohdual.{cohdual._SOURCE[name]}"]
+        module = sys.modules[cohdual._SOURCE[name]]
         assert value is getattr(module, name)
         assert name in listed
     assert "__version__" in listed
