@@ -54,6 +54,12 @@ INVERSE = "inverse"
 Exponents = tuple[int, ...]
 
 
+def _check_index(n: int, i: int) -> None:
+    """Refuse a local-cohomology index outside 1..n, before any work on n."""
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+
+
 def _unsupported(op: str, left, right):
     raise TypeError(f"unsupported operand type(s) for {op}: "
                     f"'{type(left).__name__}' and '{type(right).__name__}'")
@@ -117,8 +123,7 @@ class ModuleShape(_Record, NamedTuple("ModuleShape", [("roles", tuple)])):
     @classmethod
     def cohomology_shape(cls, n: int, i: int) -> "ModuleShape":
         """Inverse on the first i variables, series on the remaining n - i."""
-        if not 1 <= i <= n:
-            raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+        _check_index(n, i)
         return cls((INVERSE,) * i + (SERIES,) * (n - i))
 
 

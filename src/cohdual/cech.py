@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .algebra import Element, ModuleShape, TruncationBox, monomial, ring_act
+from .algebra import Element, ModuleShape, TruncationBox, _check_index, monomial, ring_act
 from .linalg import integer_rank
 
 
@@ -53,8 +53,7 @@ class CechDegreePiece(NamedTuple):
 
 
 def build_degree_piece(n: int, i: int, a: tuple[int, ...]) -> CechDegreePiece:
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    _check_index(n, i)
     a = tuple(a)
     if len(a) != n:
         raise ValueError(f"degree {a} has wrong length for n={n}")
@@ -89,8 +88,7 @@ def _dims_by_signs(n: int, i: int, negative: tuple[bool, ...]) -> tuple[int, ...
 
 def cech_dims_at_degree(n: int, i: int, a: tuple[int, ...]) -> tuple[int, ...]:
     """Cohomology dimensions (positions 0..i) of the slice at multidegree a."""
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    _check_index(n, i)
     a = tuple(a)
     if len(a) != n:
         raise ValueError(f"degree {a} has wrong length for n={n}")
@@ -138,11 +136,10 @@ def verify_realization(n: int, i: int, window: int) -> RealizationReport:
     coordinates holds window^k * (window + 1)^(n - k) degrees, and its
     dimensions are laid against them without a further lookup.
     """
+    _check_index(n, i)
     if window < 1:
         raise ValueError("window must cover both signs; need window >= 1")
     classes = list(product((True, False), repeat=n))  # True: the coordinate is negative
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     dims = {s: _dims_by_signs(n, i, s) for s in classes}
     failing = {s for s in classes
                if dims[s] != (0,) * i + (int(all(s[:i]) and not any(s[i:])),)}

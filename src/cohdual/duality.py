@@ -205,14 +205,12 @@ def regular_on_dual_check(n: int, i: int, bound: int) -> RegularityReport:
     steps the quotient must be the all-inverse shape on the remaining
     variables, nonzero because it contains the socle monomial.
     """
+    shape = ModuleShape.cohomology_shape(n, i).dual()  # refuses i outside 1..n first
     # imported here, so that pairings and torsion supports never load linalg
     from .linalg import sparse_column_rank
 
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     if bound < 1:
         raise ValueError("the box must leave room for the action; need bound >= 1")
-    shape = ModuleShape.cohomology_shape(n, i).dual()
     box = TruncationBox.uniform(n, bound)
     steps = []
     ok = True

@@ -1,9 +1,11 @@
 """Text expressions and JSON documents for elements and reports.
 
 The expression grammar is deliberately small.  An expression is a signed
-sum of terms; a term is an optional integer or fraction coefficient
-followed by variable factors, with '*' optional between pieces and
-whitespace ignored everywhere:
+sum of terms, whitespace ignored everywhere; every term after the first
+opens with '+' or '-'.  A term is read by two patterns: an optional
+coefficient ``digits [/ digits]``, then factors ``[*] name [^ [+|-]digits]``
+until a piece is neither a star nor a name.  Digits are ASCII, and names
+are tried longest first, so X10 is never read as X1 and 0:
 
     3/2*X^2*Y^-1 - X + 4
 
@@ -53,8 +55,9 @@ from .fields import Fp, RATIONAL, Field, field_from_descriptor
 
 SCHEMA = "cohdual/1"
 
-_INT_RE = re.compile(r"[0-9]+")  # ASCII digits only, as in the scalar reader
-_SIGNED_INT_RE = re.compile(r"[+-]?[0-9]+")
+_DIGIT = "[0-9]"  # ASCII digits only, as in the scalar reader; \d takes every script's
+_SIGNED_INT_RE = re.compile(rf"[+-]?{_DIGIT}+")
+_COEFFICIENT_RE = re.compile(rf"({_DIGIT}+)(?:\s*/\s*({_DIGIT}*))?")  # "" after a bare '/'
 _SPACE_RE = re.compile(r"\s*")  # \s is exactly str.isspace on str patterns
 # the layout of each JSON leaf type that needs no encoder; json.dumps writes the rest
 _LEAVES = {str: _ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get}
@@ -86,108 +89,73 @@ def parse_element(text: str, shape: ModuleShape, box: TruncationBox,
     """Parse an expression into an exact element of the given shape and box."""
     if shape.nvars != box.nvars:
         raise ValueError("shape and box disagree on the variable count")
-    n = shape.nvars
-    names = default_variable_names(n)
-    name_at = _name_pattern(names)
+    names = default_variable_names(shape.nvars)
+    factor_at = _factor_pattern(names)
     lo, hi, _ = _window(shape.roles, box.bounds)
-    size = len(text)
-    space = _SPACE_RE.match
-
     terms: list[tuple[tuple[int, ...], object]] = []
-    pos = space(text).end()
-    if pos == size:
+    pos = _SPACE_RE.match(text).end()
+    if pos == len(text):
         raise ParseError("empty expression", pos)
-    first = True
-    while pos < size:
-        sign = 1
-        if text[pos] == "+":
-            pos = space(text, pos + 1).end()
-        elif text[pos] == "-":
-            sign = -1
-            pos = space(text, pos + 1).end()
-        elif not first:
-            if "0" <= text[pos] <= "9":
+    while pos < len(text):
+        negative = text[pos] == "-"
+        if negative or text[pos] == "+":
+            pos = _SPACE_RE.match(text, pos + 1).end()
+        elif terms:
+            if _COEFFICIENT_RE.match(text, pos):
                 raise ParseError("a coefficient may only open a term", pos)
             raise ParseError("expected '+' or '-' between terms", pos)
-        first = False
         term_pos = pos
-
-        coeff = None
-        m = _INT_RE.match(text, pos)
-        if m:
-            scalar_text = m.group()
+        coeff = field.one
+        if m := _COEFFICIENT_RE.match(text, pos):
             pos = m.end()
-            p = space(text, pos).end()
-            if p < size and text[p] == "/":
-                p = space(text, p + 1).end()
-                m2 = _INT_RE.match(text, p)
-                if not m2:
-                    raise ParseError("expected a denominator after '/'", p)
-                scalar_text += "/" + m2.group()
-                pos = m2.end()
+            if m[2] == "":
+                raise ParseError("expected a denominator after '/'", pos)
             try:
-                coeff = field.parse_scalar(scalar_text)
+                coeff = field.parse_scalar(m[1] if m[2] is None else f"{m[1]}/{m[2]}")
             except ValueError as exc:
                 raise ParseError(str(exc), term_pos) from None
-
-        exps = [0] * n
-        saw_factor = False
+        exps = [0] * len(names)
         while True:
-            p = space(text, pos).end()
-            starred = False
-            if p < size and text[p] == "*":
-                starred = True
-                p = space(text, p + 1).end()
-            m = name_at(text, p)
-            if m is None:
-                if starred:
-                    raise ParseError("expected a variable after '*'", p)
-                pos = p
+            m = factor_at(text, pos)
+            star, name, caret, exponent = m.groups()
+            pos = m.end()
+            if name is None:
+                if star:
+                    raise ParseError("expected a variable after '*'", pos)
                 break
-            matched = m.group()
-            j = names.index(matched)
-            factor_pos = p
-            p = m.end()
-            exponent = 1
-            q = space(text, p).end()
-            if q < size and text[q] == "^":
-                q = space(text, q + 1).end()
-                m3 = _SIGNED_INT_RE.match(text, q)
-                if not m3:
-                    raise ParseError("expected an integer exponent after '^'", q)
-                exponent = int(m3.group())
-                p = m3.end()
+            if caret and exponent is None:
+                raise ParseError("expected an integer exponent after '^'", pos)
+            factor_pos = m.start(2)
+            try:
+                exponent = int(exponent or 1)
+            except ValueError as exc:  # past the interpreter's int-string digit limit
+                raise ParseError(str(exc), factor_pos) from None
+            j = names.index(name)
             role = shape.roles[j]
             if role == SERIES and exponent < 0:
                 raise ParseError(
-                    f"series variable {matched} cannot carry a negative exponent",
-                    factor_pos)
+                    f"series variable {name} cannot carry a negative exponent", factor_pos)
             if role == INVERSE and exponent > 0:
                 raise ParseError(
-                    f"inverse variable {matched} cannot carry a positive exponent",
-                    factor_pos)
+                    f"inverse variable {name} cannot carry a positive exponent", factor_pos)
             exps[j] += exponent
-            saw_factor = True
-            pos = p
-
-        if coeff is None and not saw_factor:
+        if pos == term_pos:  # neither a coefficient nor a factor
             raise ParseError("expected a term", term_pos)
-        if coeff is None:
-            coeff = field.one
-        for j in range(n):
-            if not lo[j] <= exps[j] <= hi[j]:
+        for name, total, least, most in zip(names, exps, lo, hi):
+            if not least <= total <= most:
                 raise ParseError(
-                    f"exponent {exps[j]} of {names[j]} falls outside the truncation box",
-                    term_pos)
-        terms.append((tuple(exps), -coeff if sign < 0 else coeff))
-        pos = space(text, pos).end()
+                    f"exponent {total} of {name} falls outside the truncation box", term_pos)
+        terms.append((tuple(exps), -coeff if negative else coeff))
     return Element.from_terms(shape, box, terms, field=field)
 
 
 @lru_cache(maxsize=64)
-def _name_pattern(names: tuple[str, ...]):
-    """``match`` of the names, longest first, so X10 is never read as X1 and 0."""
-    return re.compile("|".join(sorted(names, key=len, reverse=True))).match
+def _factor_pattern(names: tuple[str, ...]):
+    """``match`` of one factor and the spaces around it, grouping its star, name,
+    caret and exponent; names are tried longest first."""
+    alternatives = "|".join(sorted(names, key=len, reverse=True))
+    return re.compile(
+        rf"\s*(\*?)\s*(?:({alternatives})(?:(\s*\^\s*)({_SIGNED_INT_RE.pattern})?)?)?").match
 
 
 @lru_cache(maxsize=64)

@@ -12,6 +12,7 @@ degree-by-degree loop as the reference for its sign-class sweep, and
 state machine as the reference for its pattern-matching one.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -27,9 +28,14 @@ from cohdual.algebra import (
     monomial,
     ring_act,
 )
-from cohdual.exprio import _INT_RE, _SIGNED_INT_RE, ParseError, default_variable_names
+from cohdual.exprio import ParseError, default_variable_names
 from cohdual.fields import RATIONAL, Field, Fp, PrimeField
 from cohdual.independence import auto_truncation, delta, make_d
+
+
+# the oracle's own integer patterns, in ASCII digits as the parser reads them
+_INT_RE = re.compile(r"[0-9]+")
+_SIGNED_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def oracle_product(poly_terms, elem_terms, roles, bounds):

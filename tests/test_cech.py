@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import cohdual.cech as cech
 from cohdual.cech import (
     CohomologyTable,
     build_degree_piece,
@@ -83,6 +84,18 @@ def test_verify_realization_one_var():
 def test_verify_realization_window_validation():
     with pytest.raises(ValueError):
         verify_realization(2, 1, 0)
+
+
+@pytest.mark.parametrize("n, i", [(3, 0), (3, 4), (-1, 1), (0, 0)])
+def test_verify_realization_refuses_the_index_before_any_work(monkeypatch, n, i):
+    """(n, i) is refused before the 2^n sign classes are built, so a negative
+    n is named as such and not as ``product``'s repeat argument."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the sign classes were built")
+
+    monkeypatch.setattr(cech, "product", unbuilt)
+    with pytest.raises(ValueError, match=rf"^need 1 <= i <= n, got i={i}, n={n}$"):
+        verify_realization(n, i, 1)
 
 
 def test_table_lookup_misses():

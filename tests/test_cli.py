@@ -173,6 +173,12 @@ def test_cohomology_verifies(capsys):
     assert doc["nonzero_count"] == 2
 
 
+def test_cohomology_refuses_a_negative_variable_count(capsys):
+    code, out, err = run_cli(capsys, "cohomology", "-n", "-1", "-i", "1")
+    assert (code, out) == (64, "")
+    assert err == "error: need 1 <= i <= n, got i=1, n=-1\n"
+
+
 def test_regular_verifies(capsys):
     code, out, _ = run_cli(capsys, "regular", "-n", "2", "-i", "1",
                            "--bound", "2", "--mode", "human")
@@ -235,6 +241,28 @@ def test_digits_of_other_scripts_are_a_usage_error(capsys, expression):
     code, out, err = run_cli(capsys, "act", "X", expression)
     assert (code, out) == (64, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expression, message", [
+    ("X^", "expected an integer exponent after '^' (at position 2)"),
+    ("3/ X", "expected a denominator after '/' (at position 3)"),
+    ("X*", "expected a variable after '*' (at position 2)"),
+    ("2 3", "a coefficient may only open a term (at position 2)"),
+])
+def test_malformed_expressions_name_their_position(capsys, expression, message):
+    assert run_cli(capsys, "act", "X", expression, "--shape", "R") == (
+        64, "", f"error: {message}\n")
+
+
+def test_an_over_long_exponent_names_its_position(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-string digit limit")
+    digits = "1" * (limit + 1)
+    with pytest.raises(ValueError) as too_long:
+        int(digits)
+    assert run_cli(capsys, "act", "X", "X^" + digits, "--shape", "R") == (
+        64, "", f"error: {too_long.value} (at position 0)\n")
 
 
 NON_ASCII_INTEGERS = ("\u0663", "1_0")  # int() reads both, as 3 and 10

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -105,6 +106,21 @@ def test_parse_error_positions():
         parse_element("1/", S2, BOX)
     with pytest.raises(ParseError):
         parse_element("X^", S2, BOX)
+
+
+def test_an_exponent_past_the_digit_limit_is_a_parse_error():
+    """An exponent too long for ``int`` is refused at its factor, with the
+    interpreter's message, as an over-long coefficient is at its term."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-string digit limit")
+    digits = "1" * (limit + 1)
+    with pytest.raises(ValueError) as too_long:
+        int(digits)
+    with pytest.raises(ParseError) as refused:
+        parse_element("X + Y^" + digits, S2, BOX)
+    assert str(refused.value) == f"{too_long.value} (at position 4)"
+    assert refused.value.position == 4
 
 
 def test_parse_prime_field_bad_denominator():
@@ -281,6 +297,10 @@ def test_expressions_take_ascii_digits_only(text, message, position):
 
 SPACES = ("", "", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000")
 EDITS = ("+", "-", "*", "/", "^", "7", "0", "X", "X1", "Y", " ", "\u2003", "Q", "\u0663", "")
+# pieces glued at random: adjacent signs and carets, spaced slashes, doubled
+# stars, and names run into digits and into each other (X1X10, X1 then 0)
+SOUP = ("+", "-", "*", "**", "/", " / ", "^", "^-", "^+", "0", "7", "12", "X", "Y", "Z",
+        "X1", "X10", "X11", "X2", " ", "\u2003", "\t", "\u0663", "Q", "")
 # every error class the grammar has, named by a piece of its message
 PARSE_OUTCOMES = (
     "empty expression", "a coefficient may only open a term",
@@ -330,6 +350,11 @@ def _expression_text(rng, shape):
     return text
 
 
+def _token_soup(rng, shape):
+    """Up to ten pieces of ``SOUP``, mostly not a well-formed expression."""
+    return "".join(rng.choice(SOUP) for _ in range(rng.randint(0, 10)))
+
+
 def _parsed(parse, text, shape, box, field):
     try:
         return "ok", tuple(parse(text, shape, box, field))
@@ -338,24 +363,30 @@ def _parsed(parse, text, shape, box, field):
 
 
 def test_the_parser_matches_its_first_state_machine():
-    """On 6,000 seeded strings over 1 to 4 and 11 variables (where X10 and
-    X11 meet X1), both fields and Unicode whitespace, the parser gives the
-    oracle's element, or a ParseError with its message and position; the
-    strings reach every error class and well-formed input."""
+    """On 6,000 seeded expressions and 20,000 token soups over 1 to 4 and 11
+    variables (where X10 and X11 meet X1), both fields and Unicode
+    whitespace, the parser gives the oracle's element, or a ParseError with
+    its message and position; the expressions reach every error class and
+    well-formed input, and so do the soups.  (The oracle lets an exponent
+    past the int-string digit limit escape as a bare ValueError; no string
+    here comes near it.)"""
     rng = random.Random("parser oracle")
-    reached = Counter()
-    for _ in range(6000):
-        n = rng.choice((1, 2, 3, 4, 11))
-        shape = ModuleShape(tuple(rng.choice((SERIES, INVERSE)) for _ in range(n)))
-        box = TruncationBox(tuple(rng.randint(1, 6) for _ in range(n)))
-        field = rng.choice((RATIONAL, PrimeField(7)))
-        text = _expression_text(rng, shape)
-        got = _parsed(parse_element, text, shape, box, field)
-        assert got == _parsed(oracle_parse_element, text, shape, box, field), text
-        reached[next((o for o in PARSE_OUTCOMES if got[0] == "error" and o in got[1]),
-                     got[0])] += 1
-    assert set(reached) == {"ok", *PARSE_OUTCOMES}, reached
-    assert reached["ok"] >= 1000 and min(reached.values()) >= 50, reached
+    reached = {_expression_text: Counter(), _token_soup: Counter()}
+    for count, make in ((6000, _expression_text), (20000, _token_soup)):
+        for _ in range(count):
+            n = rng.choice((1, 2, 3, 4, 11))
+            shape = ModuleShape(tuple(rng.choice((SERIES, INVERSE)) for _ in range(n)))
+            box = TruncationBox(tuple(rng.randint(1, 6) for _ in range(n)))
+            field = rng.choice((RATIONAL, PrimeField(7)))
+            text = make(rng, shape)
+            got = _parsed(parse_element, text, shape, box, field)
+            assert got == _parsed(oracle_parse_element, text, shape, box, field), text
+            reached[make][next((o for o in PARSE_OUTCOMES
+                                if got[0] == "error" and o in got[1]), got[0])] += 1
+    for counts in reached.values():
+        assert set(counts) == {"ok", *PARSE_OUTCOMES}, counts
+    shaped = reached[_expression_text]
+    assert shaped["ok"] >= 1000 and min(shaped.values()) >= 50, shaped
 
 
 @pytest.mark.parametrize("text", ["-6/15", "007", "-0", "12/4", "5/3"])

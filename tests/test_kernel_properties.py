@@ -1,7 +1,8 @@
-"""Property tests of the product kernel against the plain-dict oracle.
+"""Property tests of the product kernel against the plain-dict oracle, and
+of the expression round trip.
 
 They run only where hypothesis is installed; the seeded tests in
-``test_algebra.py`` cover the same ground without it.
+``test_algebra.py`` and ``test_exprio.py`` cover the same ground without it.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from cohdual.algebra import (  # noqa: E402
     ring_act,
 )
 from cohdual.duality import matlis_pair  # noqa: E402
+from cohdual.exprio import parse_element, serialize_element  # noqa: E402
 from cohdual.fields import RATIONAL, Fp, PrimeField  # noqa: E402
 from conftest import coefficient_strings, oracle_product  # noqa: E402
 
@@ -89,3 +91,17 @@ def test_matlis_pair_matches_oracle_property(data):
     out_box = narrow or d.box + m.box
     assert _matches(matlis_pair(d, m, narrow), d, m, (INVERSE,) * shape.nvars,
                     out_box.bounds)
+
+
+@PROPERTY
+@given(st.data())
+def test_parse_reads_back_what_serialize_wrote_property(data):
+    """Over 1 to 4 and 11 variables (where X10 and X11 meet X1), with bounds
+    small or past 2**64."""
+    n = data.draw(st.sampled_from((1, 2, 3, 4, 11)))
+    shape = ModuleShape(tuple(data.draw(st.sampled_from((SERIES, INVERSE))) for _ in range(n)))
+    base = data.draw(st.sampled_from((0, 2 ** 64)))
+    box = TruncationBox(tuple(base + data.draw(st.integers(1, 6)) for _ in range(n)))
+    field, coefficients = COEFFICIENTS[data.draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    e = data.draw(elements(shape, box, (field, coefficients)))
+    assert parse_element(serialize_element(e), shape, box, field) == e
