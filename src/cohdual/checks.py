@@ -5,10 +5,16 @@ returns a single :class:`CheckLine` with a pass verdict and a short
 detail.  Randomized checks draw everything from one seeded generator, so
 a run is reproducible from (suite, seed).  The algebra line is decided
 on the monomial basis of its region, with seeded draws over Q, GF(7) and
-GF(32003) for the linearity that makes that a proof.  The independence
+GF(32003) for the linearity that makes that a proof.  Each law sends
+distinct monomials to distinct exponents, so one kernel call on the sum
+of a region's monomials decides them all; the perfection line pairs each
+dual monomial with the sum of the box monomials the same way.  Their
+``instances`` still count the monomials (and pairs) decided, not the
+calls.  The independence
 line compares each certificate, whose tail comes from a closed form, with
 the combination formed as elements, and the balance line also pairs into
-a narrow box, so a lower wall of the product kernel is seen.  The sizes
+a narrow box, so a lower wall of the product kernel is seen; it samples
+the pairing's linearity in m in both boxes.  The sizes
 below are chosen to finish comfortably fast while still sweeping every
 shape and position the finite windows can reach.
 """
@@ -18,6 +24,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -209,7 +216,9 @@ def balance_trials(seed: int = DEFAULT_SEED, trials: int = 500) -> CheckLine:
     Elements are sampled with enough headroom that every product stays
     exact, so the three-way equality is tested on the nose, kills included.
     Pairing into the narrow box of bound 1 must give the default pairing's
-    terms inside it, and must be inexact whenever one lies outside.
+    terms inside it, and must be inexact whenever one lies outside.  In
+    both boxes the pairing must be linear in m, ``exact`` included: the
+    perfection line pairs with a sum of monomials and relies on it.
     """
     rng = random.Random(seed)
     for trial in range(trials):
@@ -225,15 +234,30 @@ def balance_trials(seed: int = DEFAULT_SEED, trials: int = 500) -> CheckLine:
         right = matlis_pair(d, ring_act(r, m))
         paired = matlis_pair(d, m)
         outside = ring_act(r, paired)
-        narrow = matlis_pair(d, m, TruncationBox.uniform(n, 1))
+        narrow_box = TruncationBox.uniform(n, 1)
+        narrow = matlis_pair(d, m, narrow_box)
         inside = tuple(t for t in paired.terms if min(t[0]) >= -1)
         good = (left == right == outside
                 and left.exact and right.exact and outside.exact
-                and narrow.terms == inside and not (narrow.exact and inside != paired.terms))
+                and narrow.terms == inside and not (narrow.exact and inside != paired.terms)
+                and _combines(paired, partial(matlis_pair, d), m)
+                and _combines(narrow, lambda x: matlis_pair(d, x, narrow_box), m))
         if not good:
             return CheckLine("pairing-balance", trial + 1, False,
                              f"trial {trial}: n={n} i={i}")
     return CheckLine("pairing-balance", trials, True)
+
+
+def _combines(whole, act, m) -> bool:
+    """Whether whole, act(m), is with its ``exact`` flag the combination of
+    act on each of m's monomials, taken with the field's one as coefficient
+    (the empty combination, for m = 0, is zero and exact)."""
+    one = m.field.one
+    parts = [(c, act(Element(m.shape, m.box, m.field, ((e, one),)))) for e, c in m.terms]
+    if not parts:
+        return whole.is_zero and whole.exact
+    summed = linear_combine(parts)
+    return whole == summed and whole.exact == summed.exact
 
 
 def _broken_variable(m, variables, pairs):
@@ -270,12 +294,22 @@ def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 2) -> CheckL
     the AND of the per-product drops, so the laws are decided on the
     monomial basis: for every role assignment in up to three variables,
     every m inside margin 4 of box 6, every ring monomial r of box 2 and
-    every variable.  That proves them on the whole region if the kernels
-    are linear over each field: so the seed draws per_config (r, m) per
-    role assignment over each of Q, GF(7) and GF(32003), checked on both
-    laws and on ring_act's linearity in m, plus one full-support pair per
-    field, under a drawn role assignment, for each n whose r.m forms at
-    least 64 products.
+    every variable.  For a given r and j, both sides of the Leibniz law put
+    X^m at the single exponent m + r - e_j (or kill it), and both sides of
+    the Weyl law put it at m; these maps are injective in m, so the parts
+    of distinct m never meet or cancel, and each law holds exactly on M,
+    the sum of the region's monomials with coefficient 1, if and only if it
+    holds on every monomial.  So each role assignment's region is decided
+    by one call on M.  That proves the laws on the whole region if the
+    kernels are linear over each field: so the seed draws per_config (r, m)
+    per role assignment over each of Q, GF(7) and GF(32003), checked on
+    both laws, on ring_act's linearity in m and on each derivation's
+    linearity, plus one full-support pair per field, under a drawn role
+    assignment, for each n whose r.m forms at least 64 products.
+
+    ``instances`` counts the (m, r, j) triples and (m, j) pairs of the
+    regions, n * 3^n * (1 + 3^n) per role assignment, plus one per draw.
+    A failure in a region counts the whole region.
     """
     rng = random.Random(seed)
     instances = 0
@@ -300,26 +334,25 @@ def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 2) -> CheckL
                 return CheckLine("leibniz-and-weyl", instances, False, f"roles {roles}, {what}")
 
             for field, xs in variables.items():
-                one = field.coerce(1)
                 for k in range(per_config + (roles == full)):
                     instances += 1
                     r = _field_draw(rng, field, ring_shape, ring_box, r_exps, k == per_config)
                     m = _field_draw(rng, field, shape, box, m_exps, k == per_config)
-                    rm = ring_act(r, m)
-                    summed = linear_combine(
-                        (c, ring_act(r, Element(shape, box, field, ((e, one),))))
-                        for e, c in m.terms)
-                    if rm != summed or rm.exact != summed.exact:
+                    if not _combines(ring_act(r, m), partial(ring_act, r), m):
                         return failed(f"ring action not linear in m over {field.descriptor}")
+                    for j in range(n):
+                        if not _combines(derivation_act(j, m), partial(derivation_act, j), m):
+                            return failed(f"derivation {j} not linear over {field.descriptor}")
                     pair = (r, [derivation_act(j, r) for j in range(n)])
                     j = _broken_variable(m, xs, [pair])
                     if j is not None:
                         return failed(f"variable {j} over {field.descriptor}")
-            for e in m_exps:  # the Weyl pairs of m, then its Leibniz triples
-                instances += n * (1 + len(rs))
-                j = _broken_variable(monomial(shape, box, e), variables[RATIONAL], rs)
-                if j is not None:
-                    return failed(f"variable {j}")
+            # the Weyl pairs and Leibniz triples of every m at once, on their sum
+            instances += len(m_exps) * n * (1 + len(rs))
+            region = Element(shape, box, RATIONAL, tuple(sorted((e, 1) for e in m_exps)))
+            j = _broken_variable(region, variables[RATIONAL], rs)
+            if j is not None:
+                return failed(f"variable {j}")
     return CheckLine("leibniz-and-weyl", instances, True)
 
 

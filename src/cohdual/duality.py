@@ -97,31 +97,32 @@ def pairing_perfection_check(n: int, i: int, bound: int) -> PairingReport:
 
     The socle pairing must be 1 exactly when the exponents sum to zero and 0
     otherwise, i.e. the matrix of the pairing is a permutation matrix.
+    Pairing with X^d sends each X^m to the single exponent d + m, and
+    distinct m to distinct exponents, so each dual monomial is paired once
+    with the sum of the box monomials: the product must be exact and hold
+    exactly the terms (d + m, 1) with d + m <= 0, which says more than
+    reading each pair's socle coefficient.  ``pair_count`` counts the
+    (d, m) pairs so decided, and ``permutation`` lists the matched ones
+    with d in order, then m.
     """
     shape = ModuleShape.cohomology_shape(n, i)
     dual = shape.dual()
     box = TruncationBox.uniform(n, bound)
     zero = (0,) * n
-    pair_count = 0
     permutation = []
     passed = True
-    modules = [(me, monomial(shape, box, me)) for me in _box_monomial_exponents(shape, box)]
-    for de in _box_monomial_exponents(dual, box):
-        d = monomial(dual, box, de)
-        for me, m in modules:
-            paired = matlis_pair(d, m)
-            pair_count += 1
-            if not paired.is_zero:
-                (_, coeff), = paired.terms
-                if coeff != 1:
-                    passed = False
-            value = paired.coefficient(zero)
-            matched = tuple(map(add, de, me)) == zero
-            if matched:
-                permutation.append((de, me))
-            if bool(value) != matched or (matched and value != 1):
-                passed = False
-    return PairingReport(n, i, bound, pair_count, tuple(permutation), passed)
+    modules = tuple(_box_monomial_exponents(shape, box))  # in lexicographic order
+    duals = tuple(_box_monomial_exponents(dual, box))
+    region = Element(shape, box, RATIONAL, tuple((me, 1) for me in modules))
+    for de in duals:
+        sums = [(me, tuple(map(add, de, me))) for me in modules]
+        permutation += [(de, me) for me, s in sums if s == zero]
+        paired = matlis_pair(monomial(dual, box, de), region)
+        # shifting by de keeps the order, so these are the canonical terms
+        expected = tuple((s, 1) for _, s in sums if max(s) <= 0)
+        if paired.terms != expected or not paired.exact:
+            passed = False
+    return PairingReport(n, i, bound, len(duals) * len(modules), tuple(permutation), passed)
 
 
 def tensor_surjectivity_witness(target: tuple[int, ...], n: int, i: int

@@ -7,16 +7,23 @@ code.  The exceptions are :func:`oracle_certificate`, which keeps the
 certificate's older element path (itself checked against
 :func:`oracle_product`) as the reference for its column path,
 :func:`oracle_realization`, which keeps the realization sweep's older
-degree-by-degree loop as the reference for its sign-class sweep, and
+degree-by-degree loop as the reference for its sign-class sweep,
+:func:`oracle_leibniz_weyl_trials` and :func:`oracle_pairing_perfection`,
+which keep the per-monomial Leibniz/Weyl sweep and the per-pair perfection
+loop as the references for their batched ones, and
 :func:`oracle_parse_element`, which keeps the expression parser's first
 state machine as the reference for its pattern-matching one.
 """
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from operator import add
 
 import cohdual.cech as cech
+import cohdual.checks as checks
+import cohdual.duality as duality
 from cohdual.algebra import (
     INVERSE,
     Element,
@@ -30,6 +37,7 @@ from cohdual.algebra import (
 )
 from cohdual.exprio import ParseError, default_variable_names
 from cohdual.fields import RATIONAL, Field, Fp, PrimeField
+from cohdual.checks import CheckLine
 from cohdual.independence import auto_truncation, delta, make_d
 
 
@@ -206,6 +214,91 @@ def oracle_realization(n, i, window):
         if dims[i] == 1:
             nonzero += 1
     return tuple(entries), nonzero, not mismatches, tuple(mismatches)
+
+
+def oracle_leibniz_weyl_trials(seed, per_config=2):
+    """The Leibniz/Weyl line with its region swept one monomial m per call,
+    each m's Weyl pairs and Leibniz triples counted as it is decided.  The
+    kernels are looked up on ``checks`` at call time, so a fault patched
+    there reaches both lines; the draws check ring_act's linearity only."""
+    rng = random.Random(seed)
+    instances = 0
+    for n in range(1, 4):
+        ring_shape, ring_box = ModuleShape.series_shape(n), TruncationBox.uniform(n, 2)
+        variables = {field: [monomial(ring_shape, TruncationBox.uniform(n, 1),
+                                      tuple(1 if k == j else 0 for k in range(n)),
+                                      field.coerce(1)) for j in range(n)]
+                     for field in (RATIONAL, PrimeField(7), PrimeField(32003))}
+        r_exps = list(product(range(3), repeat=n))
+        rs = [(r, [checks.derivation_act(j, r) for j in range(n)])
+              for r in (monomial(ring_shape, ring_box, e) for e in r_exps)]
+        assignments = list(product((SERIES, INVERSE), repeat=n))
+        full = rng.choice(assignments) if len(rs) ** 2 >= 64 else None
+        for roles in assignments:
+            shape = ModuleShape(roles)
+            box = TruncationBox.uniform(n, 6)
+            m_exps = list(product(*(range(3) if role == SERIES else range(0, -3, -1)
+                                    for role in roles)))
+
+            def failed(what):
+                return CheckLine("leibniz-and-weyl", instances, False, f"roles {roles}, {what}")
+
+            for field, xs in variables.items():
+                one = field.coerce(1)
+                for k in range(per_config + (roles == full)):
+                    instances += 1
+                    r = checks._field_draw(rng, field, ring_shape, ring_box, r_exps,
+                                           k == per_config)
+                    m = checks._field_draw(rng, field, shape, box, m_exps, k == per_config)
+                    rm = checks.ring_act(r, m)
+                    summed = linear_combine(
+                        (c, checks.ring_act(r, Element(shape, box, field, ((e, one),))))
+                        for e, c in m.terms)
+                    if rm != summed or rm.exact != summed.exact:
+                        return failed(f"ring action not linear in m over {field.descriptor}")
+                    pair = (r, [checks.derivation_act(j, r) for j in range(n)])
+                    j = checks._broken_variable(m, xs, [pair])
+                    if j is not None:
+                        return failed(f"variable {j} over {field.descriptor}")
+            for e in m_exps:  # the Weyl pairs of m, then its Leibniz triples
+                instances += n * (1 + len(rs))
+                j = checks._broken_variable(monomial(shape, box, e), variables[RATIONAL], rs)
+                if j is not None:
+                    return failed(f"variable {j}")
+    return CheckLine("leibniz-and-weyl", instances, True)
+
+
+def oracle_pairing_perfection(n, i, bound):
+    """(pair_count, permutation, passed) of the perfection check, with every
+    dual box monomial paired against every box monomial one call at a time
+    and only each product's socle coefficient read (and that a surviving
+    product has coefficient 1).  ``duality.matlis_pair`` is looked up at call
+    time, so a fault patched there reaches both."""
+    shape = ModuleShape.cohomology_shape(n, i)
+    dual = shape.dual()
+    box = TruncationBox.uniform(n, bound)
+    zero = (0,) * n
+    pair_count = 0
+    permutation = []
+    passed = True
+    modules = [(me, monomial(shape, box, me))
+               for me in duality._box_monomial_exponents(shape, box)]
+    for de in duality._box_monomial_exponents(dual, box):
+        d = monomial(dual, box, de)
+        for me, m in modules:
+            paired = duality.matlis_pair(d, m)
+            pair_count += 1
+            if not paired.is_zero:
+                (_, coeff), = paired.terms
+                if coeff != 1:
+                    passed = False
+            value = paired.coefficient(zero)
+            matched = tuple(map(add, de, me)) == zero
+            if matched:
+                permutation.append((de, me))
+            if bool(value) != matched or (matched and value != 1):
+                passed = False
+    return pair_count, tuple(permutation), passed
 
 
 def oracle_rank(rows):

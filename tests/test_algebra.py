@@ -31,6 +31,7 @@ from conftest import (
     FIELDS,
     coefficient_strings,
     int_coefficient,
+    oracle_leibniz_weyl_trials,
     oracle_product,
     random_sample,
 )
@@ -418,20 +419,24 @@ def test_kernel_walls_kills_and_vanishing_products(base, size):
     _assert_kernel_matches_oracle(out, sevens, walled, D2.roles, box.bounds)
 
 
+def _series_rule_everywhere(j, m):
+    """D_j with the series factor e[j] on an inverse direction too."""
+    lowered = [(e[:j] + (e[j] - 1,) + e[j + 1:], e[j] * c) for e, c in m.terms]
+    return Element.from_terms(
+        m.shape, m.box, [t for t in lowered if m.box.admits(m.shape, t[0])], m.exact,
+        m.field)
+
+
 def test_leibniz_check_fails_on_a_wrong_inverse_rule(monkeypatch):
     """The series rule's factor e[j] on an inverse direction breaks the Weyl
     relation at the socle, and the acceptance check must notice."""
     import cohdual.checks as checks
 
-    def series_factor_everywhere(j, m):
-        lowered = [(e[:j] + (e[j] - 1,) + e[j + 1:], e[j] * c) for e, c in m.terms]
-        return Element.from_terms(
-            m.shape, m.box, [t for t in lowered if m.box.admits(m.shape, t[0])], m.exact)
-
-    monkeypatch.setattr(checks, "derivation_act", series_factor_everywhere)
+    monkeypatch.setattr(checks, "derivation_act", _series_rule_everywhere)
     line = leibniz_weyl_trials(DEFAULT_SEED)
     assert not line.passed
     assert "inverse" in line.detail
+    assert line == oracle_leibniz_weyl_trials(DEFAULT_SEED)  # it fails in the draws
 
 
 def _algebra_line():
@@ -702,6 +707,16 @@ def test_leibniz_check_sweeps_the_whole_monomial_region(per_config):
     assert line.instances == sweep + draws
 
 
+def _wrong_at_one_monomial(roles, bad):
+    """A derivation whose D_2, under roles, counts the monomial bad twice."""
+    def derivation(j, m):
+        out = derivation_act(j, m)
+        if j == 2 and m.shape.roles == roles and m.coefficient(bad):
+            out = out + derivation_act(j, monomial(m.shape, m.box, bad, m.coefficient(bad)))
+        return out
+    return derivation
+
+
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 5, 701])
 def test_leibniz_check_fails_on_one_wrong_monomial(monkeypatch, seed):
     """A derivation wrong only at (-2, 2, -2) along variable 2, under roles
@@ -710,17 +725,68 @@ def test_leibniz_check_fails_on_one_wrong_monomial(monkeypatch, seed):
     import cohdual.checks as checks
 
     roles, bad = (INVERSE, SERIES, INVERSE), (-2, 2, -2)
-
-    def wrong_at_one_monomial(j, m):
-        out = derivation_act(j, m)
-        if j == 2 and m.shape.roles == roles and m.coefficient(bad):
-            out = out + derivation_act(j, monomial(m.shape, m.box, bad, m.coefficient(bad)))
-        return out
-
-    monkeypatch.setattr(checks, "derivation_act", wrong_at_one_monomial)
+    monkeypatch.setattr(checks, "derivation_act", _wrong_at_one_monomial(roles, bad))
     line = leibniz_weyl_trials(seed)
     assert not line.passed
     assert f"roles {roles}, variable 2" in line.detail
+    _assert_fails_as_its_oracle(line, oracle_leibniz_weyl_trials(seed), 3)
+
+
+def _assert_fails_as_its_oracle(line, oracle, n):
+    """Both lines FAIL with the same detail.  A failure in a region counts
+    all of it, where the oracle stops at the failing monomial: the counts
+    differ by a whole number of monomials' n * (1 + 3^n) instances, fewer
+    than the 3^n of the region."""
+    assert not line.passed and not oracle.passed
+    assert line.detail == oracle.detail
+    per_monomial = n * (1 + 3 ** n)
+    assert line.instances - oracle.instances in range(0, 3 ** n * per_monomial, per_monomial)
+
+
+def test_a_failing_region_counts_all_of_its_monomials(monkeypatch):
+    """Wrong at the region's first monomial, the oracle stops early and the
+    batched line counts the whole region."""
+    import cohdual.checks as checks
+
+    roles = (INVERSE, SERIES, INVERSE)
+    monkeypatch.setattr(checks, "derivation_act", _wrong_at_one_monomial(roles, (0, 0, 0)))
+    line, oracle = leibniz_weyl_trials(DEFAULT_SEED), oracle_leibniz_weyl_trials(DEFAULT_SEED)
+    _assert_fails_as_its_oracle(line, oracle, 3)
+    assert line.instances > oracle.instances
+
+
+@pytest.mark.parametrize("seed, per_config", [(DEFAULT_SEED, 0), (DEFAULT_SEED, 2),
+                                              (5, 2), (701, 2)])
+def test_leibniz_check_matches_its_per_monomial_oracle(seed, per_config):
+    """Deciding each role assignment's region on the sum of its monomials
+    gives the verdict, instance count and detail of one call per monomial."""
+    line = leibniz_weyl_trials(seed, per_config)
+    assert line.passed
+    assert line == oracle_leibniz_weyl_trials(seed, per_config)
+
+
+def _doubled_on_lone_basis_vectors(j, m):
+    """D_j doubled on each basis vector of the one-variable inverse line over
+    GF(32003) taken by itself (one term, coefficient one): wrong there, right
+    on every sum, so not linear."""
+    out = derivation_act(j, m)
+    if (m.shape.roles == (INVERSE,) and m.field == PrimeField(32003)
+            and len(m.terms) == 1 and m.terms[0][1] == 1):
+        out = out.scale(2)
+    return out
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5, 701])
+def test_leibniz_check_fails_on_a_derivation_that_is_not_linear(monkeypatch, seed):
+    """The region is swept over Q and no seeded draw is such a lone basis
+    vector, so only the draws' comparison of D_j(m) with the combination of
+    D_j on m's monomials sees this fault."""
+    import cohdual.checks as checks
+
+    monkeypatch.setattr(checks, "derivation_act", _doubled_on_lone_basis_vectors)
+    line = leibniz_weyl_trials(seed)
+    assert not line.passed
+    assert line.detail == "roles ('inverse',), derivation 0 not linear over prime:32003"
 
 
 def _frame(rng):

@@ -1,6 +1,7 @@
 """Socle pairing, torsion functor, and the regular-sequence check."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from conftest import (
     FIELDS,
     coefficient_strings,
     oracle_is_torsion,
+    oracle_pairing_perfection,
     oracle_product,
     random_sample,
 )
@@ -169,6 +171,10 @@ def _patch_pairing(monkeypatch, fault):
                             lambda d, m, out_box=None: fault(real(d, m, out_box)))
 
 
+_PERFECTION_CASES = [(n, i, bound) for n in range(1, 4) for i in range(1, n + 1)
+                     for bound in range(4)]
+
+
 @pytest.mark.parametrize("factor", [-1, 2], ids=["negated", "doubled"])
 def test_perfection_check_fails_on_a_scaled_pairing(monkeypatch, factor):
     from cohdual.checks import perfection_and_surjectivity
@@ -177,6 +183,46 @@ def test_perfection_check_fails_on_a_scaled_pairing(monkeypatch, factor):
     _patch_pairing(monkeypatch, lambda e: e.scale(factor))
     assert not pairing_perfection_check(2, 1, 2).passed
     assert not perfection_and_surjectivity().passed
+    for n, i, bound in _PERFECTION_CASES:
+        report = pairing_perfection_check(n, i, bound)
+        assert (report.pair_count, report.permutation, report.passed) == \
+            oracle_pairing_perfection(n, i, bound)
+
+
+@pytest.mark.parametrize("n, i, bound", _PERFECTION_CASES)
+def test_perfection_check_matches_its_per_pair_oracle(n, i, bound):
+    """Pairing each dual monomial once with the sum of the box monomials
+    gives the pair count, the permutation (in its order) and the verdict of
+    one call per pair."""
+    report = pairing_perfection_check(n, i, bound)
+    assert report.passed
+    assert (report.pair_count, report.permutation, report.passed) == \
+        oracle_pairing_perfection(n, i, bound)
+
+
+def _misplaced(e):
+    """A two-variable pairing whose product at (-1, -1) lands on (-2, -1),
+    its coefficient kept and the socle untouched."""
+    c = e.coefficient((-1, -1))
+    if e.shape.nvars != 2 or not c or not e.box.admits(e.shape, (-2, -1)):
+        return e
+    terms = [t for t in e.terms if t[0] != (-1, -1)] + [((-2, -1), c)]
+    return Element.from_terms(e.shape, e.box, terms, e.exact, e.field)
+
+
+def test_perfection_check_fails_on_a_misplaced_product(monkeypatch):
+    """Reading only each pair's socle coefficient misses a product moved to
+    the wrong exponent; comparing every product with the exponent sums does
+    not.  The balance line and the surjectivity witnesses see it too."""
+    from cohdual.checks import run_suite
+
+    _patch_pairing(monkeypatch, _misplaced)
+    assert oracle_pairing_perfection(2, 1, 2)[2]
+    assert not pairing_perfection_check(2, 1, 2).passed
+    for seed in (1729, 5, 701):
+        report = run_suite("duality", seed)
+        assert {line.name for line in report.lines if not line.passed} == {
+            "pairing-balance", "pairing-perfection-and-surjectivity"}
 
 
 def test_balance_check_fails_when_the_pairing_drops_its_last_term(monkeypatch):
@@ -187,6 +233,44 @@ def test_balance_check_fails_when_the_pairing_drops_its_last_term(monkeypatch):
     assert balance_trials().passed
     _patch_pairing(monkeypatch, lambda e: e._replace(terms=e.terms[:-1]))
     assert not balance_trials().passed
+
+
+def _negated_on_rational_scalars(d, m, out_box, real):
+    """A pairing into the default box negated whenever an operand holds a
+    Fraction: right on bare ints, wrong on the same values as Q scalars."""
+    out = real(d, m, out_box)
+    if out_box is None and any(type(c) is Fraction for _, c in d.terms + m.terms):
+        out = out.scale(-1)
+    return out
+
+
+def _loss_claimed_on_sums(d, m, out_box, real):
+    """A pairing into a given box that reports a loss whenever m has two or
+    more terms, though nothing fell outside."""
+    out = real(d, m, out_box)
+    if out_box is not None and len(m.terms) > 1:
+        out = out._replace(exact=False)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1729, 5, 701])
+@pytest.mark.parametrize("fault", [_negated_on_rational_scalars, _loss_claimed_on_sums],
+                         ids=["default-box-values", "narrow-box-flag"])
+def test_balance_check_fails_on_a_pairing_that_is_not_linear(monkeypatch, seed, fault):
+    """The balance line's draws are bare ints and its narrow pairing may
+    always report a loss, so only its comparison of matlis_pair(d, m), in
+    the default box and in the narrow one, with the combination over m's
+    monomials (each with the field's one, a Fraction over Q) sees these."""
+    import cohdual.checks as checks
+    import cohdual.duality as duality
+    from cohdual.checks import run_suite
+
+    real = duality.matlis_pair
+    for module in (checks, duality):
+        monkeypatch.setattr(module, "matlis_pair",
+                            lambda d, m, out_box=None: fault(d, m, out_box, real))
+    report = run_suite("duality", seed)
+    assert {line.name for line in report.lines if not line.passed} == {"pairing-balance"}
 
 
 def _patch_lower_wall(monkeypatch, wall):
