@@ -218,7 +218,8 @@ def balance_trials(seed: int = DEFAULT_SEED, trials: int = 500) -> CheckLine:
     Pairing into the narrow box of bound 1 must give the default pairing's
     terms inside it, and must be inexact whenever one lies outside.  In
     both boxes the pairing must be linear in m, ``exact`` included: the
-    perfection line pairs with a sum of monomials and relies on it.
+    perfection line pairs with a sum of monomials and relies on it.  A
+    failure of that linearity names itself, and its box, in the detail.
     """
     rng = random.Random(seed)
     for trial in range(trials):
@@ -239,21 +240,30 @@ def balance_trials(seed: int = DEFAULT_SEED, trials: int = 500) -> CheckLine:
         inside = tuple(t for t in paired.terms if min(t[0]) >= -1)
         good = (left == right == outside
                 and left.exact and right.exact and outside.exact
-                and narrow.terms == inside and not (narrow.exact and inside != paired.terms)
-                and _combines(paired, partial(matlis_pair, d), m)
-                and _combines(narrow, lambda x: matlis_pair(d, x, narrow_box), m))
+                and narrow.terms == inside and not (narrow.exact and inside != paired.terms))
+        where = f"trial {trial}: n={n} i={i}"
         if not good:
+            return CheckLine("pairing-balance", trial + 1, False, where)
+        if not _combines(paired, partial(matlis_pair, d), m):
             return CheckLine("pairing-balance", trial + 1, False,
-                             f"trial {trial}: n={n} i={i}")
+                             f"{where}: pairing not linear in m")
+        if not _combines(narrow, lambda x: matlis_pair(d, x, narrow_box), m):
+            return CheckLine("pairing-balance", trial + 1, False,
+                             f"{where}: pairing not linear in m (narrow box)")
     return CheckLine("pairing-balance", trials, True)
 
 
 def _combines(whole, act, m) -> bool:
     """Whether whole, act(m), is with its ``exact`` flag the combination of
     act on each of m's monomials, taken with the field's one as coefficient
-    (the empty combination, for m = 0, is zero and exact)."""
+    (the empty combination, for m = 0, is zero and exact).  An output over
+    another field than m's, or in another frame than whole's, is a broken
+    kernel, so it is False rather than linear_combine's refusal."""
     one = m.field.one
     parts = [(c, act(Element(m.shape, m.box, m.field, ((e, one),)))) for e, c in m.terms]
+    frame = (whole.shape, whole.box, m.field)
+    if any((out.shape, out.box, out.field) != frame for out in [whole, *(p for _, p in parts)]):
+        return False
     if not parts:
         return whole.is_zero and whole.exact
     summed = linear_combine(parts)

@@ -419,17 +419,21 @@ def test_kernel_walls_kills_and_vanishing_products(base, size):
     _assert_kernel_matches_oracle(out, sevens, walled, D2.roles, box.bounds)
 
 
-def _series_rule_everywhere(j, m):
-    """D_j with the series factor e[j] on an inverse direction too."""
+def _series_rule_everywhere(j, m, field=True):
+    """D_j with the series factor e[j] on an inverse direction too; without
+    field, a zero output is over Q whatever m's field."""
     lowered = [(e[:j] + (e[j] - 1,) + e[j + 1:], e[j] * c) for e, c in m.terms]
     return Element.from_terms(
         m.shape, m.box, [t for t in lowered if m.box.admits(m.shape, t[0])], m.exact,
-        m.field)
+        m.field if field else None)
 
 
 def test_leibniz_check_fails_on_a_wrong_inverse_rule(monkeypatch):
     """The series rule's factor e[j] on an inverse direction breaks the Weyl
-    relation at the socle, and the acceptance check must notice."""
+    relation at the socle, and the acceptance check must notice.  Where the
+    rule also gives a zero over Q for a GF(p) operand, the draws' linearity
+    comparison FAILs the line on it, and the algebra suite, rather than
+    raising as if the input were bad."""
     import cohdual.checks as checks
 
     monkeypatch.setattr(checks, "derivation_act", _series_rule_everywhere)
@@ -437,6 +441,15 @@ def test_leibniz_check_fails_on_a_wrong_inverse_rule(monkeypatch):
     assert not line.passed
     assert "inverse" in line.detail
     assert line == oracle_leibniz_weyl_trials(DEFAULT_SEED)  # it fails in the draws
+
+    monkeypatch.setattr(checks, "derivation_act",
+                        lambda j, m: _series_rule_everywhere(j, m, field=False))
+    for seed in (DEFAULT_SEED, 5, 701):
+        line = leibniz_weyl_trials(seed)
+        assert not line.passed
+        assert re.fullmatch(r"roles \('series',\), derivation 0 not linear over prime:\d+",
+                            line.detail)
+    assert not _algebra_line().passed
 
 
 def _algebra_line():

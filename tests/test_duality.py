@@ -1,6 +1,7 @@
 """Socle pairing, torsion functor, and the regular-sequence check."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,13 +255,17 @@ def _loss_claimed_on_sums(d, m, out_box, real):
 
 
 @pytest.mark.parametrize("seed", [1729, 5, 701])
-@pytest.mark.parametrize("fault", [_negated_on_rational_scalars, _loss_claimed_on_sums],
-                         ids=["default-box-values", "narrow-box-flag"])
-def test_balance_check_fails_on_a_pairing_that_is_not_linear(monkeypatch, seed, fault):
+@pytest.mark.parametrize("fault, reason", [
+    (_negated_on_rational_scalars, ": pairing not linear in m"),
+    (_loss_claimed_on_sums, ": pairing not linear in m (narrow box)"),
+], ids=["default-box-values", "narrow-box-flag"])
+def test_balance_check_fails_on_a_pairing_that_is_not_linear(monkeypatch, seed, fault,
+                                                              reason):
     """The balance line's draws are bare ints and its narrow pairing may
     always report a loss, so only its comparison of matlis_pair(d, m), in
     the default box and in the narrow one, with the combination over m's
-    monomials (each with the field's one, a Fraction over Q) sees these."""
+    monomials (each with the field's one, a Fraction over Q) sees these,
+    and the line's detail names which one failed."""
     import cohdual.checks as checks
     import cohdual.duality as duality
     from cohdual.checks import run_suite
@@ -270,7 +275,9 @@ def test_balance_check_fails_on_a_pairing_that_is_not_linear(monkeypatch, seed, 
         monkeypatch.setattr(module, "matlis_pair",
                             lambda d, m, out_box=None: fault(d, m, out_box, real))
     report = run_suite("duality", seed)
-    assert {line.name for line in report.lines if not line.passed} == {"pairing-balance"}
+    (failed,) = [line for line in report.lines if not line.passed]
+    assert failed.name == "pairing-balance"
+    assert re.fullmatch(r"trial \d+: n=\d i=\d" + re.escape(reason), failed.detail)
 
 
 def _patch_lower_wall(monkeypatch, wall):
