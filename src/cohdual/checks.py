@@ -262,7 +262,7 @@ def _combines(whole, act, m) -> bool:
     one = m.field.one
     parts = [(c, act(Element(m.shape, m.box, m.field, ((e, one),)))) for e, c in m.terms]
     frame = (whole.shape, whole.box, m.field)
-    if any((out.shape, out.box, out.field) != frame for out in [whole, *(p for _, p in parts)]):
+    if any(_frame(out) != frame for out in [whole, *(p for _, p in parts)]):
         return False
     if not parts:
         return whole.is_zero and whole.exact
@@ -270,18 +270,27 @@ def _combines(whole, act, m) -> bool:
     return whole == summed and whole.exact == summed.exact
 
 
+def _frame(e):
+    return e.shape, e.box, e.field
+
+
 def _broken_variable(m, variables, pairs):
     """The first j at which D_j breaks, exactly, the Weyl law on m and X_j
     (``variables[j]``) or the product rule on m and some (r, [D_0(r), ...])
-    of pairs; None when none does."""
+    of pairs; None when none does.  A D_j(m) or D_j(r) outside its
+    operand's shape, box and field breaks j before a sum or product meets it."""
     dms = [derivation_act(j, m) for j in range(len(variables))]
     for j, (x, dm) in enumerate(zip(variables, dms)):
+        if _frame(dm) != _frame(m):
+            return j
         wl, wr = derivation_act(j, ring_act(x, m)), ring_act(x, dm) + m
         if not (wl == wr and wl.exact and wr.exact):
             return j
     for r, drs in pairs:
         rm = ring_act(r, m)
         for j, (dr, dm) in enumerate(zip(drs, dms)):
+            if _frame(dr) != _frame(r):
+                return j
             lhs, rhs = derivation_act(j, rm), ring_act(dr, m) + ring_act(r, dm)
             if not (lhs == rhs and lhs.exact and rhs.exact):
                 return j

@@ -225,6 +225,8 @@ def _cmd_delta(session: _Session) -> int:
     from .independence import delta, fit_shift_form
 
     args = session.args
+    if (args.fit is None) != (args.tail_start is None):
+        raise _UsageError("--fit and --tail-start need each other")
     shape, box = session.shape_and_box()
     element = session.load_element(args.element, shape, box)
     window = None
@@ -244,8 +246,6 @@ def _cmd_delta(session: _Session) -> int:
     ]
     exit_code = 0
     if args.fit is not None:
-        if args.tail_start is None:
-            raise _UsageError("--fit needs --tail-start")
         fit = fit_shift_form(profile, args.fit, args.tail_start)
         doc["fit"] = None if fit is None else list(fit)
         doc["fit_power"] = args.fit

@@ -24,12 +24,12 @@ Documents are plain JSON objects tagged with a schema string and a kind.
 :func:`write_document` produces sorted, indented, ASCII bytes, so equal
 documents give byte-identical files.
 
-Each document kind is described once, field by field, and the same
-description drives both :func:`to_document` (dispatching on the object's
-type) and :func:`from_document` (dispatching on the kind tag).  The
-descriptions are grouped by the module that defines the kind's class and
-built the first time one of that module's kinds is used, so writing or
-reading an element imports no report module.  They are composed from a
+Each document kind is described once, field by field, in one table built
+at import, and the same description drives both :func:`to_document`
+(dispatching on the object's type) and :func:`from_document` (dispatching
+on the kind tag).  The table names each class as "module.Class" and a
+reader imports that module only when it decodes, so writing or reading an
+element imports no report module.  The descriptions are composed from a
 few codecs: a JSON leaf of one exact type, a list, an optional value
 (null for None), an object keyed by attribute names (reports write ``n``
 and ``i`` as ``nvars`` and ``index``), a pair written as two named keys,
@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
+from importlib import import_module
 from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -297,15 +298,18 @@ def _at(doc, key: str, decode):
 _KEYS = {"n": "nvars", "i": "index"}
 
 
-def _object(cls, **codecs: _Codec) -> _Codec:
-    """An object whose keys are the named attributes of cls."""
+def _object(cls: str, **codecs: _Codec) -> _Codec:
+    """An object whose keys are the named attributes of the cohdual class
+    spelled "module.Class", which is imported only when an object is read."""
+    module, _, name = cls.rpartition(".")
     fields = [(attr, _KEYS.get(attr, attr), *codec) for attr, codec in codecs.items()]
 
     def encode(obj):
         return {key: enc(getattr(obj, attr)) for attr, key, enc, _ in fields}
 
     def decode(doc):
-        return cls(**{attr: _at(doc, key, dec) for attr, key, _, dec in fields})
+        built = getattr(import_module(f"{__package__}.{module}"), name)
+        return built(**{attr: _at(doc, key, dec) for attr, key, _, dec in fields})
     return _Codec(encode, decode)
 
 
@@ -326,8 +330,8 @@ _TERMS = _list(_pair("exponents", _INTS, "coefficient", _STR))
 
 def _embedded(kind: str) -> _Codec:
     """A whole document of the given kind nested as a value."""
-    return _Codec(lambda v: _kind(kind).write(v),
-                  lambda doc: _kind(kind).read(doc))
+    return _Codec(lambda v: _KINDS[kind].write(v),
+                  lambda doc: _KINDS[kind].read(doc))
 
 
 def element_to_document(element: Element) -> dict:
@@ -360,14 +364,14 @@ def element_from_document(doc) -> Element:
 
 
 class _Kind(NamedTuple):
-    """A kind's class, its writer, its reader."""
+    """A kind's class, spelled "module.Class", its writer, its reader."""
 
-    cls: type
+    cls: str
     write: Callable  # obj -> document
     read: Callable   # document -> obj
 
 
-def _report(kind: str, cls, **codecs: _Codec) -> tuple[str, _Kind]:
+def _report(kind: str, cls: str, **codecs: _Codec) -> tuple[str, _Kind]:
     """A report kind: the attributes' keys sit next to the schema and kind."""
     encode, decode = _object(cls, **codecs)
 
@@ -382,114 +386,56 @@ def _report(kind: str, cls, **codecs: _Codec) -> tuple[str, _Kind]:
     return kind, _Kind(cls, lambda obj: new_document(kind, encode(obj)), read)
 
 
-def _algebra_kinds():
-    # looked up at call time, so a wrapper set on the module attribute is used
-    return [("element", _Kind(Element, lambda e: element_to_document(e),
-                              lambda doc: element_from_document(doc)))]
-
-
 _SLICES = _list(_pair("degree", _INTS, "dims", _INTS))
+_ELEMENT = _embedded("element")
 
-
-def _cech_kinds():
-    from .cech import CohomologyTable, RealizationReport
-    return [
-        _report("cohomology_table", CohomologyTable,
-                n=_INT, i=_INT, window=_INT, entries=_SLICES),
-        _report("realization_check", RealizationReport,
-                table=_embedded("cohomology_table"), passed=_BOOL,
-                nonzero_count=_INT, mismatches=_SLICES),
-    ]
-
-
-def _duality_kinds():
-    from .duality import PairingReport, RegularityReport, RegularityStep
-    return [
-        _report("pairing_check", PairingReport,
-                n=_INT, i=_INT, bound=_INT, pair_count=_INT,
-                permutation=_list(_pair("dual", _INTS, "module", _INTS)),
-                passed=_BOOL),
-        _report("regularity_check", RegularityReport,
-                n=_INT, i=_INT, bound=_INT,
-                steps=_list(_object(RegularityStep, variable=_INT,
-                                    domain_dim=_INT, kernel_dim=_INT)),
-                final_roles=_STRS, final_dim=_INT, final_nonzero=_BOOL,
-                passed=_BOOL),
-    ]
-
-
-def _independence_kinds():
-    from .independence import (DeltaSequence, IndependenceCertificate,
-                               RDecomposition, ShiftSearch, ShiftWitness)
-    element = _embedded("element")
-    return [
-        _report("delta_profile", DeltaSequence,
-                start=_INT, entries=_list(_optional(_INT))),
-        _report("shift_search", ShiftSearch,
-                status=_STR, witness=_optional(_object(
-                    ShiftWitness, shift_left=_INT, shift_right=_INT, offset=_INT))),
-        _report("independence_certificate", IndependenceCertificate,
-                m0=_INT, a=_INT, b=_INT, lmax=_INT, tail_start=_INT,
-                delta=_embedded("delta_profile"),
-                decomposition=_object(RDecomposition, a=_INT, h=element,
-                                      g=element, b=_INT),
-                nonzero=_BOOL, box=_BOX),
-    ]
-
-
-def _checks_kinds():
-    from .checks import CheckLine, CheckReport
-    return [
-        _report("check_report", CheckReport,
-                suite=_STR, seed=_INT, passed=_BOOL,
-                lines=_list(_object(CheckLine, name=_STR, instances=_INT,
-                                    passed=_BOOL, detail=_STR))),
-    ]
-
-
-# the module that defines each kind's class -> the builder of its kinds; the
-# report modules import this one, so their kinds are built on first use
-_BUILDERS = {
-    "algebra": _algebra_kinds,
-    "cech": _cech_kinds,
-    "duality": _duality_kinds,
-    "independence": _independence_kinds,
-    "checks": _checks_kinds,
-}
-
-# every kind tag -> the module whose builder describes it
-_OWNERS = {
-    "element": "algebra",
-    "cohomology_table": "cech",
-    "realization_check": "cech",
-    "pairing_check": "duality",
-    "regularity_check": "duality",
-    "delta_profile": "independence",
-    "shift_search": "independence",
-    "independence_certificate": "independence",
-    "check_report": "checks",
-}
-
-
-@lru_cache(maxsize=None)
-def _module_kinds(module: str) -> dict[str, _Kind]:
-    """The kinds whose classes live in the named cohdual module."""
-    return dict(_BUILDERS[module]())
-
-
-def _kind(name: str) -> _Kind:
-    return _module_kinds(_OWNERS[name])[name]
+# every kind tag -> its description; classes are imported only to decode
+_KINDS = dict([
+    # looked up at call time, so a wrapper set on the module attribute is used
+    ("element", _Kind("algebra.Element", lambda e: element_to_document(e),
+                      lambda doc: element_from_document(doc))),
+    _report("cohomology_table", "cech.CohomologyTable",
+            n=_INT, i=_INT, window=_INT, entries=_SLICES),
+    _report("realization_check", "cech.RealizationReport",
+            table=_embedded("cohomology_table"), passed=_BOOL,
+            nonzero_count=_INT, mismatches=_SLICES),
+    _report("pairing_check", "duality.PairingReport",
+            n=_INT, i=_INT, bound=_INT, pair_count=_INT,
+            permutation=_list(_pair("dual", _INTS, "module", _INTS)),
+            passed=_BOOL),
+    _report("regularity_check", "duality.RegularityReport",
+            n=_INT, i=_INT, bound=_INT,
+            steps=_list(_object("duality.RegularityStep", variable=_INT,
+                                domain_dim=_INT, kernel_dim=_INT)),
+            final_roles=_STRS, final_dim=_INT, final_nonzero=_BOOL,
+            passed=_BOOL),
+    _report("delta_profile", "independence.DeltaSequence",
+            start=_INT, entries=_list(_optional(_INT))),
+    _report("shift_search", "independence.ShiftSearch",
+            status=_STR, witness=_optional(_object(
+                "independence.ShiftWitness", shift_left=_INT, shift_right=_INT,
+                offset=_INT))),
+    _report("independence_certificate", "independence.IndependenceCertificate",
+            m0=_INT, a=_INT, b=_INT, lmax=_INT, tail_start=_INT,
+            delta=_embedded("delta_profile"),
+            decomposition=_object("independence.RDecomposition", a=_INT, h=_ELEMENT,
+                                  g=_ELEMENT, b=_INT),
+            nonzero=_BOOL, box=_BOX),
+    _report("check_report", "checks.CheckReport",
+            suite=_STR, seed=_INT, passed=_BOOL,
+            lines=_list(_object("checks.CheckLine", name=_STR, instances=_INT,
+                                passed=_BOOL, detail=_STR))),
+])
+_BY_CLASS = {f"{__package__}.{kind.cls}": kind for kind in _KINDS.values()}
 
 
 def to_document(obj) -> dict:
     """The document for an element or report; each element document, nested
     ones included, names the element's own field."""
-    package, _, module = type(obj).__module__.rpartition(".")
-    if package == __package__ and module in _BUILDERS:
-        for kind in _module_kinds(module).values():
-            if type(obj) is kind.cls:
-                return kind.write(obj)
-    raise TypeError(f"no document kind for {type(obj).__name__}")
+    kind = _BY_CLASS.get(f"{type(obj).__module__}.{type(obj).__qualname__}")
+    if kind is None:
+        raise TypeError(f"no document kind for {type(obj).__name__}")
+    return kind.write(obj)
 
 
 def from_document(doc):
@@ -497,6 +443,6 @@ def from_document(doc):
     if type(doc) is not dict:
         raise SchemaError("document must be a JSON object")
     name = doc.get("kind")
-    if type(name) is not str or name not in _OWNERS:
+    if type(name) is not str or name not in _KINDS:
         raise SchemaError(f"unknown document kind {name!r}")
-    return _kind(name).read(doc)
+    return _KINDS[name].read(doc)

@@ -452,6 +452,30 @@ def test_leibniz_check_fails_on_a_wrong_inverse_rule(monkeypatch):
     assert not _algebra_line().passed
 
 
+def _zero_over_q_on_ring_elements(j, m):
+    """D_j, except a zero over Q for a GF(p) ring element (series, box bound 2)."""
+    if m.field != RATIONAL and INVERSE not in m.shape.roles and set(m.box.bounds) == {2}:
+        return Element.from_terms(m.shape, m.box, [])
+    return derivation_act(j, m)
+
+
+def test_leibniz_check_fails_on_a_ring_derivation_over_another_field(monkeypatch, capsys):
+    """The derivations of the draws' ring elements meet no linearity
+    comparison, only sums and products; one over another field than its
+    operand's breaks its variable, so the line FAILs rather than raising,
+    and ``cohdual check`` exits 1 for a broken kernel, not 64 for bad input."""
+    import cohdual.checks as checks
+    from cohdual.cli import main
+
+    monkeypatch.setattr(checks, "derivation_act", _zero_over_q_on_ring_elements)
+    for seed in (DEFAULT_SEED, 5, 701):
+        line = leibniz_weyl_trials(seed)
+        assert not line.passed
+        assert line.detail == "roles ('series',), variable 0 over prime:7"
+    assert main(["check", "--suite", "algebra"]) == 1
+    capsys.readouterr()
+
+
 def _algebra_line():
     (line,) = run_suite("algebra", DEFAULT_SEED).lines
     return line

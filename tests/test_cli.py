@@ -98,6 +98,12 @@ def test_delta_fit_needs_tail_start(capsys):
     assert "tail-start" in err
 
 
+def test_delta_tail_start_needs_fit(capsys):
+    code, out, err = run_cli(capsys, "delta", "1 + Y^-1*X", "--tail-start", "3")
+    assert (code, out) == (64, "")
+    assert err == "usage error: --fit and --tail-start need each other\n"
+
+
 def test_delta_reversed_window_is_named(capsys):
     code, out, err = run_cli(capsys, "delta", "X*Y^-1", "--window", "3:1")
     assert (code, out) == (64, "")

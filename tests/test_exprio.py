@@ -1,6 +1,7 @@
 """Expression grammar, canonical serialization, and JSON documents."""
 
 import hashlib
+import importlib
 import json
 import random
 import sys
@@ -624,15 +625,19 @@ def test_documents_are_pinned_and_reload(kind, build, digest):
 
 
 def test_each_kind_is_built_by_the_module_named_for_it():
+    """Each kind names its class once, as "module.Class": that class is
+    defined in that cohdual module, and to_document maps its instances back
+    to the kind."""
     import cohdual.exprio as exprio
 
-    built = {}
-    for module in exprio._BUILDERS:
-        kinds = exprio._module_kinds(module)
-        built.update(dict.fromkeys(kinds, module))
-        for kind in kinds.values():
-            assert kind.cls.__module__ == f"cohdual.{module}"
-    assert built == exprio._OWNERS
+    built = {kind: build() for kind, build, _ in PINNED}
+    assert set(built) == set(exprio._KINDS)
+    for name, kind in exprio._KINDS.items():
+        module, _, qualname = kind.cls.rpartition(".")
+        cls = getattr(importlib.import_module(f"cohdual.{module}"), qualname)
+        assert cls.__module__ == f"cohdual.{module}"
+        assert type(built[name]) is cls
+        assert to_document(built[name])["kind"] == name
 
 
 def test_objects_without_a_kind_are_refused():

@@ -105,6 +105,14 @@ element = parse_element("1 + Y^-1*X", shape, box)
 assert from_document(json.loads(json.dumps(to_document(element)))) == element
 """
 
+PAIRING_DOCUMENT = """
+from cohdual.exprio import from_document
+report = from_document({"schema": "cohdual/1", "kind": "pairing_check", "nvars": 2,
+                        "index": 1, "bound": 2, "pair_count": 0, "permutation": [],
+                        "passed": True})
+assert type(report).__name__ == "PairingReport"
+"""
+
 BASE = ["cohdual", "cohdual.algebra", "cohdual.cli", "cohdual.exprio", "cohdual.fields"]
 DUALITY = sorted(BASE + ["cohdual.duality"])
 INDEPENDENCE = sorted(BASE + ["cohdual.independence"])
@@ -113,6 +121,8 @@ LOADED = [
     ("import", "import cohdual", ["cohdual"]),
     ("element-document", ELEMENT_DOCUMENT,
      ["cohdual", "cohdual.algebra", "cohdual.exprio", "cohdual.fields"]),
+    ("pairing-document", PAIRING_DOCUMENT,
+     ["cohdual", "cohdual.algebra", "cohdual.duality", "cohdual.exprio", "cohdual.fields"]),
     ("parser", "import cohdual, cohdual.cli; cohdual.cli.build_parser()", BASE),
     ("act", RUN_CLI.format(argv=["act", "Y", "1 + Y^-1*X"]), BASE),
     ("derive", RUN_CLI.format(argv=["derive", "-j", "1", "1 + Y^-1*X"]), BASE),
