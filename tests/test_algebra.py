@@ -476,6 +476,31 @@ def test_leibniz_check_fails_on_a_ring_derivation_over_another_field(monkeypatch
     capsys.readouterr()
 
 
+def _zero_over_q_for_variables(r, m):
+    """r.m, except a zero over Q for a GF(p) ring element of box bound 1
+    (the variables X_j of the Weyl law)."""
+    if r.field != RATIONAL and set(r.box.bounds) == {1}:
+        return Element.zero(m.shape, m.box, RATIONAL)
+    return ring_act(r, m)
+
+
+def test_leibniz_check_fails_on_a_ring_action_over_another_field(monkeypatch, capsys):
+    """The Weyl law's ring actions on the variables meet no linearity
+    comparison; one over another field than m's breaks its variable in
+    m's frame, so the line FAILs rather than raising, and ``cohdual check``
+    exits 1 for a broken kernel, not 64 for bad input."""
+    import cohdual.checks as checks
+    from cohdual.cli import main
+
+    monkeypatch.setattr(checks, "ring_act", _zero_over_q_for_variables)
+    for seed in (DEFAULT_SEED, 5, 701):
+        line = leibniz_weyl_trials(seed)
+        assert not line.passed
+        assert line.detail == "roles ('series',), variable 0 over prime:7"
+    assert main(["check", "--suite", "algebra"]) == 1
+    capsys.readouterr()
+
+
 def _algebra_line():
     (line,) = run_suite("algebra", DEFAULT_SEED).lines
     return line

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import cohdual.cech as cech
+from cohdual.algebra import Element, ring_act
 from cohdual.cech import (
     CohomologyTable,
     build_degree_piece,
@@ -182,6 +183,30 @@ def test_realization_check_fails_when_ranks_are_undercounted(monkeypatch, cold_d
     line = realization_sweep()
     assert not line.passed
     assert line.detail.startswith("n=3 i=3: dims ")
+
+
+def _kept_where_killed(r, m):
+    """r.m, except m itself where the true product is zero."""
+    product = ring_act(r, m)
+    return m if product.is_zero else product
+
+
+@pytest.mark.parametrize("fault, mismatch", [
+    (lambda r, m: Element.zero(m.shape, m.box, m.field),
+     "((-2,), 0, 'expected the shifted basis monomial')"),
+    (_kept_where_killed, "((-1,), 0, 'expected the kill rule to apply')"),
+], ids=["zero", "no-kill"])
+def test_realization_check_fails_on_a_wrong_shift_action(monkeypatch, capsys, fault, mismatch):
+    """A variable action that loses the shifted basis monomial, or keeps
+    one the contraction kills, FAILs the line; ``cohdual check`` exits 1."""
+    from cohdual.checks import realization_sweep
+    from cohdual.cli import main
+
+    monkeypatch.setattr(cech, "ring_act", fault)
+    line = realization_sweep()
+    assert (line.passed, line.detail) == (False, f"n=1 i=1: shift action mismatch {mismatch}")
+    assert main(["check", "--suite", "cech"]) == 1
+    capsys.readouterr()
 
 
 def _sweep(n, i, window):

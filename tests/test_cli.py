@@ -134,6 +134,14 @@ def test_act_and_derive_human_mode(capsys):
     assert out == "-Y^-1 - 2*Y^-2*X\n"
 
 
+def test_human_mode_writes_its_text_to_out(capsys, tmp_path):
+    path = tmp_path / "act.txt"
+    code, out, _ = run_cli(capsys, "act", "Y", "1 + Y^-1*X", "--mode", "human",
+                           "--out", str(path))
+    assert code == 0
+    assert out == path.read_text() == "X\n"
+
+
 def test_pair_human_mode(capsys):
     code, out, _ = run_cli(capsys, "pair", "X^-1*Y^-2", "X*Y^2",
                            "--shape", "R", "-n", "2", "--mode", "human")

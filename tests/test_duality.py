@@ -322,6 +322,28 @@ def test_balance_check_fails_when_a_narrow_pairing_claims_exactness(monkeypatch)
     assert line.detail.startswith("trial ")
 
 
+def test_balance_check_fails_on_a_pairing_over_another_field(monkeypatch, capsys):
+    """A pairing that answers rational operands with a GF(7) zero is caught
+    before the value-side product meets it: the line FAILs at its first
+    trial rather than raising, and ``cohdual check`` exits 1, not 64."""
+    import cohdual.checks as checks
+    from cohdual.checks import balance_trials
+    from cohdual.cli import main
+
+    real = checks.matlis_pair
+
+    def over_gf7(d, m, out_box=None):
+        paired = real(d, m, out_box)
+        return Element.zero(paired.shape, paired.box, PrimeField(7))
+
+    monkeypatch.setattr(checks, "matlis_pair", over_gf7)
+    for seed, detail in ((1729, "trial 0: n=3 i=1"), (5, "trial 0: n=3 i=2"),
+                         (701, "trial 0: n=3 i=2")):
+        assert balance_trials(seed) == ("pairing-balance", 1, False, detail)
+    assert main(["check", "--suite", "duality"]) == 1
+    capsys.readouterr()
+
+
 def test_surjectivity_witness_frozen():
     m, d = tensor_surjectivity_witness((-2, -3), 2, 1)
     assert m.term_map() == {(-2, 0): 1}

@@ -187,6 +187,26 @@ def test_fields_inferred_or_read_for_one_p_are_one_object():
     assert (a + b).field is read
 
 
+def test_residue_arithmetic_mod_7():
+    """Subtraction either way, an int over a residue, negative powers and
+    repr; mixing primes and inverting zero are refused."""
+    three, five = Fp(3, 7), Fp(5, 7)
+    assert (three - five, three - 5, 2 - three) == (Fp(5, 7), Fp(5, 7), Fp(6, 7))
+    assert (3 / Fp(2, 7), three ** -1) == (Fp(5, 7), Fp(5, 7))
+    assert repr(three) == "Fp(3, 7)"
+    with pytest.raises(ValueError, match="mixed prime fields: 7 and 11"):
+        three + Fp(1, 11)
+    with pytest.raises(ZeroDivisionError, match="0 has no inverse mod 7"):
+        Fp(0, 7).inverse()
+
+
+def test_prime_fields_need_a_prime():
+    assert PrimeField(2).descriptor == "prime:2"
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError, match=f"not a prime: {p}"):
+            PrimeField(p)
+
+
 def test_field_descriptors_are_immutable():
     """A field shared by every element of its p refuses assignment, so no
     assignment can make GF(7) elements describe themselves as GF(11); copies

@@ -676,6 +676,39 @@ def test_roundtrip_check_fails_when_signs_are_dropped(monkeypatch):
     assert line.detail.startswith("trial ")
 
 
+def test_roundtrip_check_fails_when_the_reader_refuses_the_text(monkeypatch, capsys):
+    """A writer that drops every ``^`` writes text its reader refuses; that
+    FAILs the trial rather than raising, and ``cohdual check`` exits 1."""
+    import cohdual.checks as checks
+    from cohdual.cli import main
+
+    monkeypatch.setattr(checks, "serialize_element",
+                        lambda element: serialize_element(element).replace("^", ""))
+    for seed, instances, detail in (
+            (1729, 2, "trial 1: '4*X-3*Y-6 + 6*X-2*Y-3 + 5*X-2*Y-2'"),
+            (5, 1, "trial 0: '-2/7*X-5*Z-3'"),
+            (701, 1, "trial 0: '2*X-1*Y4*Z3'")):
+        line = checks.roundtrip_trials(seed)
+        assert line == ("expression-document-roundtrip", instances, False, detail)
+    assert main(["check", "--suite", "io"]) == 1
+    capsys.readouterr()
+
+
+def test_roundtrip_check_fails_when_a_reload_changes_the_report(monkeypatch, capsys):
+    """A reader that resets a report's seed changes its reloaded bytes: the
+    line FAILs on its report probe and ``cohdual check`` exits 1."""
+    import cohdual.checks as checks
+    from cohdual.cli import main
+
+    monkeypatch.setattr(checks, "from_document",
+                        lambda doc: from_document(doc)._replace(seed=0))
+    assert checks.roundtrip_trials() == (
+        "expression-document-roundtrip", 1002, False,
+        "fixed-seed report bytes differ between runs or on reload")
+    assert main(["check", "--suite", "io"]) == 1
+    capsys.readouterr()
+
+
 # integer slots per kind, nested ones included
 INT_SLOTS = {
     "cohomology_table": [("nvars",), ("entries", 0, "degree", 1)],
@@ -735,6 +768,16 @@ def test_delta_profile_reader_does_not_coerce():
         from_document(doc)
     with pytest.raises(SchemaError, match="entries"):
         from_document(dict(doc, start=1))
+
+
+def test_a_report_value_its_class_refuses_is_a_malformed_document():
+    """A negative box bound is an int, so it passes the schema and is
+    refused by the box itself; the reader names the document kind."""
+    doc = to_document(independence_certificate(
+        (monomial(S2, TruncationBox((1, 1)), (0, 0)),), 8))
+    with pytest.raises(SchemaError, match=r"^malformed independence_certificate document: "
+                                          r"box bounds must be nonnegative"):
+        from_document(_edited(doc, ("box", 0), -1))
 
 
 def test_flags_are_booleans():

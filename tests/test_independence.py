@@ -211,6 +211,25 @@ def test_shift_search_separates_powers():
         assert shift_equiv_window(profiles[p], profiles[q], 5).status == "none"
 
 
+def test_separation_check_fails_on_a_self_witness_with_an_offset(monkeypatch, capsys):
+    """A search whose witness offset defaults to 1 finds each profile shifted
+    from itself by 1: the line FAILs and ``cohdual check`` exits 1."""
+    import cohdual.checks as checks
+    from cohdual.cli import main
+
+    def offset_one(*args):
+        found = shift_equiv_window(*args)
+        if found.witness is None:
+            return found
+        return found._replace(witness=found.witness._replace(offset=found.witness.offset or 1))
+
+    monkeypatch.setattr(checks, "shift_equiv_window", offset_one)
+    line = checks.separation_pairs()
+    assert (line.passed, line.detail) == (False, "power 1 not equivalent to itself")
+    assert main(["check", "--suite", "independence"]) == 1
+    capsys.readouterr()
+
+
 def test_shift_search_short_windows_are_inconclusive():
     s1 = DeltaSequence(0, (0, -1, -4, -9))
     s2 = DeltaSequence(0, (5, 5, 5, 5))
