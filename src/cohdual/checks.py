@@ -62,6 +62,7 @@ from .exprio import (
 )
 from .fields import RATIONAL, PrimeField
 from .independence import (
+    D_SHAPE,
     InconclusiveWindowError,
     delta,
     fit_shift_form,
@@ -161,12 +162,12 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
 
     Each certificate's whole profile must equal that of sum r_j . d_j formed
     as elements (``ring_act`` on ``make_d`` in the certificate's box, then
-    ``linear_combine``), which must be exact; its shifts must agree with an
+    ``linear_combine``), exact, each d_j and product in the certificate's
+    frame before the next kernel meets it; its shifts must agree with an
     independent reading of the top coefficient, which X^(a+1) h + X^a g must
     rebuild with g in Y alone, and refitting the tail must recover them (for
-    a top index of 1 only their sum is identifiable).  The
-    expected certification rate is well above 95 percent; windows too short
-    to conclude are counted but are not failures.
+    a top index of 1 only their sum is identifiable).  The expected rate is
+    well above 95 percent; windows too short to conclude are not failures.
     """
     rng = random.Random(seed)
     certified = 0
@@ -178,8 +179,10 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
         except InconclusiveWindowError:
             continue
         certified += 1
-        s = linear_combine((1, ring_act(r, make_d(j, lmax, cert.box)))
-                           for j, r in enumerate(r_list, start=1) if not r.is_zero)
+        frame = (D_SHAPE, cert.box, r_list[0].field)  # a d_j outside it stands for its product
+        parts = [ring_act(r, d) if d[:3] == frame else d for j, r in enumerate(r_list, 1)
+                 if not r.is_zero for d in [make_d(j, lmax, cert.box)]]
+        s = linear_combine((1, p) for p in parts) if all(p[:3] == frame for p in parts) else None
         top = r_list[cert.m0 - 1]
         a = min(e[0] for e, _ in top.terms)
         b = min(e[1] for e, _ in top.terms if e[0] == a)
@@ -187,12 +190,13 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
         rebuilt = linear_combine(
             (1, ring_act(monomial(top.shape, TruncationBox((k, 0)), (k, 0)), part))
             for k, part in ((a + 1, dec.h), (a, dec.g)))
-        ok = s.exact and delta(s, (0, lmax)) == cert.delta
+        ok = s is not None and s.exact and delta(s, (0, lmax)) == cert.delta
         ok = ok and (cert.a, cert.b, cert.nonzero, dec.a, dec.b) == (a, b, True, a, b)
         ok = ok and rebuilt.exact and rebuilt == top and all(e[0] == 0 for e, _ in dec.g.terms)
         ok = ok and cert.m0 == max(
             j for j, r in enumerate(r_list, start=1) if not r.is_zero)
-        fit = fit_shift_form(cert.delta, cert.m0, cert.tail_start)
+        ok = ok and cert.tail_start <= lmax - 2  # a shorter tail cannot be refitted
+        fit = fit_shift_form(cert.delta, cert.m0, cert.tail_start) if ok else None
         if cert.m0 >= 2:
             ok = ok and fit == (a, b)
         else:

@@ -21,16 +21,16 @@ makes this quantitative for a finite truncation window:
   accounts for the h-part of the top coefficient, for every lower-index
   d_j, and for the contraction kill on positive Y-exponents; each of its
   conditions fails on one interval of degrees, found by bisection in
-  O(m0 log t) steps.  s is never formed: the tail is a kept slice of the
-  closed form, copied once, onto the prefix, which is read degree by
-  degree, as the least y - (l - x)^j over the terms X^x Y^y of the r_j,
-  with the terms re-summed only where the least ones cancel.  One pass
-  checks the coefficients, the top one is split once, as ``decompose_r``
-  does after its own checks, and the records are built from the checked
-  values unchecked.  A window too short to conclude names the least one
-  that would do, or None where none can.  The check line
-  ``independence-random-combinations`` forms s as elements, compares the
-  whole profile and rebuilds the top coefficient from its split.
+  O(m0 log t) steps.  s is never formed: the tail is the closed form, and
+  the prefix is read degree by degree, as the least y - (l - x)^j over the
+  terms X^x Y^y of the r_j, re-summed only where the least ones cancel.
+  One pass checks the coefficients, the top one is split once, as
+  ``decompose_r`` does after its own checks, the analysis and the whole
+  profile are memoized on the few integers they depend on, and the records
+  are built from the checked values unchecked.  A window too short to
+  conclude names the least one that would do, or None where none can.  The
+  check line ``independence-random-combinations`` forms s as elements,
+  compares the whole profile and rebuilds the top coefficient from its split.
 
 A verified tail plus the pigeonhole on distinct growth rates is what the
 equivalence search over shifted windows (:func:`shift_equiv_window`)
@@ -164,8 +164,7 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None,
     """
     if power < 1:
         raise ValueError(f"power must be a positive integer, got {power}")
-    if lmax < 0:
-        raise ValueError(f"lmax must be nonnegative, got {lmax}")
+    _check_lmax(lmax)
     if box is None:
         box = TruncationBox((lmax, lmax ** power))
     if box.nvars != 2:
@@ -178,20 +177,27 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None,
                    tuple(((l, -(l ** power)), one) for l in range(lmax + 1)))
 
 
+def _check_lmax(lmax: int) -> None:
+    if type(lmax) is not int:  # a bool too, which a memo would take for 0 or 1
+        raise ValueError(f"lmax must be an integer, got {lmax!r}")
+    if lmax < 0:
+        raise ValueError(f"lmax must be nonnegative, got {lmax}")
+
+
 @lru_cache(maxsize=32)
 def _tails(power: int, lmax: int, b: int) -> tuple[int, ...]:
     """b - k^power for k = 0..lmax, with ``pow``: a tail's closed form, its
-    degree l at k = l - a, so a certificate slices its tail and adds nothing.
+    degree l at k = l - a, so a profile slices its tail and adds nothing.
     One entry per (m0, lmax, b); m0 <= 4 and b <= 4 at one lmax need 20, and
     the 32 held are at most 32 * (largest lmax + 1) exponents."""
     return tuple(map(sub, repeat(b), map(pow, range(lmax + 1), repeat(power))))
 
 
-@lru_cache(maxsize=64)
-def _tail(power: int, lmax: int, b: int, start: int, stop: int) -> tuple[int, ...]:
-    """``_tails(power, lmax, b)[start:stop]``, kept so a repeated tail is copied
-    once, onto its prefix: at most 64 * (largest lmax + 1) pointers to its ints."""
-    return _tails(power, lmax, b)[start:stop]
+@lru_cache(maxsize=128)
+def _entries(prefix: tuple, power: int, lmax: int, b: int, a: int) -> tuple[int | None, ...]:
+    """The whole profile, the prefix then its tail sliced from ``_tails``, held
+    for the last 128 keys: at most 128 * (largest lmax + 1) pointers, plus the prefixes."""
+    return prefix + _tails(power, lmax, b)[len(prefix) - a:lmax + 1 - a]
 
 
 def delta(d: Element, window: tuple[int, int] | None = None) -> DeltaSequence:
@@ -342,7 +348,7 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     if not r_list:
         raise DegenerateInputError("no coefficient polynomials given")
     first = r_list[0].field
-    live, margins, max_x, max_y = [], [], 0, 0  # one pass: checks, box and least Y-degrees
+    live, margins, max_x, max_y = [], (), 0, 0  # one pass: checks, box and least Y-degrees
     for j, r in enumerate(r_list, start=1):
         shape, _, field, terms, exact = r
         if shape is not R_SHAPE and shape != R_SHAPE:
@@ -354,41 +360,45 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
         if terms:
             ys = [e[1] for e, _ in terms]
             live.append((j, r))
-            margins.append((j, min(ys)))
+            margins += ((j, min(ys)),)
             max_x, max_y = max(max_x, terms[-1][0][0]), max(max_y, *ys)
     if not live:
         raise DegenerateInputError("every coefficient polynomial is zero")
-    if lmax < 0:  # make_d's own check, made before the box and the dominance analysis
-        raise ValueError(f"lmax must be nonnegative, got {lmax}")
+    _check_lmax(lmax)  # make_d's own checks, made before the box and any memo
     m0 = live[-1][0]
-    bounds = (lmax + max_x, lmax ** m0 + max_y + 1)  # as auto_truncation
-    box = _box((bounds,)) if type(lmax) is int else TruncationBox(bounds)  # refuses non-ints
+    box = _box(((lmax + max_x, lmax ** m0 + max_y + 1),))  # as auto_truncation
 
     dec = _split(live[-1][1])
     a, _, g, b = dec
     h_margin = min(ys[len(g.terms):], default=None)  # ys is the top's; its X^a layer leads
+    tail_start = _tail_start(m0, a, b, h_margin, margins[:-1], lmax)
+    profile = _least_exponents(live, a, b, tail_start, lmax)
+    return _certificate((m0, a, b, lmax, tail_start, _profile((0, profile)), dec, True, box))
+
+
+@lru_cache(maxsize=512)
+def _tail_start(m0: int, a: int, b: int, h_margin: int | None, lower: tuple, lmax: int) -> int:
+    """The dominance analysis, on integers alone: the first tail degree, or
+    :class:`InconclusiveWindowError`, which the memo does not keep."""
     if m0 == 1 and h_margin is not None and b - h_margin >= 1:
         raise InconclusiveWindowError(None)  # t - (t - 1) = 1 for every l
-    fails = _failing_intervals(m0, a, b, h_margin, margins[:-1])
+    fails = _failing_intervals(m0, a, b, h_margin, lower)
     reach, t = lmax - a, 0  # l <= a always fails; past the last failure up to lmax all holds
     for lo, hi in fails:
         if lo <= reach and hi > t:
             t = hi if hi < reach else reach
-    tail_start = a + 1 + t
-    if lmax - tail_start < 2:
+    if lmax - a - t < 3:  # fewer than 3 tail points, a + 1 + t to lmax
         t = 1  # the least t with t, t + 1 and t + 2 outside every interval
         for lo, hi in sorted(fails):
             if lo - t >= 3:
                 break
             t = max(t, hi + 1)
         raise InconclusiveWindowError(a + t + 2)
-
-    profile = _least_exponents(live, a, b, tail_start, lmax)
-    return _certificate((m0, a, b, lmax, tail_start, _profile((0, profile)), dec, True, box))
+    return a + 1 + t
 
 
 def _failing_intervals(m0: int, a: int, b: int, h_margin: int | None,
-                       lower: list[tuple[int, int]]) -> list[tuple[int, int]]:
+                       lower: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """The t = l - a >= 1 at which dominance fails, as nonempty intervals.
 
     The top coefficient's own conditions hold from some least t on.  Lower
@@ -450,7 +460,7 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
 
     ``live`` holds (j, r_j) for the nonzero r_j, the top index m0 last.
     From tail_start on the dominance analysis forces the profile to be
-    b - (l - a)^m0, a memo's slice that is copied once, onto the prefix.
+    b - (l - a)^m0, which ``_entries`` joins to the prefix read here.
     Before it, a term c X^x Y^y of r_j gives at each l >= x the candidate
     y - (l - x)^j, computed as it is read and killed if positive.  Degree by
     degree, the profile is the least candidate; where two or more terms
@@ -476,4 +486,4 @@ def _least_exponents(live, a: int, b: int, tail_start: int,
             sums = _summed([(v, c) for j, r in live for (x, y), c in r.terms
                             if x <= l and (v := y - (l - x) ** j) <= 0])
             entries.append(sums[0][0] if sums else None)
-    return tuple(entries) + _tail(live[-1][0], lmax, b, tail_start - a, lmax + 1 - a)
+    return _entries(tuple(entries), live[-1][0], lmax, b, a)

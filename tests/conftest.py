@@ -144,6 +144,21 @@ def oracle_certificate(r_list, lmax):
     return m0, a, b, profile, tail
 
 
+def oracle_analysis_inputs(r_list):
+    """(m0, a, b, h_margin, lower) read off the term maps: the top index, its
+    witness X^a Y^b, the least Y-degree of its higher X-layers (None without
+    any) and the (j, least Y-degree) of each nonzero lower r_j, a tuple."""
+    maps = [r.term_map() for r in r_list]
+    m0 = max(j for j, terms in enumerate(maps, start=1) if terms)
+    top = maps[m0 - 1]
+    a = min(x for x, _ in top)
+    b = min(y for x, y in top if x == a)
+    h_margin = min((y for x, y in top if x != a), default=None)
+    lower = tuple((j, min(y for _, y in terms))
+                  for j, terms in enumerate(maps[: m0 - 1], start=1) if terms)
+    return m0, a, b, h_margin, lower
+
+
 def oracle_dominance(r_list):
     """``(dominated, settled)`` for sum r_j . d_j.
 
@@ -154,14 +169,7 @@ def oracle_dominance(r_list):
     r_j (t^m0 - l^j > b - its least Y-degree).  Every degree from
     ``settled`` on is dominated, unless m0 = 1 and the higher layers reach
     below b, when none is."""
-    maps = [r.term_map() for r in r_list]
-    m0 = max(j for j, terms in enumerate(maps, start=1) if terms)
-    top = maps[m0 - 1]
-    a = min(x for x, _ in top)
-    b = min(y for x, y in top if x == a)
-    h_margin = min((y for x, y in top if x != a), default=None)
-    lower = [(j, min(y for _, y in terms))
-             for j, terms in enumerate(maps[: m0 - 1], start=1) if terms]
+    m0, a, b, h_margin, lower = oracle_analysis_inputs(r_list)
 
     def dominated(l):
         t = l - a

@@ -1,7 +1,9 @@
 """Profiles, decompositions, shift search, and the independence certificate."""
 
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -31,6 +33,7 @@ from cohdual.fields import RATIONAL, Fp, PrimeField, field_of
 from conftest import (
     COEFFICIENT_KINDS,
     int_coefficient,
+    oracle_analysis_inputs,
     oracle_certificate,
     oracle_dominance,
     oracle_min_profile,
@@ -62,6 +65,21 @@ def test_make_d_terms_and_default_box():
     assert d.exact
     d3 = make_d(3, 2)
     assert d3.term_map() == {(0, 0): 1, (1, -1): 1, (2, -8): 1}
+
+
+@pytest.mark.parametrize("lmax", [True, False, 3.0, "3"], ids=repr)
+def test_a_bool_or_non_int_lmax_is_refused(lmax):
+    """A bool is an int to arithmetic and equal to 0 or 1 in a memo's key,
+    so both functions refuse it, and any other non-int, before a memo is
+    consulted."""
+    memos = (independence._tails, independence._tail_start, independence._entries)
+    held = [memo.cache_info() for memo in memos]
+    message = f"^lmax must be an integer, got {re.escape(repr(lmax))}$"
+    with pytest.raises(ValueError, match=message):
+        make_d(2, lmax)
+    with pytest.raises(ValueError, match=message):
+        independence_certificate((poly({(0, 0): 1}), poly({(1, 1): 2})), lmax)
+    assert [memo.cache_info() for memo in memos] == held
 
 
 def test_make_d_box_validation():
@@ -395,39 +413,50 @@ FAMILY_DRAWS = {
 
 
 def _clear_tail_memos():
-    """Empty both memos a tail comes from: its closed form and its slices."""
+    """Empty both memos a profile comes from: its tail's closed form and the
+    whole profiles."""
     independence._tails.cache_clear()
-    independence._tail.cache_clear()
+    independence._entries.cache_clear()
 
 
 @pytest.mark.parametrize("kind, lmax", [
     *((kind, lmax) for lmax in (8, 100) for kind in sorted(FAMILY_DRAWS)),
     *((kind, lmax) for lmax in (1000, 3000) for kind in ("fraction", "gf32003"))])
 def test_cached_family_certificates_match_oracle(kind, lmax):
-    """Certificates whose tails are sliced from the memo of b - k^m0 equal
-    the element-path oracle, first with the memos emptied (each (m0, lmax, b)
-    computed and each slice taken on its first use) and then with every one
-    held."""
+    """Certificates read from the memos equal the element-path oracle, first
+    with every memo emptied and then with every one held: cold, each (m0,
+    lmax, b) has its closed form computed once, each analysis key analysed
+    once (an inconclusive one on every call, as the memo keeps no
+    exception) and each profile key joined once; warm, only the
+    inconclusive keys are analysed again."""
     rng = random.Random(f"family/{kind}/{lmax}")
     combinations = [tuple(poly({(rng.randint(0, 3), rng.randint(0, 3)): FAMILY_DRAWS[kind](rng)
                                 for _ in range(rng.randint(1, 2))})
                           for _ in range(rng.randint(1, 3)))
                     for _ in range(12)]
+    memos = (independence._tails, independence._tail_start, independence._entries)
     _clear_tail_memos()
+    independence._tail_start.cache_clear()
     for warmth in ("cold", "warm"):
-        tops, slices = [], []
+        before = [memo.cache_info().misses for memo in memos]
+        tops, keys, profiles, certified, inconclusive = set(), set(), set(), 0, 0
         for r_list in combinations:
             try:
                 _assert_certificate_matches_oracle(r_list, lmax)
             except InconclusiveWindowError:
+                inconclusive += 1
                 continue
             cert = independence_certificate(r_list, lmax)
-            tops.append((cert.m0, cert.b))
-            slices.append((cert.m0, cert.b, cert.a, cert.tail_start))
-        assert len(tops) >= 6, warmth
-        # each (m0, b) has its tail computed once and each slice taken once, on first use
-        assert independence._tails.cache_info().misses == len(set(tops)), warmth
-        assert independence._tail.cache_info().misses == len(set(slices)), warmth
+            certified += 1
+            tops.add((cert.m0, cert.b))
+            keys.add(oracle_analysis_inputs(r_list))
+            profiles.add((cert.delta.entries[:cert.tail_start], cert.m0, cert.b, cert.a))
+        assert certified >= 6, warmth
+        missed = [memo.cache_info().misses - was for memo, was in zip(memos, before)]
+        if warmth == "cold":
+            assert missed == [len(tops), len(keys) + inconclusive, len(profiles)]
+        else:
+            assert missed == [0, inconclusive, 0]
 
 
 @pytest.mark.parametrize("terms, required", [
@@ -646,9 +675,14 @@ def test_a_bare_int_that_vanishes_mod_p_is_no_term():
 
 
 def _claim_the_tail_from(monkeypatch, t):
-    """Make the dominance analysis claim every degree from l = a + t on."""
+    """Make the dominance analysis claim every degree from l = a + t on.  Its
+    memo would answer keys it already holds without analysing them, so the
+    analysis runs behind an emptied memo of its own, which the undo drops
+    with every answer the claim gave."""
     monkeypatch.setattr(independence, "_failing_intervals",
                         lambda *args: [(1, t - 1)] if t > 1 else [])
+    monkeypatch.setattr(independence, "_tail_start",
+                        lru_cache(maxsize=512)(independence._tail_start.__wrapped__))
 
 
 PINNED_SEEDS = (1729, 5, 701)  # the seeds whose suite digests are pinned
@@ -725,23 +759,24 @@ def test_a_column_starting_inside_the_tail_is_compared_from_its_start(monkeypatc
 
 def test_the_tail_memos_keep_no_entry_past_their_bounds(monkeypatch):
     """The memo of the tails' closed form b - k^m0 holds at most 32 (m0,
-    lmax, b) entries and the memo of their slices at most 64, the least
-    recently used going first: at lmax 20,000 a repeated certificate
-    computes nothing again and takes no new slice, with m0 = 4 and with
-    m0 = 5, and b = 0 or not, and a cold one calls ``pow`` only for its
-    tail, as the prefix before it is read without a memo."""
-    memo, slices = independence._tails, independence._tail
-    assert (memo.cache_info().maxsize, slices.cache_info().maxsize) == (32, 64)
+    lmax, b) entries, the memo of whole profiles at most 128, each lmax + 1
+    pointers long, and the analysis memo at most 512 keys of integers, the
+    least recently used going first: at lmax 20,000 a repeated certificate
+    computes nothing again, with m0 = 4 and with m0 = 5, and b = 0 or not,
+    and a cold one calls ``pow`` only for its tail, as the prefix before it
+    is read without a memo."""
+    memo, profiles, analyses = independence._tails, independence._entries, independence._tail_start
+    assert [m.cache_info().maxsize for m in (memo, profiles, analyses)] == [32, 128, 512]
     _clear_tail_memos()
+    analyses.cache_clear()
     assert memo(2, 10, 3) == tuple(3 - l * l for l in range(11))
     r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(1, 1): 3}), poly({(0, 2): 1}),
               poly({(0, 0): 1, (1, 2): -1}))
     cert = independence_certificate(r_list, 20_000)
-    assert memo.cache_info()[1:] == (2, 32, 2)  # misses, maxsize, currsize
-    assert slices.cache_info()[1:] == (1, 64, 1)
+    held = [m.cache_info()[1:] for m in (memo, profiles, analyses)]  # misses, maxsize, currsize
+    assert held == [(2, 32, 2), (1, 128, 1), (1, 512, 1)]
     assert independence_certificate(r_list, 20_000) == cert
-    assert memo.cache_info()[1:] == (2, 32, 2)
-    assert slices.cache_info()[1:] == (1, 64, 1)
+    assert [m.cache_info()[1:] for m in (memo, profiles, analyses)] == held
     calls = []
     monkeypatch.setattr(independence, "pow", lambda *args: calls.append(args) or args[0] ** args[1],
                         raising=False)
@@ -750,21 +785,29 @@ def test_the_tail_memos_keep_no_entry_past_their_bounds(monkeypatch):
         cert = independence_certificate(five, 20_000)
         assert (cert.m0, cert.b, cert.tail_start, len(calls)) == (5, b, 2, 20_001)
         calls.clear()
-        taken = slices.cache_info().misses
+        held = [m.cache_info().misses for m in (memo, profiles, analyses)]
         for _ in range(3):
             assert independence_certificate(five, 20_000) == cert
-        assert calls == [] and slices.cache_info().misses == taken
+        assert calls == [] and [m.cache_info().misses for m in (memo, profiles, analyses)] == held
     monkeypatch.undo()
     for b in range(32):
         memo(1, 3, b)
     assert memo.cache_info().currsize == 32
     assert memo(2, 10, 3) == tuple(3 - l * l for l in range(11))
     assert memo.cache_info()[1:] == (37, 32, 32)  # (2, 10, 3) had been dropped
-    for stop in range(100):
-        assert slices(2, 10, 3, 0, stop) == memo(2, 10, 3)[:stop]
-        assert slices.cache_info().currsize == min(stop + 4, 64)
-    assert slices(2, 10, 3, 0, 0) == ()  # dropped too
-    assert slices.cache_info()[1:] == (104, 64, 64)
+    for size in range(200):
+        prefix = (None,) * (size % 7 + 1) + (size,)
+        a = size % 3
+        entries = profiles(prefix, 2, 10, 3, a)
+        assert entries == prefix + tuple(3 - (l - a) ** 2 for l in range(len(prefix), 11))
+        assert profiles.cache_info().currsize == min(size + 4, 128)
+    assert profiles((None, 0), 2, 10, 3, 0) == (None, 0, *(3 - l * l for l in range(2, 11)))
+    assert profiles.cache_info()[1:] == (204, 128, 128)  # the first one was dropped
+    for lmax in range(3, 1200):
+        analyses(1, 0, 0, None, (), lmax)
+        assert analyses.cache_info().currsize == min(lmax + 1, 512)
+    assert analyses(*oracle_analysis_inputs(r_list), 20_000) == 2  # the first key, dropped too
+    assert analyses.cache_info()[1:] == (1201, 512, 512)
 
 
 def _certify_past_2_to_the_64():
@@ -874,63 +917,155 @@ def test_independence_check_fails_on_a_broken_family(monkeypatch):
     _assert_the_check_fails()
 
 
+def _act_over_gf7_on_d_1(r, m):
+    """``ring_act`` with its output a GF(7) zero when it acts on d_1, the d_j
+    whose last term is X^l Y^-l, so the other products stay rational."""
+    out = ring_act(r, m)
+    (x, y), _ = m.terms[-1] if m.terms else ((0, 1), 1)
+    return out._replace(field=PrimeField(7), terms=()) if y == -x and x > 1 else out
+
+
+@pytest.mark.parametrize("broken", ["make_d", "ring_act"])
+def test_independence_check_fails_on_a_kernel_over_another_field(monkeypatch, capsys, broken):
+    """A d_j built over GF(7) for rational coefficients, or the product
+    r_1 . d_1 over GF(7) next to rational ones, is compared with the
+    certificate's frame before the next kernel meets it: the line FAILs
+    rather than raising, and ``cohdual check`` exits 1 for a broken
+    kernel, not 64 for bad input."""
+    import cohdual.checks as checks
+    from cohdual.cli import main
+
+    monkeypatch.setattr(checks, broken, {
+        "make_d": lambda power, lmax, box=None: make_d(power, lmax, box, PrimeField(7)),
+        "ring_act": _act_over_gf7_on_d_1}[broken])
+    for seed in PINNED_SEEDS:
+        _assert_the_check_fails(seed)
+    assert main(["check", "--suite", "independence"]) == 1
+    capsys.readouterr()
+
+
 def test_a_broken_family_fails_the_check_with_a_warm_cache(monkeypatch):
     """The memo filled by a passing run does not hide a broken make_d."""
     assert _independence_line()[0].passed
-    assert independence._tails.cache_info().currsize > 0
-    assert independence._tail.cache_info().currsize > 0
+    for memo in (independence._tails, independence._tail_start, independence._entries):
+        assert memo.cache_info().currsize > 0
     _break_the_family(monkeypatch)
     _assert_the_check_fails()
 
 
-def _tails_keyed_by(monkeypatch, key):
-    """Make the memo that hands out tails give every certificate the first
-    tail taken under its ``key(m0, lmax, b, a, tail_start)``."""
-    real = independence._tail
+def _keyed_by(monkeypatch, name, key):
+    """Replace the memo ``name`` by one that answers every call with the
+    first answer it gave under the same ``key(*args)``: the memo keyed
+    without the components ``key`` drops.  What raises is not kept."""
+    real = getattr(independence, name).__wrapped__
     held = {}
 
-    def keyed(power, lmax, b, start, stop):
-        a = lmax + 1 - stop
-        return held.setdefault(key(power, lmax, b, a, start + a),
-                               real(power, lmax, b, start, stop))
+    def keyed(*args):
+        k = key(*args)
+        if k not in held:
+            held[k] = real(*args)
+        return held[k]
 
-    monkeypatch.setattr(independence, "_tail", keyed)
+    monkeypatch.setattr(independence, name, keyed)
 
 
 def test_a_tail_memo_keyed_without_the_power_fails_the_check(monkeypatch):
-    """A tail memo that hands every m0 the first tail taken at that (lmax,
-    b, a, tail_start) must make the independence check FAIL at every pinned
-    seed."""
-    _tails_keyed_by(monkeypatch, lambda m0, lmax, b, a, tail_start: (lmax, b, a, tail_start))
+    """A profile memo that hands every m0 the first profile joined at that
+    (prefix, lmax, b, a) must make the independence check FAIL at every
+    pinned seed."""
+    _keyed_by(monkeypatch, "_entries", lambda prefix, m0, lmax, b, a: (prefix, lmax, b, a))
     for seed in PINNED_SEEDS:
         _assert_the_check_fails(seed)
 
 
 def test_a_tail_cache_keyed_without_b_fails_the_check(monkeypatch):
-    """A tail memo that hands every b the first tail taken at that (m0,
-    lmax, a, tail_start) must make the independence check FAIL at every
+    """A profile memo that hands every b the first profile joined at that
+    (prefix, m0, lmax, a) must make the independence check FAIL at every
     pinned seed."""
-    _tails_keyed_by(monkeypatch, lambda m0, lmax, b, a, tail_start: (m0, lmax, a, tail_start))
-    for seed in PINNED_SEEDS:
-        _assert_the_check_fails(seed)
-
-
-def test_a_tail_memo_keyed_without_a_fails_the_check(monkeypatch):
-    """A tail memo that hands every a the first tail taken at that (m0,
-    lmax, b, tail_start) must make the independence check FAIL at every
-    pinned seed."""
-    _tails_keyed_by(monkeypatch, lambda m0, lmax, b, a, tail_start: (m0, lmax, b, tail_start))
+    _keyed_by(monkeypatch, "_entries", lambda prefix, m0, lmax, b, a: (prefix, m0, lmax, a))
     for seed in PINNED_SEEDS:
         _assert_the_check_fails(seed)
 
 
 def test_a_tail_memo_keyed_without_tail_start_fails_the_check(monkeypatch):
-    """A tail memo that hands every tail_start the first tail taken at that
-    (m0, lmax, b, a) must make the independence check FAIL at every pinned
-    seed."""
-    _tails_keyed_by(monkeypatch, lambda m0, lmax, b, a, tail_start: (m0, lmax, b, a))
+    """A profile memo keyed without its prefix, whose length is tail_start,
+    hands every prefix the first profile joined at that (m0, lmax, b, a); it
+    must make the independence check FAIL at every pinned seed."""
+    _keyed_by(monkeypatch, "_entries", lambda prefix, m0, lmax, b, a: (m0, lmax, b, a))
     for seed in PINNED_SEEDS:
         _assert_the_check_fails(seed)
+
+
+def test_a_profile_memo_keyed_without_lmax_fails_the_oracle(monkeypatch):
+    """The check line certifies at one lmax, so it cannot see lmax in the
+    key; certificates of one combination at lmax 8 and then 100 can: keyed
+    without it, the second is handed the first's 9 entries."""
+    r_list = (poly({(0, 1): 1, (1, 0): 2}), poly({(0, 3): 2, (1, 1): 1}))
+    for lmax in (8, 100):
+        _assert_certificate_matches_oracle(r_list, lmax)
+    _keyed_by(monkeypatch, "_entries", lambda prefix, m0, lmax, b, a: (prefix, m0, b, a))
+    _assert_certificate_matches_oracle(r_list, 8)
+    with pytest.raises(AssertionError):
+        _assert_certificate_matches_oracle(r_list, 100)
+
+
+def test_a_profile_memo_keyed_without_a_fails_the_closed_form(monkeypatch):
+    """A search of some 230,000 certified combinations found no two that
+    share (prefix, m0, lmax, b) with different a, so no certificate is known
+    to see a in the key; the memo's own answers do: each must be its prefix
+    followed by b - (l - a)^m0 up to lmax, and keyed without a, the second
+    a is handed the first one's tail."""
+    def joined(a):
+        return independence._entries((None, None, None, -4), 2, 12, 5, a)
+
+    for a in (0, 1, 2):
+        assert joined(a) == (None, None, None, -4, *(5 - (l - a) ** 2 for l in range(4, 13)))
+    _keyed_by(monkeypatch, "_entries", lambda prefix, m0, lmax, b, a: (prefix, m0, lmax, b))
+    assert joined(0) == (None, None, None, -4, *(5 - l * l for l in range(4, 13)))
+    assert joined(1) != (None, None, None, -4, *(5 - (l - 1) ** 2 for l in range(4, 13)))
+
+
+# the analysis memo's key, (m0, a, b, h_margin, lower, lmax), less one component
+ANALYSIS_KEYS_WITHOUT = {
+    "m0": lambda m0, a, b, h, lower, lmax: (a, b, h, lower, lmax),
+    "a": lambda m0, a, b, h, lower, lmax: (m0, b, h, lower, lmax),
+    "b": lambda m0, a, b, h, lower, lmax: (m0, a, h, lower, lmax),
+    "h_margin": lambda m0, a, b, h, lower, lmax: (m0, a, b, lower, lmax),
+    "lower": lambda m0, a, b, h, lower, lmax: (m0, a, b, h, lmax),
+    "lmax": lambda m0, a, b, h, lower, lmax: (m0, a, b, h, lower),
+}
+
+
+@pytest.mark.parametrize("component", ["a", "b", "lower"])
+def test_an_analysis_memo_keyed_without_it_fails_the_check(monkeypatch, component):
+    """An analysis memo keyed without a, b or the lower margins hands some
+    certificate another combination's tail_start: the independence check
+    must FAIL at every pinned seed (a tail_start too close to lmax to refit
+    is a failed trial, not a crash)."""
+    _keyed_by(monkeypatch, "_tail_start", ANALYSIS_KEYS_WITHOUT[component])
+    for seed in PINNED_SEEDS:
+        _assert_the_check_fails(seed)
+
+
+def test_a_tail_start_too_late_to_refit_fails_the_check(monkeypatch):
+    """An analysis that starts every tail at lmax - 1 leaves the profile
+    right, since the prefix read is exact, but only two tail points, too few
+    to refit: each such certificate is a failed trial, not a crash."""
+    monkeypatch.setattr(independence, "_tail_start", lambda *key: key[-1] - 1)
+    for seed in PINNED_SEEDS:
+        line, passed = _independence_line(seed)
+        assert not line.passed and not passed
+        assert line.detail.endswith("cross-checks failed on trials [0, 1, 2]")
+
+
+@pytest.mark.parametrize("component", ["m0", "h_margin", "lmax"])
+def test_an_analysis_memo_keyed_without_it_fails_the_oracle_sweep(monkeypatch, component):
+    """The check line cannot see these components at every pinned seed (it
+    certifies at one lmax, meets no two combinations that differ only in
+    the h-part's margin, and only in m0 at seeds 5 and 701); the sweep of
+    :func:`_analysis_mismatch` does."""
+    _keyed_by(monkeypatch, "_tail_start", ANALYSIS_KEYS_WITHOUT[component])
+    assert _analysis_mismatch() is not None
 
 
 def test_a_warm_tail_is_a_slice_of_the_memo(monkeypatch):
@@ -991,30 +1126,67 @@ def test_long_prefixes_match_the_element_path(field):
     assert (profile.value(2) == -2) == (field is RATIONAL)
 
 
-def test_failing_intervals_are_the_degrees_the_oracle_finds_undominated():
-    """Over m0 1-4, a and b 0-5, an h-margin of None or 0..b+1 and up to
-    three lower margins, the intervals cover exactly the t in 1..last at
-    which :func:`conftest.oracle_dominance` fails (past last it never does).
-    m0 = 1 with the h-part below b is the caller's case and is left out."""
+def _analysis_cases():
+    """(m0, a, b, h_margin, lower, r_list) over m0 1-4, a and b 0-5, an
+    h-margin of None or 0..b+1 and, for each lower index, no coefficient or
+    a margin of 0, b or b + 1."""
     box = TruncationBox((6, 7))
-    cases = 0
     for m0, a, b in product(range(1, 5), range(6), range(6)):
-        last = max(a + 1, 2 ** (m0 - 1) + b + 1)
         for h_margin in (None, *range(b + 2)):
-            if m0 == 1 and h_margin is not None and b - h_margin >= 1:
-                continue
             top = {(a, b): 1} if h_margin is None else {(a, b): 1, (a + 1, h_margin): 1}
             for margins in product(sorted({-1, 0, b, b + 1}), repeat=m0 - 1):
-                lower = [(j, m) for j, m in enumerate(margins, start=1) if m >= 0]
+                lower = tuple((j, m) for j, m in enumerate(margins, start=1) if m >= 0)
                 r_list = tuple(Element.from_terms(S2, box, {(0, m): 1} if m >= 0 else {})
                                for m in margins) + (Element.from_terms(S2, box, top),)
-                dominated, _ = oracle_dominance(r_list)
-                got = {t for lo, hi in independence._failing_intervals(m0, a, b, h_margin, lower)
-                       for t in range(lo, hi + 1)}
-                assert got == {t for t in range(1, last + 1) if not dominated(a + t)}, \
-                    (m0, a, b, h_margin, lower)
-                cases += 1
+                yield m0, a, b, h_margin, lower, r_list
+
+
+def test_failing_intervals_are_the_degrees_the_oracle_finds_undominated():
+    """Over :func:`_analysis_cases`, the intervals cover exactly the t in
+    1..last at which :func:`conftest.oracle_dominance` fails (past last it
+    never does).  m0 = 1 with the h-part below b is the caller's case and is
+    left out."""
+    cases = 0
+    for m0, a, b, h_margin, lower, r_list in _analysis_cases():
+        if m0 == 1 and h_margin is not None and b - h_margin >= 1:
+            continue
+        last = max(a + 1, 2 ** (m0 - 1) + b + 1)
+        dominated, _ = oracle_dominance(r_list)
+        got = {t for lo, hi in independence._failing_intervals(m0, a, b, h_margin, lower)
+               for t in range(lo, hi + 1)}
+        assert got == {t for t in range(1, last + 1) if not dominated(a + t)}, \
+            (m0, a, b, h_margin, lower)
+        cases += 1
     assert cases > 10_000
+
+
+def _analysis_mismatch():
+    """The first case of :func:`_analysis_cases` whose memoized analysis
+    disagrees with the scan oracles, or None.  Each case is analysed at
+    lmax = settled + 2, where the scan down from lmax names the tail, and
+    then at one past that tail, where the window is too short and the scan
+    up names the least window (None where no window helps)."""
+    for m0, a, b, h_margin, lower, r_list in _analysis_cases():
+        _, settled = oracle_dominance(r_list)
+        tail = oracle_tail_start(r_list, settled + 2)
+        for lmax in (settled + 2, tail + 1):
+            try:
+                got = independence._tail_start(m0, a, b, h_margin, lower, lmax)
+            except InconclusiveWindowError as exc:
+                got = ("inconclusive", exc.required_lmax)
+            expected = tail if lmax - tail >= 2 else ("inconclusive", oracle_required_lmax(r_list))
+            if got != expected:
+                return (m0, a, b, h_margin, lower, lmax), got, expected
+    return None
+
+
+def test_the_analysis_memo_matches_the_scan_oracles():
+    """Every case of the sweep, analysed with the memo emptied and then
+    again with it holding what the first pass left, matches the oracles."""
+    independence._tail_start.cache_clear()
+    assert _analysis_mismatch() is None
+    assert independence._tail_start.cache_info().currsize == 512
+    assert _analysis_mismatch() is None
 
 
 def test_a_prefix_computed_with_the_wrong_power_fails_the_check(monkeypatch):
