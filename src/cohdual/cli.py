@@ -2,6 +2,10 @@
 
 Every subcommand prints a JSON document on stdout by default (mode
 "document"), or a short plain-text rendering with ``--mode human``.
+Every subcommand takes the four common options ``--field``, ``--trunc``,
+``--out`` (a file that gets exactly what stdout gets) and ``--mode``, and
+every handler ends in ``return session.emit(...)`` (or ``emit_element``),
+which writes the output and returns the exit code.
 Element arguments are either expression text (parsed against the chosen
 shape, box, and field) or ``@path`` pointing at an element document.
 Every element written, nested ones included, is over that field; one read
@@ -108,12 +112,20 @@ def parse_shape_spec(spec: str, n: int | None = None) -> ModuleShape:
     raise ValueError(f"cannot read shape {spec!r}")
 
 
-def _parse_box_spec(spec: str) -> TruncationBox:
+def _integers(spec: str, sep: str, what: str, count: int | None = None) -> tuple[int, ...]:
+    """The integers ``sep`` separates in ``spec``, ``count`` of them if given;
+    otherwise a ValueError "cannot read ``what`` ``spec``"."""
+    parts = spec.split(sep)
     try:
-        bounds = tuple(_integer(part) for part in spec.split(","))
+        if count not in (None, len(parts)):
+            raise ValueError
+        return tuple(map(_integer, parts))
     except ValueError:
-        raise ValueError(f"cannot read box bounds from {spec!r}") from None
-    return TruncationBox(bounds)
+        raise ValueError(f"cannot read {what} {spec!r}") from None
+
+
+def _parse_box_spec(spec: str) -> TruncationBox:
+    return TruncationBox(_integers(spec, ",", "box bounds from"))
 
 
 _CONFIG_KEYS = ("field", "trunc", "mode", "seed")
@@ -176,7 +188,9 @@ class _Session:
             return element_from_document(read_document(token[1:]))
         return parse_element(token, shape, box, self.field)
 
-    def emit(self, doc, human_lines) -> None:
+    def emit(self, doc, human_lines, code: int = 0) -> int:
+        """Write the document, or the lines in human mode, to stdout and to
+        --out; return the exit code."""
         if self.mode == "document":
             payload = write_document(doc, path=self.args.out)
             sys.stdout.write(payload.decode("ascii"))
@@ -185,15 +199,16 @@ class _Session:
             if self.args.out:
                 Path(self.args.out).write_text(text)
             sys.stdout.write(text)
+        return code
 
     def check_field(self, element) -> None:
         """Refuse an element, to be written, over another field than the request's."""
         if element.field != self.field:
             raise mixed_fields(element.field, self.field)
 
-    def emit_element(self, element) -> None:
+    def emit_element(self, element) -> int:
         self.check_field(element)
-        self.emit(to_document(element), [serialize_element(element)])
+        return self.emit(to_document(element), [serialize_element(element)])
 
 
 def _cmd_cohomology(session: _Session) -> int:
@@ -208,8 +223,7 @@ def _cmd_cohomology(session: _Session) -> int:
     ]
     lines.append(f"nonzero slices: {report.nonzero_count}")
     lines.append("verified: " + ("yes" if report.passed else "no"))
-    session.emit(to_document(report), lines)
-    return 0 if report.passed else 1
+    return session.emit(to_document(report), lines, 0 if report.passed else 1)
 
 
 def _cmd_dfam(session: _Session) -> int:
@@ -217,8 +231,7 @@ def _cmd_dfam(session: _Session) -> int:
 
     args = session.args
     box = _parse_box_spec(args.box) if args.box else None
-    session.emit_element(make_d(args.power, args.lmax, box, session.field))
-    return 0
+    return session.emit_element(make_d(args.power, args.lmax, box, session.field))
 
 
 def _cmd_delta(session: _Session) -> int:
@@ -229,13 +242,7 @@ def _cmd_delta(session: _Session) -> int:
         raise _UsageError("--fit and --tail-start need each other")
     shape, box = session.shape_and_box()
     element = session.load_element(args.element, shape, box)
-    window = None
-    if args.window:
-        try:
-            lo, hi = map(_integer, args.window.split(":"))
-        except ValueError:
-            raise ValueError(f"cannot read the window LO:HI from {args.window!r}") from None
-        window = (lo, hi)
+    window = _integers(args.window, ":", "the window LO:HI from", 2) if args.window else None
     profile = delta(element, window)
     doc = to_document(profile)
     lines = [f"window [{profile.start}, {profile.end}]"]
@@ -244,17 +251,15 @@ def _cmd_delta(session: _Session) -> int:
         + ("zero coefficient" if v is None else str(v))
         for k, v in enumerate(profile.entries)
     ]
-    exit_code = 0
+    code = 0
     if args.fit is not None:
         fit = fit_shift_form(profile, args.fit, args.tail_start)
         doc["fit"] = None if fit is None else list(fit)
         doc["fit_power"] = args.fit
         doc["tail_start"] = args.tail_start
         lines.append(f"fit: {fit}")
-        if fit is None:
-            exit_code = 1
-    session.emit(doc, lines)
-    return exit_code
+        code = 1 if fit is None else 0
+    return session.emit(doc, lines, code)
 
 
 def _cmd_act(session: _Session) -> int:
@@ -265,16 +270,14 @@ def _cmd_act(session: _Session) -> int:
     poly_shape = ModuleShape.series_shape(n)
     poly = session.load_element(args.poly, poly_shape,
                                 TruncationBox.uniform(n, session.trunc))
-    session.emit_element(ring_act(poly, element))
-    return 0
+    return session.emit_element(ring_act(poly, element))
 
 
 def _cmd_derive(session: _Session) -> int:
     args = session.args
     shape, box = session.shape_and_box()
     element = session.load_element(args.element, shape, box)
-    session.emit_element(derivation_act(args.variable, element))
-    return 0
+    return session.emit_element(derivation_act(args.variable, element))
 
 
 def _cmd_pair(session: _Session) -> int:
@@ -285,28 +288,21 @@ def _cmd_pair(session: _Session) -> int:
     dual = session.load_element(args.dual, shape.dual(), box)
     element = session.load_element(args.element, shape, box)
     out_box = _parse_box_spec(args.out_box) if args.out_box else None
-    session.emit_element(matlis_pair(dual, element, out_box))
-    return 0
+    return session.emit_element(matlis_pair(dual, element, out_box))
 
 
 def _cmd_gamma(session: _Session) -> int:
     from .duality import gamma_of_shape
 
     shape, _ = session.shape_and_box()
-    spec = session.args.gens
-    try:
-        gens = tuple(_integer(part) for part in spec.split(","))
-    except ValueError:
-        raise ValueError(f"cannot read the variable indices I,J,... from --gens {spec!r}"
-                         ) from None
+    gens = _integers(session.args.gens, ",", "the variable indices I,J,... from --gens")
     result = gamma_of_shape(shape, gens)
     doc = new_document("torsion_support", {
         "roles": list(shape.roles),
         "generators": list(gens),
         "result": result,
     })
-    session.emit(doc, [f"torsion support: {result}"])
-    return 0
+    return session.emit(doc, [f"torsion support: {result}"])
 
 
 def _cmd_regular(session: _Session) -> int:
@@ -322,8 +318,7 @@ def _cmd_regular(session: _Session) -> int:
     lines.append(f"final quotient: roles {report.final_roles}, "
                  f"dimension {report.final_dim}")
     lines.append("verified: " + ("yes" if report.passed else "no"))
-    session.emit(to_document(report), lines)
-    return 0 if report.passed else 1
+    return session.emit(to_document(report), lines, 0 if report.passed else 1)
 
 
 def _cmd_check(session: _Session) -> int:
@@ -340,8 +335,7 @@ def _cmd_check(session: _Session) -> int:
         lines.append(text)
     lines.append(f"suite {report.suite} with seed {report.seed}: "
                  + ("all passed" if report.passed else "FAILED"))
-    session.emit(to_document(report), lines)
-    return 0 if report.passed else 1
+    return session.emit(to_document(report), lines, 0 if report.passed else 1)
 
 
 def _cmd_indep(session: _Session) -> int:
@@ -358,27 +352,21 @@ def _cmd_indep(session: _Session) -> int:
             "lmax": args.lmax,
             "required_lmax": exc.required_lmax,
         })
-        session.emit(doc, [f"inconclusive: {exc}"])
-        return 2
+        return session.emit(doc, [f"inconclusive: {exc}"], 2)
     session.check_field(cert.decomposition.g)
-    doc = to_document(cert)
-    lines = [
+    return session.emit(to_document(cert), [
         f"top index: {cert.m0}",
         f"shifts: a={cert.a}, b={cert.b}",
         f"tail verified from degree {cert.tail_start} to {cert.lmax}",
         "combination is nonzero: yes",
-    ]
-    session.emit(doc, lines)
-    return 0
+    ])
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--field", help="coefficient field: rational or prime:p")
-    sub.add_argument("--trunc", type=_integer,
-                     help="uniform truncation bound for parsed expressions")
-    sub.add_argument("--out", help="also write the output to this file")
-    sub.add_argument("--mode", choices=("document", "human"),
-                     help="output as a JSON document (default) or plain text")
+def _command(commands, name, handler, help):
+    """Add the subcommand ``name``, which ``handler`` answers."""
+    sub = commands.add_parser(name, help=help)
+    sub.set_defaults(handler=handler)
+    return sub
 
 
 def _add_element_options(sub) -> None:
@@ -391,87 +379,69 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cohdual", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("cohomology",
-                              help="sweep a degree window and verify the support")
+    sub = _command(commands, "cohomology", _cmd_cohomology,
+                   "sweep a degree window and verify the support")
     sub.add_argument("-n", "--nvars", type=_integer, required=True)
     sub.add_argument("-i", "--index", type=_integer, required=True)
     sub.add_argument("--window", type=_integer, default=3)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_cohomology)
 
-    sub = commands.add_parser("dfam", help="emit a truncation of the d-family")
+    sub = _command(commands, "dfam", _cmd_dfam, "emit a truncation of the d-family")
     sub.add_argument("--power", type=_integer, required=True)
     sub.add_argument("--lmax", type=_integer, required=True)
     sub.add_argument("--box", help="comma-separated box bounds")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_dfam)
 
-    sub = commands.add_parser("delta",
-                              help="minimal-exponent profile of an element")
+    sub = _command(commands, "delta", _cmd_delta, "minimal-exponent profile of an element")
     sub.add_argument("element", help="expression or @document")
     sub.add_argument("--window", help="degree window LO:HI")
-    sub.add_argument("--fit", type=_integer,
-                     help="fit the tail against this power")
+    sub.add_argument("--fit", type=_integer, help="fit the tail against this power")
     sub.add_argument("--tail-start", type=_integer)
     _add_element_options(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_delta)
 
-    sub = commands.add_parser("act", help="act by a polynomial on an element")
+    sub = _command(commands, "act", _cmd_act, "act by a polynomial on an element")
     sub.add_argument("poly", help="polynomial expression or @document")
     sub.add_argument("element", help="expression or @document")
     _add_element_options(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_act)
 
-    sub = commands.add_parser("derive",
-                              help="apply the derivation along one variable")
+    sub = _command(commands, "derive", _cmd_derive, "apply the derivation along one variable")
     sub.add_argument("-j", "--variable", type=_integer, required=True)
     sub.add_argument("element", help="expression or @document")
     _add_element_options(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_derive)
 
-    sub = commands.add_parser("pair",
-                              help="Matlis pairing of a dual element against an element")
+    sub = _command(commands, "pair", _cmd_pair,
+                   "Matlis pairing of a dual element against an element")
     sub.add_argument("dual", help="dual-shape expression or @document")
     sub.add_argument("element", help="expression or @document")
     sub.add_argument("--out-box", help="bounds for the paired result")
     _add_element_options(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_pair)
 
-    sub = commands.add_parser("gamma",
-                              help="torsion support of a shape under chosen variables")
+    sub = _command(commands, "gamma", _cmd_gamma,
+                   "torsion support of a shape under chosen variables")
     sub.add_argument("--shape", required=True)
     sub.add_argument("-n", "--nvars", type=_integer)
-    sub.add_argument("--gens", required=True,
-                     help="comma-separated variable indices")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_gamma)
+    sub.add_argument("--gens", required=True, help="comma-separated variable indices")
 
-    sub = commands.add_parser("regular",
-                              help="check the variables form a regular sequence on the dual")
+    sub = _command(commands, "regular", _cmd_regular,
+                   "check the variables form a regular sequence on the dual")
     sub.add_argument("-n", "--nvars", type=_integer, required=True)
     sub.add_argument("-i", "--index", type=_integer, required=True)
     sub.add_argument("--bound", type=_integer, default=4)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_regular)
 
-    sub = commands.add_parser("check", help="run a named verification suite")
+    sub = _command(commands, "check", _cmd_check, "run a named verification suite")
     sub.add_argument("--suite", choices=SUITE_NAMES, default="all")
     sub.add_argument("--seed", type=_integer)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_check)
 
-    sub = commands.add_parser("indep",
-                              help="certify a combination of the d-family is nonzero")
-    sub.add_argument("polys", nargs="+",
-                     help="coefficient polynomials, lowest power first")
+    sub = _command(commands, "indep", _cmd_indep,
+                   "certify a combination of the d-family is nonzero")
+    sub.add_argument("polys", nargs="+", help="coefficient polynomials, lowest power first")
     sub.add_argument("--lmax", type=_integer, default=12)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_indep)
 
+    for sub in commands.choices.values():  # the common options, last in every --help
+        sub.add_argument("--field", help="coefficient field: rational or prime:p")
+        sub.add_argument("--trunc", type=_integer,
+                         help="uniform truncation bound for parsed expressions")
+        sub.add_argument("--out", help="also write the output to this file")
+        sub.add_argument("--mode", choices=("document", "human"),
+                         help="output as a JSON document (default) or plain text")
     return parser
 
 

@@ -162,7 +162,7 @@ def make_d(power: int, lmax: int, box: TruncationBox | None = None,
     The default box is exactly wide enough; an explicit box must contain
     every term (X-bound at least lmax, Y-bound at least lmax^power).
     """
-    if power < 1:
+    if type(power) is not int or power < 1:  # a bool too, as lmax
         raise ValueError(f"power must be a positive integer, got {power}")
     _check_lmax(lmax)
     if box is None:
@@ -262,7 +262,7 @@ def fit_shift_form(seq: DeltaSequence, power: int, tail_start: int
     identifiable, so ties are real there and the least pair is a
     convention.  Any vanishing coefficient in the tail rules out a fit.
     """
-    if power < 1:
+    if type(power) is not int or power < 1:  # a bool too, as lmax
         raise ValueError(f"power must be a positive integer, got {power}")
     if tail_start < seq.start:
         raise ValueError("tail_start precedes the window")
@@ -372,16 +372,20 @@ def independence_certificate(r_list: tuple[Element, ...], lmax: int
     a, _, g, b = dec
     h_margin = min(ys[len(g.terms):], default=None)  # ys is the top's; its X^a layer leads
     tail_start = _tail_start(m0, a, b, h_margin, margins[:-1], lmax)
+    if type(tail_start) is tuple:
+        raise InconclusiveWindowError(*tail_start)
     profile = _least_exponents(live, a, b, tail_start, lmax)
     return _certificate((m0, a, b, lmax, tail_start, _profile((0, profile)), dec, True, box))
 
 
 @lru_cache(maxsize=512)
-def _tail_start(m0: int, a: int, b: int, h_margin: int | None, lower: tuple, lmax: int) -> int:
+def _tail_start(m0: int, a: int, b: int, h_margin: int | None, lower: tuple, lmax: int
+                ) -> int | tuple[int | None]:
     """The dominance analysis, on integers alone: the first tail degree, or
-    :class:`InconclusiveWindowError`, which the memo does not keep."""
+    ``(required_lmax,)`` for the caller to raise as
+    :class:`InconclusiveWindowError`, so that the memo keeps that verdict too."""
     if m0 == 1 and h_margin is not None and b - h_margin >= 1:
-        raise InconclusiveWindowError(None)  # t - (t - 1) = 1 for every l
+        return (None,)  # t - (t - 1) = 1 for every l
     fails = _failing_intervals(m0, a, b, h_margin, lower)
     reach, t = lmax - a, 0  # l <= a always fails; past the last failure up to lmax all holds
     for lo, hi in fails:
@@ -393,7 +397,7 @@ def _tail_start(m0: int, a: int, b: int, h_margin: int | None, lower: tuple, lma
             if lo - t >= 3:
                 break
             t = max(t, hi + 1)
-        raise InconclusiveWindowError(a + t + 2)
+        return (a + t + 2,)
     return a + 1 + t
 
 

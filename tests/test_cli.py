@@ -142,6 +142,67 @@ def test_human_mode_writes_its_text_to_out(capsys, tmp_path):
     assert out == path.read_text() == "X\n"
 
 
+# one request per subcommand: regular is a report, the delta fit fails (exit
+# 1) and the indep window is too short (exit 2)
+REQUESTS = {
+    "cohomology": ("cohomology", "-n", "1", "-i", "1", "--window", "2"),
+    "dfam": ("dfam", "--power", "2", "--lmax", "3"),
+    "delta": ("delta", "Y^-1+X*Y^-3", "--fit", "1", "--tail-start", "0"),
+    "act": ("act", "Y", "1 + Y^-1*X"),
+    "derive": ("derive", "-j", "1", "1 + Y^-1*X"),
+    "pair": ("pair", "X^-1*Y^-2", "X*Y^2", "--shape", "R", "-n", "2"),
+    "gamma": ("gamma", "--shape", "E", "-n", "2", "--gens", "0,1"),
+    "regular": ("regular", "-n", "3", "-i", "2", "--bound", "2"),
+    "check": ("check", "--suite", "io", "--seed", "5"),
+    "indep": ("indep", "1", "Y^10000000", "--lmax", "10", "--trunc", "10000000"),
+}
+EXITS = {"delta": 1, "indep": 2}
+
+
+@pytest.mark.parametrize("mode", ["document", "human"])
+@pytest.mark.parametrize("command", sorted(REQUESTS))
+def test_out_holds_exactly_what_stdout_gets(capsys, tmp_path, command, mode):
+    path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *REQUESTS[command], "--mode", mode, "--out", str(path))
+    assert (code, err) == (EXITS.get(command, 0), "")
+    assert out
+    if mode == "document":
+        assert path.read_bytes() == out.encode("ascii")
+        assert json.loads(out)["kind"]
+    else:
+        assert path.read_text() == out
+
+
+# the option strings of each subcommand, in the order its --help lists them
+OPTIONS = {
+    "cohomology": ["-n", "--nvars", "-i", "--index", "--window"],
+    "dfam": ["--power", "--lmax", "--box"],
+    "delta": ["--window", "--fit", "--tail-start", "-n", "--nvars", "--shape", "--box"],
+    "act": ["-n", "--nvars", "--shape", "--box"],
+    "derive": ["-j", "--variable", "-n", "--nvars", "--shape", "--box"],
+    "pair": ["--out-box", "-n", "--nvars", "--shape", "--box"],
+    "gamma": ["--shape", "-n", "--nvars", "--gens"],
+    "regular": ["-n", "--nvars", "-i", "--index", "--bound"],
+    "check": ["--suite", "--seed"],
+    "indep": ["--lmax"],
+}
+
+
+def test_every_subcommand_lists_its_options_then_the_common_four():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    assert list(commands.choices) == list(OPTIONS) == list(REQUESTS)
+    for name, sub in commands.choices.items():
+        got = [option for action in sub._actions for option in action.option_strings]
+        assert got == ["-h", "--help", *OPTIONS[name], "--field", "--trunc", "--out", "--mode"]
+
+
+@pytest.mark.parametrize("argv", [("act", "X", "Y^-2", "--box"),
+                                  ("dfam", "--power", "1", "--lmax", "2", "--box"),
+                                  ("pair", "X^-1", "X", "--out-box")])
+def test_every_box_reader_names_the_form(capsys, argv):
+    assert run_cli(capsys, *argv, "1,x") == (64, "", "error: cannot read box bounds from '1,x'\n")
+
+
 def test_pair_human_mode(capsys):
     code, out, _ = run_cli(capsys, "pair", "X^-1*Y^-2", "X*Y^2",
                            "--shape", "R", "-n", "2", "--mode", "human")
@@ -206,7 +267,7 @@ def test_regular_refuses_bound_zero(capsys):
     assert err == "error: the box must leave room for the action; need bound >= 1\n"
 
 
-@pytest.mark.parametrize("window", ["3", "a:b", "1:2:3"])
+@pytest.mark.parametrize("window", ["3", "a:b", "1:2:3", "0:1:2", "a:1"])
 def test_delta_malformed_window_names_the_form(capsys, window):
     code, out, err = run_cli(capsys, "delta", "X*Y^-1", "--window", window)
     assert (code, out) == (64, "")
@@ -557,7 +618,7 @@ def test_a_box_with_too_few_bounds_is_a_usage_error(capsys, argv):
     assert err == "error: shape and box disagree on the variable count\n"
 
 
-@pytest.mark.parametrize("gens", ["a", "0,,1", "1.5"])
+@pytest.mark.parametrize("gens", ["a", "0,,1", "1.5", "0,x"])
 def test_gamma_malformed_gens_names_the_form(capsys, gens):
     code, out, err = run_cli(capsys, "gamma", "--shape", "E", "--gens", gens)
     assert (code, out) == (64, "")

@@ -82,6 +82,18 @@ def test_a_bool_or_non_int_lmax_is_refused(lmax):
     assert [memo.cache_info() for memo in memos] == held
 
 
+@pytest.mark.parametrize("power", [True, 2.0, "2", 0], ids=repr)
+def test_a_bool_or_non_int_power_is_refused(power):
+    """make_d(True, 3) would build the power-1 family and fit_shift_form
+    would fit power 1; a float would reach the box check.  Both functions
+    name the power instead, as they do a power below 1."""
+    message = f"^power must be a positive integer, got {re.escape(str(power))}$"
+    with pytest.raises(ValueError, match=message):
+        make_d(power, 3)
+    with pytest.raises(ValueError, match=message):
+        fit_shift_form(delta(make_d(2, 6)), power, 1)
+
+
 def test_make_d_box_validation():
     make_d(2, 3, TruncationBox((4, 9)))
     with pytest.raises(ValueError):
@@ -426,9 +438,8 @@ def test_cached_family_certificates_match_oracle(kind, lmax):
     """Certificates read from the memos equal the element-path oracle, first
     with every memo emptied and then with every one held: cold, each (m0,
     lmax, b) has its closed form computed once, each analysis key analysed
-    once (an inconclusive one on every call, as the memo keeps no
-    exception) and each profile key joined once; warm, only the
-    inconclusive keys are analysed again."""
+    once (an inconclusive one too, as the memo keeps its verdict) and each
+    profile key joined once; warm, nothing is computed again."""
     rng = random.Random(f"family/{kind}/{lmax}")
     combinations = [tuple(poly({(rng.randint(0, 3), rng.randint(0, 3)): FAMILY_DRAWS[kind](rng)
                                 for _ in range(rng.randint(1, 2))})
@@ -439,12 +450,12 @@ def test_cached_family_certificates_match_oracle(kind, lmax):
     independence._tail_start.cache_clear()
     for warmth in ("cold", "warm"):
         before = [memo.cache_info().misses for memo in memos]
-        tops, keys, profiles, certified, inconclusive = set(), set(), set(), 0, 0
+        tops, keys, profiles, certified, inconclusive = set(), set(), set(), 0, set()
         for r_list in combinations:
             try:
                 _assert_certificate_matches_oracle(r_list, lmax)
             except InconclusiveWindowError:
-                inconclusive += 1
+                inconclusive.add(oracle_analysis_inputs(r_list))
                 continue
             cert = independence_certificate(r_list, lmax)
             certified += 1
@@ -454,9 +465,9 @@ def test_cached_family_certificates_match_oracle(kind, lmax):
         assert certified >= 6, warmth
         missed = [memo.cache_info().misses - was for memo, was in zip(memos, before)]
         if warmth == "cold":
-            assert missed == [len(tops), len(keys) + inconclusive, len(profiles)]
+            assert missed == [len(tops), len(keys) + len(inconclusive), len(profiles)]
         else:
-            assert missed == [0, inconclusive, 0]
+            assert missed == [0, 0, 0]
 
 
 @pytest.mark.parametrize("terms, required", [
@@ -1160,32 +1171,44 @@ def test_failing_intervals_are_the_degrees_the_oracle_finds_undominated():
     assert cases > 10_000
 
 
-def _analysis_mismatch():
-    """The first case of :func:`_analysis_cases` whose memoized analysis
-    disagrees with the scan oracles, or None.  Each case is analysed at
-    lmax = settled + 2, where the scan down from lmax names the tail, and
-    then at one past that tail, where the window is too short and the scan
-    up names the least window (None where no window helps)."""
+def _analyses():
+    """(key, verdict, expected) for each case of :func:`_analysis_cases`,
+    analysed at lmax = settled + 2, where the scan down from lmax names the
+    tail, and then at one past that tail, where the window is too short and
+    the scan up names the least window (None where no window helps): an
+    inconclusive verdict is ``(required_lmax,)``."""
     for m0, a, b, h_margin, lower, r_list in _analysis_cases():
         _, settled = oracle_dominance(r_list)
         tail = oracle_tail_start(r_list, settled + 2)
         for lmax in (settled + 2, tail + 1):
-            try:
-                got = independence._tail_start(m0, a, b, h_margin, lower, lmax)
-            except InconclusiveWindowError as exc:
-                got = ("inconclusive", exc.required_lmax)
-            expected = tail if lmax - tail >= 2 else ("inconclusive", oracle_required_lmax(r_list))
-            if got != expected:
-                return (m0, a, b, h_margin, lower, lmax), got, expected
-    return None
+            key = (m0, a, b, h_margin, lower, lmax)
+            expected = tail if lmax - tail >= 2 else (oracle_required_lmax(r_list),)
+            yield key, independence._tail_start(*key), expected
+
+
+def _analysis_mismatch():
+    """The first of :func:`_analyses` whose memoized verdict disagrees with
+    the scan oracles, or None."""
+    return next(((key, got, expected) for key, got, expected in _analyses()
+                 if got != expected), None)
 
 
 def test_the_analysis_memo_matches_the_scan_oracles():
     """Every case of the sweep, analysed with the memo emptied and then
-    again with it holding what the first pass left, matches the oracles."""
+    again with it holding what the first pass left, matches the oracles;
+    the memo keeps an inconclusive verdict as it keeps a tail, so the 512
+    keys analysed last, both kinds among them, are all hits again."""
     independence._tail_start.cache_clear()
-    assert _analysis_mismatch() is None
-    assert independence._tail_start.cache_info().currsize == 512
+    verdicts = []
+    for key, got, expected in _analyses():
+        assert got == expected, key
+        verdicts.append((key, got))
+    info = independence._tail_start.cache_info()
+    assert info.currsize == 512
+    recent = verdicts[-512:]
+    assert {type(got) for _, got in recent} == {int, tuple}
+    assert all(independence._tail_start(*key) == got for key, got in recent)
+    assert independence._tail_start.cache_info().misses == info.misses
     assert _analysis_mismatch() is None
 
 
