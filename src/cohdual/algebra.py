@@ -25,12 +25,9 @@ term through a series-side wall records the loss by clearing the element's
 ``exact`` flag.  Contraction kills on the inverse side keep ``exact`` set.
 
 Terms are made in two places.  Products go through :func:`_product`, the
-kernel entry of :func:`ring_act` and :func:`duality.matlis_pair` (a product
-both contracted and outside the box is a kill, never a loss).
-:func:`_shifted`, the one loop with walls, shifts the longer operand by
-each term c*X^a of the shorter one and scales it by c, multiplying the
-field's own scalars (an int times an int stays an int); with two or more
-terms on each side the pieces are added.
+one loop with walls, behind :func:`ring_act` and :func:`duality.matlis_pair`
+(a product both contracted and outside the box is a kill, never a loss); it
+multiplies the field's own scalars, so an int times an int stays an int.
 Every sum of terms goes through :func:`_summed`: products,
 :meth:`Element.from_terms` and :func:`linear_combine` call it, and so does
 ``+``, directly on the two term tuples (``a - b`` is ``a + -b``).  A map
@@ -138,7 +135,7 @@ class TruncationBox(_Record, NamedTuple("TruncationBox", [("bounds", tuple)])):
 
     def __new__(cls, bounds: tuple[int, ...]):
         for b in bounds:
-            if not isinstance(b, int) or b < 0:
+            if type(b) is not int or b < 0:  # a bool too, which a document writes as true
                 raise ValueError(f"box bounds must be nonnegative integers: {bounds}")
         return tuple.__new__(cls, (bounds,))
 
@@ -325,24 +322,17 @@ def _window(roles: tuple[str, ...], bounds: tuple[int, ...]):
 
 
 def _product(a_terms, b_terms, lo, hi, kill):
-    """Finished ``(terms, dropped)`` of a*b in lo..hi, the walls of :func:`_shifted`."""
-    if not (a_terms and b_terms):
-        return (), False
+    """``(terms, dropped)`` of a*b in lo..hi: the longer operand shifted by
+    each term c*X^a of the shorter one and scaled by c.  Past hi is a kill
+    (exact) if past ``kill`` somewhere, else a loss; below lo (None: cannot
+    happen) is a loss.  No product vanishes, and one term keeps the other's
+    terms distinct and in order: only the pieces of several need summing."""
     if len(b_terms) < len(a_terms):
         a_terms, b_terms = b_terms, a_terms
-    terms, dropped = _shifted(a_terms, b_terms, lo, hi, kill)
-    return (terms if len(a_terms) == 1 else _summed(terms)), dropped
-
-
-def _shifted(ones, terms, lo, hi, kill):
-    """Canonical ``terms`` times each term c*X^a of ``ones``: shifted by a, scaled by c.
-    Past hi is a kill (exact) if past ``kill`` somewhere, else a loss; below lo
-    (None: cannot happen) is a loss.  No product vanishes, and one term keeps
-    ``terms`` distinct and in order: only the pieces of several need summing."""
     out = []
     dropped = False
-    for shift, c in ones:
-        for e, x in terms:
+    for shift, c in a_terms:
+        for e, x in b_terms:
             e = tuple(map(add, shift, e))
             if not all(map(le, e, hi)):
                 if all(map(le, e, kill)):
@@ -351,7 +341,7 @@ def _shifted(ones, terms, lo, hi, kill):
                 out.append((e, c * x))
             else:
                 dropped = True
-    return tuple(out), dropped
+    return (tuple(out) if len(a_terms) == 1 else _summed(out)), dropped
 
 
 def ring_act(r: Element, m: Element) -> Element:

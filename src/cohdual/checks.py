@@ -17,11 +17,11 @@ product kernel is seen; it samples the pairing's linearity in m in both
 boxes.  The sizes below are chosen to finish comfortably fast while
 still sweeping every shape and position the finite windows can reach.
 
-Kernel outputs are compared one way: each must lie in its operand's
-frame (shape, box and field, an element's first three fields) before a
-sum or another kernel meets it, and one outside FAILs the line, so a
-broken component is never refused as bad input.  A law also needs every
-side exact (:func:`_holds`); a linearity comparison, equal flags.
+Kernel outputs are compared one way in every suite: each must lie in its
+operand's frame (shape, box and field) before a sum or another kernel
+meets it, and one outside, or a d whose profile cannot be read, FAILs the
+line, so a broken component is never refused as bad input.  A law also
+needs every side exact (:func:`_holds`); a linearity comparison, equal flags.
 """
 
 from __future__ import annotations
@@ -130,11 +130,22 @@ def realization_sweep(max_n: int = 4, window: int = 4) -> CheckLine:
     return CheckLine("realization-window-sweep", instances, True)
 
 
+def _d_profile(power: int, lmax: int):
+    """delta of make_d(power, lmax); where delta would refuse that d or its
+    profile stop before lmax, the ``power p:`` detail that FAILs the line."""
+    d = make_d(power, lmax)
+    if d.shape == D_SHAPE and d.exact and d.box.bounds[0] >= lmax:
+        return delta(d)
+    return f"power {power}: d lossy, outside the dual shape or short of X-degree {lmax}"
+
+
 def delta_formula(max_power: int = 4, lmax: int = 30) -> CheckLine:
     """The profile of each truncated d equals minus the power of the degree."""
     instances = 0
     for power in range(1, max_power + 1):
-        profile = delta(make_d(power, lmax))
+        profile = _d_profile(power, lmax)
+        if type(profile) is str:
+            return CheckLine("profile-of-the-d-family", instances, False, profile)
         for l in range(lmax + 1):
             instances += 1
             if profile.value(l) != -(l ** power):
@@ -163,11 +174,11 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
     Each certificate's whole profile must equal that of sum r_j . d_j formed
     as elements (``ring_act`` on ``make_d`` in the certificate's box, then
     ``linear_combine``), exact, each d_j and product in the certificate's
-    frame before the next kernel meets it; its shifts must agree with an
-    independent reading of the top coefficient, which X^(a+1) h + X^a g must
-    rebuild with g in Y alone, and refitting the tail must recover them (for
-    a top index of 1 only their sum is identifiable).  The expected rate is
-    well above 95 percent; windows too short to conclude are not failures.
+    frame before the next kernel meets it.  m0 and the shifts must agree with
+    the line's own reading of the nonzero r_j; h and g, in the top one's
+    frame and g in Y alone, must rebuild it (:func:`_holds`), and refitting
+    the tail must recover the shifts (for a top index of 1, their sum).  The
+    expected rate is well above 95 percent; short windows are not failures.
     """
     rng = random.Random(seed)
     certified = 0
@@ -179,28 +190,23 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
         except InconclusiveWindowError:
             continue
         certified += 1
-        frame = (D_SHAPE, cert.box, r_list[0].field)  # a d_j outside it stands for its product
-        parts = [ring_act(r, d) if d[:3] == frame else d for j, r in enumerate(r_list, 1)
-                 if not r.is_zero for d in [make_d(j, lmax, cert.box)]]
-        s = linear_combine((1, p) for p in parts) if all(p[:3] == frame for p in parts) else None
-        top = r_list[cert.m0 - 1]
-        a = min(e[0] for e, _ in top.terms)
-        b = min(e[1] for e, _ in top.terms if e[0] == a)
-        dec = cert.decomposition  # rational, as every combination drawn here
-        rebuilt = linear_combine(
-            (1, ring_act(monomial(top.shape, TruncationBox((k, 0)), (k, 0)), part))
-            for k, part in ((a + 1, dec.h), (a, dec.g)))
-        ok = s is not None and s.exact and delta(s, (0, lmax)) == cert.delta
-        ok = ok and (cert.a, cert.b, cert.nonzero, dec.a, dec.b) == (a, b, True, a, b)
-        ok = ok and rebuilt.exact and rebuilt == top and all(e[0] == 0 for e, _ in dec.g.terms)
-        ok = ok and cert.m0 == max(
-            j for j, r in enumerate(r_list, start=1) if not r.is_zero)
+        live = [(j, r) for j, r in enumerate(r_list, start=1) if not r.is_zero]
+        m0, top = live[-1]  # the top index and coefficient, read once
+        a, b = min(e for e, _ in top.terms)  # the least X-degree, then its least Y-degree
+        frame, dec = (D_SHAPE, cert.box, top.field), cert.decomposition
+        # a d_j outside the frame meets no kernel, and its product is missing
+        parts = [ring_act(r, d) for j, r in live if (d := make_d(j, lmax, cert.box))[:3] == frame]
+        s = linear_combine((1, p) for p in parts) if len(parts) == len(live) and all(
+            p[:3] == frame for p in parts) else None
+        ok = s is not None and s[:3] == frame and s.exact and delta(s, (0, lmax)) == cert.delta
+        ok = ok and (cert.m0, cert.a, cert.b, cert.nonzero, dec.a, dec.b) == (m0, a, b, True, a, b)
+        ok = ok and dec.h[:3] == dec.g[:3] == top[:3] and all(e[0] == 0 for e, _ in dec.g.terms)
+        ok = ok and _holds(top[:3], top, *(  # rational, as every combination drawn here
+            ring_act(monomial(top.shape, TruncationBox((k, 0)), (k, 0)), part)
+            for k, part in ((a + 1, dec.h), (a, dec.g))))
         ok = ok and cert.tail_start <= lmax - 2  # a shorter tail cannot be refitted
-        fit = fit_shift_form(cert.delta, cert.m0, cert.tail_start) if ok else None
-        if cert.m0 >= 2:
-            ok = ok and fit == (a, b)
-        else:
-            ok = ok and fit is not None and fit[0] + fit[1] == a + b
+        fit = fit_shift_form(cert.delta, m0, cert.tail_start) if ok else None
+        ok = fit is not None and (fit == (a, b) or m0 == 1 and sum(fit) == a + b)
         if not ok:
             bad.append(trial)
     rate_ok = certified >= 0.95 * trials
@@ -381,7 +387,9 @@ def leibniz_weyl_trials(seed: int = DEFAULT_SEED, per_config: int = 2) -> CheckL
 def separation_pairs(max_power: int = 4, lmax: int = 14,
                      search_bound: int = 5) -> CheckLine:
     """Profiles of distinct powers admit no shift witness; equal ones do."""
-    profiles = {p: delta(make_d(p, lmax)) for p in range(1, max_power + 1)}
+    profiles = {p: _d_profile(p, lmax) for p in range(1, max_power + 1)}
+    if broken := [profile for profile in profiles.values() if type(profile) is str]:
+        return CheckLine("profile-separation", 0, False, broken[0])
     instances = 0
     for p, q in product(profiles, repeat=2):
         instances += 1

@@ -193,7 +193,8 @@ class _Session:
         --out; return the exit code."""
         if self.mode == "document":
             payload = write_document(doc, path=self.args.out)
-            sys.stdout.write(payload.decode("ascii"))
+            for at in range(0, len(payload), 1 << 16):  # in pieces: no whole text copy of a report
+                sys.stdout.write(payload[at:at + (1 << 16)].decode("ascii"))
         else:
             text = "\n".join(human_lines) + "\n"
             if self.args.out:

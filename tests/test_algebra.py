@@ -65,7 +65,7 @@ def test_shape_validation():
 
 
 def test_box_validation_and_admits():
-    for bounds in ((-1, 2), (2, 2.0)):
+    for bounds in ((-1, 2), (2, 2.0), (True, 2)):
         message = "^box bounds must be nonnegative integers: " + re.escape(str(bounds)) + "$"
         with pytest.raises(ValueError, match=message):
             TruncationBox(bounds)
@@ -511,13 +511,20 @@ def _field_of(*operands):
     return "GF(p)" if Fp in types else "Q" if Fraction in types else "int"
 
 
+def _patch_product(monkeypatch, product):
+    """Make ``product`` the kernel of ring_act and of matlis_pair, which
+    binds the name itself."""
+    import cohdual.duality as duality
+
+    monkeypatch.setattr(algebra, "_product", product)
+    monkeypatch.setattr(duality, "_product", product)
+
+
 def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
     """The algebra line forms one-term products over bare ints, Q and GF(p),
     and k-by-k products (two or more terms on each side) over Q and GF(p).
     Its products of bare ints have a one-term operand, so bare ints are
     multiplied k by k in the duality suite's balance line."""
-    import cohdual.duality as duality
-
     real = algebra._product
     seen = set()
 
@@ -527,8 +534,7 @@ def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
             seen.add((size, _field_of(a_terms, b_terms)))
         return real(a_terms, b_terms, lo, hi, kill)
 
-    monkeypatch.setattr(algebra, "_product", counted)
-    monkeypatch.setattr(duality, "_product", counted)
+    _patch_product(monkeypatch, counted)
     assert _algebra_line().passed
     assert seen == {("one-term", "int"), ("one-term", "Q"), ("one-term", "GF(p)"),
                     ("k-by-k", "Q"), ("k-by-k", "GF(p)")}
@@ -554,7 +560,7 @@ def test_int_k_by_k_products_keep_int_coefficients(monkeypatch):
     only the type test sees it."""
     assert _int_product_types() == {int}
     as_fractions = _post(lambda terms: tuple((e, Fraction(c)) for e, c in terms))
-    monkeypatch.setattr(algebra, "_shifted", as_fractions(algebra._shifted))
+    _patch_product(monkeypatch, as_fractions(algebra._product))
     assert _int_product_types() == {Fraction}
 
 
@@ -675,16 +681,17 @@ def test_mixed_fields_raise_the_same_error_on_both_paths(one, other, error):
 
 
 def _post(fault):
-    """A shift path whose finished terms pass through ``fault``."""
+    """A product kernel whose finished terms pass through ``fault``."""
     def faulty(real):
-        def shifted(*args):
+        def product(*args):
             terms, dropped = real(*args)
             return fault(terms), dropped
-        return shifted
+        return product
     return faulty
 
 
-# each fault of the shift path, and the suite that must fail on it
+# each fault of the shift path (the one loop with walls, in _product), and
+# the suite that must fail on it
 _SHIFT_FAULTS = {
     "lower-wall-ignored": ("duality", lambda real: lambda one, terms, lo, hi, kill:
                            real(one, terms, None, hi, kill)),
@@ -702,7 +709,7 @@ _SHIFT_FAULTS = {
 def test_suites_fail_on_a_faulty_shift_path(monkeypatch, seed, fault):
     """Each fault of the shift path alone FAILs its suite."""
     suite, wrap = _SHIFT_FAULTS[fault]
-    monkeypatch.setattr(algebra, "_shifted", wrap(algebra._shifted))
+    _patch_product(monkeypatch, wrap(algebra._product))
     assert not run_suite(suite, seed).passed
 
 
@@ -740,8 +747,6 @@ _K_BY_K_FAULTS = {
 def test_suites_fail_on_a_faulty_k_by_k_product(monkeypatch, seed, fault):
     """Each fault confined to products with two or more terms on each side
     FAILs its suites."""
-    import cohdual.duality as duality
-
     suites, faulty = _K_BY_K_FAULTS[fault]
     real = algebra._product
 
@@ -750,8 +755,7 @@ def test_suites_fail_on_a_faulty_k_by_k_product(monkeypatch, seed, fault):
             return real(a_terms, b_terms, lo, hi, kill)
         return faulty(real, a_terms, b_terms, lo, hi, kill)
 
-    monkeypatch.setattr(algebra, "_product", product)
-    monkeypatch.setattr(duality, "_product", product)
+    _patch_product(monkeypatch, product)
     for suite in suites:
         assert not run_suite(suite, seed).passed, suite
 

@@ -955,6 +955,68 @@ def test_independence_check_fails_on_a_kernel_over_another_field(monkeypatch, ca
     capsys.readouterr()
 
 
+def _h_over_gf7(real):
+    def split(r):
+        dec = real(r)
+        return dec._replace(h=dec.h._replace(field=PrimeField(7)))
+    return split
+
+
+def _m0_one_low(real):
+    def certificate(r_list, lmax):
+        cert = real(r_list, lmax)
+        return cert._replace(m0=cert.m0 - 1) if cert.m0 > 1 else cert
+    return certificate
+
+
+def _short_without_a_box(real):
+    """make_d whose d, when no box is given, stops one X-degree early."""
+    def short(power, lmax, box=None):
+        d = real(power, lmax, box)
+        if box is not None:
+            return d
+        return d._replace(box=TruncationBox((lmax - 1, d.box.bounds[1])), terms=d.terms[:-1])
+    return short
+
+
+# each broken component, where the check line finds it, and the lines it must FAIL
+_PROFILE_LINES = ("profile-of-the-d-family", "profile-separation")
+_BROKEN_COMPONENTS = {
+    "h-over-gf7": ("independence", "_split", _h_over_gf7, ("independence-random-combinations",)),
+    "m0-one-low": ("checks", "independence_certificate", _m0_one_low,
+                   ("independence-random-combinations",)),
+    "lossy-d": ("checks", "make_d", lambda real: lambda *args: real(*args)._replace(exact=False),
+                _PROFILE_LINES + ("independence-random-combinations",)),
+    "d-over-series": ("checks", "make_d", lambda real: lambda *args: real(*args)._replace(
+        shape=S2), _PROFILE_LINES + ("independence-random-combinations",)),
+    "short-d": ("checks", "make_d", _short_without_a_box, _PROFILE_LINES),
+}
+
+
+@pytest.mark.parametrize("component", sorted(_BROKEN_COMPONENTS))
+def test_a_broken_component_fails_the_independence_suite(monkeypatch, capsys, component):
+    """A split h over another field, a certificate whose m0 is one too low, and
+    a d that is lossy, over (series, series) or short of lmax each FAIL their
+    lines at every pinned seed, a profile line with a ``power p:`` detail,
+    rather than raising: ``cohdual check`` exits 1 for a broken component,
+    not 64 for bad input or 70 for an internal error."""
+    import json
+
+    import cohdual.checks as checks
+    from cohdual.cli import main
+
+    module, name, broken, failing = _BROKEN_COMPONENTS[component]
+    module = checks if module == "checks" else independence
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    for seed in PINNED_SEEDS:
+        assert main(["check", "--suite", "independence", "--seed", str(seed)]) == 1
+        lines = json.loads(capsys.readouterr().out)["lines"]
+        assert sorted(line["name"] for line in lines if not line["passed"]) == sorted(failing)
+        for line in lines:
+            if line["name"] in _PROFILE_LINES and not line["passed"]:
+                assert re.match(r"power \d+: ", line["detail"]), line["detail"]
+
+
 def test_a_broken_family_fails_the_check_with_a_warm_cache(monkeypatch):
     """The memo filled by a passing run does not hide a broken make_d."""
     assert _independence_line()[0].passed
