@@ -23,8 +23,8 @@ from importlib import import_module
 _EXPORTS = {
     "algebra": (
         "INVERSE", "SERIES", "Element", "ModuleShape", "TruncationBox",
-        "derivation_act", "linear_combine", "monomial", "quotient_by_series_var",
-        "ring_act",
+        "derivation_act", "linear_combine", "matlis_pair", "monomial",
+        "quotient_by_series_var", "ring_act",
     ),
     "cech": (
         "CohomologyTable", "RealizationReport", "cech_dims_at_degree",
@@ -33,7 +33,7 @@ _EXPORTS = {
     "checks": ("CheckLine", "CheckReport", "run_suite", "suite_names"),
     "duality": (
         "GAMMA_FULL", "GAMMA_ZERO", "PairingReport", "RegularityReport",
-        "gamma_of_shape", "is_torsion", "matlis_pair", "pairing_perfection_check",
+        "gamma_of_shape", "is_torsion", "pairing_perfection_check",
         "regular_on_dual_check", "socle_functional", "tensor_surjectivity_witness",
     ),
     "exprio": (

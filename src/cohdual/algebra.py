@@ -24,10 +24,10 @@ elements stay finite objects.  Any operation that pushes a genuinely nonzero
 term through a series-side wall records the loss by clearing the element's
 ``exact`` flag.  Contraction kills on the inverse side keep ``exact`` set.
 
-Terms are made in two places.  Products go through :func:`_product`, the
-one loop with walls, behind :func:`ring_act` and :func:`duality.matlis_pair`
-(a product both contracted and outside the box is a kill, never a loss); it
-multiplies the field's own scalars, so an int times an int stays an int.
+Terms are made in two places.  Both products, :func:`ring_act` and the
+pairing :func:`matlis_pair`, go through :func:`_product`, the one loop with
+walls (a product both contracted and outside the box is a kill, never a
+loss); it multiplies the field's own scalars, so an int stays an int.
 Every sum of terms goes through :func:`_summed`: products,
 :meth:`Element.from_terms` and :func:`linear_combine` call it, and so does
 ``+``, directly on the two term tuples (``a - b`` is ``a + -b``).  A map
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from math import inf
-from operator import add, le
+from operator import add, eq, le
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
@@ -369,6 +369,37 @@ def ring_act(r: Element, m: Element) -> Element:
     # r's exponents are nonnegative and m lies in the box: nothing falls below it
     terms, dropped = _product(r_terms, m_terms, None, hi, kill)
     return _element((shape, box, field, terms, r_exact and m_exact and not dropped))
+
+
+@lru_cache(maxsize=256)
+def _pairing_frame(d_bounds, m_bounds, box):
+    """Shape, box and window of a pairing's output; pairings of the same
+    boxes share them.  The box defaults to the sum of the input boxes."""
+    if box is None:
+        box = TruncationBox(tuple(map(add, d_bounds, m_bounds)))
+    elif box.nvars != len(d_bounds):
+        raise ValueError("output box has the wrong variable count")
+    shape = ModuleShape.inverse_shape(len(d_bounds))
+    return shape, box, _window(shape.roles, box.bounds)
+
+
+def matlis_pair(d: Element, m: Element,
+                out_box: TruncationBox | None = None) -> Element:
+    """Multiply an element of the dual shape against one of the shape.
+
+    Exponent vectors add; a term with any positive coordinate is annihilated
+    (exactly).  The result is all-inverse, over the operands' common field.
+    By default the output box is the componentwise sum of the input boxes,
+    which holds every surviving product, so exact inputs give an exact
+    output; a narrower ``out_box`` may drop terms and then clears the flag.
+    """
+    # roles are SERIES or INVERSE, so dual shapes are those that differ in every role
+    if len(d.shape.roles) != len(m.shape.roles) or any(map(eq, d.shape.roles, m.shape.roles)):
+        raise ValueError("pairing requires mutually dual shapes")
+    _check_field(d, m)
+    shape, box, (lo, hi, kill) = _pairing_frame(d.box.bounds, m.box.bounds, out_box)
+    terms, dropped = _product(d.terms, m.terms, lo, hi, kill)
+    return _element((shape, box, m.field, terms, d.exact and m.exact and not dropped))
 
 
 def derivation_act(j: int, m: Element) -> Element:

@@ -41,12 +41,12 @@ from .algebra import (
     TruncationBox,
     derivation_act,
     linear_combine,
+    matlis_pair,
     monomial,
     ring_act,
 )
 from .cech import equivariance_mismatches, verify_realization
 from .duality import (
-    matlis_pair,
     pairing_perfection_check,
     regular_on_dual_check,
     tensor_surjectivity_witness,
@@ -64,6 +64,7 @@ from .fields import RATIONAL, PrimeField
 from .independence import (
     D_SHAPE,
     InconclusiveWindowError,
+    auto_truncation,
     delta,
     fit_shift_form,
     independence_certificate,
@@ -172,13 +173,13 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
     """Certify random combinations and cross-check what the tail reveals.
 
     Each certificate's whole profile must equal that of sum r_j . d_j formed
-    as elements (``ring_act`` on ``make_d`` in the certificate's box, then
-    ``linear_combine``), exact, each d_j and product in the certificate's
-    frame before the next kernel meets it.  m0 and the shifts must agree with
-    the line's own reading of the nonzero r_j; h and g, in the top one's
-    frame and g in Y alone, must rebuild it (:func:`_holds`), and refitting
-    the tail must recover the shifts (for a top index of 1, their sum).  The
-    expected rate is well above 95 percent; short windows are not failures.
+    as elements (``ring_act`` on ``make_d`` in :func:`auto_truncation`'s box,
+    then ``linear_combine``), exact, each d_j and product in that frame before
+    the next kernel meets it.  m0, the box and the shifts must agree with the
+    line's own reading of the nonzero r_j; h and g, in the top one's frame
+    and g in Y alone, must rebuild it (:func:`_holds`), and refitting the
+    tail, its start in 0..lmax - 2, must recover the shifts (for m0 = 1, their
+    sum).  Well over 95 percent should certify; short windows are not failures.
     """
     rng = random.Random(seed)
     certified = 0
@@ -193,9 +194,9 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
         live = [(j, r) for j, r in enumerate(r_list, start=1) if not r.is_zero]
         m0, top = live[-1]  # the top index and coefficient, read once
         a, b = min(e for e, _ in top.terms)  # the least X-degree, then its least Y-degree
-        frame, dec = (D_SHAPE, cert.box, top.field), cert.decomposition
+        frame, dec = (D_SHAPE, auto_truncation(r_list, lmax), top.field), cert.decomposition
         # a d_j outside the frame meets no kernel, and its product is missing
-        parts = [ring_act(r, d) for j, r in live if (d := make_d(j, lmax, cert.box))[:3] == frame]
+        parts = [ring_act(r, d) for j, r in live if (d := make_d(j, lmax, frame[1]))[:3] == frame]
         s = linear_combine((1, p) for p in parts) if len(parts) == len(live) and all(
             p[:3] == frame for p in parts) else None
         ok = s is not None and s[:3] == frame and s.exact and delta(s, (0, lmax)) == cert.delta
@@ -204,7 +205,7 @@ def independence_trials(seed: int = DEFAULT_SEED, trials: int = 200,
         ok = ok and _holds(top[:3], top, *(  # rational, as every combination drawn here
             ring_act(monomial(top.shape, TruncationBox((k, 0)), (k, 0)), part)
             for k, part in ((a + 1, dec.h), (a, dec.g))))
-        ok = ok and cert.tail_start <= lmax - 2  # a shorter tail cannot be refitted
+        ok = ok and cert.box == frame[1] and 0 <= cert.tail_start <= lmax - 2  # refittable
         fit = fit_shift_form(cert.delta, m0, cert.tail_start) if ok else None
         ok = fit is not None and (fit == (a, b) or m0 == 1 and sum(fit) == a + b)
         if not ok:

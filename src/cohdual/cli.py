@@ -39,6 +39,7 @@ from .algebra import (
     ModuleShape,
     TruncationBox,
     derivation_act,
+    matlis_pair,
     ring_act,
 )
 from .exprio import (
@@ -282,8 +283,6 @@ def _cmd_derive(session: _Session) -> int:
 
 
 def _cmd_pair(session: _Session) -> int:
-    from .duality import matlis_pair
-
     args = session.args
     shape, box = session.shape_and_box()
     dual = session.load_element(args.dual, shape.dual(), box)

@@ -1,12 +1,11 @@
-"""Matlis pairing, torsion functors, and the regular-sequence check.
+"""Socle pairing, torsion functors, and the regular-sequence check.
 
 The dual of a shaped module flips every role.  Pairing an element of the
 dual shape with an element of the original shape multiplies them into the
-all-inverse module (the injective hull): monomial exponents add, and any
-result with a positive coordinate dies by contraction.  Evaluating at the
-socle (the coefficient at exponent zero) turns the pairing into a scalar,
-and on box-monomial bases that scalar pairing is a permutation matrix,
-which :func:`pairing_perfection_check` verifies directly.
+all-inverse module (the injective hull) by ``algebra.matlis_pair``, imported
+here: exponents add, and a positive coordinate dies by contraction.  Its
+coefficient at exponent zero (the socle) is a scalar pairing, on box-monomial
+bases a permutation matrix, which :func:`pairing_perfection_check` verifies.
 
 The remaining helpers answer support questions (is an element killed by a
 power of a coordinate ideal; is the whole shape torsion for it) and verify
@@ -16,9 +15,8 @@ with the final quotient landing back in an all-inverse module.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
-from operator import add, eq
+from operator import add
 from typing import NamedTuple
 
 from .algebra import (
@@ -26,10 +24,8 @@ from .algebra import (
     Element,
     ModuleShape,
     TruncationBox,
-    _check_field,
-    _element,
-    _product,
     _window,
+    matlis_pair,
     monomial,
     ring_act,
 )
@@ -37,37 +33,6 @@ from .fields import RATIONAL
 
 GAMMA_FULL = "full"
 GAMMA_ZERO = "zero"
-
-
-@lru_cache(maxsize=256)
-def _pairing_frame(d_bounds, m_bounds, box):
-    """Shape, box and window of a pairing's output; pairings of the same
-    boxes share them.  The box defaults to the sum of the input boxes."""
-    if box is None:
-        box = TruncationBox(tuple(map(add, d_bounds, m_bounds)))
-    elif box.nvars != len(d_bounds):
-        raise ValueError("output box has the wrong variable count")
-    shape = ModuleShape.inverse_shape(len(d_bounds))
-    return shape, box, _window(shape.roles, box.bounds)
-
-
-def matlis_pair(d: Element, m: Element,
-                out_box: TruncationBox | None = None) -> Element:
-    """Multiply an element of the dual shape against one of the shape.
-
-    Exponent vectors add; a term with any positive coordinate is annihilated
-    (exactly).  The result is all-inverse, over the operands' common field.
-    By default the output box is the componentwise sum of the input boxes,
-    which holds every surviving product, so exact inputs give an exact
-    output; a narrower ``out_box`` may drop terms and then clears the flag.
-    """
-    # roles are SERIES or INVERSE, so dual shapes are those that differ in every role
-    if len(d.shape.roles) != len(m.shape.roles) or any(map(eq, d.shape.roles, m.shape.roles)):
-        raise ValueError("pairing requires mutually dual shapes")
-    _check_field(d, m)
-    shape, box, (lo, hi, kill) = _pairing_frame(d.box.bounds, m.box.bounds, out_box)
-    terms, dropped = _product(d.terms, m.terms, lo, hi, kill)
-    return _element((shape, box, m.field, terms, d.exact and m.exact and not dropped))
 
 
 def socle_functional(d: Element, m: Element):

@@ -7,7 +7,8 @@ of every element's frame: its ``coerce`` brings each scalar into the field
 once, as the element is built, and refuses one of another field.  The
 kernels then multiply and add these scalars as they are (an ``Fp`` by an
 ``Fp``, a ``Fraction`` by an ``int``), with no integer stand-ins, so no
-kernel needs the prime.
+kernel needs the prime.  Each ``Fp`` operator reads its other operand by one
+rule, ``Fp._residue``.  A prime p must lie below 3.3 * 10^24 (about 2^81).
 """
 
 from __future__ import annotations
@@ -19,23 +20,34 @@ import re
 _SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # used with fullmatch; ASCII digits only
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
+# Miller-Rabin on these bases decides every n below the bound (Sorenson and Webster, 2015)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"a prime field needs p below {_PRIME_BOUND}")
+    if n < 2 or any(n % q == 0 for q in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 is an odd number times 2^s
+    for a in _BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False  # a is a witness that n is composite
     return True
+
+
+def _inverse(value: int, p: int) -> int:
+    if value % p == 0:
+        raise ZeroDivisionError(f"0 has no inverse mod {p}")
+    return pow(value, p - 2, p)
 
 
 class Fp:
     """Residue modulo a prime p, normalised to the range [0, p).
 
-    Supports mixed arithmetic with ``int`` (coerced mod p).  Equality with an
+    Supports mixed arithmetic with ``int`` (taken mod p).  Equality with an
     ``int`` also reduces mod p; the hash is that of the normalised residue,
     so only the canonical small representative hashes consistently.
     """
@@ -52,38 +64,31 @@ class Fp:
     def __reduce__(self):  # copies and pickles rebuild rather than set slots
         return Fp, (self.value, self.p)
 
-    def _coerce(self, other):
+    def _residue(self, other):
+        """The other operand's residue as an int, or None; an Fp of another p is refused."""
         if isinstance(other, Fp):
             if other.p != self.p:
                 raise ValueError(f"mixed prime fields: {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.p)
-        return None
+            return other.value
+        return other if isinstance(other, int) else None
 
     def __add__(self, other):
-        if type(other) is Fp and other.p == self.p:  # the common case skips _coerce
-            return Fp(self.value + other.value, self.p)
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(self.value + o.value, self.p)
+        o = self._residue(other)
+        return NotImplemented if o is None else Fp(self.value + o, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is Fp and other.p == self.p:  # the common case skips _coerce
-            return Fp(self.value - other.value, self.p)
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(self.value - o.value, self.p)
+        o = self._residue(other)
+        return NotImplemented if o is None else Fp(self.value - o, self.p)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(o.value - self.value, self.p)
+        o = self._residue(other)
+        return NotImplemented if o is None else Fp(o - self.value, self.p)
 
     def __mul__(self, other):
-        if type(other) is Fp and other.p == self.p:  # the common case skips _coerce
-            return Fp(self.value * other.value, self.p)
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(self.value * o.value, self.p)
+        o = self._residue(other)
+        return NotImplemented if o is None else Fp(self.value * o, self.p)
 
     __rmul__ = __mul__
 
@@ -91,22 +96,19 @@ class Fp:
         return Fp(-self.value, self.p)
 
     def inverse(self) -> "Fp":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
-        return Fp(pow(self.value, self.p - 2, self.p), self.p)
+        return Fp(_inverse(self.value, self.p), self.p)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
+        o = self._residue(other)
+        return NotImplemented if o is None else Fp(self.value * _inverse(o, self.p), self.p)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o * self.inverse()
+        o = self._residue(other)
+        return NotImplemented if o is None else Fp(o * _inverse(self.value, self.p), self.p)
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return Fp(pow(self.value, exponent, self.p), self.p)
+        base = _inverse(self.value, self.p) if exponent < 0 else self.value
+        return Fp(pow(base, abs(exponent), self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, Fp):

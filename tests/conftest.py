@@ -12,7 +12,8 @@ degree-by-degree loop as the reference for its sign-class sweep,
 which keep the per-monomial Leibniz/Weyl sweep and the per-pair perfection
 loop as the references for their batched ones, and
 :func:`oracle_parse_element`, which keeps the expression parser's first
-state machine as the reference for its pattern-matching one.
+state machine as the reference for its pattern-matching one, and
+:func:`oracle_is_prime`, the trial division that Miller-Rabin replaced.
 """
 
 import random
@@ -307,6 +308,21 @@ def oracle_pairing_perfection(n, i, bound):
             if bool(value) != matched or (matched and value != 1):
                 passed = False
     return pair_count, tuple(permutation), passed
+
+
+def oracle_is_prime(n: int) -> bool:
+    """Trial division by 2 and the odd numbers up to the square root: the
+    primality test :mod:`cohdual.fields` used before Miller-Rabin."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def oracle_rank(rows):

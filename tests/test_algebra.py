@@ -18,12 +18,12 @@ from cohdual.algebra import (
     TruncationBox,
     derivation_act,
     linear_combine,
+    matlis_pair,
     monomial,
     quotient_by_series_var,
     ring_act,
 )
 from cohdual.checks import DEFAULT_SEED, leibniz_weyl_trials, run_suite
-from cohdual.duality import matlis_pair
 from cohdual.fields import RATIONAL, Fp, PrimeField
 from cohdual.independence import decompose_r, make_d
 from conftest import (
@@ -511,15 +511,6 @@ def _field_of(*operands):
     return "GF(p)" if Fp in types else "Q" if Fraction in types else "int"
 
 
-def _patch_product(monkeypatch, product):
-    """Make ``product`` the kernel of ring_act and of matlis_pair, which
-    binds the name itself."""
-    import cohdual.duality as duality
-
-    monkeypatch.setattr(algebra, "_product", product)
-    monkeypatch.setattr(duality, "_product", product)
-
-
 def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
     """The algebra line forms one-term products over bare ints, Q and GF(p),
     and k-by-k products (two or more terms on each side) over Q and GF(p).
@@ -534,7 +525,7 @@ def test_algebra_suite_reaches_every_kernel_path(monkeypatch):
             seen.add((size, _field_of(a_terms, b_terms)))
         return real(a_terms, b_terms, lo, hi, kill)
 
-    _patch_product(monkeypatch, counted)
+    monkeypatch.setattr(algebra, "_product", counted)
     assert _algebra_line().passed
     assert seen == {("one-term", "int"), ("one-term", "Q"), ("one-term", "GF(p)"),
                     ("k-by-k", "Q"), ("k-by-k", "GF(p)")}
@@ -560,7 +551,7 @@ def test_int_k_by_k_products_keep_int_coefficients(monkeypatch):
     only the type test sees it."""
     assert _int_product_types() == {int}
     as_fractions = _post(lambda terms: tuple((e, Fraction(c)) for e, c in terms))
-    _patch_product(monkeypatch, as_fractions(algebra._product))
+    monkeypatch.setattr(algebra, "_product", as_fractions(algebra._product))
     assert _int_product_types() == {Fraction}
 
 
@@ -709,7 +700,7 @@ _SHIFT_FAULTS = {
 def test_suites_fail_on_a_faulty_shift_path(monkeypatch, seed, fault):
     """Each fault of the shift path alone FAILs its suite."""
     suite, wrap = _SHIFT_FAULTS[fault]
-    _patch_product(monkeypatch, wrap(algebra._product))
+    monkeypatch.setattr(algebra, "_product", wrap(algebra._product))
     assert not run_suite(suite, seed).passed
 
 
@@ -755,7 +746,7 @@ def test_suites_fail_on_a_faulty_k_by_k_product(monkeypatch, seed, fault):
             return real(a_terms, b_terms, lo, hi, kill)
         return faulty(real, a_terms, b_terms, lo, hi, kill)
 
-    _patch_product(monkeypatch, product)
+    monkeypatch.setattr(algebra, "_product", product)
     for suite in suites:
         assert not run_suite(suite, seed).passed, suite
 

@@ -282,11 +282,12 @@ def test_balance_check_fails_on_a_pairing_that_is_not_linear(monkeypatch, seed, 
 
 def _patch_lower_wall(monkeypatch, wall):
     """Hand the product kernel ``wall(lo)`` for its lower wall in every pairing,
-    one-term and k-by-k products alike."""
-    import cohdual.duality as duality
+    one-term and k-by-k products alike; a ring action has no lower wall (None),
+    which every ``wall`` below keeps."""
+    import cohdual.algebra as algebra
 
-    real = duality._product
-    monkeypatch.setattr(duality, "_product", lambda a, b, lo, hi, kill:
+    real = algebra._product
+    monkeypatch.setattr(algebra, "_product", lambda a, b, lo, hi, kill:
                         real(a, b, wall(lo), hi, kill))
 
 
@@ -312,11 +313,11 @@ def test_duality_suite_fails_on_a_wrong_lower_wall(monkeypatch, seed, wall, fail
 
 def test_balance_check_fails_when_a_narrow_pairing_claims_exactness(monkeypatch):
     """A pairing whose loss below the wall leaves ``exact`` set must FAIL."""
-    import cohdual.duality as duality
+    import cohdual.algebra as algebra
     from cohdual.checks import balance_trials
 
-    real = duality._product
-    monkeypatch.setattr(duality, "_product", lambda *args: (real(*args)[0], False))
+    real = algebra._product
+    monkeypatch.setattr(algebra, "_product", lambda *args: (real(*args)[0], False))
     line = balance_trials()
     assert not line.passed
     assert line.detail.startswith("trial ")

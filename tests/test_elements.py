@@ -12,6 +12,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add, mul, sub, truediv
 
 import pytest
 
@@ -25,8 +26,8 @@ from cohdual.algebra import (
     ring_act,
 )
 from cohdual.duality import matlis_pair
-from cohdual.fields import RATIONAL, Fp, PrimeField, field_from_descriptor, field_of
-from conftest import coefficient_strings, oracle_product
+from cohdual.fields import RATIONAL, Fp, PrimeField, _is_prime, field_from_descriptor, field_of
+from conftest import coefficient_strings, oracle_is_prime, oracle_product
 
 S2 = ModuleShape((SERIES, INVERSE))
 BOX = TruncationBox((3, 3))
@@ -187,24 +188,47 @@ def test_fields_inferred_or_read_for_one_p_are_one_object():
     assert (a + b).field is read
 
 
-def test_residue_arithmetic_mod_7():
+def test_residue_arithmetic_mod_7(monkeypatch):
     """Subtraction either way, an int over a residue, negative powers and
-    repr; mixing primes and inverting zero are refused."""
+    repr; mixing primes on either side of any operator, a float and
+    inverting zero are refused.  An operator with an int on either side
+    builds one Fp, the result (counted as the benchmark tracer counts)."""
     three, five = Fp(3, 7), Fp(5, 7)
     assert (three - five, three - 5, 2 - three) == (Fp(5, 7), Fp(5, 7), Fp(6, 7))
     assert (3 / Fp(2, 7), three ** -1) == (Fp(5, 7), Fp(5, 7))
     assert repr(three) == "Fp(3, 7)"
-    with pytest.raises(ValueError, match="mixed prime fields: 7 and 11"):
-        three + Fp(1, 11)
+    for op in (add, sub, mul, truediv):
+        with pytest.raises(ValueError, match="mixed prime fields: 7 and 11"):
+            op(three, Fp(1, 11))
+        with pytest.raises(ValueError, match="mixed prime fields: 11 and 7"):
+            op(Fp(1, 11), three)
+    with pytest.raises(TypeError):
+        five + 1.5
     with pytest.raises(ZeroDivisionError, match="0 has no inverse mod 7"):
         Fp(0, 7).inverse()
+    built = []
+    init = Fp.__init__
+    monkeypatch.setattr(Fp, "__init__",
+                        lambda obj, value, p: built.append(p) or init(obj, value, p))
+    products = (3 * five, five + 2, five - 2)
+    assert len(built) == 3 and products == (Fp(1, 7), Fp(0, 7), Fp(3, 7))
 
 
 def test_prime_fields_need_a_prime():
+    """Miller-Rabin agrees with trial division below 200,000, refuses strong
+    pseudoprimes to the first 4 and 9 prime bases, and refuses any p from
+    the bound on, below which its 13 bases decide primality."""
     assert PrimeField(2).descriptor == "prime:2"
-    for p in (0, 1, 4):
+    for p in (0, 1, 4, 3_215_031_751, 3_825_123_056_546_413_051):
         with pytest.raises(ValueError, match=f"not a prime: {p}"):
             PrimeField(p)
+    for p in (2 ** 61 - 1, 10 ** 16 + 61):
+        assert PrimeField(p).p == p
+    bound = 3_317_044_064_679_887_385_961_981
+    with pytest.raises(ValueError, match=f"^a prime field needs p below {bound}$"):
+        PrimeField(bound)
+    assert [n for n in range(200_000) if _is_prime(n)] == [
+        n for n in range(200_000) if oracle_is_prime(n)]
 
 
 def test_field_descriptors_are_immutable():

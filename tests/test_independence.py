@@ -1017,6 +1017,47 @@ def test_a_broken_component_fails_the_independence_suite(monkeypatch, capsys, co
                 assert re.match(r"power \d+: ", line["detail"]), line["detail"]
 
 
+def _widened(dx):
+    return lambda cert: cert._replace(box=TruncationBox(
+        (cert.box.bounds[0] + dx, cert.box.bounds[1])))
+
+
+# certificates whose box or tail start the line must not take on trust
+_BROKEN_CERTIFICATES = {
+    "box-one-narrower": _widened(-1),
+    "box-one-wider": _widened(1),
+    "tail-start-negative": lambda cert: cert._replace(tail_start=-1),
+}
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+@pytest.mark.parametrize("fault", sorted(_BROKEN_CERTIFICATES))
+def test_a_broken_certificate_fails_the_independence_line(monkeypatch, capsys, seed, fault):
+    """A certificate whose box is one X-degree off :func:`auto_truncation`'s,
+    either way, or whose tail starts before the window FAILs the random
+    combinations line alone: make_d builds in the line's own box and
+    fit_shift_form meets only a checked tail start, so ``cohdual check``
+    exits 1, not 64, and a wider box is not waved through.  The other
+    lines keep their instances and details."""
+    import json
+
+    import cohdual.checks as checks
+    from cohdual.cli import main
+
+    argv = ["check", "--suite", "independence", "--seed", str(seed)]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)["lines"]
+    real, broken = checks.independence_certificate, _BROKEN_CERTIFICATES[fault]
+    monkeypatch.setattr(checks, "independence_certificate",
+                        lambda r_list, lmax: broken(real(r_list, lmax)))
+    assert main(argv) == 1
+    lines = json.loads(capsys.readouterr().out)["lines"]
+    assert [line["name"] for line in lines if not line["passed"]] == [
+        "independence-random-combinations"]
+    assert [line for line in lines if line["passed"]] == [
+        line for line in clean if line["name"] != "independence-random-combinations"]
+
+
 def test_a_broken_family_fails_the_check_with_a_warm_cache(monkeypatch):
     """The memo filled by a passing run does not hide a broken make_d."""
     assert _independence_line()[0].passed

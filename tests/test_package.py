@@ -127,7 +127,7 @@ LOADED = [
     ("act", RUN_CLI.format(argv=["act", "Y", "1 + Y^-1*X"]), BASE),
     ("derive", RUN_CLI.format(argv=["derive", "-j", "1", "1 + Y^-1*X"]), BASE),
     ("pair", RUN_CLI.format(argv=["pair", "X^-1*Y^-2", "X*Y^2", "--shape", "R",
-                                  "-n", "2"]), DUALITY),
+                                  "-n", "2"]), BASE),
     ("gamma", RUN_CLI.format(argv=["gamma", "--shape", "E", "-n", "2",
                                    "--gens", "0,1"]), DUALITY),
     ("dfam", RUN_CLI.format(argv=["dfam", "--power", "2", "--lmax", "3"]), INDEPENDENCE),
